@@ -52,7 +52,6 @@ class PipelineConfig:
     formulation: str = "sparse"
     check_oracle: bool = False
     export_model: str | None = None
-    threads: int = 1
     perturb_scale: float | None = None
     perturb_seed: int = 0
 
@@ -94,16 +93,63 @@ def _load_checked(path: str, cfg, stage: str) -> Instance:
     return inst
 
 
-def _enumerate(inst: Instance, threads: int, perturb_scale=None, perturb_seed=0):
+def _enumerate(inst: Instance, perturb_scale=None, perturb_seed=0):
     hs = routegen.compute_hub_sets(inst)
     offsets = None
     if perturb_scale is not None:
         offsets = instgen.perturb_arrival_estimates(inst, perturb_scale, perturb_seed)
-    omega_minus = routegen.enumerate_pickup_routes(inst, hs, workers=threads)
-    omega_plus = routegen.enumerate_dropoff_routes(
-        inst, hs, t1_offsets=offsets, workers=threads
-    )
+    omega_minus = routegen.enumerate_pickup_routes(inst, hs)
+    omega_plus = routegen.enumerate_dropoff_routes(inst, hs, t1_offsets=offsets)
     return omega_minus, omega_plus
+
+
+def _export(model: milp.MilpModel, path: str) -> None:
+    milp.export_model(model, path, "mps" if path.endswith(".mps") else "lp")
+
+
+def _design(inst: Instance, omega_minus, omega_plus, export_path: str | None):
+    """Solve the design model, first writing it to `export_path` if given."""
+    try:
+        if export_path:
+            _export(design_mod.build_design_model(inst, omega_minus, omega_plus).model, export_path)
+        return design_mod.solve_design(inst, omega_minus, omega_plus)
+    except (milp.SolveEffortError, milp.SolveNumericalError, design_mod.DesignError) as exc:
+        raise StageError("design", str(exc))
+
+
+def _formulation(name: str):
+    # Resolved per call, not at import, so patched or wrapped fleet functions run.
+    if name == "dense":
+        return fleet_mod.build_dense_graph, fleet_mod.solve_fleet_dense
+    return fleet_mod.build_sparse_graph, fleet_mod.solve_fleet_sparse
+
+
+def _size_fleet(
+    tasks, inst: Instance, formulation: str, check_oracle: bool, export_path: str | None, stage: str
+) -> fleet_mod.FleetResult:
+    """Solve the chosen fleet formulation, first writing its model to
+    `export_path` if given. With `check_oracle`, also solve the other
+    formulation and the matching oracle and require all three sizes to agree."""
+    try:
+        build, solve = _formulation(formulation)
+        graph = build(tasks, inst)
+        if export_path:
+            _export(fleet_mod.fleet_model(graph)[0], export_path)
+        result = solve(graph)
+        if check_oracle:
+            other = "sparse" if formulation == "dense" else "dense"
+            build, solve = _formulation(other)
+            sizes = {formulation: result.fleet_size, other: solve(build(tasks, inst)).fleet_size}
+            oracle = fleet_mod.min_fleet_oracle(tasks, inst)
+            if not (sizes["dense"] == sizes["sparse"] == oracle):
+                raise StageError(
+                    stage,
+                    f"formulations disagree: dense={sizes['dense']} "
+                    f"sparse={sizes['sparse']} matching={oracle}",
+                )
+    except (milp.SolveNumericalError, fleet_mod.FlowError) as exc:
+        raise StageError(stage, str(exc))
+    return result
 
 
 def run_pipeline(cfg: PipelineConfig) -> int:
@@ -115,41 +161,14 @@ def run_pipeline(cfg: PipelineConfig) -> int:
         inst = _load_checked(cfg.instance, cfg, "validate")
 
         t0 = time.perf_counter()
-        omega_minus, omega_plus = _enumerate(
-            inst, cfg.threads, cfg.perturb_scale, cfg.perturb_seed
-        )
+        omega_minus, omega_plus = _enumerate(inst, cfg.perturb_scale, cfg.perturb_seed)
         routegen.dump_routes(omega_minus, omega_plus, os.path.join(cfg.out, "routes.jsonl"))
 
-        try:
-            if cfg.export_model:
-                dm = design_mod.build_design_model(inst, omega_minus, omega_plus)
-                fmt = "mps" if cfg.export_model.endswith(".mps") else "lp"
-                milp.export_model(dm.model, cfg.export_model, fmt)
-            ds = design_mod.solve_design(inst, omega_minus, omega_plus)
-        except (milp.SolveEffortError, milp.SolveNumericalError, design_mod.DesignError) as exc:
-            raise StageError("design", str(exc))
+        ds = _design(inst, omega_minus, omega_plus, cfg.export_model)
         design_mod.save_solution(ds, os.path.join(cfg.out, "design.json"))
 
-        try:
-            tasks = fleet_mod.routes_to_tasks(ds, inst)
-            if cfg.formulation == "dense":
-                graph = fleet_mod.build_dense_graph(tasks, inst)
-                result = fleet_mod.solve_fleet_dense(graph)
-            else:
-                graph = fleet_mod.build_sparse_graph(tasks, inst)
-                result = fleet_mod.solve_fleet_sparse(graph)
-            if cfg.check_oracle:
-                dense = fleet_mod.solve_fleet_dense(fleet_mod.build_dense_graph(tasks, inst))
-                sparse = fleet_mod.solve_fleet_sparse(fleet_mod.build_sparse_graph(tasks, inst))
-                oracle = fleet_mod.min_fleet_oracle(tasks, inst)
-                if not (dense.fleet_size == sparse.fleet_size == oracle):
-                    raise StageError(
-                        "fleet",
-                        f"formulations disagree: dense={dense.fleet_size} "
-                        f"sparse={sparse.fleet_size} matching={oracle}",
-                    )
-        except (milp.SolveNumericalError, fleet_mod.FlowError) as exc:
-            raise StageError("fleet", str(exc))
+        tasks = fleet_mod.routes_to_tasks(ds, inst)
+        result = _size_fleet(tasks, inst, cfg.formulation, cfg.check_oracle, None, "fleet")
         fleet_mod.save_result(result, tasks, os.path.join(cfg.out, "fleet.json"))
 
         report = metrics.build_report(ds, result, inst)
@@ -222,7 +241,6 @@ def _add_common(p: argparse.ArgumentParser, *, instance: bool = True) -> None:
     p.add_argument("--bucket", type=float, default=None, help="consolidation window length override")
     p.add_argument("--first-hubs", type=int, default=None, dest="first_hubs")
     p.add_argument("--last-hubs", type=int, default=None, dest="last_hubs")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for enumeration")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formulation", choices=["dense", "sparse"], default="sparse")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     p.add_argument("--export-model", dest="export_model", default=None)
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
 
     return parser
@@ -318,7 +335,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "enumerate-routes":
         inst = _load_checked(args.instance, args, "enumerate-routes")
-        omega_minus, omega_plus = _enumerate(inst, args.threads)
+        omega_minus, omega_plus = _enumerate(inst)
         routegen.dump_routes(omega_minus, omega_plus, args.out)
         n = sum(len(v) for v in omega_minus.values()) + sum(len(v) for v in omega_plus.values())
         print(f"wrote {args.out} ({n} route memberships)")
@@ -327,14 +344,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "design":
         inst = _load_checked(args.instance, args, "design")
         omega_minus, omega_plus = routegen.load_routes(args.routes, inst)
-        try:
-            if args.export_model:
-                dm = design_mod.build_design_model(inst, omega_minus, omega_plus)
-                fmt = "mps" if args.export_model.endswith(".mps") else "lp"
-                milp.export_model(dm.model, args.export_model, fmt)
-            ds = design_mod.solve_design(inst, omega_minus, omega_plus)
-        except (milp.SolveEffortError, milp.SolveNumericalError, design_mod.DesignError) as exc:
-            raise StageError("design", str(exc))
+        ds = _design(inst, omega_minus, omega_plus, args.export_model)
         design_mod.save_solution(ds, args.out)
         print(f"wrote {args.out} (objective {ds.objective:.6f})")
         return EXIT_OK
@@ -343,33 +353,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         inst = _load_checked(args.instance, args, "fleet-size")
         ds = design_mod.load_solution(args.design, inst)
         tasks = fleet_mod.routes_to_tasks(ds, inst)
-        try:
-            if args.formulation == "dense":
-                graph = fleet_mod.build_dense_graph(tasks, inst)
-                if args.export_model:
-                    model, _ = fleet_mod.fleet_model(graph)
-                    fmt = "mps" if args.export_model.endswith(".mps") else "lp"
-                    milp.export_model(model, args.export_model, fmt)
-                result = fleet_mod.solve_fleet_dense(graph)
-            else:
-                graph = fleet_mod.build_sparse_graph(tasks, inst)
-                if args.export_model:
-                    model, _ = fleet_mod.fleet_model(graph)
-                    fmt = "mps" if args.export_model.endswith(".mps") else "lp"
-                    milp.export_model(model, args.export_model, fmt)
-                result = fleet_mod.solve_fleet_sparse(graph)
-            if args.check_oracle:
-                dense = fleet_mod.solve_fleet_dense(fleet_mod.build_dense_graph(tasks, inst))
-                sparse = fleet_mod.solve_fleet_sparse(fleet_mod.build_sparse_graph(tasks, inst))
-                oracle = fleet_mod.min_fleet_oracle(tasks, inst)
-                if not (dense.fleet_size == sparse.fleet_size == oracle):
-                    raise StageError(
-                        "fleet-size",
-                        f"formulations disagree: dense={dense.fleet_size} "
-                        f"sparse={sparse.fleet_size} matching={oracle}",
-                    )
-        except (milp.SolveNumericalError, fleet_mod.FlowError) as exc:
-            raise StageError("fleet-size", str(exc))
+        result = _size_fleet(
+            tasks, inst, args.formulation, args.check_oracle, args.export_model, "fleet-size"
+        )
         fleet_mod.save_result(result, tasks, args.out)
         print(f"wrote {args.out} (fleet size {result.fleet_size})")
         return EXIT_OK
@@ -402,7 +388,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             formulation=args.formulation,
             check_oracle=args.check_oracle,
             export_model=args.export_model,
-            threads=args.threads,
         )
         return run_pipeline(cfg)
 

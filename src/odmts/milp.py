@@ -8,6 +8,9 @@ with integral right-hand sides this yields integral values), and integer
 models are solved with branch-and-cut at a 1e-9 relative gap so reported
 optima are proven.
 
+Both solvers and the check of their solutions read the rows from one sparse
+matrix with per-row bounds, lo <= A x <= hi, built once per solve.
+
 Set the ODMTS_SOLVE_LOG environment variable to a file path ('-' for stderr)
 to log one line per solve.
 """
@@ -80,16 +83,16 @@ class MilpModel:
     variables: list[_Var] = field(default_factory=list)
     constraints: list[_Constraint] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-    _names: set[str] = field(default_factory=set, repr=False)
+    _index: dict[str, int] = field(default_factory=dict, repr=False)
 
     def add_var(
         self, name: str, lb: float = 0.0, ub: float = math.inf, integer: bool = False
     ) -> int:
-        if name in self._names:
+        if name in self._index:
             raise ModelError(f"duplicate variable name {name!r}")
         if lb > ub:
             raise ModelError(f"variable {name!r} has lb {lb} > ub {ub}")
-        self._names.add(name)
+        self._index[name] = len(self.variables)
         self.variables.append(_Var(name, float(lb), float(ub), integer))
         return len(self.variables) - 1
 
@@ -125,10 +128,7 @@ class MilpModel:
         return c
 
     def var_index(self, name: str) -> int:
-        for i, v in enumerate(self.variables):
-            if v.name == name:
-                return i
-        raise KeyError(name)
+        return self._index[name]
 
 
 @dataclass
@@ -157,55 +157,71 @@ def _log_solve(kind: str, model: MilpModel, status: str, objective, extra: str =
             fh.write(line)
 
 
-def _build_rows(model: MilpModel):
-    """Split rows into inequality (A_ub x <= b_ub) and equality systems."""
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+def _constraint_rows(model: MilpModel) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """All rows as one CSR matrix A with row bounds, lo <= A x <= hi:
+    -inf/rhs for '<=', rhs/inf for '>=' and rhs/rhs for '='."""
+    indptr = [0]
+    cols: list[int] = []
+    data: list[float] = []
     for con in model.constraints:
-        if con.sense == EQUAL:
-            eq_rows.append(con.coeffs)
-            eq_rhs.append(con.rhs)
-        elif con.sense == LESS_EQUAL:
-            ub_rows.append(con.coeffs)
-            ub_rhs.append(con.rhs)
-        else:
-            ub_rows.append(tuple((i, -v) for i, v in con.coeffs))
-            ub_rhs.append(-con.rhs)
-
-    def to_csr(rows, ncols):
-        data, ri, ci = [], [], []
-        for r, row in enumerate(rows):
-            for idx, val in row:
-                ri.append(r)
-                ci.append(idx)
-                data.append(val)
-        return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), ncols))
-
-    n = len(model.variables)
-    a_ub = to_csr(ub_rows, n) if ub_rows else None
-    a_eq = to_csr(eq_rows, n) if eq_rows else None
-    return a_ub, (np.array(ub_rhs) if ub_rows else None), a_eq, (np.array(eq_rhs) if eq_rows else None)
+        for idx, val in con.coeffs:
+            cols.append(idx)
+            data.append(val)
+        indptr.append(len(cols))
+    a = sp.csr_matrix(
+        (np.array(data, dtype=float), np.array(cols, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(model.constraints), len(model.variables)),
+    )
+    lo = np.array([-np.inf if con.sense == LESS_EQUAL else con.rhs for con in model.constraints])
+    hi = np.array([np.inf if con.sense == GREATER_EQUAL else con.rhs for con in model.constraints])
+    return a, lo, hi
 
 
-def _check_solution(model: MilpModel, x: np.ndarray, integrality: bool) -> None:
-    for con in model.constraints:
-        lhs = sum(val * x[idx] for idx, val in con.coeffs)
-        ok = (
-            lhs <= con.rhs + FEAS_TOL
-            if con.sense == LESS_EQUAL
-            else lhs >= con.rhs - FEAS_TOL
-            if con.sense == GREATER_EQUAL
-            else abs(lhs - con.rhs) <= FEAS_TOL
+def _check_solution(model: MilpModel, rows, x: np.ndarray, integrality: bool) -> None:
+    """Raise on the first row of `rows` = (A, lo, hi) that x violates, and on
+    a fractional integer variable when `integrality` is set."""
+    a, lo, hi = rows
+    lhs = a @ x
+    bad = np.flatnonzero(~((lhs >= lo - FEAS_TOL) & (lhs <= hi + FEAS_TOL)))
+    if bad.size:
+        con = model.constraints[bad[0]]
+        raise SolveNumericalError(
+            f"solution violates constraint {con.name}: lhs={lhs[bad[0]]} rhs={con.rhs}"
         )
-        if not ok:
-            raise SolveNumericalError(
-                f"solution violates constraint {con.name}: lhs={lhs} rhs={con.rhs}"
-            )
     if integrality:
-        for i, var in enumerate(model.variables):
-            if var.integer and abs(x[i] - round(x[i])) > INT_TOL:
-                raise SolveNumericalError(
-                    f"integer variable {var.name} has fractional value {x[i]}"
-                )
+        integer = np.array([v.integer for v in model.variables])
+        frac = np.flatnonzero(integer & (np.abs(x - np.round(x)) > INT_TOL))
+        if frac.size:
+            raise SolveNumericalError(
+                f"integer variable {model.variables[frac[0]].name} has fractional value {x[frac[0]]}"
+            )
+
+
+def _finish(kind: str, model: MilpModel, rows, res) -> MilpSolution:
+    """Map a scipy result to a MilpSolution, checking an optimal one.
+    `kind` is 'lp' or 'milp'; only a MILP reads an effort limit as such."""
+    if res.status in (2, 3):
+        status = INFEASIBLE if res.status == 2 else UNBOUNDED
+        _log_solve(kind, model, status, None)
+        return MilpSolution(status, None, {}, None)
+    integer = kind == "milp"
+    if integer and res.status == 1:
+        incumbent = float(res.fun) if res.x is not None else None
+        bound = float(res.mip_dual_bound) if res.mip_dual_bound is not None else None
+        raise SolveEffortError(
+            f"effort limit reached (incumbent={incumbent}, bound={bound})", incumbent, bound
+        )
+    if res.status != 0 or res.x is None:
+        raise SolveNumericalError(f"{kind.upper()} solve failed: {res.message}")
+    _check_solution(model, rows, res.x, integrality=integer)
+    values = {v.name: float(res.x[i]) for i, v in enumerate(model.variables)}
+    if integer:
+        bound = float(res.fun) if res.mip_dual_bound is None else float(res.mip_dual_bound)
+        extra = f"nodes={getattr(res, 'mip_node_count', '?')}"
+    else:
+        bound, extra = float(res.fun), f"iters={getattr(res, 'nit', '?')}"
+    _log_solve(kind, model, OPTIMAL, res.fun, extra)
+    return MilpSolution(OPTIMAL, float(res.fun), values, bound)
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
@@ -213,28 +229,23 @@ def solve_lp(model: MilpModel) -> MilpSolution:
     optimal basic solution."""
     if not model.variables:
         return MilpSolution(OPTIMAL, 0.0, {}, 0.0)
-    a_ub, b_ub, a_eq, b_eq = _build_rows(model)
+    rows = a, lo, hi = _constraint_rows(model)
+    # linprog takes A_ub x <= b_ub and A_eq x = b_eq, so '>=' rows are
+    # negated; each system keeps the model's row order.
+    is_eq = lo == hi
+    ge = np.isposinf(hi)
+    ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
+    sign = np.where(ge[ub], -1.0, 1.0)
     res = linprog(
         model.objective_vector(),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
+        A_ub=sp.diags(sign) @ a[ub] if ub.size else None,
+        b_ub=np.where(ge, -lo, hi)[ub] if ub.size else None,
+        A_eq=a[eq] if eq.size else None,
+        b_eq=hi[eq] if eq.size else None,
         bounds=[(v.lb, None if math.isinf(v.ub) else v.ub) for v in model.variables],
         method="highs-ds",
     )
-    if res.status == 2:
-        _log_solve("lp", model, INFEASIBLE, None)
-        return MilpSolution(INFEASIBLE, None, {}, None)
-    if res.status == 3:
-        _log_solve("lp", model, UNBOUNDED, None)
-        return MilpSolution(UNBOUNDED, None, {}, None)
-    if res.status != 0:
-        raise SolveNumericalError(f"LP solve failed: {res.message}")
-    _check_solution(model, res.x, integrality=False)
-    values = {v.name: float(res.x[i]) for i, v in enumerate(model.variables)}
-    _log_solve("lp", model, OPTIMAL, res.fun, f"iters={getattr(res, 'nit', '?')}")
-    return MilpSolution(OPTIMAL, float(res.fun), values, float(res.fun))
+    return _finish("lp", model, rows, res)
 
 
 def solve_milp(
@@ -247,19 +258,7 @@ def solve_milp(
     for v in model.variables:
         if v.integer and (math.isinf(v.lb) or math.isinf(v.ub)):
             raise ModelError(f"integer variable {v.name} must have finite bounds")
-
-    constraints = []
-    for con in model.constraints:
-        row = np.zeros(len(model.variables))
-        for idx, val in con.coeffs:
-            row[idx] = val
-        if con.sense == LESS_EQUAL:
-            constraints.append(LinearConstraint(row[None, :], -np.inf, con.rhs))
-        elif con.sense == GREATER_EQUAL:
-            constraints.append(LinearConstraint(row[None, :], con.rhs, np.inf))
-        else:
-            constraints.append(LinearConstraint(row[None, :], con.rhs, con.rhs))
-
+    rows = a, lo, hi = _constraint_rows(model)
     options: dict = {"mip_rel_gap": 1e-9, "presolve": True}
     if time_limit is not None:
         options["time_limit"] = time_limit
@@ -272,28 +271,10 @@ def solve_milp(
             np.array([v.lb for v in model.variables]),
             np.array([v.ub for v in model.variables]),
         ),
-        constraints=constraints or None,
+        constraints=LinearConstraint(a, lo, hi) if a.shape[0] else None,
         options=options,
     )
-    if res.status == 2:
-        _log_solve("milp", model, INFEASIBLE, None)
-        return MilpSolution(INFEASIBLE, None, {}, None)
-    if res.status == 3:
-        _log_solve("milp", model, UNBOUNDED, None)
-        return MilpSolution(UNBOUNDED, None, {}, None)
-    if res.status == 1:
-        incumbent = float(res.fun) if res.x is not None else None
-        bound = float(res.mip_dual_bound) if res.mip_dual_bound is not None else None
-        raise SolveEffortError(
-            f"effort limit reached (incumbent={incumbent}, bound={bound})", incumbent, bound
-        )
-    if res.status != 0 or res.x is None:
-        raise SolveNumericalError(f"MILP solve failed: {res.message}")
-    _check_solution(model, res.x, integrality=True)
-    values = {v.name: float(res.x[i]) for i, v in enumerate(model.variables)}
-    bound = float(res.mip_dual_bound) if getattr(res, "mip_dual_bound", None) is not None else float(res.fun)
-    _log_solve("milp", model, OPTIMAL, res.fun, f"nodes={getattr(res, 'mip_node_count', '?')}")
-    return MilpSolution(OPTIMAL, float(res.fun), values, bound)
+    return _finish("milp", model, rows, res)
 
 
 # -- model files -------------------------------------------------------------

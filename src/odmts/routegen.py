@@ -29,7 +29,6 @@ sequence, so pruning never removes a feasible completion.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -385,43 +384,12 @@ def _merge(
     return omega, best
 
 
-def _pickup_chunk(args) -> list[tuple[list[Route], dict[tuple, Route]]]:
-    inst, hs, ids = args
-    bucket = {c.id: bucket_of(c.depart, inst) for c in inst.commodities}
-    return [
-        _enumerate_pickup_from(inst, hs, c, bucket) for c in inst.commodities if c.id in ids
-    ]
-
-
-def _dropoff_chunk(args) -> list[tuple[list[Route], dict[tuple, Route]]]:
-    inst, hs, ids, t1, window = args
-    return [
-        _enumerate_dropoff_from(inst, hs, c, t1, window)
-        for c in inst.commodities
-        if c.id in ids
-    ]
-
-
-def _chunks(ids: list[str], workers: int) -> list[set[str]]:
-    k = max(1, min(workers, len(ids)))
-    return [set(ids[i::k]) for i in range(k)]
-
-
-def enumerate_pickup_routes(
-    inst: Instance, hs: HubSets, workers: int = 1
-) -> dict[str, list[Route]]:
+def enumerate_pickup_routes(inst: Instance, hs: HubSets) -> dict[str, list[Route]]:
     """All practically feasible pickup routes, as a map commodity id -> routes
     serving it. Shared route objects are the same instance in every member's
     list."""
-    if workers > 1 and len(inst.commodities) > 1:
-        ids = [c.id for c in inst.commodities]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_pickup_chunk, [(inst, hs, chunk) for chunk in _chunks(ids, workers)])
-            results = [item for part in parts for item in part]
-    else:
-        bucket = {c.id: bucket_of(c.depart, inst) for c in inst.commodities}
-        results = [_enumerate_pickup_from(inst, hs, c, bucket) for c in inst.commodities]
-    omega, _ = _merge(results)
+    bucket = {c.id: bucket_of(c.depart, inst) for c in inst.commodities}
+    omega, _ = _merge(_enumerate_pickup_from(inst, hs, c, bucket) for c in inst.commodities)
     for c in inst.commodities:
         omega.setdefault(c.id, [])
     return omega
@@ -448,23 +416,12 @@ def enumerate_dropoff_routes(
     inst: Instance,
     hs: HubSets,
     t1_offsets: Mapping[tuple[str, str], float] | None = None,
-    workers: int = 1,
 ) -> dict[str, list[Route]]:
     """Dropoff analogue of enumerate_pickup_routes, grouping by the window of
     the hub-arrival estimates."""
     t1 = arrival_estimates(inst, hs, t1_offsets)
     window = {key: window_of(val, inst) for key, val in t1.items()}
-    if workers > 1 and len(inst.commodities) > 1:
-        ids = [c.id for c in inst.commodities]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _dropoff_chunk,
-                [(inst, hs, chunk, t1, window) for chunk in _chunks(ids, workers)],
-            )
-            results = [item for part in parts for item in part]
-    else:
-        results = [_enumerate_dropoff_from(inst, hs, c, t1, window) for c in inst.commodities]
-    omega, _ = _merge(results)
+    omega, _ = _merge(_enumerate_dropoff_from(inst, hs, c, t1, window) for c in inst.commodities)
     for c in inst.commodities:
         omega.setdefault(c.id, [])
     return omega

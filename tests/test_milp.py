@@ -13,7 +13,10 @@ from odmts.milp import (
     MilpModel,
     ModelError,
     OPTIMAL,
+    SolveNumericalError,
     UNBOUNDED,
+    _check_solution,
+    _constraint_rows,
     export_model,
     read_lp,
     read_mps,
@@ -129,6 +132,62 @@ def test_nonfinite_coefficient_rejected():
     x = m.add_var("x")
     with pytest.raises(ModelError):
         m.add_constraint({x: math.inf}, LESS_EQUAL, 1.0)
+
+
+def _checked_model():
+    m = MilpModel()
+    x = m.add_var("x", 0, 10, integer=True)
+    y = m.add_var("y", 0, 10)
+    m.add_constraint({x: 1.0, y: 1.0}, LESS_EQUAL, 4.0, name="cap")
+    m.add_constraint({x: 1.0, y: -1.0}, GREATER_EQUAL, 0.0, name="floor")
+    m.add_constraint({y: 1.0}, EQUAL, 1.0, name="fix")
+    return m
+
+
+@pytest.mark.parametrize("x,integrality", [((2.0, 1.0 + 1e-8), True), ((2.5, 1.0), False)])
+def test_check_solution_accepts_feasible_point(x, integrality):
+    m = _checked_model()
+    _check_solution(m, _constraint_rows(m), np.array(x), integrality)
+
+
+@pytest.mark.parametrize(
+    "x,integrality,message",
+    [
+        ((4.0, 1.0), False, "constraint cap"),
+        ((0.0, 1.0), False, "constraint floor"),
+        ((2.0, 1.5), False, "constraint fix"),
+        ((2.0, 0.5), False, "constraint fix"),
+        ((5.0, 0.0), False, "constraint cap"),  # cap and fix violated: first row named
+        ((2.5, 1.0), True, "integer variable x"),
+    ],
+)
+def test_check_solution_names_violation(x, integrality, message):
+    m = _checked_model()
+    with pytest.raises(SolveNumericalError, match=message):
+        _check_solution(m, _constraint_rows(m), np.array(x), integrality)
+
+
+@pytest.mark.parametrize(
+    "senses,objective,expected",
+    [
+        ((LESS_EQUAL, LESS_EQUAL), -1.0, (1.6, 1.2)),
+        ((GREATER_EQUAL, GREATER_EQUAL), 1.0, (1.6, 1.2)),
+        ((EQUAL, EQUAL), 1.0, (1.6, 1.2)),
+        ((), -1.0, (4.0, 4.0)),
+    ],
+)
+@pytest.mark.parametrize("solve", [solve_lp, solve_milp])
+def test_row_kinds_solve_alone(solve, senses, objective, expected):
+    m = MilpModel()
+    x = m.add_var("x", 0, 4)
+    y = m.add_var("y", 0, 4)
+    for sense, (row, rhs) in zip(senses, [({x: 1.0, y: 2.0}, 4.0), ({x: 3.0, y: 1.0}, 6.0)]):
+        m.add_constraint(row, sense, rhs)
+    m.set_objective({x: objective, y: objective})
+    sol = solve(m)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(objective * sum(expected))
+    assert (sol.values["x"], sol.values["y"]) == pytest.approx(expected)
 
 
 def _six_task_instance():

@@ -414,15 +414,3 @@ def test_route_dump_round_trip(tmp_path, pickup_pair_instance):
     for routes in back_minus.values():
         for w in routes:
             assert w.kind == PICKUP
-
-
-def test_workers_do_not_change_results():
-    inst = instgen.generate(seed=13, n_nodes=8, n_hubs=2, n_commodities=6, horizon=(0, 6))
-    inst = _with_routing(inst, capacity=2, first=2, last=2)
-    hs = compute_hub_sets(inst)
-    assert route_set(enumerate_pickup_routes(inst, hs, workers=1)) == route_set(
-        enumerate_pickup_routes(inst, hs, workers=3)
-    )
-    assert route_set(enumerate_dropoff_routes(inst, hs, workers=1)) == route_set(
-        enumerate_dropoff_routes(inst, hs, workers=3)
-    )
