@@ -86,9 +86,11 @@ class Instance:
     routing: RoutingParams
     horizon: tuple[float, float]
     _index: dict[str, int] = field(init=False, repr=False)
+    _by_id: dict[str, Commodity] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.nodes)})
+        object.__setattr__(self, "_by_id", {c.id: c for c in self.commodities})
         self.travel_time.setflags(write=False)
         self.travel_dist.setflags(write=False)
 
@@ -102,10 +104,7 @@ class Instance:
         return float(self.travel_dist[self._index[i], self._index[j]])
 
     def commodity(self, cid: str) -> Commodity:
-        for c in self.commodities:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._by_id[cid]
 
     def n_buckets(self) -> int:
         t_min, t_max = self.horizon
@@ -327,6 +326,13 @@ def validate(inst: Instance) -> ValidationReport:
     """Check every instance invariant; findings carry concrete witnesses."""
     out: list[Violation] = []
     node_set = set(inst.nodes)
+
+    for kind, ids in (("node", inst.nodes), ("commodity", [c.id for c in inst.commodities])):
+        seen: set[str] = set()
+        for i in ids:
+            if i in seen:
+                out.append(Violation("duplicate-id", (kind, i), f"{kind} id '{i}' appears more than once"))
+            seen.add(i)
 
     if len(inst.hubs) < 1:
         out.append(Violation("no-hubs", (), "instance must declare at least one hub"))

@@ -20,8 +20,11 @@ Timing rules:
 Enumeration produces, per commodity, every individual route to each of its
 eligible hubs plus, for every (hub, commodity set) that admits a feasible
 shared sequence, exactly one route: the cheapest feasible permutation (ties
-broken by lexicographically smallest id sequence). A depth-first search
-prunes partial sequences only when capacity, the detour bound, or the
+broken by lexicographically smallest id sequence). Commodities are grouped
+once per (hub, window): the departure bucket for pickups, the window of the
+hub-arrival estimate for dropoffs. One depth-first search serves both kinds;
+each kind supplies only its timing state and how a stop extends it. The
+search prunes partial sequences only when capacity, the detour bound, or the
 consolidation window is already violated; elapsed times only grow along a
 sequence, so pruning never removes a feasible completion.
 """
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .instance import EPS, Commodity, Instance, bucket_of, window_of
 
@@ -260,139 +263,90 @@ def _better(cost: float, ids: tuple[str, ...], best: tuple[float, tuple[str, ...
     return abs(cost - best[0]) <= EPS and ids < best[1]
 
 
-def _enumerate_pickup_from(
-    inst: Instance, hs: HubSets, r1: Commodity, bucket: dict[str, int]
-) -> tuple[list[Route], dict[tuple, Route]]:
-    """Individual routes of r1 plus all shared candidates whose first pickup is r1."""
-    cap = inst.routing.shuttle_capacity
-    delta = inst.routing.duration_threshold
-    individual = []
-    candidates: dict[tuple, Route] = {}
-    others = [c for c in inst.commodities if c.id != r1.id and bucket[c.id] == bucket[r1.id]]
-
-    for hub in hs.first[r1.id]:
-        individual.append(materialize_pickup((r1,), hub, inst))
-        if cap == 1:
-            continue
-        pool = [c for c in others if hub in hs.first[c.id] and c.passengers + r1.passengers <= cap]
-
-        def extend(seq: list[Commodity], pax: int, dep: float, deadline: float) -> None:
-            loc = seq[-1].origin
-            for c in pool:
-                if any(c.id == s.id for s in seq):
-                    continue
-                if pax + c.passengers > cap:
-                    continue
-                arrive = dep + inst.time(loc, c.origin)
-                ndep = max(arrive, c.depart)
-                ndeadline = min(deadline, c.depart + (1.0 + delta) * inst.time(c.origin, hub))
-                if ndep + inst.time(c.origin, hub) > ndeadline + EPS:
-                    continue  # some rider already over its detour bound
-                nseq = seq + [c]
-                route = materialize_pickup(nseq, hub, inst)
-                ids = tuple(s.id for s in nseq)
-                key = (hub, frozenset(ids))
-                prev = candidates.get(key)
-                if prev is None or _better(route.cost, ids, (prev.cost, tuple(x.id for x in prev.commodities))):
-                    candidates[key] = route
-                if pax + c.passengers < cap:
-                    extend(nseq, pax + c.passengers, ndep, ndeadline)
-
-        extend([r1], r1.passengers, r1.depart, r1.depart + (1.0 + delta) * inst.time(r1.origin, hub))
-    return individual, candidates
-
-
-def _enumerate_dropoff_from(
+def _enumerate(
     inst: Instance,
-    hs: HubSets,
-    r1: Commodity,
-    t1: dict[tuple[str, str], float],
-    window: dict[tuple[str, str], int],
-) -> tuple[list[Route], dict[tuple, Route]]:
+    hubs_of: Mapping[str, tuple[str, ...]],
+    group_of: Callable[[Commodity, str], int],
+    start: Callable[[Commodity, str], tuple],
+    step: Callable[[str, Commodity, Commodity, tuple], tuple | None],
+    materialize: Callable[[Sequence[Commodity], str], Route],
+) -> dict[str, list[Route]]:
+    """The search shared by both route kinds.
+
+    Commodities are grouped once per (hub, window), in instance order. Every
+    commodity gets its individual route to each eligible hub, in hub order;
+    shared sequences starting with it extend only within its group. `start`
+    gives the timing state of a one-stop sequence at a hub, and `step` the
+    state after appending a stop, or None when that breaks a detour bound.
+    Per (hub, commodity set) the cheapest order is kept, and shared routes
+    are attached to every member after its individual routes, by hub, then
+    sorted ids.
+    """
     cap = inst.routing.shuttle_capacity
-    delta = inst.routing.duration_threshold
-
-    individual = []
-    candidates: dict[tuple, Route] = {}
-    for hub in hs.last[r1.id]:
-        t1_here = {c.id: t1[(c.id, hub)] for c in inst.commodities if (c.id, hub) in t1}
-        individual.append(materialize_dropoff((r1,), hub, t1_here, inst))
-        if cap == 1:
-            continue
-        pool = [
-            c
-            for c in inst.commodities
-            if c.id != r1.id
-            and hub in hs.last[c.id]
-            and window[(c.id, hub)] == window[(r1.id, hub)]
-            and c.passengers + r1.passengers <= cap
-        ]
-
-        def extend(seq: list[Commodity], pax: int, start: float, drive: float, bound: float) -> None:
-            loc = seq[-1].destination
-            for c in pool:
-                if any(c.id == s.id for s in seq):
-                    continue
-                if pax + c.passengers > cap:
-                    continue
-                nstart = max(start, t1_here[c.id])
-                ndrive = drive + inst.time(loc, c.destination)
-                nbound = min(
-                    bound, t1_here[c.id] + (1.0 + delta) * inst.time(hub, c.destination) - ndrive
-                )
-                if nstart > nbound + EPS:
-                    continue
-                nseq = seq + [c]
-                route = materialize_dropoff(nseq, hub, t1_here, inst)
-                ids = tuple(s.id for s in nseq)
-                key = (hub, frozenset(ids))
-                prev = candidates.get(key)
-                if prev is None or _better(route.cost, ids, (prev.cost, tuple(x.id for x in prev.commodities))):
-                    candidates[key] = route
-                if pax + c.passengers < cap:
-                    extend(nseq, pax + c.passengers, nstart, ndrive, nbound)
-
-        d0 = inst.time(hub, r1.destination)
-        extend(
-            [r1],
-            r1.passengers,
-            t1_here[r1.id],
-            d0,
-            t1_here[r1.id] + (1.0 + delta) * d0 - d0,
-        )
-    return individual, candidates
-
-
-def _merge(
-    per_first: Iterable[tuple[list[Route], dict[tuple, Route]]],
-) -> tuple[dict[str, list[Route]], dict[tuple, Route]]:
-    omega: dict[str, list[Route]] = {}
+    groups: dict[tuple[str, int], list[Commodity]] = {}
+    firsts: list[tuple[Commodity, str, list[Commodity]]] = []
+    for c in inst.commodities:
+        for hub in hubs_of[c.id]:
+            pool = groups.setdefault((hub, group_of(c, hub)), [])
+            pool.append(c)
+            firsts.append((c, hub, pool))
+    omega: dict[str, list[Route]] = {c.id: [] for c in inst.commodities}
     best: dict[tuple, Route] = {}
-    for individual, candidates in per_first:
-        for route in individual:
-            omega.setdefault(route.commodities[0].id, []).append(route)
-        for key, route in candidates.items():
+
+    def extend(hub: str, pool: list[Commodity], seq: tuple, ids: tuple, pax: int, state: tuple) -> None:
+        for c in pool:
+            if pax + c.passengers > cap or c.id in ids:
+                continue
+            nstate = step(hub, seq[-1], c, state)
+            if nstate is None:
+                continue  # some rider already over its detour bound
+            nseq = seq + (c,)
+            nids = ids + (c.id,)
+            route = materialize(nseq, hub)
+            key = (hub, frozenset(nids))
             prev = best.get(key)
-            ids = tuple(c.id for c in route.commodities)
-            if prev is None or _better(route.cost, ids, (prev.cost, tuple(c.id for c in prev.commodities))):
+            if prev is None or _better(route.cost, nids, (prev.cost, tuple(x.id for x in prev.commodities))):
                 best[key] = route
-    # Deterministic attachment order: by hub, then id sequence.
+            if pax + c.passengers < cap:
+                extend(hub, pool, nseq, nids, pax + c.passengers, nstate)
+
+    for r1, hub, pool in firsts:
+        omega[r1.id].append(materialize((r1,), hub))
+        extend(hub, pool, (r1,), (r1.id,), r1.passengers, start(r1, hub))
     for key in sorted(best, key=lambda k: (k[0], tuple(sorted(k[1])))):
         route = best[key]
         for c in route.commodities:
-            omega.setdefault(c.id, []).append(route)
-    return omega, best
+            omega[c.id].append(route)
+    return omega
 
 
 def enumerate_pickup_routes(inst: Instance, hs: HubSets) -> dict[str, list[Route]]:
     """All practically feasible pickup routes, as a map commodity id -> routes
     serving it. Shared route objects are the same instance in every member's
-    list."""
+    list. Riders share when they depart in the same bucket; the shuttle waits
+    for late riders, and each rider's hub arrival must meet its detour bound."""
+    delta = inst.routing.duration_threshold
     bucket = {c.id: bucket_of(c.depart, inst) for c in inst.commodities}
-    omega, _ = _merge(_enumerate_pickup_from(inst, hs, c, bucket) for c in inst.commodities)
-    for c in inst.commodities:
-        omega.setdefault(c.id, [])
-    return omega
+
+    def start(r1: Commodity, hub: str) -> tuple:
+        return r1.depart, r1.depart + (1.0 + delta) * inst.time(r1.origin, hub)
+
+    def step(hub: str, last: Commodity, c: Commodity, state: tuple) -> tuple | None:
+        dep, deadline = state
+        ndep = max(dep + inst.time(last.origin, c.origin), c.depart)
+        ndeadline = min(deadline, c.depart + (1.0 + delta) * inst.time(c.origin, hub))
+        if ndep + inst.time(c.origin, hub) > ndeadline + EPS:
+            return None
+        return ndep, ndeadline
+
+    return _enumerate(
+        inst,
+        hs.first,
+        lambda c, hub: bucket[c.id],
+        start,
+        step,
+        lambda seq, hub: materialize_pickup(seq, hub, inst),
+    )
 
 
 def arrival_estimates(
@@ -418,13 +372,35 @@ def enumerate_dropoff_routes(
     t1_offsets: Mapping[tuple[str, str], float] | None = None,
 ) -> dict[str, list[Route]]:
     """Dropoff analogue of enumerate_pickup_routes, grouping by the window of
-    the hub-arrival estimates."""
-    t1 = arrival_estimates(inst, hs, t1_offsets)
-    window = {key: window_of(val, inst) for key, val in t1.items()}
-    omega, _ = _merge(_enumerate_dropoff_from(inst, hs, c, t1, window) for c in inst.commodities)
-    for c in inst.commodities:
-        omega.setdefault(c.id, [])
-    return omega
+    the hub-arrival estimates. The shuttle leaves at the latest estimate of
+    its riders; `bound` is the latest start that keeps every rider so far
+    within its detour bound."""
+    delta = inst.routing.duration_threshold
+    t1: dict[str, dict[str, float]] = {hub: {} for hub in inst.hubs}
+    for (cid, hub), val in arrival_estimates(inst, hs, t1_offsets).items():
+        t1[hub][cid] = val
+
+    def start(r1: Commodity, hub: str) -> tuple:
+        d0 = inst.time(hub, r1.destination)
+        return t1[hub][r1.id], d0, t1[hub][r1.id] + (1.0 + delta) * d0 - d0
+
+    def step(hub: str, last: Commodity, c: Commodity, state: tuple) -> tuple | None:
+        leave, drive, bound = state
+        nleave = max(leave, t1[hub][c.id])
+        ndrive = drive + inst.time(last.destination, c.destination)
+        nbound = min(bound, t1[hub][c.id] + (1.0 + delta) * inst.time(hub, c.destination) - ndrive)
+        if nleave > nbound + EPS:
+            return None
+        return nleave, ndrive, nbound
+
+    return _enumerate(
+        inst,
+        hs.last,
+        lambda c, hub: window_of(t1[hub][c.id], inst),
+        start,
+        step,
+        lambda seq, hub: materialize_dropoff(seq, hub, t1[hub], inst),
+    )
 
 
 # -- serialization -----------------------------------------------------------
@@ -446,10 +422,9 @@ def route_to_dict(route: Route) -> dict:
 
 
 def route_from_dict(data: dict, inst: Instance) -> Route:
-    by_id = {c.id: c for c in inst.commodities}
     return Route(
         kind=data["kind"],
-        commodities=tuple(by_id[cid] for cid in data["commodities"]),
+        commodities=tuple(inst.commodity(cid) for cid in data["commodities"]),
         hub=data["hub"],
         xi=tuple(data["xi"]),
         passengers=data["passengers"],

@@ -91,6 +91,18 @@ def test_pipeline_rejects_invalid_instance(tmp_path, tiny_instance_file):
         assert not os.path.exists(os.path.join(out, name)), name
 
 
+def test_pipeline_rejects_duplicate_commodity_id(tmp_path, tiny_instance_file, capsys):
+    data = json.load(open(tiny_instance_file))
+    data["commodities"].append(dict(data["commodities"][0], depart=data["commodities"][0]["depart"] + 1.0))
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(data))
+    out = str(tmp_path / "rundup")
+    assert main(["pipeline", "--instance", str(bad), "--out", out]) == EXIT_INVALID
+    assert "duplicate-id" in capsys.readouterr().err
+    for name in ARTIFACTS:
+        assert not os.path.exists(os.path.join(out, name)), name
+
+
 def test_pipeline_capacity_override_changes_routing(tmp_path, tiny_instance_file):
     out1 = str(tmp_path / "k1")
     out3 = str(tmp_path / "k3")

@@ -140,6 +140,30 @@ def test_validate_flags_oversized_commodity():
     assert any(v.code == "passengers-capacity" for v in report.violations)
 
 
+def test_validate_flags_duplicate_ids():
+    inst = mk_instance(
+        ["a", "b", "a"],
+        ["b"],
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+        commodities=(
+            mk_commodity("c", "a", "b", 0.0),
+            mk_commodity("d", "b", "a", 0.0),
+            mk_commodity("c", "b", "a", 1.0),
+        ),
+    )
+    dups = [v.subject for v in validate(inst).violations if v.code == "duplicate-id"]
+    assert dups == [("node", "a"), ("commodity", "c")]
+
+
+def test_commodity_lookup_by_id():
+    first = mk_commodity("c", "a", "b", 0.0)
+    second = mk_commodity("d", "b", "a", 1.0)
+    inst = mk_instance(["a", "b"], ["a"], [[0.0, 1.0], [1.0, 0.0]], commodities=(first, second))
+    assert inst.commodity("c") is first and inst.commodity("d") is second
+    with pytest.raises(KeyError):
+        inst.commodity("missing")
+
+
 def _horizon_instance(t_max=240.0, bucket=3.0):
     return mk_instance(
         ["a", "b"], ["a"], [[0.0, 1.0], [1.0, 0.0]], bucket=bucket, horizon=(0.0, t_max)

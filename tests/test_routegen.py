@@ -20,7 +20,7 @@ from odmts.routegen import (
 )
 
 from conftest import mk_commodity, mk_instance
-from oracles import brute_force_pickup
+from oracles import brute_force_dropoff, brute_force_pickup
 
 
 def test_estimate_hub_arrival_mean_formula():
@@ -316,6 +316,14 @@ def route_set(omega):
     return {(w.key, round(w.cost, 9)) for routes in omega.values() for w in routes}
 
 
+def assert_shared_objects(omega):
+    """A shared route is one object, listed under each of its members."""
+    for routes in omega.values():
+        for w in routes:
+            for c in w.commodities:
+                assert sum(x is w for x in omega[c.id]) == 1
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_enumeration_matches_brute_force(seed):
     inst = instgen.generate(seed=seed, n_nodes=7, n_hubs=3, n_commodities=5, horizon=(0, 9))
@@ -324,6 +332,22 @@ def test_enumeration_matches_brute_force(seed):
     fast = enumerate_pickup_routes(inst, hs)
     slow = brute_force_pickup(inst, hs)
     assert route_set(fast) == route_set(slow)
+    assert_shared_objects(fast)
+    for routes in fast.values():
+        for w in routes:
+            assert feasible(w, inst, hs)
+
+
+@pytest.mark.parametrize("seed, longest", [(0, 3), (1, 3), (2, 2)])
+def test_dropoff_enumeration_matches_brute_force(seed, longest):
+    inst = instgen.generate(seed=seed, n_nodes=7, n_hubs=3, n_commodities=5, horizon=(0, 9))
+    inst = _with_routing(inst, capacity=3, first=2, last=2, delta=1.0, bucket=4.5)
+    hs = compute_hub_sets(inst)
+    fast = enumerate_dropoff_routes(inst, hs)
+    slow = brute_force_dropoff(inst, hs)
+    assert route_set(fast) == route_set(slow)
+    assert max(len(w.commodities) for routes in fast.values() for w in routes) == longest
+    assert_shared_objects(fast)
     for routes in fast.values():
         for w in routes:
             assert feasible(w, inst, hs)
@@ -331,7 +355,6 @@ def test_enumeration_matches_brute_force(seed):
 
 def test_perturbed_dropoff_enumeration_matches_brute_force():
     from odmts.instgen import perturb_arrival_estimates
-    from oracles import brute_force_dropoff
 
     inst = instgen.generate(seed=31, n_nodes=7, n_hubs=3, n_commodities=6, horizon=(0, 9))
     inst = _with_routing(inst, capacity=2, first=2, last=2)
@@ -340,6 +363,7 @@ def test_perturbed_dropoff_enumeration_matches_brute_force():
     fast = enumerate_dropoff_routes(inst, hs, t1_offsets=offsets)
     slow = brute_force_dropoff(inst, hs, t1_offsets=offsets)
     assert route_set(fast) == route_set(slow)
+    assert_shared_objects(fast)
     # The noise must actually shift the route start times (perturbed hub
     # arrivals) relative to the clean run.
     def starts(omega):
