@@ -9,21 +9,25 @@ units covering every task:
 * the dense formulation puts an arc on every compatible ordered pair and
   requires exactly one unit through each task;
 * the sparse formulation drops transitive arcs (kept only when no one-stop
-  relay exists), requires at least one unit per task and lets arcs carry
-  any integer flow. Both constraint matrices are totally unimodular, so a
-  basic LP optimum is already integral.
+  relay exists; relays are read off the compatibility matrix squared in
+  float32), requires at least one unit per task and lets arcs carry any
+  integer flow. Both constraint matrices are totally unimodular, so a basic
+  LP optimum is already integral.
 
 Schedules come from decomposing the flow into source-sink paths; a task is
-assigned to the first path that reaches it. A bipartite matching oracle
-(minimum path cover) is provided for cross-checking.
+assigned to the first path that reaches it. A minimum path cover oracle
+(scipy's Hopcroft-Karp bipartite matching) is provided for cross-checking.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .instance import EPS, Instance
 from .milp import EQUAL, GREATER_EQUAL, MilpModel, OPTIMAL, solve_lp
@@ -103,20 +107,29 @@ def compatible(a: Task, b: Task, inst: Instance) -> bool:
 
 
 def _compatibility(tasks: tuple[Task, ...], inst: Instance) -> np.ndarray:
-    n = len(tasks)
-    comp = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(tasks):
-        for j, b in enumerate(tasks):
-            if i != j and compatible(a, b, inst):
-                comp[i, j] = True
+    """comp[i, j] == (i != j and compatible(tasks[i], tasks[j], inst)), with
+    the scalar rule's float order so ties at EPS fall the same way."""
+    start = np.array([t.start for t in tasks], dtype=float)
+    dur = np.array([t.duration for t in tasks], dtype=float)
+    end_idx = [inst.node_index(t.end_loc) for t in tasks]
+    start_idx = [inst.node_index(t.start_loc) for t in tasks]
+    arrive = inst.travel_time[np.ix_(end_idx, start_idx)]  # reposition times, a fresh copy
+    arrive += (start + dur)[:, None]
+    latest = start + EPS
+    comp = arrive <= latest[None, :]
+    comp &= ~(start[None, :] <= latest[:, None])
+    np.fill_diagonal(comp, False)
     return comp
+
+
+def _arc_set(mask: np.ndarray) -> set[tuple[int, int]]:
+    return set(zip(*(idx.tolist() for idx in np.nonzero(mask))))
 
 
 def build_dense_graph(tasks, inst: Instance) -> FleetGraph:
     """Arc on every compatible ordered pair; source and sink connect to all."""
     ts = _sorted_tasks(tasks)
-    comp = _compatibility(ts, inst)
-    arcs = {(i, j) for i, j in np.argwhere(comp)}
+    arcs = _arc_set(_compatibility(ts, inst))
     n = len(ts)
     return FleetGraph(DENSE, ts, arcs, set(range(n)), set(range(n)))
 
@@ -127,13 +140,13 @@ def build_sparse_graph(tasks, inst: Instance) -> FleetGraph:
     drain to the sink."""
     ts = _sorted_tasks(tasks)
     comp = _compatibility(ts, inst)
-    relay = (comp.astype(np.int32) @ comp.astype(np.int32)) > 0
-    keep = comp & ~relay
-    arcs = {(i, j) for i, j in np.argwhere(keep)}
-    n = len(ts)
-    has_in = {j for _, j in arcs}
-    has_out = {i for i, _ in arcs}
-    return FleetGraph(SPARSE, ts, arcs, set(range(n)) - has_in, set(range(n)) - has_out)
+    # float32 goes through BLAS; a sum of non-negative 0/1 products is never
+    # rounded to 0, so "> 0" is exact.
+    c = comp.astype(np.float32)
+    keep = comp & ~((c @ c) > 0)
+    sources = set(np.flatnonzero(~keep.any(axis=0)).tolist())
+    sinks = set(np.flatnonzero(~keep.any(axis=1)).tolist())
+    return FleetGraph(SPARSE, ts, _arc_set(keep), sources, sinks)
 
 
 def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
@@ -227,13 +240,15 @@ def recover_schedules(g: FleetGraph, flows: dict[tuple, int]) -> FleetResult:
         if val:
             residual[key] = int(val)
 
+    inflow, outflow = Counter(), Counter()
+    for (a, b), val in residual.items():
+        inflow[b] += val
+        outflow[a] += val
     n = len(g.tasks)
     for i in range(n):
-        inflow = sum(v for (a, b), v in residual.items() if b == i)
-        outflow = sum(v for (a, b), v in residual.items() if a == i)
-        if inflow != outflow:
-            raise FlowError(f"flow not conserved at task {i}: in {inflow} vs out {outflow}")
-        if inflow < 1:
+        if inflow[i] != outflow[i]:
+            raise FlowError(f"flow not conserved at task {i}: in {inflow[i]} vs out {outflow[i]}")
+        if inflow[i] < 1:
             raise FlowError(f"task {i} is not covered by the flow")
 
     out_arcs: dict[object, list] = {}
@@ -244,8 +259,7 @@ def recover_schedules(g: FleetGraph, flows: dict[tuple, int]) -> FleetResult:
 
     covered: set[int] = set()
     schedules: list[tuple[str, ...]] = []
-    total = sum(v for (a, _), v in residual.items() if a == SOURCE)
-    for _ in range(total):
+    for _ in range(outflow[SOURCE]):
         path = []
         node: object = SOURCE
         while node != SINK:
@@ -294,28 +308,10 @@ def schedules_feasible(result: FleetResult, tasks, inst: Instance) -> bool:
 
 def min_fleet_oracle(tasks, inst: Instance) -> int:
     """Independent check: minimum path cover of the compatibility relation,
-    computed as task count minus a maximum bipartite matching."""
+    computed as task count minus a maximum bipartite matching (Hopcroft-Karp)."""
     ts = _sorted_tasks(tasks)
-    n = len(ts)
-    comp = _compatibility(ts, inst)
-    adj = [list(np.flatnonzero(comp[i])) for i in range(n)]
-    match_right: list[int | None] = [None] * n
-
-    def try_assign(i: int, visited: list[bool]) -> bool:
-        for j in adj[i]:
-            if visited[j]:
-                continue
-            visited[j] = True
-            if match_right[j] is None or try_assign(match_right[j], visited):
-                match_right[j] = i
-                return True
-        return False
-
-    matched = 0
-    for i in range(n):
-        if try_assign(i, [False] * n):
-            matched += 1
-    return n - matched
+    match = maximum_bipartite_matching(sp.csr_matrix(_compatibility(ts, inst)), perm_type="column")
+    return len(ts) - int(np.count_nonzero(match >= 0))
 
 
 # -- serialization -----------------------------------------------------------

@@ -9,6 +9,8 @@ from odmts.fleet import (
     SOURCE,
     FlowError,
     Task,
+    _compatibility,
+    _sorted_tasks,
     build_dense_graph,
     build_sparse_graph,
     compatible,
@@ -27,6 +29,7 @@ from odmts.routegen import (
     materialize_pickup,
 )
 from odmts.design import solve_design
+from odmts.instance import EPS
 
 from conftest import euclid_instance, mk_commodity, mk_instance
 
@@ -141,8 +144,22 @@ def test_chain_needs_single_shuttle():
 
 def test_empty_task_list():
     inst = colocated_instance()
+    for build in (build_dense_graph, build_sparse_graph):
+        graph = build([], inst)
+        assert graph.arcs == set()
+        assert graph.source_arcs == set() and graph.sink_arcs == set()
+    assert min_fleet_oracle([], inst) == 0
     assert solve_fleet_sparse(build_sparse_graph([], inst)).fleet_size == 0
     assert solve_fleet_dense(build_dense_graph([], inst)).fleet_size == 0
+
+
+def test_graph_indices_are_python_ints():
+    inst = colocated_instance()
+    for build in (build_dense_graph, build_sparse_graph):
+        graph = build(six_tasks() + [Task("G", "x", "x", 20.0, 2.0)], inst)
+        assert graph.arcs
+        assert all(type(i) is int and type(j) is int for i, j in graph.arcs)
+        assert all(type(i) is int for i in graph.source_arcs | graph.sink_arcs)
 
 
 def test_recover_single_task_flow():
@@ -157,6 +174,27 @@ def test_recover_rejects_unconserved_flow():
     graph = build_sparse_graph([Task("A", "x", "x", 0.0, 5.0)], inst)
     with pytest.raises(FlowError, match="conserved"):
         recover_schedules(graph, {(SOURCE, 0): 1})
+
+
+def test_recover_reports_lowest_task_first():
+    # A -> B -> C. With flow s -> B -> C, task A (index 0) is uncovered and
+    # task C (index 2) breaks conservation; tasks are checked in index order.
+    inst = colocated_instance()
+    tasks = [Task("A", "x", "x", 0.0, 1.0), Task("B", "x", "x", 5.0, 1.0),
+             Task("C", "x", "x", 10.0, 1.0)]
+    graph = build_sparse_graph(tasks, inst)
+    with pytest.raises(FlowError, match="task 0 is not covered"):
+        recover_schedules(graph, {(SOURCE, 1): 1, (1, 2): 1})
+    # s -> A -> C: A is fine, B (index 1) is uncovered, C still leaks.
+    with pytest.raises(FlowError, match="task 1 is not covered"):
+        recover_schedules(graph, {(SOURCE, 0): 1, (0, 2): 1})
+    # s -> A -> B, nothing out of B: the break at index 1 comes before the
+    # uncovered task C at index 2.
+    with pytest.raises(FlowError, match="not conserved at task 1: in 1 vs out 0"):
+        recover_schedules(graph, {(SOURCE, 0): 1, (0, 1): 1})
+    # Nothing enters A but a unit leaves it: conservation is checked first.
+    with pytest.raises(FlowError, match="not conserved at task 0: in 0 vs out 1"):
+        recover_schedules(graph, {(0, 1): 1, (1, 2): 1, (2, SINK): 1})
 
 
 def test_recover_rejects_fractional_flow():
@@ -224,6 +262,97 @@ def test_compatibility_transitive_on_metric_tasks():
             for c in tasks:
                 if compatible(a, b, inst) and compatible(b, c, inst):
                     assert compatible(a, c, inst)
+
+
+def assert_compatibility_matches_scalar_rule(tasks, inst):
+    ts = _sorted_tasks(tasks)
+    comp = _compatibility(ts, inst)
+    n = len(ts)
+    assert comp.shape == (n, n) and comp.dtype == bool
+    for i, a in enumerate(ts):
+        for j, b in enumerate(ts):
+            assert comp[i, j] == (i != j and compatible(a, b, inst)), (a, b)
+    return ts, comp
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compatibility_matches_scalar_rule(seed):
+    rng = np.random.default_rng(seed)
+    inst = metric_instance(rng)
+    tasks = random_tasks(rng, int(rng.integers(20, 60)), inst)
+    assert_compatibility_matches_scalar_rule(tasks, inst)
+
+
+def test_compatibility_ties_at_eps():
+    #                 x     y
+    inst = mk_instance(["x", "y"], ["x"], [[0.0, 0.3], [0.3, 0.0]])
+    after = float(np.nextafter(3.0 + EPS, np.inf))
+    arrive = 10.0 + EPS  # 0 + arrive + T(x, x) == 10 + EPS exactly
+    tasks = [
+        Task("a", "x", "x", 3.0, 0.0),
+        Task("b", "x", "x", 3.0 + EPS, 0.0),  # starts EPS after a: not a successor
+        Task("c", "x", "x", after, 0.0),  # one ulp later: a successor
+        Task("d", "y", "x", 0.0, arrive),  # reaches x exactly at 10 + EPS
+        Task("e", "y", "x", 0.0, float(np.nextafter(arrive, np.inf))),
+        Task("f", "x", "y", 10.0, 1.0),
+        # (0.1 + 0.2) + 0.3 overshoots 0.6 == h.start + EPS by one ulp, while
+        # 0.1 + (0.2 + 0.3) would not: the sum order decides this pair.
+        Task("g", "x", "x", 0.1, 0.2),
+        Task("h", "y", "y", 0.6 - EPS, 0.0),
+    ]
+    ts, comp = assert_compatibility_matches_scalar_rule(tasks, inst)
+    idx = {t.id: k for k, t in enumerate(ts)}
+    assert not comp[idx["a"], idx["b"]] and not comp[idx["b"], idx["a"]]
+    assert comp[idx["a"], idx["c"]]
+    assert comp[idx["d"], idx["f"]] and not comp[idx["e"], idx["f"]]
+    assert not comp[idx["g"], idx["h"]]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_compatibility_tiny(n):
+    inst = colocated_instance()
+    ts, comp = assert_compatibility_matches_scalar_rule(six_tasks()[:n], inst)
+    assert comp.shape == (n, n) and not comp.any()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_graph_matches_brute_force_relay_scan(seed):
+    rng = np.random.default_rng(100 + seed)
+    inst = metric_instance(rng)
+    tasks = random_tasks(rng, int(rng.integers(5, 30)), inst)
+    graph = build_sparse_graph(tasks, inst)
+    ts = graph.tasks
+    n = len(ts)
+    comp = [[i != j and compatible(ts[i], ts[j], inst) for j in range(n)] for i in range(n)]
+    expected = {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if comp[i][j] and not any(comp[i][k] and comp[k][j] for k in range(n))
+    }
+    assert graph.arcs == expected
+    has_in = {j for _, j in expected}
+    has_out = {i for i, _ in expected}
+    assert graph.source_arcs == set(range(n)) - has_in
+    assert graph.sink_arcs == set(range(n)) - has_out
+
+
+def test_oracle_survives_long_augmenting_path():
+    # a_i reaches b_i and b_{i+1}, a_1500 reaches b_0. Matching in index order
+    # leaves a_1500 for last, and its only augmenting path runs through every
+    # other a: 1,500 steps, past the default recursion limit.
+    m = 1500
+    nodes = [f"A{i}" for i in range(m + 1)] + [f"B{i}" for i in range(m + 1)]
+    time = np.full((2 * m + 2, 2 * m + 2), 100.0)
+    np.fill_diagonal(time, 0.0)
+    i = np.arange(m)
+    time[i, m + 1 + i] = 5.0
+    time[i, m + 2 + i] = 5.0
+    time[m, m + 1] = 5.0
+    inst = mk_instance(nodes, ["A0"], time, dist=time)
+    tasks = [Task(f"a{i:04d}", f"A{i}", f"A{i}", 0.0, 1.0) for i in range(m + 1)]
+    tasks += [Task(f"b{i:04d}", f"B{i}", f"B{i}", 10.0, 1.0) for i in range(m + 1)]
+    assert min_fleet_oracle(tasks, inst) == m + 1
 
 
 def test_routes_to_tasks_tuples(pickup_pair_instance):
