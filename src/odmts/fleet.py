@@ -11,12 +11,19 @@ units covering every task:
 * the sparse formulation drops transitive arcs (kept only when no one-stop
   relay exists; relays are read off the compatibility matrix squared in
   float32), requires at least one unit per task and lets arcs carry any
-  integer flow. Both constraint matrices are totally unimodular, so a basic
-  LP optimum is already integral.
+  integer flow.
+
+The sparse model is a minimum flow with lower bounds, solved as one max flow
+(scipy's Dinic) by the textbook reduction in `_min_flow`. The dense model is
+solved as an LP; its constraint matrix, like the sparse one, is totally
+unimodular, so a basic LP optimum is already integral. `fleet_model` writes
+either model as an LP for export and cross-checks.
 
 Schedules come from decomposing the flow into source-sink paths; a task is
 assigned to the first path that reaches it. A minimum path cover oracle
-(scipy's Hopcroft-Karp bipartite matching) is provided for cross-checking.
+(task count minus a maximum bipartite matching over the full compatibility
+relation, found as a unit-capacity Dinic max flow) is provided for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -24,10 +31,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import maximum_flow
 
 from .instance import EPS, Instance
 from .milp import EQUAL, GREATER_EQUAL, MilpModel, OPTIMAL, solve_lp
@@ -185,7 +193,10 @@ def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
     return model, var
 
 
-def _solve_flow(g: FleetGraph) -> dict[tuple, int]:
+def solve_fleet_dense(g: FleetGraph) -> FleetResult:
+    """Solve the exact-cover flow model by LP; schedules read off the unit arcs."""
+    if not g.tasks:
+        return FleetResult(0, (), {})
     model, var = fleet_model(g)
     sol = solve_lp(model)
     if sol.status != OPTIMAL:
@@ -196,14 +207,6 @@ def _solve_flow(g: FleetGraph) -> dict[tuple, int]:
         if abs(val - round(val)) > 1e-6:
             raise FlowError(f"fleet LP returned fractional flow {val} on arc {key}")
         flows[key] = int(round(val))
-    return flows
-
-
-def solve_fleet_dense(g: FleetGraph) -> FleetResult:
-    """Solve the exact-cover flow model; schedules read off the unit arcs."""
-    if not g.tasks:
-        return FleetResult(0, (), {})
-    flows = _solve_flow(g)
     succ = {}
     for (a, b), val in flows.items():
         if val > 0 and a != SOURCE and b != SINK:
@@ -221,13 +224,74 @@ def solve_fleet_dense(g: FleetGraph) -> FleetResult:
     return result
 
 
+def _min_flow(g: FleetGraph) -> dict[tuple, int]:
+    """Minimum covering flow on a sparse fleet graph, found as one max flow
+    (the lower-bound reduction of Ahuja, Magnanti & Orlin, ch. 6).
+
+    Start from the n unit paths s -> i -> t and cancel as many units as
+    possible with one max flow from t to s (Dinic) on the residual graph.
+    Task i is split into out_i (node i) and in_i (node n + i):
+    t -> out_i and in_i -> s have capacity 1; out_i -> in_j for each arc
+    (i, j) and in_j -> out_j have capacity n + 1, i.e. unbounded. The fleet
+    is n minus the max-flow value.
+
+    The residual graph lets units enter and leave at any task. A unit that
+    enters at a task with a predecessor is walked back along fixed
+    predecessor arcs to a source task, and one that leaves at a task with a
+    successor is walked forward along fixed successor arcs to a sink task.
+    Arcs are uncapacitated and point forward in the sorted task order, so
+    this keeps the fleet size. Returns the positive flows on the graph's own
+    arcs."""
+    n = len(g.tasks)
+    tail, head = np.fromiter(chain.from_iterable(g.arcs), np.int64, 2 * len(g.arcs)).reshape(-1, 2).T
+    t, s = 2 * n, 2 * n + 1
+    idx = np.arange(n)
+    rows = np.concatenate([np.full(n, t), tail, n + idx, n + idx])
+    cols = np.concatenate([idx, n + head, idx, np.full(n, s)])
+    cap = np.concatenate([np.ones(n), np.full(tail.size + n, n + 1), np.ones(n)]).astype(np.int32)
+    graph = sp.csr_array((cap, (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
+    graph.sort_indices()  # the max flow, and so the schedules, do not hang on set order
+    flow = maximum_flow(graph, t, s, method="dinic").flow.tocoo()
+    pos = flow.data > 0
+    r, c, f = flow.row[pos], flow.col[pos], flow.data[pos]
+    # Reverse arcs carry negative flow, so the positive entries of the
+    # out -> in block are exactly the graph arcs in use (there is no (j, j)).
+    on_arc = (r < n) & (c >= n)
+    flows = dict(zip(zip(r[on_arc].tolist(), (c[on_arc] - n).tolist()), f[on_arc].tolist()))
+    enter = np.ones(n, dtype=np.int64)  # flow on (s, i): 1 - flow(in_i -> s)
+    enter[r[c == s] - n] -= f[c == s]
+    leave = np.ones(n, dtype=np.int64)  # flow on (i, t): 1 - flow(t -> out_i)
+    leave[c[r == t]] -= f[r == t]
+
+    # Fixed pointers: the latest predecessor and the earliest successor.
+    pred = np.full(n, -1)
+    np.maximum.at(pred, head, tail)
+    succ = np.full(n, n)
+    np.minimum.at(succ, tail, head)
+    pred, succ, enter, leave = pred.tolist(), succ.tolist(), enter.tolist(), leave.tolist()
+    # pred[i] < i < succ[i], so one sweep each way carries every displaced
+    # unit all the way to a source or sink task.
+    for i in range(n - 1, -1, -1):
+        if enter[i] and pred[i] >= 0:
+            flows[(pred[i], i)] = flows.get((pred[i], i), 0) + enter[i]
+            enter[pred[i]] += enter[i]
+            enter[i] = 0
+    for i in range(n):
+        if leave[i] and succ[i] < n:
+            flows[(i, succ[i])] = flows.get((i, succ[i]), 0) + leave[i]
+            leave[succ[i]] += leave[i]
+            leave[i] = 0
+    flows.update({(SOURCE, i): k for i, k in enumerate(enter) if k})
+    flows.update({(i, SINK): k for i, k in enumerate(leave) if k})
+    return flows
+
+
 def solve_fleet_sparse(g: FleetGraph) -> FleetResult:
-    """Solve the covering flow model on the filtered graph; shuttles may share
-    arcs so schedules are recovered by path decomposition."""
+    """Solve the covering flow model on the filtered graph as a max flow;
+    shuttles may share arcs so schedules are recovered by path decomposition."""
     if not g.tasks:
         return FleetResult(0, (), {})
-    flows = _solve_flow(g)
-    return recover_schedules(g, flows)
+    return recover_schedules(g, _min_flow(g))
 
 
 def recover_schedules(g: FleetGraph, flows: dict[tuple, int]) -> FleetResult:
@@ -307,11 +371,19 @@ def schedules_feasible(result: FleetResult, tasks, inst: Instance) -> bool:
 
 
 def min_fleet_oracle(tasks, inst: Instance) -> int:
-    """Independent check: minimum path cover of the compatibility relation,
-    computed as task count minus a maximum bipartite matching (Hopcroft-Karp)."""
+    """Independent check: minimum path cover of the full compatibility
+    relation, computed as task count minus a maximum bipartite matching. The
+    matching is a unit-capacity max flow (Dinic) s -> i -> j' -> t, one
+    i -> j' arc per compatible pair."""
     ts = _sorted_tasks(tasks)
-    match = maximum_bipartite_matching(sp.csr_matrix(_compatibility(ts, inst)), perm_type="column")
-    return len(ts) - int(np.count_nonzero(match >= 0))
+    n = len(ts)
+    left, right = np.nonzero(_compatibility(ts, inst))
+    s, t = 2 * n, 2 * n + 1
+    idx = np.arange(n)
+    rows = np.concatenate([np.full(n, s), left, n + idx])
+    cols = np.concatenate([idx, n + right, np.full(n, t)])
+    graph = sp.csr_array((np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
+    return n - int(maximum_flow(graph, s, t, method="dinic").flow_value)
 
 
 # -- serialization -----------------------------------------------------------

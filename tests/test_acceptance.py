@@ -25,7 +25,7 @@ from odmts.fleet import (
     solve_fleet_sparse,
 )
 from odmts.instance import EPS, CostParams, save_instance
-from odmts.milp import solve_lp
+from odmts.milp import _check_solution, _constraint_rows, solve_lp
 from odmts.fleet import fleet_model
 from odmts.routegen import (
     compute_hub_sets,
@@ -76,7 +76,7 @@ def fleet_battery():
         sparse_graph = build_sparse_graph(tasks, inst)
         deviations = []
         for graph in (dense_graph, sparse_graph):
-            model, _ = fleet_model(graph)
+            model, var = fleet_model(graph)
             sol = solve_lp(model)
             deviations.append(
                 max(abs(v - round(v)) for v in sol.values.values()) if sol.values else 0.0
@@ -90,6 +90,8 @@ def fleet_battery():
                 "sparse": solve_fleet_sparse(sparse_graph),
                 "oracle": min_fleet_oracle(tasks, inst),
                 "lp_deviation": max(deviations),
+                # The sparse LP the max flow replaces, kept as a cross-check.
+                "sparse_lp": (model, var, sol.objective),
             }
         )
     elapsed = time.perf_counter() - t0
@@ -108,6 +110,18 @@ def test_criterion_1_fleet_equivalence(fleet_battery):
         not mismatches and elapsed < 30.0,
         f"mismatched seeds: {mismatches or 'none'}, runtime {elapsed:.1f}s",
     )
+    # The min-flow solution is an optimal point of the sparse LP: same
+    # objective, only the LP's variables, every row of its model satisfied.
+    for r in records:
+        model, var, objective = r["sparse_lp"]
+        flows = r["sparse"].flows
+        assert abs(objective - r["sparse"].fleet_size) <= 1e-6, r["seed"]
+        assert set(flows) <= set(var), r["seed"]
+        x = np.zeros(len(model.variables))
+        for key, val in flows.items():
+            x[var[key]] = val
+        _check_solution(model, _constraint_rows(model), x, integrality=False)
+        assert model.objective_vector() @ x == r["sparse"].fleet_size, r["seed"]
     # The constructed six-task example has optimal fleet size 3.
     inst = mk_instance(["x", "y"], ["x"], [[0.0, 1.0], [1.0, 0.0]])
     tasks = [Task(t, "x", "x", s, 5.0) for t, s in zip("ABCDEF", (0, 1, 2, 10, 11, 12))]

@@ -10,6 +10,7 @@ from odmts.fleet import (
     FlowError,
     Task,
     _compatibility,
+    _min_flow,
     _sorted_tasks,
     build_dense_graph,
     build_sparse_graph,
@@ -254,6 +255,13 @@ def test_formulations_agree_with_matching_oracle(seed):
 
 
 def test_compatibility_transitive_on_metric_tasks():
+    # Travel times obey the triangle inequality and every task lasts at least
+    # its direct travel time, so a -> b -> c implies a -> c. That is why the
+    # relay-filtered sparse graph is the transitive reduction, and the dense
+    # size, the sparse size and the path-cover oracle must agree. The EPS
+    # tolerance is the one exception: a -> b and b -> c each allowed to be
+    # EPS late can make a -> c up to 2 * EPS late, which only exact ties
+    # reach; seeded continuous draws do not produce them.
     rng = np.random.default_rng(123)
     inst = metric_instance(rng)
     tasks = random_tasks(rng, 25, inst)
@@ -262,6 +270,13 @@ def test_compatibility_transitive_on_metric_tasks():
             for c in tasks:
                 if compatible(a, b, inst) and compatible(b, c, inst):
                     assert compatible(a, c, inst)
+    for seed in range(10):
+        rng = np.random.default_rng(200 + seed)
+        inst = metric_instance(rng, n_nodes=8)
+        comp = _compatibility(_sorted_tasks(random_tasks(rng, 150, inst)), inst)
+        c = comp.astype(np.int32)
+        two_step = (c @ c) > 0
+        assert two_step.any() and not (two_step & ~comp).any(), seed
 
 
 def assert_compatibility_matches_scalar_rule(tasks, inst):
@@ -353,6 +368,70 @@ def test_oracle_survives_long_augmenting_path():
     tasks = [Task(f"a{i:04d}", f"A{i}", f"A{i}", 0.0, 1.0) for i in range(m + 1)]
     tasks += [Task(f"b{i:04d}", f"B{i}", f"B{i}", 10.0, 1.0) for i in range(m + 1)]
     assert min_fleet_oracle(tasks, inst) == m + 1
+
+
+def min_flow_size(graph):
+    flows = _min_flow(graph)
+    keys = {(SOURCE, i) for i in graph.source_arcs} | graph.arcs | {(i, SINK) for i in graph.sink_arcs}
+    assert set(flows) <= keys
+    assert all(type(v) is int and v > 0 for v in flows.values())
+    return sum(v for (a, _), v in flows.items() if a == SOURCE), flows
+
+
+def test_min_flow_without_arcs():
+    inst = colocated_instance()
+    tasks = [Task(f"T{i}", "x", "x", float(i), 5.0) for i in range(4)]  # overlapping
+    graph = build_sparse_graph(tasks, inst)
+    assert graph.arcs == set()
+    size, flows = min_flow_size(graph)
+    assert size == 4
+    assert flows == {**{(SOURCE, i): 1 for i in range(4)}, **{(i, SINK): 1 for i in range(4)}}
+    assert solve_fleet_sparse(graph).fleet_size == 4
+
+
+def test_min_flow_single_task():
+    graph = build_sparse_graph([Task("A", "x", "x", 0.0, 5.0)], colocated_instance())
+    assert _min_flow(graph) == {(SOURCE, 0): 1, (0, SINK): 1}
+    assert solve_fleet_sparse(graph).schedules == (("A",),)
+
+
+def test_min_flow_identical_simultaneous_tasks():
+    inst = colocated_instance()
+    tasks = [Task(f"T{i}", "x", "x", 3.0, 2.0) for i in range(5)]
+    tasks.append(Task("U", "x", "x", 10.0, 2.0))  # any of the five can run it next
+    graph = build_sparse_graph(tasks, inst)
+    size, _ = min_flow_size(graph)
+    assert size == 5 == min_fleet_oracle(tasks, inst)
+    result = solve_fleet_sparse(graph)
+    assert result.fleet_size == 5 and schedules_feasible(result, tasks, inst)
+
+
+def test_min_flow_moves_entries_and_exits_onto_graph_arcs():
+    # A -> B and A -> C with B, C simultaneous: the max flow cancels one of
+    # A's two unit paths, so a unit is left entering at B or C, which have
+    # no source arc; it is walked back to A. Mirrored, D -> F and E -> F leave
+    # a unit exiting at D or E, which have no sink arc; it is walked on to F.
+    inst = colocated_instance()
+    tasks = [
+        Task("A", "x", "x", 0.0, 1.0),
+        Task("B", "x", "x", 5.0, 1.0),
+        Task("C", "x", "x", 5.0, 1.0),
+        Task("D", "x", "x", 20.0, 1.0),
+        Task("E", "x", "x", 20.0, 1.0),
+        Task("F", "x", "x", 25.0, 1.0),
+    ]
+    fork = build_sparse_graph(tasks[:3], inst)
+    assert id_arcs(fork) == {("A", "B"), ("A", "C")} and fork.source_arcs == {0}
+    size, flows = min_flow_size(fork)
+    assert size == 2
+    assert flows == {(SOURCE, 0): 2, (0, 1): 1, (0, 2): 1, (1, SINK): 1, (2, SINK): 1}
+    join = build_sparse_graph(tasks[3:], inst)
+    assert id_arcs(join) == {("D", "F"), ("E", "F")} and join.sink_arcs == {2}
+    size, flows = min_flow_size(join)
+    assert size == 2
+    assert flows == {(SOURCE, 0): 1, (SOURCE, 1): 1, (0, 2): 1, (1, 2): 1, (2, SINK): 2}
+    result = solve_fleet_sparse(join)
+    assert result.schedules == (("D", "F"), ("E",))
 
 
 def test_routes_to_tasks_tuples(pickup_pair_instance):
