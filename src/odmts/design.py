@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+import scipy.sparse as sp
 
 from .instance import Commodity, Instance
 from .milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel, MilpSolution, OPTIMAL, solve_milp
@@ -80,11 +84,16 @@ class DesignSolution:
     breakdown: CostBreakdown
 
     def routes_of(self, cid: str, kind: str) -> list[Route]:
-        return [
-            w
-            for w in self.selected_routes
-            if w.kind == kind and any(c.id == cid for c in w.commodities)
-        ]
+        return list(self._routes_by_member.get((cid, kind), ()))
+
+    @cached_property
+    def _routes_by_member(self) -> dict[tuple[str, str], list[Route]]:
+        """(commodity id, kind) -> the selected routes serving it, in order."""
+        index: dict[tuple[str, str], list[Route]] = {}
+        for w in self.selected_routes:
+            for cid in dict.fromkeys(c.id for c in w.commodities):
+                index.setdefault((cid, w.kind), []).append(w)
+        return index
 
 
 @dataclass
@@ -130,78 +139,84 @@ def build_design_model(
 
     model = MilpModel(name="design")
     lines = bus_lines(inst)
+    comms = inst.commodities
+    keys = sorted(routes)
+    n_h, n_l, n_c = len(inst.hubs), len(lines), len(comms)
 
-    z_idx = {hl: model.add_var(f"z[{hl[0]},{hl[1]}]", 0, 1, integer=True) for hl in lines}
-    y_idx = {
-        (c.id, h, l): model.add_var(f"y[{c.id},{h},{l}]", 0, 1, integer=True)
-        for c in inst.commodities
-        for (h, l) in lines
-    }
-    x_idx = {
-        key: model.add_var(f"x[{key[0]},{key[1]},{'|'.join(key[2])}]", 0, 1, integer=True)
-        for key in sorted(routes)
-    }
-    eta_idx = {c.id: model.add_var(f"eta[{c.id}]", 0, 1, integer=True) for c in inst.commodities}
+    z = model.add_vars([f"z[{h},{l}]" for h, l in lines], 0, 1, integer=True)
+    y = model.add_vars(
+        [f"y[{c.id},{h},{l}]" for c in comms for h, l in lines], 0, 1, integer=True
+    ).reshape(n_c, n_l)
+    x = model.add_vars([f"x[{k[0]},{k[1]},{'|'.join(k[2])}]" for k in keys], 0, 1, integer=True)
+    eta = model.add_vars([f"eta[{c.id}]" for c in comms], 0, 1, integer=True)
+    z_idx = dict(zip(lines, z.tolist()))
+    y_idx = dict(zip(((c.id, h, l) for c in comms for h, l in lines), y.ravel().tolist()))
+    x_idx = dict(zip(keys, x.tolist()))
+    eta_idx = dict(zip((c.id for c in comms), eta.tolist()))
 
-    objective: dict[int, float] = {}
-    for hl in lines:
-        objective[z_idx[hl]] = line_open_cost(*hl, inst)
-    for key, w in routes.items():
-        objective[x_idx[key]] = w.cost
-    for c in inst.commodities:
-        objective[eta_idx[c.id]] = direct_cost(c, inst)
-        for (h, l) in lines:
-            objective[y_idx[(c.id, h, l)]] = line_use_cost(c, h, l, inst)
-    model.set_objective(objective)
+    # line_use_cost for every (commodity, line) pair, in the same float order.
+    hub_pos = {h: k for k, h in enumerate(inst.hubs)}
+    tail = np.array([hub_pos[h] for h, _ in lines], dtype=np.int64)
+    head = np.array([hub_pos[l] for _, l in lines], dtype=np.int64)
+    node = np.array([inst.node_index(h) for h in inst.hubs], dtype=np.int64)
+    ride = np.asarray(inst.travel_time, dtype=float)[node[tail], node[head]]
+    passengers = np.array([c.passengers for c in comms], dtype=float)
+    cost = np.empty(len(model.var_names))
+    cost[z] = [line_open_cost(*hl, inst) for hl in lines]
+    cost[y] = (passengers * inst.cost.alpha)[:, None] * (ride + inst.cost.bus_wait)[None, :]
+    cost[x] = [routes[key].cost for key in keys]
+    cost[eta] = [direct_cost(c, inst) for c in comms]
+    model.set_objective(dict(enumerate(cost.tolist())))
+
+    def add_block(rows, cols, vals, n_rows, sense, rhs, names) -> None:
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        a = sp.csr_array((vals, (rows, cols)), shape=(n_rows, len(model.var_names)))
+        model.add_rows(a.indptr, a.indices, a.data, sense, rhs, names)
 
     # Per-hub balance of opened lines.
-    for h in inst.hubs:
-        row: dict[int, float] = {}
-        for l in inst.hubs:
-            if l == h:
-                continue
-            row[z_idx[(h, l)]] = row.get(z_idx[(h, l)], 0.0) + 1.0
-            row[z_idx[(l, h)]] = row.get(z_idx[(l, h)], 0.0) - 1.0
-        model.add_constraint(row, EQUAL, 0.0, name=f"balance[{h}]")
+    ones = np.ones(n_l)
+    add_block(
+        np.concatenate([tail, head]), np.concatenate([z, z]), np.concatenate([ones, -ones]),
+        n_h, EQUAL, 0.0, [f"balance[{h}]" for h in inst.hubs],
+    )
 
-    # Every commodity is covered at its origin and at its destination.
-    for c in inst.commodities:
-        pickup_row = {eta_idx[c.id]: 1.0}
-        for w in omega_minus.get(c.id, []):
-            pickup_row[x_idx[w.key]] = 1.0
-        model.add_constraint(pickup_row, GREATER_EQUAL, 1.0, name=f"cover_p[{c.id}]")
-        dropoff_row = {eta_idx[c.id]: 1.0}
-        for w in omega_plus.get(c.id, []):
-            dropoff_row[x_idx[w.key]] = 1.0
-        model.add_constraint(dropoff_row, GREATER_EQUAL, 1.0, name=f"cover_d[{c.id}]")
+    # Cover rows (pickup, dropoff per commodity) and the route terms of the
+    # flow rows. A route listed twice counts once in a cover row and twice in
+    # a flow row.
+    cover_rows, cover_cols, flow_rows, flow_cols, flow_vals = [], [], [], [], []
+    for ci, c in enumerate(comms):
+        for side, (omega, sign) in enumerate(((omega_minus, 1.0), (omega_plus, -1.0))):
+            members = omega.get(c.id, [])
+            cols = list(dict.fromkeys([eta_idx[c.id]] + [x_idx[w.key] for w in members]))
+            cover_rows += [2 * ci + side] * len(cols)
+            cover_cols += cols
+            flow_rows += [ci * n_h + hub_pos[w.hub] for w in members]
+            flow_cols += [x_idx[w.key] for w in members]
+            flow_vals += [sign] * len(members)
+    add_block(
+        cover_rows, cover_cols, np.ones(len(cover_cols)), 2 * n_c, GREATER_EQUAL, 1.0,
+        [f"cover_{side}[{c.id}]" for c in comms for side in "pd"],
+    )
 
-    # Bus legs only on opened lines.
-    for c in inst.commodities:
-        for hl in lines:
-            model.add_constraint(
-                {y_idx[(c.id, *hl)]: 1.0, z_idx[hl]: -1.0},
-                LESS_EQUAL,
-                0.0,
-                name=f"open[{c.id},{hl[0]},{hl[1]}]",
-            )
+    # Bus legs only on opened lines: y[c, h, l] - z[h, l] <= 0.
+    model.add_rows(
+        np.arange(0, 2 * y.size + 1, 2),
+        np.column_stack([np.tile(z, n_c), y.ravel()]).ravel(),
+        np.tile([-1.0, 1.0], y.size),
+        LESS_EQUAL,
+        0.0,
+        [f"open[{c.id},{h},{l}]" for c in comms for h, l in lines],
+    )
 
     # Hub flow conservation per commodity: bus arrivals plus pickup-route
     # drop-offs equal bus departures plus dropoff-route starts.
-    for c in inst.commodities:
-        for h in inst.hubs:
-            row = {}
-            for l in inst.hubs:
-                if l == h:
-                    continue
-                row[y_idx[(c.id, l, h)]] = row.get(y_idx[(c.id, l, h)], 0.0) + 1.0
-                row[y_idx[(c.id, h, l)]] = row.get(y_idx[(c.id, h, l)], 0.0) - 1.0
-            for w in omega_minus.get(c.id, []):
-                if w.hub == h:
-                    row[x_idx[w.key]] = row.get(x_idx[w.key], 0.0) + 1.0
-            for w in omega_plus.get(c.id, []):
-                if w.hub == h:
-                    row[x_idx[w.key]] = row.get(x_idx[w.key], 0.0) - 1.0
-            model.add_constraint(row, EQUAL, 0.0, name=f"flow[{c.id},{h}]")
+    base = (np.arange(n_c) * n_h)[:, None]
+    add_block(
+        np.concatenate([(base + head).ravel(), (base + tail).ravel(), flow_rows]),
+        np.concatenate([y.ravel(), y.ravel(), flow_cols]),
+        np.concatenate([np.ones(y.size), -np.ones(y.size), flow_vals]),
+        n_c * n_h, EQUAL, 0.0, [f"flow[{c.id},{h}]" for c in comms for h in inst.hubs],
+    )
 
     return DesignModel(
         model=model,
@@ -218,20 +233,14 @@ def _extract(dm: DesignModel, sol: MilpSolution, inst: Instance) -> DesignSoluti
     def on(name: str) -> bool:
         return sol.values[name] > 0.5
 
-    model = dm.model
-    opened = tuple(hl for hl in dm.lines if on(model.variables[dm.z_idx[hl]].name))
+    names = dm.model.var_names
+    opened = tuple(hl for hl in dm.lines if on(names[dm.z_idx[hl]]))
     bus_legs = {
-        c.id: tuple(
-            hl for hl in dm.lines if on(model.variables[dm.y_idx[(c.id, *hl)]].name)
-        )
+        c.id: tuple(hl for hl in dm.lines if on(names[dm.y_idx[(c.id, *hl)]]))
         for c in inst.commodities
     }
-    selected = tuple(
-        dm.routes[key] for key in sorted(dm.routes) if on(model.variables[dm.x_idx[key]].name)
-    )
-    direct = frozenset(
-        c.id for c in inst.commodities if on(model.variables[dm.eta_idx[c.id]].name)
-    )
+    selected = tuple(dm.routes[key] for key in sorted(dm.routes) if on(names[dm.x_idx[key]]))
+    direct = frozenset(c.id for c in inst.commodities if on(names[dm.eta_idx[c.id]]))
 
     breakdown = CostBreakdown(
         bus_fixed=sum(line_open_cost(*hl, inst) for hl in opened),
@@ -282,15 +291,10 @@ def solve_design(
 
 
 def _lexicographic_min_legs(dm: DesignModel, first: MilpSolution) -> MilpSolution:
-    model = dm.model
     cap = first.objective + 1e-9 * max(1.0, abs(first.objective))
-    tie = MilpModel(name="design-tiebreak")
-    for v in model.variables:
-        tie.add_var(v.name, v.lb, v.ub, v.integer)
-    for con in model.constraints:
-        tie.add_constraint(dict(con.coeffs), con.sense, con.rhs, name=con.name)
-    tie.add_constraint(dict(model.objective), LESS_EQUAL, cap, name="objective-cap")
-    tie.set_objective({idx: 1.0 for idx in dm.y_idx.values()})
+    tie = dm.model.copy("design-tiebreak")
+    tie.add_constraint(dm.model.objective, LESS_EQUAL, cap, name="objective-cap")
+    tie.set_objective(dict.fromkeys(dm.y_idx.values(), 1.0))
     sol = solve_milp(tie)
     if sol.status != OPTIMAL:
         raise DesignError("tie-break pass unexpectedly failed")
@@ -305,15 +309,8 @@ def _assert_solution(ds: DesignSolution, inst: Instance, sol: MilpSolution) -> N
             raise DesignError(f"degree balance violated at hub {h}: {outs} out vs {ins} in")
     opened = set(ds.opened_lines)
     for c in inst.commodities:
-        picked = any(
-            w.kind == PICKUP and any(x.id == c.id for x in w.commodities)
-            for w in ds.selected_routes
-        )
-        dropped = any(
-            w.kind == DROPOFF and any(x.id == c.id for x in w.commodities)
-            for w in ds.selected_routes
-        )
-        if c.id not in ds.direct and not (picked and dropped):
+        covered = ds.routes_of(c.id, PICKUP) and ds.routes_of(c.id, DROPOFF)
+        if c.id not in ds.direct and not covered:
             raise DesignError(f"commodity {c.id} is not covered on both trip ends")
         for leg in ds.bus_legs[c.id]:
             if leg not in opened:

@@ -134,6 +134,11 @@ def _arc_set(mask: np.ndarray) -> set[tuple[int, int]]:
     return set(zip(*(idx.tolist() for idx in np.nonzero(mask))))
 
 
+def _arc_array(g: FleetGraph) -> np.ndarray:
+    """The graph's arcs as an (m, 2) array of (tail, head) rows, in set order."""
+    return np.fromiter(chain.from_iterable(g.arcs), np.int64, 2 * len(g.arcs)).reshape(-1, 2)
+
+
 def build_dense_graph(tasks, inst: Instance) -> FleetGraph:
     """Arc on every compatible ordered pair; source and sink connect to all."""
     ts = _sorted_tasks(tasks)
@@ -163,33 +168,40 @@ def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
     model and the arc -> variable index map."""
     model = MilpModel(name=f"fleet-{g.kind}")
     binary = g.kind == DENSE
-    var: dict[tuple, int] = {}
-    for i in sorted(g.source_arcs):
-        var[(SOURCE, i)] = model.add_var(f"v[s,{i}]", 0, 1 if binary else np.inf)
-    for i, j in sorted(g.arcs):
-        var[(i, j)] = model.add_var(f"v[{i},{j}]", 0, 1 if binary else np.inf)
-    for i in sorted(g.sink_arcs):
-        var[(i, SINK)] = model.add_var(f"v[{i},t]", 0, 1 if binary else np.inf)
-
     n = len(g.tasks)
-    into = [[] for _ in range(n)]
-    out_of = [[] for _ in range(n)]
-    for key, idx in var.items():
-        a, b = key
-        if b != SINK:
-            into[b].append(idx)
-        if a != SOURCE:
-            out_of[a].append(idx)
+    arcs = _arc_array(g)
+    tail, head = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))].T
+    src = np.array(sorted(g.source_arcs), dtype=np.int64)
+    snk = np.array(sorted(g.sink_arcs), dtype=np.int64)
+    keys = (
+        [(SOURCE, i) for i in src.tolist()]
+        + list(zip(tail.tolist(), head.tolist()))
+        + [(i, SINK) for i in snk.tolist()]
+    )
+    model.add_vars([f"v[{a},{b}]" for a, b in keys], 0, 1 if binary else np.inf)
+    var = dict(zip(keys, range(len(keys))))
 
-    for i in range(n):
-        visit = {idx: 1.0 for idx in into[i]}
-        model.add_constraint(visit, EQUAL if binary else GREATER_EQUAL, 1.0, name=f"visit[{i}]")
-        balance = {idx: 1.0 for idx in into[i]}
-        for idx in out_of[i]:
-            balance[idx] = balance.get(idx, 0.0) - 1.0
-        model.add_constraint(balance, EQUAL, 0.0, name=f"conserve[{i}]")
-
-    model.set_objective({var[(SOURCE, i)]: 1.0 for i in sorted(g.source_arcs)})
+    # Variables in order: source arcs, task arcs, sink arcs. Row 2i is
+    # visit[i] (arcs into task i); row 2i + 1 is conserve[i] (arcs into i
+    # minus arcs out of i).
+    into = np.concatenate([src, head])
+    out_of = np.concatenate([tail, snk])
+    k_in = np.arange(into.size)
+    k_out = np.arange(src.size, len(keys))
+    a = sp.csr_array(
+        (
+            np.concatenate([np.ones(2 * into.size), -np.ones(out_of.size)]),
+            (np.concatenate([2 * into, 2 * into + 1, 2 * out_of + 1]), np.concatenate([k_in, k_in, k_out])),
+        ),
+        shape=(2 * n, len(keys)),
+    )
+    model.add_rows(
+        a.indptr, a.indices, a.data,
+        np.tile([EQUAL if binary else GREATER_EQUAL, EQUAL], n),
+        np.tile([1.0, 0.0], n),
+        [name for i in range(n) for name in (f"visit[{i}]", f"conserve[{i}]")],
+    )
+    model.set_objective(dict.fromkeys(range(src.size), 1.0))
     return model, var
 
 
@@ -203,7 +215,7 @@ def solve_fleet_dense(g: FleetGraph) -> FleetResult:
         raise FlowError(f"fleet model unexpectedly {sol.status}")
     flows = {}
     for key, idx in var.items():
-        val = sol.values[model.variables[idx].name]
+        val = sol.values[model.var_names[idx]]
         if abs(val - round(val)) > 1e-6:
             raise FlowError(f"fleet LP returned fractional flow {val} on arc {key}")
         flows[key] = int(round(val))
@@ -243,7 +255,7 @@ def _min_flow(g: FleetGraph) -> dict[tuple, int]:
     this keeps the fleet size. Returns the positive flows on the graph's own
     arcs."""
     n = len(g.tasks)
-    tail, head = np.fromiter(chain.from_iterable(g.arcs), np.int64, 2 * len(g.arcs)).reshape(-1, 2).T
+    tail, head = _arc_array(g).T
     t, s = 2 * n, 2 * n + 1
     idx = np.arange(n)
     rows = np.concatenate([np.full(n, t), tail, n + idx, n + idx])

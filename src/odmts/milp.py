@@ -1,6 +1,14 @@
 """Generic mixed-integer linear model container, exact solvers, and model-file
 export.
 
+A model is stored as arrays. Each variable is one entry of the parallel
+name, lb, ub and integer columns; the objective keeps its explicit
+(index, value) entries; the rows are CSR blocks (indptr, indices, data) with
+one sense and right-hand side per row. `add_vars` and `add_rows` append a
+whole block and validate it with array operations; `add_var` and
+`add_constraint` are one-row wrappers over them. Within a row, repeated
+columns are summed and the columns are sorted.
+
 Models are always minimization. Solving is delegated to the HiGHS engines
 shipped with scipy: the continuous relaxation is solved with dual simplex so
 that the result is an optimal *basic* solution (on totally unimodular systems
@@ -9,7 +17,9 @@ models are solved with branch-and-cut at a 1e-9 relative gap so reported
 optima are proven.
 
 Both solvers and the check of their solutions read the rows from one sparse
-matrix with per-row bounds, lo <= A x <= hi, built once per solve.
+matrix with per-row bounds, lo <= A x <= hi, stacked from the blocks. The LP
+and MPS writers walk the same matrix (by columns for MPS) and format each
+distinct number once.
 
 Set the ODMTS_SOLVE_LOG environment variable to a file path ('-' for stderr)
 to log one line per solve.
@@ -21,8 +31,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +49,7 @@ INT_TOL = 1e-6
 LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
-_SENSES = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+_SENSES = (LESS_EQUAL, EQUAL, GREATER_EQUAL)  # a row's sense is stored as its position here
 
 
 class ModelError(ValueError):
@@ -59,76 +69,202 @@ class SolveEffortError(RuntimeError):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class _Var:
-    name: str
-    lb: float
-    ub: float
-    integer: bool
+def _block_column(values, k: int, dtype, what: str) -> np.ndarray:
+    """`values` as a fresh length-k array; a scalar is repeated."""
+    arr = np.array(values, dtype=dtype)
+    if arr.ndim == 0:
+        return np.full(k, arr)
+    if arr.shape != (k,):
+        raise ModelError(f"{what} has shape {arr.shape}, expected ({k},)")
+    return arr
 
 
-@dataclass(frozen=True)
-class _Constraint:
-    coeffs: tuple[tuple[int, float], ...]
-    sense: str
-    rhs: float
-    name: str
-
-
-@dataclass
 class MilpModel:
-    """A minimization model built incrementally from variables and rows."""
+    """A minimization model: variable columns, an objective and row blocks."""
 
-    name: str = "model"
-    variables: list[_Var] = field(default_factory=list)
-    constraints: list[_Constraint] = field(default_factory=list)
-    objective: dict[int, float] = field(default_factory=dict)
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
+    def __init__(self, name: str = "model") -> None:
+        self.name = name
+        self.var_names: list[str] = []
+        self.row_names: list[str] = []
+        self.objective: dict[int, float] = {}
+        self._index: dict[str, int] = {}
+        self._cols: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lb, ub, integer)
+        self._rows: list[tuple[np.ndarray, ...]] = []  # (indptr, indices, data, sense, rhs)
+
+    def add_vars(
+        self, names: Sequence[str], lb=0.0, ub=math.inf, integer=False
+    ) -> np.ndarray:
+        """Append one variable per name; `lb`, `ub` and `integer` are one
+        value for the block or one per variable. Returns the new indices."""
+        names = list(names)
+        k, start = len(names), len(self.var_names)
+        block = f"the variable block from index {start}"
+        lb = _block_column(lb, k, float, f"lb of {block}")
+        ub = _block_column(ub, k, float, f"ub of {block}")
+        integer = _block_column(integer, k, bool, f"integer of {block}")
+        bad = lb > ub
+        if bad.any():
+            i = bad.argmax()
+            raise ModelError(f"variable {names[i]!r} has lb {lb[i]} > ub {ub[i]}")
+        new = dict(zip(names, range(start, start + k)))
+        if len(new) < k or not self._index.keys().isdisjoint(new):
+            seen = set(self._index)
+            for name in names:
+                if name in seen:
+                    raise ModelError(f"duplicate variable name {name!r}")
+                seen.add(name)
+        self._index.update(new)
+        self.var_names.extend(names)
+        self._cols.append((lb, ub, integer))
+        return np.arange(start, start + k)
 
     def add_var(
         self, name: str, lb: float = 0.0, ub: float = math.inf, integer: bool = False
     ) -> int:
-        if name in self._index:
-            raise ModelError(f"duplicate variable name {name!r}")
-        if lb > ub:
-            raise ModelError(f"variable {name!r} has lb {lb} > ub {ub}")
-        self._index[name] = len(self.variables)
-        self.variables.append(_Var(name, float(lb), float(ub), integer))
-        return len(self.variables) - 1
+        return int(self.add_vars([name], lb, ub, integer)[0])
+
+    def add_rows(
+        self,
+        indptr,
+        indices,
+        data,
+        sense,
+        rhs,
+        names: Sequence[str] | None = None,
+    ) -> None:
+        """Append a block of rows in CSR form: row r has coefficients
+        data[indptr[r]:indptr[r + 1]] on the variables
+        indices[indptr[r]:indptr[r + 1]]. `sense` and `rhs` are one value
+        for the block or one per row; `names` defaults to c<row number>.
+        Repeated columns in a row are summed and the columns sorted."""
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        data = np.asarray(data, dtype=float)
+        start = len(self.row_names)
+        k = indptr.size - 1
+        names = [f"c{i}" for i in range(start, start + k)] if names is None else list(names)
+        if (
+            indptr.ndim != 1
+            or k < 0
+            or indptr[0] != 0
+            or np.any(indptr[1:] < indptr[:-1])
+            or indices.shape != (indptr[-1],)
+            or data.shape != indices.shape
+            or len(names) != k
+        ):
+            raise ModelError(
+                f"row block from row {start} has mismatched lengths: indptr {indptr.size}, "
+                f"indices {indices.size}, data {data.size}, names {len(names)}"
+            )
+        given = np.asarray(sense, dtype=object)
+        code = np.full(given.shape, -1, dtype=np.int8)
+        for c, s in enumerate(_SENSES):
+            code[given == s] = c
+        block = f"the row block from row {start}"
+        code = _block_column(code, k, np.int8, f"sense of {block}")
+        rhs = _block_column(rhs, k, float, f"rhs of {block}")
+        row = np.repeat(np.arange(k), np.diff(indptr))  # row of each entry
+        bad = code < 0
+        if bad.any():
+            r = bad.argmax()
+            raise ModelError(f"row {names[r]!r} has unknown sense {np.broadcast_to(given, (k,))[r]!r}")
+        bad = (indices < 0) | (indices >= len(self.var_names))
+        if bad.any():
+            p = bad.argmax()
+            raise ModelError(f"row {names[row[p]]!r} references unknown variable index {indices[p]}")
+        bad = ~np.isfinite(data)
+        if bad.any():
+            p = bad.argmax()
+            raise ModelError(
+                f"row {names[row[p]]!r} has non-finite coefficient {data[p]} on variable {indices[p]}"
+            )
+        bad = ~np.isfinite(rhs)
+        if bad.any():
+            r = bad.argmax()
+            raise ModelError(f"row {names[r]!r} has non-finite right-hand side {rhs[r]}")
+        # Sort each row's columns (stably) and sum repeated ones.
+        order = np.lexsort((indices, row))
+        row, indices, data = row[order], indices[order], data[order]
+        first = np.ones(indices.size, dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (indices[1:] != indices[:-1])
+        if not first.all():
+            starts = np.flatnonzero(first)
+            row, indices, data = row[starts], indices[starts], np.add.reduceat(data, starts)
+        indptr = np.searchsorted(row, np.arange(k + 1))
+        self._rows.append((indptr, indices, data, code, rhs))
+        self.row_names.extend(names)
 
     def add_constraint(
         self, coeffs: Mapping[int, float], sense: str, rhs: float, name: str | None = None
     ) -> int:
-        if sense not in _SENSES:
-            raise ModelError(f"unknown sense {sense!r}")
-        for idx, val in coeffs.items():
-            if not 0 <= idx < len(self.variables):
-                raise ModelError(f"constraint references unknown variable index {idx}")
-            if not math.isfinite(val):
-                raise ModelError(f"non-finite coefficient {val} on variable {idx}")
-        if not math.isfinite(rhs):
-            raise ModelError(f"non-finite right-hand side {rhs}")
-        row = tuple(sorted(coeffs.items()))
-        cname = name if name is not None else f"c{len(self.constraints)}"
-        self.constraints.append(_Constraint(row, sense, float(rhs), cname))
-        return len(self.constraints) - 1
+        self.add_rows(
+            [0, len(coeffs)], list(coeffs), list(coeffs.values()), sense, rhs,
+            None if name is None else [name],
+        )
+        return len(self.row_names) - 1
 
     def set_objective(self, coeffs: Mapping[int, float]) -> None:
-        for idx, val in coeffs.items():
-            if not 0 <= idx < len(self.variables):
-                raise ModelError(f"objective references unknown variable index {idx}")
-            if not math.isfinite(val):
-                raise ModelError(f"non-finite objective coefficient {val}")
+        idx = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+        val = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+        bad = (idx < 0) | (idx >= len(self.var_names))
+        if bad.any():
+            raise ModelError(f"objective references unknown variable index {idx[bad.argmax()]}")
+        bad = ~np.isfinite(val)
+        if bad.any():
+            i = bad.argmax()
+            raise ModelError(
+                f"non-finite objective coefficient {val[i]} on variable {self.var_names[idx[i]]!r}"
+            )
         self.objective = dict(coeffs)
 
     def objective_vector(self) -> np.ndarray:
-        c = np.zeros(len(self.variables))
-        for idx, val in self.objective.items():
-            c[idx] = val
+        c = np.zeros(len(self.var_names))
+        c[np.fromiter(self.objective, dtype=np.int64, count=len(self.objective))] = list(
+            self.objective.values()
+        )
         return c
 
     def var_index(self, name: str) -> int:
         return self._index[name]
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lb, ub, integer) over all variables; the blocks are merged once."""
+        if len(self._cols) != 1:
+            parts = self._cols or [(np.empty(0), np.empty(0), np.empty(0, dtype=bool))]
+            self._cols = [tuple(np.concatenate(col) for col in zip(*parts))]
+        return self._cols[0]
+
+    @property
+    def lb(self) -> np.ndarray:
+        return self._columns()[0]
+
+    @property
+    def ub(self) -> np.ndarray:
+        return self._columns()[1]
+
+    @property
+    def integer(self) -> np.ndarray:
+        return self._columns()[2]
+
+    def _merged_rows(self) -> tuple[np.ndarray, ...]:
+        """(indptr, indices, data, sense, rhs) over all rows; the blocks are
+        merged once."""
+        if len(self._rows) != 1:
+            empty = np.empty(0, dtype=np.int64)
+            parts = self._rows or [(np.zeros(1, np.int64), empty, np.empty(0), empty.astype(np.int8), np.empty(0))]
+            ends = np.cumsum([0] + [p[0][-1] for p in parts[:-1]])
+            indptr = np.concatenate([[0]] + [p[0][1:] + end for p, end in zip(parts, ends)])
+            self._rows = [(indptr, *(np.concatenate(col) for col in list(zip(*parts))[1:]))]
+        return self._rows[0]
+
+    def copy(self, name: str) -> MilpModel:
+        """An independent copy of the model under another name."""
+        out = MilpModel(name)
+        out.var_names, out.row_names = list(self.var_names), list(self.row_names)
+        out.objective, out._index = dict(self.objective), dict(self._index)
+        out._cols = [tuple(a.copy() for a in self._columns())]
+        out._rows = [tuple(a.copy() for a in self._merged_rows())]
+        return out
 
 
 @dataclass
@@ -142,13 +278,13 @@ class MilpSolution:
         return self.values[name]
 
 
-def _log_solve(kind: str, model: MilpModel, status: str, objective, extra: str = "") -> None:
+def _log_solve(kind: str, model: MilpModel, rows, status: str, objective, extra: str = "") -> None:
     target = os.environ.get("ODMTS_SOLVE_LOG")
     if not target:
         return
     line = (
-        f"[{kind}] model={model.name} vars={len(model.variables)} "
-        f"rows={len(model.constraints)} status={status} objective={objective} {extra}\n"
+        f"[{kind}] model={model.name} vars={len(model.var_names)} rows={len(model.row_names)} "
+        f"nnz={rows[0].nnz} status={status} objective={objective} {extra}\n"
     )
     if target == "-":
         sys.stderr.write(line)
@@ -160,20 +296,10 @@ def _log_solve(kind: str, model: MilpModel, status: str, objective, extra: str =
 def _constraint_rows(model: MilpModel) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """All rows as one CSR matrix A with row bounds, lo <= A x <= hi:
     -inf/rhs for '<=', rhs/inf for '>=' and rhs/rhs for '='."""
-    indptr = [0]
-    cols: list[int] = []
-    data: list[float] = []
-    for con in model.constraints:
-        for idx, val in con.coeffs:
-            cols.append(idx)
-            data.append(val)
-        indptr.append(len(cols))
-    a = sp.csr_matrix(
-        (np.array(data, dtype=float), np.array(cols, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(model.constraints), len(model.variables)),
-    )
-    lo = np.array([-np.inf if con.sense == LESS_EQUAL else con.rhs for con in model.constraints])
-    hi = np.array([np.inf if con.sense == GREATER_EQUAL else con.rhs for con in model.constraints])
+    indptr, indices, data, sense, rhs = model._merged_rows()
+    a = sp.csr_matrix((data, indices, indptr), shape=(sense.size, len(model.var_names)))
+    lo = np.where(sense == _SENSES.index(LESS_EQUAL), -np.inf, rhs)
+    hi = np.where(sense == _SENSES.index(GREATER_EQUAL), np.inf, rhs)
     return a, lo, hi
 
 
@@ -184,16 +310,16 @@ def _check_solution(model: MilpModel, rows, x: np.ndarray, integrality: bool) ->
     lhs = a @ x
     bad = np.flatnonzero(~((lhs >= lo - FEAS_TOL) & (lhs <= hi + FEAS_TOL)))
     if bad.size:
-        con = model.constraints[bad[0]]
+        r = bad[0]
+        rhs = hi[r] if np.isfinite(hi[r]) else lo[r]
         raise SolveNumericalError(
-            f"solution violates constraint {con.name}: lhs={lhs[bad[0]]} rhs={con.rhs}"
+            f"solution violates constraint {model.row_names[r]}: lhs={lhs[r]} rhs={rhs}"
         )
     if integrality:
-        integer = np.array([v.integer for v in model.variables])
-        frac = np.flatnonzero(integer & (np.abs(x - np.round(x)) > INT_TOL))
+        frac = np.flatnonzero(model.integer & (np.abs(x - np.round(x)) > INT_TOL))
         if frac.size:
             raise SolveNumericalError(
-                f"integer variable {model.variables[frac[0]].name} has fractional value {x[frac[0]]}"
+                f"integer variable {model.var_names[frac[0]]} has fractional value {x[frac[0]]}"
             )
 
 
@@ -202,7 +328,7 @@ def _finish(kind: str, model: MilpModel, rows, res) -> MilpSolution:
     `kind` is 'lp' or 'milp'; only a MILP reads an effort limit as such."""
     if res.status in (2, 3):
         status = INFEASIBLE if res.status == 2 else UNBOUNDED
-        _log_solve(kind, model, status, None)
+        _log_solve(kind, model, rows, status, None)
         return MilpSolution(status, None, {}, None)
     integer = kind == "milp"
     if integer and res.status == 1:
@@ -214,20 +340,20 @@ def _finish(kind: str, model: MilpModel, rows, res) -> MilpSolution:
     if res.status != 0 or res.x is None:
         raise SolveNumericalError(f"{kind.upper()} solve failed: {res.message}")
     _check_solution(model, rows, res.x, integrality=integer)
-    values = {v.name: float(res.x[i]) for i, v in enumerate(model.variables)}
+    values = dict(zip(model.var_names, res.x.tolist()))
     if integer:
         bound = float(res.fun) if res.mip_dual_bound is None else float(res.mip_dual_bound)
         extra = f"nodes={getattr(res, 'mip_node_count', '?')}"
     else:
         bound, extra = float(res.fun), f"iters={getattr(res, 'nit', '?')}"
-    _log_solve(kind, model, OPTIMAL, res.fun, extra)
+    _log_solve(kind, model, rows, OPTIMAL, res.fun, extra)
     return MilpSolution(OPTIMAL, float(res.fun), values, bound)
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation (integrality flags ignored) to an
     optimal basic solution."""
-    if not model.variables:
+    if not model.var_names:
         return MilpSolution(OPTIMAL, 0.0, {}, 0.0)
     rows = a, lo, hi = _constraint_rows(model)
     # linprog takes A_ub x <= b_ub and A_eq x = b_eq, so '>=' rows are
@@ -242,7 +368,7 @@ def solve_lp(model: MilpModel) -> MilpSolution:
         b_ub=np.where(ge, -lo, hi)[ub] if ub.size else None,
         A_eq=a[eq] if eq.size else None,
         b_eq=hi[eq] if eq.size else None,
-        bounds=[(v.lb, None if math.isinf(v.ub) else v.ub) for v in model.variables],
+        bounds=np.column_stack([model.lb, model.ub]),
         method="highs-ds",
     )
     return _finish("lp", model, rows, res)
@@ -253,11 +379,11 @@ def solve_milp(
 ) -> MilpSolution:
     """Solve to proven optimality (1e-9 relative gap). Raises SolveEffortError
     with the incumbent and bound when a limit is hit first."""
-    if not model.variables:
+    if not model.var_names:
         return MilpSolution(OPTIMAL, 0.0, {}, 0.0)
-    for v in model.variables:
-        if v.integer and (math.isinf(v.lb) or math.isinf(v.ub)):
-            raise ModelError(f"integer variable {v.name} must have finite bounds")
+    bad = np.flatnonzero(model.integer & (np.isinf(model.lb) | np.isinf(model.ub)))
+    if bad.size:
+        raise ModelError(f"integer variable {model.var_names[bad[0]]} must have finite bounds")
     rows = a, lo, hi = _constraint_rows(model)
     options: dict = {"mip_rel_gap": 1e-9, "presolve": True}
     if time_limit is not None:
@@ -266,11 +392,8 @@ def solve_milp(
         options["node_limit"] = node_limit
     res = _scipy_milp(
         c=model.objective_vector(),
-        integrality=np.array([1 if v.integer else 0 for v in model.variables]),
-        bounds=Bounds(
-            np.array([v.lb for v in model.variables]),
-            np.array([v.ub for v in model.variables]),
-        ),
+        integrality=model.integer,
+        bounds=Bounds(model.lb, model.ub),
         constraints=LinearConstraint(a, lo, hi) if a.shape[0] else None,
         options=options,
     )
@@ -279,15 +402,25 @@ def solve_milp(
 
 # -- model files -------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[^A-Za-z0-9_]")
+# Every character outside [A-Za-z0-9_] becomes '_', one for one: ASCII by a
+# translation table, the rest by a regex that finds nothing in ASCII text.
+_UNSAFE_ASCII = {c: "_" for c in range(128) if not (chr(c).isalnum() or chr(c) == "_")}
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+
+
+def _clean(text: str) -> str:
+    return _NON_ASCII.sub("_", text.translate(_UNSAFE_ASCII))
 
 
 def _sanitize_names(names: list[str], max_len: int, prefix: str) -> dict[str, str]:
     """Deterministically map arbitrary names to format-safe ones."""
     mapping: dict[str, str] = {}
     used: set[str] = set()
+    cleaned = _clean("".join(names))  # cut apart again below: cleaning keeps lengths
+    end = 0
     for i, name in enumerate(names):
-        clean = _NAME_RE.sub("_", name)
+        start, end = end, end + len(name)
+        clean = cleaned[start:end]
         if not clean or clean[0].isdigit():
             clean = "_" + clean
         if len(clean) > max_len or clean in used:
@@ -305,43 +438,62 @@ def _fmt(value: float) -> str:
     return "%.5g" % value
 
 
+def _per_value(fn: Callable[[float], str], values) -> list[str]:
+    """[fn(v) for v in values], calling fn once per distinct value (bit for
+    bit, so -0.0 and 0.0 stay apart)."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    text = [fn(v) for v in bits.view(float).tolist()]
+    return [text[k] for k in inverse.tolist()]
+
+
+def _lp_term(value: float) -> str:
+    return ("- " if value < 0 else "+ ") + _fmt(abs(value)) + " "
+
+
 def write_lp(model: MilpModel, path: str) -> dict[str, str]:
     """CPLEX-style LP text file. Returns the original -> written name map."""
-    vmap = _sanitize_names([v.name for v in model.variables], 200, "x")
-    cmap = _sanitize_names([c.name for c in model.constraints], 200, "c")
+    vmap = _sanitize_names(model.var_names, 200, "x")
+    cmap = _sanitize_names(model.row_names, 200, "c")
+    names = [vmap[n] for n in model.var_names]
 
-    def term_str(coeffs) -> str:
-        parts = []
-        for idx, val in coeffs:
-            sign = "-" if val < 0 else "+"
-            parts.append(f"{sign} {_fmt(abs(val))} {vmap[model.variables[idx].name]}")
-        if not parts:
-            return "0 " + vmap[model.variables[0].name]
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else text
+    def row_texts(indptr, indices, data) -> list[str]:
+        terms = [t + names[j] for t, j in zip(_per_value(_lp_term, data), indices.tolist())]
+        texts = []
+        for start, end in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+            text = " ".join(terms[start:end]) if end > start else "0 " + names[0]
+            texts.append(text[2:] if text.startswith("+ ") else text)
+        return texts
 
     lines = [f"\\ {model.name}"]
     for orig, new in sorted(vmap.items()):
         if orig != new:
             lines.append(f"\\ name-map: {new} <- {orig}")
     lines.append("Minimize")
-    lines.append(" obj: " + term_str(sorted(model.objective.items())))
+    obj = sorted(model.objective.items())
+    obj_idx = np.array([i for i, _ in obj], dtype=np.int64)
+    obj_val = np.array([v for _, v in obj], dtype=float)
+    lines.append(" obj: " + row_texts(np.array([0, len(obj)]), obj_idx, obj_val)[0])
     lines.append("Subject To")
-    for con in model.constraints:
-        op = {LESS_EQUAL: "<=", GREATER_EQUAL: ">=", EQUAL: "="}[con.sense]
-        lines.append(f" {cmap[con.name]}: {term_str(con.coeffs)} {op} {_fmt(con.rhs)}")
+    indptr, indices, data, sense, rhs = model._merged_rows()
+    lines.extend(
+        f" {cmap[name]}: {text} {_SENSES[s]} {r}"
+        for name, text, s, r in zip(
+            model.row_names, row_texts(indptr, indices, data), sense.tolist(), _per_value(_fmt, rhs)
+        )
+    )
     lines.append("Bounds")
-    for v in model.variables:
-        name = vmap[v.name]
-        if math.isinf(v.ub) and v.lb == 0:
+    for name, lb, ub, lb_text, ub_text in zip(
+        names, model.lb.tolist(), model.ub.tolist(), _per_value(_fmt, model.lb), _per_value(_fmt, model.ub)
+    ):
+        if math.isinf(ub) and lb == 0:
             continue  # default bounds
-        if v.lb == -math.inf and math.isinf(v.ub):
+        if lb == -math.inf and math.isinf(ub):
             lines.append(f" {name} free")
-        elif math.isinf(v.ub):
-            lines.append(f" {name} >= {_fmt(v.lb)}")
+        elif math.isinf(ub):
+            lines.append(f" {name} >= {lb_text}")
         else:
-            lines.append(f" {_fmt(v.lb)} <= {name} <= {_fmt(v.ub)}")
-    generals = [vmap[v.name] for v in model.variables if v.integer]
+            lines.append(f" {lb_text} <= {name} <= {ub_text}")
+    generals = [names[i] for i in np.flatnonzero(model.integer).tolist()]
     if generals:
         lines.append("General")
         lines.extend(f" {g}" for g in generals)
@@ -353,8 +505,10 @@ def write_lp(model: MilpModel, path: str) -> dict[str, str]:
 
 def write_mps(model: MilpModel, path: str) -> dict[str, str]:
     """Fixed-format MPS file. Returns the original -> written name map."""
-    vmap = _sanitize_names([v.name for v in model.variables], 8, "X")
-    cmap = _sanitize_names([c.name for c in model.constraints], 8, "R")
+    vmap = _sanitize_names(model.var_names, 8, "X")
+    cmap = _sanitize_names(model.row_names, 8, "R")
+    names = [vmap[n] for n in model.var_names]
+    rows = [cmap[n] for n in model.row_names]
 
     def fields(f1: str, f2: str = "", f3: str = "", f4: str = "", f5: str = "", f6: str = "") -> str:
         # Field start columns of the fixed layout: 2, 5, 15, 25, 40, 50.
@@ -363,56 +517,62 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
             line += " " + f5.ljust(9) + " " + f6
         return line.rstrip()
 
-    lines = [f"NAME          {_NAME_RE.sub('_', model.name)[:8].upper() or 'MODEL'}"]
+    def marker(k: int, tag: str) -> str:
+        return fields("", f"M{k}", "'MARKER'") + (" " * 17) + tag
+
+    lines = [f"NAME          {_clean(model.name)[:8].upper() or 'MODEL'}"]
     for orig, new in sorted(vmap.items()):
         if orig != new:
             lines.append(f"* name-map: {new} <- {orig}")
     lines.append("ROWS")
     lines.append(fields("N", "COST"))
-    for con in model.constraints:
-        tag = {LESS_EQUAL: "L", GREATER_EQUAL: "G", EQUAL: "E"}[con.sense]
-        lines.append(fields(tag, cmap[con.name]))
+    _, _, _, sense, rhs = model._merged_rows()
+    lines.extend(fields("LEG"[s], row) for s, row in zip(sense.tolist(), rows))
 
-    by_var: dict[int, list[tuple[str, float]]] = {i: [] for i in range(len(model.variables))}
-    for idx, val in model.objective.items():
-        by_var[idx].append(("COST", val))
-    for con in model.constraints:
-        for idx, val in con.coeffs:
-            by_var[idx].append((cmap[con.name], val))
-
+    # Column entries, as fields("", variable, row, value) writes them: the
+    # objective entry first, then the rows in order.
+    cols = _constraint_rows(model)[0].tocsc()
+    heads = ["    " + name.ljust(9) + " " for name in names]
+    pads = [row.ljust(9) + " " for row in rows]
+    col_of = np.repeat(np.arange(len(names)), np.diff(cols.indptr)).tolist()
+    entries = [
+        heads[j] + pads[r] + v
+        for j, r, v in zip(col_of, cols.indices.tolist(), _per_value(_fmt, cols.data))
+    ]
+    cost = {
+        j: "COST".ljust(9) + " " + text
+        for j, text in zip(model.objective, _per_value(_fmt, list(model.objective.values())))
+    }
     lines.append("COLUMNS")
     in_int = False
-    marker = 0
-    for i, v in enumerate(model.variables):
-        if v.integer != in_int:
-            tag = "'INTORG'" if v.integer else "'INTEND'"
-            lines.append(fields("", f"M{marker}", "'MARKER'", "", "", "").rstrip() + (" " * 17) + tag)
-            in_int = v.integer
-            marker += 1
-        for row, val in by_var[i]:
-            lines.append(fields("", vmap[v.name], row, _fmt(val)))
+    n_markers = 0
+    ptr = cols.indptr.tolist()
+    for j, is_int in enumerate(model.integer.tolist()):
+        if is_int != in_int:
+            lines.append(marker(n_markers, "'INTORG'" if is_int else "'INTEND'"))
+            in_int = is_int
+            n_markers += 1
+        if j in cost:
+            lines.append(heads[j] + cost[j])
+        lines.extend(entries[ptr[j]:ptr[j + 1]])
     if in_int:
-        lines.append(fields("", f"M{marker}", "'MARKER'", "", "", "").rstrip() + (" " * 17) + "'INTEND'")
+        lines.append(marker(n_markers, "'INTEND'"))
 
     lines.append("RHS")
-    for con in model.constraints:
-        if con.rhs != 0.0:
-            lines.append(fields("", "RHS", cmap[con.name], _fmt(con.rhs)))
+    nonzero = np.flatnonzero(rhs != 0.0)
+    lines.extend(
+        fields("", "RHS", rows[r], text) for r, text in zip(nonzero.tolist(), _per_value(_fmt, rhs[nonzero]))
+    )
 
     lines.append("BOUNDS")
-    for v in model.variables:
-        name = vmap[v.name]
-        if v.lb == -math.inf and math.isinf(v.ub):
+    for name, lb, ub, lb_text, ub_text in zip(
+        names, model.lb.tolist(), model.ub.tolist(), _per_value(_fmt, model.lb), _per_value(_fmt, model.ub)
+    ):
+        if lb == -math.inf and math.isinf(ub):
             lines.append(fields("FR", "BND", name))
             continue
-        if v.lb == -math.inf:
-            lines.append(fields("MI", "BND", name))
-        else:
-            lines.append(fields("LO", "BND", name, _fmt(v.lb)))
-        if math.isinf(v.ub):
-            lines.append(fields("PL", "BND", name))
-        else:
-            lines.append(fields("UP", "BND", name, _fmt(v.ub)))
+        lines.append(fields("MI", "BND", name) if lb == -math.inf else fields("LO", "BND", name, lb_text))
+        lines.append(fields("PL", "BND", name) if math.isinf(ub) else fields("UP", "BND", name, ub_text))
     lines.append("ENDATA")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -426,205 +586,3 @@ def export_model(model: MilpModel, path: str, fmt: str) -> dict[str, str]:
     if fmt == "mps":
         return write_mps(model, path)
     raise ValueError(f"unknown model format {fmt!r} (expected 'lp' or 'mps')")
-
-
-# -- readers (used to verify that exported files round-trip) ------------------
-
-
-def read_mps(path: str) -> MilpModel:
-    """Parse the MPS subset produced by write_mps."""
-    section = None
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    row_coeffs: dict[str, dict[int, float]] = {}
-    row_rhs: dict[str, float] = {}
-    obj_row: str | None = None
-    obj_coeffs: dict[int, float] = {}
-    var_idx: dict[str, int] = {}
-    int_vars: set[int] = set()
-    integer_mode = False
-    explicit_bounds: dict[int, list[float | None]] = {}
-
-    def get_var(name: str) -> int:
-        if name not in var_idx:
-            var_idx[name] = len(var_idx)
-        return var_idx[name]
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("*"):
-                continue
-            if not line[0].isspace():
-                section = line.split()[0].upper()
-                continue
-            tokens = line.split()
-            if section == "ROWS":
-                sense, name = tokens[0].upper(), tokens[1]
-                if sense == "N":
-                    if obj_row is None:
-                        obj_row = name
-                else:
-                    row_sense[name] = {"L": LESS_EQUAL, "G": GREATER_EQUAL, "E": EQUAL}[sense]
-                    row_coeffs[name] = {}
-                    row_order.append(name)
-            elif section == "COLUMNS":
-                if "'MARKER'" in tokens:
-                    integer_mode = tokens[-1] == "'INTORG'"
-                    continue
-                idx = get_var(tokens[0])
-                if integer_mode:
-                    int_vars.add(idx)
-                for row, val in zip(tokens[1::2], tokens[2::2]):
-                    if row == obj_row:
-                        obj_coeffs[idx] = obj_coeffs.get(idx, 0.0) + float(val)
-                    else:
-                        row_coeffs[row][idx] = row_coeffs[row].get(idx, 0.0) + float(val)
-            elif section == "RHS":
-                for row, val in zip(tokens[1::2], tokens[2::2]):
-                    if row != obj_row:
-                        row_rhs[row] = float(val)
-            elif section == "BOUNDS":
-                btype = tokens[0].upper()
-                idx = get_var(tokens[2])
-                bounds = explicit_bounds.setdefault(idx, [None, None])
-                if btype == "LO":
-                    bounds[0] = float(tokens[3])
-                elif btype == "UP":
-                    bounds[1] = float(tokens[3])
-                elif btype == "FX":
-                    bounds[0] = bounds[1] = float(tokens[3])
-                elif btype == "FR":
-                    bounds[0], bounds[1] = -math.inf, math.inf
-                elif btype == "MI":
-                    bounds[0] = -math.inf
-                elif btype == "PL":
-                    bounds[1] = math.inf
-                elif btype == "BV":
-                    bounds[0], bounds[1] = 0.0, 1.0
-                    int_vars.add(idx)
-
-    model = MilpModel(name="mps")
-    for name, idx in sorted(var_idx.items(), key=lambda kv: kv[1]):
-        lo, hi = explicit_bounds.get(idx, [None, None])
-        model.add_var(
-            name,
-            0.0 if lo is None else lo,
-            math.inf if hi is None else hi,
-            integer=idx in int_vars,
-        )
-    model.set_objective(obj_coeffs)
-    for row in row_order:
-        model.add_constraint(row_coeffs[row], row_sense[row], row_rhs.get(row, 0.0), name=row)
-    return model
-
-
-def read_lp(path: str) -> MilpModel:
-    """Parse the LP-text subset produced by write_lp."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = [ln for ln in fh.read().splitlines() if ln.strip() and not ln.lstrip().startswith("\\")]
-
-    section = None
-    objective_text: list[str] = []
-    constraint_texts: list[str] = []
-    bound_lines: list[str] = []
-    general_names: list[str] = []
-    for ln in raw_lines:
-        word = ln.strip().lower()
-        if word in ("minimize", "min"):
-            section = "obj"
-            continue
-        if word in ("subject to", "st", "s.t."):
-            section = "cons"
-            continue
-        if word == "bounds":
-            section = "bounds"
-            continue
-        if word in ("general", "generals", "integers"):
-            section = "general"
-            continue
-        if word == "end":
-            break
-        if section == "obj":
-            objective_text.append(ln.strip())
-        elif section == "cons":
-            constraint_texts.append(ln.strip())
-        elif section == "bounds":
-            bound_lines.append(ln.strip())
-        elif section == "general":
-            general_names.extend(ln.split())
-
-    term_re = re.compile(r"([+-]?)\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?\s*([A-Za-z_][A-Za-z0-9_]*)")
-
-    def parse_terms(text: str) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for sign, coef, name in term_re.findall(text):
-            val = float(coef) if coef else 1.0
-            if sign == "-":
-                val = -val
-            out[name] = out.get(name, 0.0) + val
-        return out
-
-    obj_text = " ".join(objective_text)
-    if ":" in obj_text:
-        obj_text = obj_text.split(":", 1)[1]
-    obj_terms = parse_terms(obj_text)
-
-    cons = []
-    for text in constraint_texts:
-        name = None
-        if ":" in text:
-            name, text = text.split(":", 1)
-            name = name.strip()
-        m = re.search(r"(<=|>=|=)", text)
-        if m is None:
-            raise ValueError(f"cannot parse constraint: {text!r}")
-        lhs, rhs = text[: m.start()], text[m.end():]
-        cons.append((name, parse_terms(lhs), m.group(1), float(rhs)))
-
-    names: list[str] = []
-    seen = set()
-    for terms in [obj_terms] + [c[1] for c in cons]:
-        for n in terms:
-            if n not in seen:
-                seen.add(n)
-                names.append(n)
-
-    bounds: dict[str, list[float]] = {}
-    for ln in bound_lines:
-        if ln.lower().endswith(" free"):
-            name = ln.split()[0]
-            bounds[name] = [-math.inf, math.inf]
-        else:
-            parts = [p.strip() for p in ln.split("<=")]
-            if len(parts) == 3:
-                name = parts[1]
-                bounds[name] = [float(parts[0]), float(parts[2])]
-            elif len(parts) == 2:
-                name = parts[0]
-                bounds[name] = [0.0, float(parts[1])]
-            elif ">=" in ln:
-                name, lo = (p.strip() for p in ln.split(">="))
-                bounds[name] = [float(lo), math.inf]
-            else:
-                raise ValueError(f"cannot parse bound line: {ln!r}")
-        if name not in seen:
-            seen.add(name)
-            names.append(name)
-
-    for name in general_names:
-        if name not in seen:
-            seen.add(name)
-            names.append(name)
-
-    model = MilpModel(name="lp")
-    general = set(general_names)
-    for name in names:
-        lb, ub = bounds.get(name, [0.0, math.inf])
-        model.add_var(name, lb, ub, integer=name in general)
-    model.set_objective({model.var_index(n): v for n, v in obj_terms.items()})
-    for name, terms, op, rhs in cons:
-        model.add_constraint(
-            {model.var_index(n): v for n, v in terms.items()}, op, rhs, name=name
-        )
-    return model

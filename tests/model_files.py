@@ -1,0 +1,209 @@
+"""Readers for the LP and MPS subsets that `odmts.milp` writes, used by the
+tests to check that exported models round-trip. They build models through
+the one-row wrappers `MilpModel.add_var` and `MilpModel.add_constraint`."""
+
+from __future__ import annotations
+
+import math
+import re
+
+from odmts.milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel
+
+
+def read_mps(path: str) -> MilpModel:
+    """Parse the MPS subset produced by write_mps."""
+    section = None
+    row_sense: dict[str, str] = {}
+    row_order: list[str] = []
+    row_coeffs: dict[str, dict[int, float]] = {}
+    row_rhs: dict[str, float] = {}
+    obj_row: str | None = None
+    obj_coeffs: dict[int, float] = {}
+    var_idx: dict[str, int] = {}
+    int_vars: set[int] = set()
+    integer_mode = False
+    explicit_bounds: dict[int, list[float | None]] = {}
+
+    def get_var(name: str) -> int:
+        if name not in var_idx:
+            var_idx[name] = len(var_idx)
+        return var_idx[name]
+
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if not line.strip() or line.startswith("*"):
+                continue
+            if not line[0].isspace():
+                section = line.split()[0].upper()
+                continue
+            tokens = line.split()
+            if section == "ROWS":
+                sense, name = tokens[0].upper(), tokens[1]
+                if sense == "N":
+                    if obj_row is None:
+                        obj_row = name
+                else:
+                    row_sense[name] = {"L": LESS_EQUAL, "G": GREATER_EQUAL, "E": EQUAL}[sense]
+                    row_coeffs[name] = {}
+                    row_order.append(name)
+            elif section == "COLUMNS":
+                if "'MARKER'" in tokens:
+                    integer_mode = tokens[-1] == "'INTORG'"
+                    continue
+                idx = get_var(tokens[0])
+                if integer_mode:
+                    int_vars.add(idx)
+                for row, val in zip(tokens[1::2], tokens[2::2]):
+                    if row == obj_row:
+                        obj_coeffs[idx] = obj_coeffs.get(idx, 0.0) + float(val)
+                    else:
+                        row_coeffs[row][idx] = row_coeffs[row].get(idx, 0.0) + float(val)
+            elif section == "RHS":
+                for row, val in zip(tokens[1::2], tokens[2::2]):
+                    if row != obj_row:
+                        row_rhs[row] = float(val)
+            elif section == "BOUNDS":
+                btype = tokens[0].upper()
+                idx = get_var(tokens[2])
+                bounds = explicit_bounds.setdefault(idx, [None, None])
+                if btype == "LO":
+                    bounds[0] = float(tokens[3])
+                elif btype == "UP":
+                    bounds[1] = float(tokens[3])
+                elif btype == "FX":
+                    bounds[0] = bounds[1] = float(tokens[3])
+                elif btype == "FR":
+                    bounds[0], bounds[1] = -math.inf, math.inf
+                elif btype == "MI":
+                    bounds[0] = -math.inf
+                elif btype == "PL":
+                    bounds[1] = math.inf
+                elif btype == "BV":
+                    bounds[0], bounds[1] = 0.0, 1.0
+                    int_vars.add(idx)
+
+    model = MilpModel(name="mps")
+    for name, idx in sorted(var_idx.items(), key=lambda kv: kv[1]):
+        lo, hi = explicit_bounds.get(idx, [None, None])
+        model.add_var(
+            name,
+            0.0 if lo is None else lo,
+            math.inf if hi is None else hi,
+            integer=idx in int_vars,
+        )
+    model.set_objective(obj_coeffs)
+    for row in row_order:
+        model.add_constraint(row_coeffs[row], row_sense[row], row_rhs.get(row, 0.0), name=row)
+    return model
+
+
+def read_lp(path: str) -> MilpModel:
+    """Parse the LP-text subset produced by write_lp."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw_lines = [ln for ln in fh.read().splitlines() if ln.strip() and not ln.lstrip().startswith("\\")]
+
+    section = None
+    objective_text: list[str] = []
+    constraint_texts: list[str] = []
+    bound_lines: list[str] = []
+    general_names: list[str] = []
+    for ln in raw_lines:
+        word = ln.strip().lower()
+        if word in ("minimize", "min"):
+            section = "obj"
+            continue
+        if word in ("subject to", "st", "s.t."):
+            section = "cons"
+            continue
+        if word == "bounds":
+            section = "bounds"
+            continue
+        if word in ("general", "generals", "integers"):
+            section = "general"
+            continue
+        if word == "end":
+            break
+        if section == "obj":
+            objective_text.append(ln.strip())
+        elif section == "cons":
+            constraint_texts.append(ln.strip())
+        elif section == "bounds":
+            bound_lines.append(ln.strip())
+        elif section == "general":
+            general_names.extend(ln.split())
+
+    term_re = re.compile(r"([+-]?)\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?\s*([A-Za-z_][A-Za-z0-9_]*)")
+
+    def parse_terms(text: str) -> dict[str, float]:
+        out: dict[str, float] = {}
+        for sign, coef, name in term_re.findall(text):
+            val = float(coef) if coef else 1.0
+            if sign == "-":
+                val = -val
+            out[name] = out.get(name, 0.0) + val
+        return out
+
+    obj_text = " ".join(objective_text)
+    if ":" in obj_text:
+        obj_text = obj_text.split(":", 1)[1]
+    obj_terms = parse_terms(obj_text)
+
+    cons = []
+    for text in constraint_texts:
+        name = None
+        if ":" in text:
+            name, text = text.split(":", 1)
+            name = name.strip()
+        m = re.search(r"(<=|>=|=)", text)
+        if m is None:
+            raise ValueError(f"cannot parse constraint: {text!r}")
+        lhs, rhs = text[: m.start()], text[m.end():]
+        cons.append((name, parse_terms(lhs), m.group(1), float(rhs)))
+
+    names: list[str] = []
+    seen = set()
+    for terms in [obj_terms] + [c[1] for c in cons]:
+        for n in terms:
+            if n not in seen:
+                seen.add(n)
+                names.append(n)
+
+    bounds: dict[str, list[float]] = {}
+    for ln in bound_lines:
+        if ln.lower().endswith(" free"):
+            name = ln.split()[0]
+            bounds[name] = [-math.inf, math.inf]
+        else:
+            parts = [p.strip() for p in ln.split("<=")]
+            if len(parts) == 3:
+                name = parts[1]
+                bounds[name] = [float(parts[0]), float(parts[2])]
+            elif len(parts) == 2:
+                name = parts[0]
+                bounds[name] = [0.0, float(parts[1])]
+            elif ">=" in ln:
+                name, lo = (p.strip() for p in ln.split(">="))
+                bounds[name] = [float(lo), math.inf]
+            else:
+                raise ValueError(f"cannot parse bound line: {ln!r}")
+        if name not in seen:
+            seen.add(name)
+            names.append(name)
+
+    for name in general_names:
+        if name not in seen:
+            seen.add(name)
+            names.append(name)
+
+    model = MilpModel(name="lp")
+    general = set(general_names)
+    for name in names:
+        lb, ub = bounds.get(name, [0.0, math.inf])
+        model.add_var(name, lb, ub, integer=name in general)
+    model.set_objective({model.var_index(n): v for n, v in obj_terms.items()})
+    for name, terms, op, rhs in cons:
+        model.add_constraint(
+            {model.var_index(n): v for n, v in terms.items()}, op, rhs, name=name
+        )
+    return model

@@ -5,6 +5,10 @@ for each, every consistent way to cover the commodities (direct, or a
 pickup route + simple bus path + dropoff route, with shared routes binding
 all their members), taking the global minimum cost. It never touches the
 MILP machinery.
+
+`design_model_by_rows` is the reference for the bulk design-model
+assembly: it adds the same variables and rows one at a time through
+`MilpModel.add_var` and `MilpModel.add_constraint`.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import itertools
 import math
 
 from odmts.design import bus_lines, line_open_cost, line_use_cost
+from odmts.milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel
 from odmts.routegen import (
     DROPOFF,
     PICKUP,
@@ -245,3 +250,64 @@ def design_oracle(inst, omega_minus, omega_plus):
         if best_completion < math.inf:
             best_total = min(best_total, z_cost + free_cost + best_completion)
     return best_total
+
+
+def design_model_by_rows(inst, omega_minus, omega_plus):
+    """The design model of `build_design_model`, one variable and one row
+    per call, each row a dict summed term by term."""
+    routes = {w.key: w for omega in (omega_minus, omega_plus) for ws in omega.values() for w in ws}
+    model = MilpModel(name="design")
+    lines = bus_lines(inst)
+    z_idx = {hl: model.add_var(f"z[{hl[0]},{hl[1]}]", 0, 1, integer=True) for hl in lines}
+    y_idx = {
+        (c.id, h, l): model.add_var(f"y[{c.id},{h},{l}]", 0, 1, integer=True)
+        for c in inst.commodities
+        for (h, l) in lines
+    }
+    x_idx = {
+        key: model.add_var(f"x[{key[0]},{key[1]},{'|'.join(key[2])}]", 0, 1, integer=True)
+        for key in sorted(routes)
+    }
+    eta_idx = {c.id: model.add_var(f"eta[{c.id}]", 0, 1, integer=True) for c in inst.commodities}
+
+    objective = {z_idx[hl]: line_open_cost(*hl, inst) for hl in lines}
+    for key, w in routes.items():
+        objective[x_idx[key]] = w.cost
+    for c in inst.commodities:
+        objective[eta_idx[c.id]] = direct_cost(c, inst)
+        for (h, l) in lines:
+            objective[y_idx[(c.id, h, l)]] = line_use_cost(c, h, l, inst)
+    model.set_objective(objective)
+
+    for h in inst.hubs:
+        row = {}
+        for l in inst.hubs:
+            if l != h:
+                row[z_idx[(h, l)]] = row.get(z_idx[(h, l)], 0.0) + 1.0
+                row[z_idx[(l, h)]] = row.get(z_idx[(l, h)], 0.0) - 1.0
+        model.add_constraint(row, EQUAL, 0.0, name=f"balance[{h}]")
+    for c in inst.commodities:
+        for tag, omega in (("p", omega_minus), ("d", omega_plus)):
+            row = {eta_idx[c.id]: 1.0}
+            for w in omega.get(c.id, []):
+                row[x_idx[w.key]] = 1.0
+            model.add_constraint(row, GREATER_EQUAL, 1.0, name=f"cover_{tag}[{c.id}]")
+    for c in inst.commodities:
+        for hl in lines:
+            model.add_constraint(
+                {y_idx[(c.id, *hl)]: 1.0, z_idx[hl]: -1.0}, LESS_EQUAL, 0.0,
+                name=f"open[{c.id},{hl[0]},{hl[1]}]",
+            )
+    for c in inst.commodities:
+        for h in inst.hubs:
+            row = {}
+            for l in inst.hubs:
+                if l != h:
+                    row[y_idx[(c.id, l, h)]] = row.get(y_idx[(c.id, l, h)], 0.0) + 1.0
+                    row[y_idx[(c.id, h, l)]] = row.get(y_idx[(c.id, h, l)], 0.0) - 1.0
+            for omega, sign in ((omega_minus, 1.0), (omega_plus, -1.0)):
+                for w in omega.get(c.id, []):
+                    if w.hub == h:
+                        row[x_idx[w.key]] = row.get(x_idx[w.key], 0.0) + sign
+            model.add_constraint(row, EQUAL, 0.0, name=f"flow[{c.id},{h}]")
+    return model

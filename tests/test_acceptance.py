@@ -117,7 +117,7 @@ def test_criterion_1_fleet_equivalence(fleet_battery):
         flows = r["sparse"].flows
         assert abs(objective - r["sparse"].fleet_size) <= 1e-6, r["seed"]
         assert set(flows) <= set(var), r["seed"]
-        x = np.zeros(len(model.variables))
+        x = np.zeros(len(model.var_names))
         for key, val in flows.items():
             x[var[key]] = val
         _check_solution(model, _constraint_rows(model), x, integrality=False)

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from odmts import instgen
@@ -15,6 +16,7 @@ from odmts.design import (
     save_solution,
     solve_design,
 )
+from odmts.milp import _constraint_rows
 from odmts.routegen import (
     compute_hub_sets,
     direct_cost,
@@ -23,7 +25,7 @@ from odmts.routegen import (
 )
 
 from conftest import euclid_instance, mk_commodity, mk_instance
-from oracles import design_oracle
+from oracles import design_model_by_rows, design_oracle
 
 
 def line_cost_instance(alpha=1e-3):
@@ -72,6 +74,33 @@ def enumerated(inst):
     return enumerate_pickup_routes(inst, hs), enumerate_dropoff_routes(inst, hs)
 
 
+@pytest.mark.parametrize(
+    "seed,alpha,capacity", [(10, None, None), (11, None, None), (15, 0.0, 1)]
+)
+def test_bulk_design_model_equals_row_by_row(seed, alpha, capacity):
+    inst = instgen.generate(seed=seed, n_nodes=20, n_hubs=4, n_commodities=25, max_passengers=3)
+    if alpha is not None:
+        inst = dataclasses.replace(
+            inst,
+            cost=dataclasses.replace(inst.cost, alpha=alpha),
+            routing=dataclasses.replace(inst.routing, shuttle_capacity=capacity),
+        )
+    om, op = enumerated(inst)
+    shared = [w for omega in (om, op) for ws in omega.values() for w in ws if len(w.commodities) > 1]
+    assert bool(shared) == (capacity is None)
+    bulk, ref = build_design_model(inst, om, op).model, design_model_by_rows(inst, om, op)
+    assert bulk.var_names == ref.var_names
+    assert bulk.row_names == ref.row_names
+    for column in ("lb", "ub", "integer"):
+        assert np.array_equal(getattr(bulk, column), getattr(ref, column))
+    assert sorted(bulk.objective.items()) == sorted(ref.objective.items())
+    (a, lo, hi), (ref_a, ref_lo, ref_hi) = _constraint_rows(bulk), _constraint_rows(ref)
+    for got, want in (
+        (a.indptr, ref_a.indptr), (a.indices, ref_a.indices), (a.data, ref_a.data), (lo, ref_lo), (hi, ref_hi)
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_variable_count_small_model():
     points = {"a": (0, 0), "b": (10, 0), "h1": (2, 1), "h2": (8, 1)}
     r = mk_commodity("r", "a", "b", 0.0)
@@ -80,7 +109,7 @@ def test_variable_count_small_model():
     dm = build_design_model(inst, om, op)
     # 2 lines -> 2 z; 2 y for the single commodity; 1 pickup + 1 dropoff x; 1 eta.
     assert len(bus_lines(inst)) == 2
-    assert len(dm.model.variables) == 2 * (1 + 1) + 2 + 1 == 7
+    assert len(dm.model.var_names) == 2 * (1 + 1) + 2 + 1 == 7
 
 
 def test_empty_commodity_set_closes_everything():

@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from odmts import fleet
+from odmts import design, fleet, instgen, routegen
 from odmts.milp import (
     EQUAL,
     GREATER_EQUAL,
@@ -17,15 +19,15 @@ from odmts.milp import (
     UNBOUNDED,
     _check_solution,
     _constraint_rows,
+    _sanitize_names,
     export_model,
-    read_lp,
-    read_mps,
     solve_lp,
     solve_milp,
     write_lp,
 )
 
 from conftest import mk_instance
+from model_files import read_lp, read_mps
 
 
 def bound_model():
@@ -59,8 +61,10 @@ def test_lp_unbounded():
 
 
 def test_milp_rounds_up():
-    m = bound_model()
-    m.variables[0] = m.variables[0].__class__("x", 0.0, 100.0, True)
+    m = MilpModel(name="bound")
+    x = m.add_var("x", 0.0, 100.0, integer=True)
+    m.add_constraint({x: 1.0}, GREATER_EQUAL, 2.5)
+    m.set_objective({x: 1.0})
     sol = solve_milp(m)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0)
@@ -132,6 +136,95 @@ def test_nonfinite_coefficient_rejected():
     x = m.add_var("x")
     with pytest.raises(ModelError):
         m.add_constraint({x: math.inf}, LESS_EQUAL, 1.0)
+
+
+def _two_var_model():
+    m = MilpModel()
+    m.add_vars(["x", "y"], [0.0, 1.0], 5.0, [True, False])
+    return m
+
+
+@pytest.mark.parametrize(
+    "block,message",
+    [
+        (dict(indices=[0, 2]), "row 'b' references unknown variable index 2"),
+        (dict(indices=[0, -1]), "row 'b' references unknown variable index -1"),
+        (dict(data=[1.0, math.nan]), "row 'b' has non-finite coefficient nan on variable 1"),
+        (dict(rhs=[1.0, -math.inf]), "row 'b' has non-finite right-hand side -inf"),
+        (dict(sense=[LESS_EQUAL, "<"]), "row 'b' has unknown sense '<'"),
+        (dict(indptr=[0, 1, 3]), "row block from row 1 has mismatched lengths"),
+        (dict(indptr=[0, 2, 1]), "row block from row 1 has mismatched lengths"),
+        (dict(data=[1.0]), "row block from row 1 has mismatched lengths"),
+        (dict(names=["a"]), "row block from row 1 has mismatched lengths"),
+        (dict(rhs=[1.0, 2.0, 3.0]), r"rhs of the row block from row 1 has shape \(3,\)"),
+        (dict(sense=[LESS_EQUAL] * 3), r"sense of the row block from row 1 has shape \(3,\)"),
+    ],
+)
+def test_add_rows_rejects_bad_block(block, message):
+    m = _two_var_model()
+    m.add_constraint({0: 1.0}, LESS_EQUAL, 1.0, name="first")
+    args = dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0, 1.0], sense=EQUAL, rhs=1.0, names=["a", "b"])
+    with pytest.raises(ModelError, match=message):
+        m.add_rows(**{**args, **block})
+    assert m.row_names == ["first"]  # a rejected block adds nothing
+    assert _constraint_rows(m)[0].shape == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "blocks,message",
+    [
+        ([dict(names=["a", "b", "a"])], "duplicate variable name 'a'"),
+        ([dict(names=["a"]), dict(names=["c", "a"])], "duplicate variable name 'a'"),
+        ([dict(names=["a", "b"], lb=[0.0, 2.0], ub=1.0)], "variable 'b' has lb 2.0 > ub 1.0"),
+        ([dict(names=["a", "b"], ub=[1.0, 2.0, 3.0])], r"ub of the variable block from index 0 has shape"),
+    ],
+)
+def test_add_vars_rejects_bad_block(blocks, message):
+    m = MilpModel()
+    *good, bad = blocks
+    for block in good:
+        m.add_vars(**block)
+    with pytest.raises(ModelError, match=message):
+        m.add_vars(**bad)
+    assert m.var_names == [n for block in good for n in block["names"]]
+    assert len(m.lb) == len(m.var_names)
+
+
+def test_add_rows_sums_repeated_columns_and_sorts():
+    m = _two_var_model()
+    m.add_rows(
+        [0, 3, 5, 5], [1, 0, 1, 0, 0], [2.0, 0.5, 1.5, 1.0, -1.0],
+        [LESS_EQUAL, GREATER_EQUAL, EQUAL], [4.0, 1.0, 0.0],
+    )
+    m.add_constraint({1: -1.0, 0: 3.0}, EQUAL, 2.0, name="last")
+    a, lo, hi = _constraint_rows(m)
+    assert a.indptr.tolist() == [0, 2, 3, 3, 5]
+    assert a.indices.tolist() == [0, 1, 0, 0, 1]
+    assert a.data.tolist() == [0.5, 3.5, 0.0, 3.0, -1.0]  # a cancelled pair stays as an explicit 0
+    assert lo.tolist() == [-math.inf, 1.0, 0.0, 2.0]
+    assert hi.tolist() == [4.0, math.inf, 0.0, 2.0]
+    assert m.row_names == ["c0", "c1", "c2", "last"]
+    assert m.lb.tolist() == [0.0, 1.0] and m.ub.tolist() == [5.0, 5.0]
+    assert m.integer.tolist() == [True, False]
+
+
+def test_copy_shares_no_state():
+    m = _two_var_model()
+    m.add_constraint({0: 1.0}, LESS_EQUAL, 1.0, name="r")
+    m.set_objective({1: 2.0})
+    c = m.copy("copy")
+    c.lb[0] = -1.0
+    c.add_var("z", 0.0, 1.0)
+    c.add_constraint({0: 1.0, 2: 1.0}, GREATER_EQUAL, 0.5, name="s")
+    c.set_objective({2: 1.0})
+    assert (m.name, c.name) == ("model", "copy")
+    assert m.var_names == ["x", "y"] and m.row_names == ["r"] and m.objective == {1: 2.0}
+    assert m.lb.tolist() == [0.0, 1.0] and _constraint_rows(m)[0].shape == (1, 2)
+    assert c.var_names == ["x", "y", "z"] and c.row_names == ["r", "s"]
+    assert _constraint_rows(c)[0].toarray().tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]]
+    with pytest.raises(ModelError, match="duplicate variable name 'z'"):
+        c.add_var("z")
+    m.add_var("z")  # the copy's names are its own
 
 
 def _checked_model():
@@ -309,6 +402,63 @@ def test_fleet_model_export_cross_check(tmp_path):
         assert solve_lp(reader(path)).objective == pytest.approx(expected, abs=1e-6)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _golden_models():
+    inst = instgen.generate(seed=1, n_nodes=12, n_hubs=3, n_commodities=10)
+    hs = routegen.compute_hub_sets(inst)
+    om, op = routegen.enumerate_pickup_routes(inst, hs), routegen.enumerate_dropoff_routes(inst, hs)
+    tasks, tinst = _six_task_instance()
+    return {
+        "design_seed1": design.build_design_model(inst, om, op).model,
+        "fleet_dense": fleet.fleet_model(fleet.build_dense_graph(tasks, tinst))[0],
+        "fleet_sparse": fleet.fleet_model(fleet.build_sparse_graph(tasks, tinst))[0],
+    }
+
+
+@pytest.mark.parametrize("fmt", ["lp", "mps"])
+def test_exports_match_golden_files(tmp_path, fmt):
+    """The exported text of these models must not change; tests/data holds
+    the reference files."""
+    for name, model in _golden_models().items():
+        path = tmp_path / f"{name}.{fmt}"
+        export_model(model, str(path), fmt)
+        assert path.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes(), name
+
+
+def test_exports_keep_signed_zero_coefficients_apart(tmp_path):
+    m = MilpModel(name="zeros")
+    m.add_vars(["a", "b", "c"])
+    m.add_constraint({0: 0.0, 1: -0.0, 2: -2.0}, LESS_EQUAL, -0.0, name="r")
+    m.set_objective({0: -0.0, 1: 0.0})
+    export_model(m, str(tmp_path / "z.mps"), "mps")
+    export_model(m, str(tmp_path / "z.lp"), "lp")
+    mps = (tmp_path / "z.mps").read_text().splitlines()
+    assert [line.split()[-1] for line in mps if line.startswith("    ")] == ["-0", "0", "0", "-0", "-2"]
+    assert " r: 0 a + 0 b - 2 c <= -0" in (tmp_path / "z.lp").read_text()
+
+
+def _sanitize_by_regex(names, max_len, prefix):
+    mapping, used = {}, set()
+    for i, name in enumerate(names):
+        clean = re.sub(r"[^A-Za-z0-9_]", "_", name)
+        if not clean or clean[0].isdigit():
+            clean = "_" + clean
+        if len(clean) > max_len or clean in used:
+            clean = f"{prefix}{i}"
+        mapping[name] = clean
+        used.add(clean)
+    return mapping
+
+
+def test_sanitized_names_match_per_name_regex():
+    names = ["x", "", "9lives", "a b", "a_b", "x1", "flow[\u00e9,\u0394]", "line\nbreak", "\U0001f68c bus",
+             "tab\there", "longer_than_eight", "X4", "c-1", "ok_name", "\u00e9", "a.b"]
+    for max_len, prefix in ((8, "X"), (200, "x")):
+        assert _sanitize_names(names, max_len, prefix) == _sanitize_by_regex(names, max_len, prefix)
+
+
 def test_name_sanitization_emits_mapping(tmp_path):
     m = MilpModel(name="messy")
     x = m.add_var("flow rate [a,b]", 0, 3)
@@ -334,4 +484,10 @@ def test_solve_log_env(tmp_path, monkeypatch):
     log = tmp_path / "solve.log"
     monkeypatch.setenv("ODMTS_SOLVE_LOG", str(log))
     solve_lp(bound_model())
-    assert "status=optimal" in log.read_text()
+    model, _ = fleet.fleet_model(fleet.build_dense_graph(*_six_task_instance()))
+    solve_lp(model)
+    first, second = log.read_text().splitlines()
+    assert "status=optimal" in first
+    assert " vars=1 rows=1 nnz=1 " in first
+    # 6 source arcs sit in 2 rows each, 9 task arcs in 3, 6 sink arcs in 1.
+    assert " vars=21 rows=12 nnz=45 " in second
