@@ -223,11 +223,14 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         raw = _read_config(args.config)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
+    # Defaults live on the subcommand's own parser, not the top-level one.
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices[args.command]
     for key, val in raw.items():
         if not hasattr(args, key):
             continue
         current = getattr(args, key)
-        if current is None or current == parser.get_default(key):
+        if current is None or current == command.get_default(key):
             setattr(args, key, _coerce(val))
     return args
 

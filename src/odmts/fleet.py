@@ -19,11 +19,18 @@ solved as an LP; its constraint matrix, like the sparse one, is totally
 unimodular, so a basic LP optimum is already integral. `fleet_model` writes
 either model as an LP for export and cross-checks.
 
-Schedules come from decomposing the flow into source-sink paths; a task is
-assigned to the first path that reaches it. A minimum path cover oracle
-(task count minus a maximum bipartite matching over the full compatibility
-relation, found as a unit-capacity Dinic max flow) is provided for
-cross-checking.
+A `FleetGraph` keeps its arcs as arrays that the model writer and the max
+flow read directly: (tail, head) rows in lexicographic order, as
+`np.argwhere` reads them off the arc mask, and the sorted indices of the
+tasks the source feeds and of those that drain to the sink.
+
+Both formulations leave through one decomposition, `recover_schedules`: the
+flow (the dense LP's rounded unit flows or the sparse min flow) is split
+into source-sink paths, and a task goes to the first path that reaches it.
+
+A minimum path cover oracle (task count minus a maximum bipartite matching
+over the full compatibility relation, found as a unit-capacity Dinic max
+flow) is provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,9 +71,9 @@ class Task:
 class FleetGraph:
     kind: str
     tasks: tuple[Task, ...]  # sorted by (start, id)
-    arcs: set[tuple[int, int]]  # task-index pairs
-    source_arcs: set[int]
-    sink_arcs: set[int]
+    arcs: np.ndarray  # (m, 2) int64 (tail, head) task-index rows, lexicographic
+    source_arcs: np.ndarray  # sorted int64 indices of tasks the source feeds
+    sink_arcs: np.ndarray  # sorted int64 indices of tasks that drain to the sink
 
 
 @dataclass
@@ -130,21 +136,11 @@ def _compatibility(tasks: tuple[Task, ...], inst: Instance) -> np.ndarray:
     return comp
 
 
-def _arc_set(mask: np.ndarray) -> set[tuple[int, int]]:
-    return set(zip(*(idx.tolist() for idx in np.nonzero(mask))))
-
-
-def _arc_array(g: FleetGraph) -> np.ndarray:
-    """The graph's arcs as an (m, 2) array of (tail, head) rows, in set order."""
-    return np.fromiter(chain.from_iterable(g.arcs), np.int64, 2 * len(g.arcs)).reshape(-1, 2)
-
-
 def build_dense_graph(tasks, inst: Instance) -> FleetGraph:
     """Arc on every compatible ordered pair; source and sink connect to all."""
     ts = _sorted_tasks(tasks)
-    arcs = _arc_set(_compatibility(ts, inst))
-    n = len(ts)
-    return FleetGraph(DENSE, ts, arcs, set(range(n)), set(range(n)))
+    every = np.arange(len(ts))
+    return FleetGraph(DENSE, ts, np.argwhere(_compatibility(ts, inst)), every, every)
 
 
 def build_sparse_graph(tasks, inst: Instance) -> FleetGraph:
@@ -157,9 +153,9 @@ def build_sparse_graph(tasks, inst: Instance) -> FleetGraph:
     # rounded to 0, so "> 0" is exact.
     c = comp.astype(np.float32)
     keep = comp & ~((c @ c) > 0)
-    sources = set(np.flatnonzero(~keep.any(axis=0)).tolist())
-    sinks = set(np.flatnonzero(~keep.any(axis=1)).tolist())
-    return FleetGraph(SPARSE, ts, _arc_set(keep), sources, sinks)
+    sources = np.flatnonzero(~keep.any(axis=0))
+    sinks = np.flatnonzero(~keep.any(axis=1))
+    return FleetGraph(SPARSE, ts, np.argwhere(keep), sources, sinks)
 
 
 def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
@@ -169,10 +165,8 @@ def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
     model = MilpModel(name=f"fleet-{g.kind}")
     binary = g.kind == DENSE
     n = len(g.tasks)
-    arcs = _arc_array(g)
-    tail, head = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))].T
-    src = np.array(sorted(g.source_arcs), dtype=np.int64)
-    snk = np.array(sorted(g.sink_arcs), dtype=np.int64)
+    tail, head = g.arcs.T
+    src, snk = g.source_arcs, g.sink_arcs
     keys = (
         [(SOURCE, i) for i in src.tolist()]
         + list(zip(tail.tolist(), head.tolist()))
@@ -206,7 +200,8 @@ def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
 
 
 def solve_fleet_dense(g: FleetGraph) -> FleetResult:
-    """Solve the exact-cover flow model by LP; schedules read off the unit arcs."""
+    """Solve the exact-cover flow model by LP and hand the rounded unit flows
+    to `recover_schedules`, the decomposition the sparse solver uses too."""
     if not g.tasks:
         return FleetResult(0, (), {})
     model, var = fleet_model(g)
@@ -219,21 +214,7 @@ def solve_fleet_dense(g: FleetGraph) -> FleetResult:
         if abs(val - round(val)) > 1e-6:
             raise FlowError(f"fleet LP returned fractional flow {val} on arc {key}")
         flows[key] = int(round(val))
-    succ = {}
-    for (a, b), val in flows.items():
-        if val > 0 and a != SOURCE and b != SINK:
-            succ[a] = b
-    schedules = []
-    for i in sorted(g.source_arcs):
-        if flows.get((SOURCE, i), 0) < 1:
-            continue
-        chain = [i]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        schedules.append(tuple(g.tasks[k].id for k in chain))
-    result = FleetResult(len(schedules), tuple(schedules), flows)
-    _assert_partition(result, g)
-    return result
+    return recover_schedules(g, flows)
 
 
 def _min_flow(g: FleetGraph) -> dict[tuple, int]:
@@ -255,14 +236,13 @@ def _min_flow(g: FleetGraph) -> dict[tuple, int]:
     this keeps the fleet size. Returns the positive flows on the graph's own
     arcs."""
     n = len(g.tasks)
-    tail, head = _arc_array(g).T
+    tail, head = g.arcs.T
     t, s = 2 * n, 2 * n + 1
     idx = np.arange(n)
     rows = np.concatenate([np.full(n, t), tail, n + idx, n + idx])
     cols = np.concatenate([idx, n + head, idx, np.full(n, s)])
     cap = np.concatenate([np.ones(n), np.full(tail.size + n, n + 1), np.ones(n)]).astype(np.int32)
     graph = sp.csr_array((cap, (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
-    graph.sort_indices()  # the max flow, and so the schedules, do not hang on set order
     flow = maximum_flow(graph, t, s, method="dinic").flow.tocoo()
     pos = flow.data > 0
     r, c, f = flow.row[pos], flow.col[pos], flow.data[pos]

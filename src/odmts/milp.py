@@ -456,11 +456,13 @@ def write_lp(model: MilpModel, path: str) -> dict[str, str]:
     cmap = _sanitize_names(model.row_names, 200, "c")
     names = [vmap[n] for n in model.var_names]
 
+    empty = "0 " + names[0] if names else "0"  # a model without variables has only constants
+
     def row_texts(indptr, indices, data) -> list[str]:
         terms = [t + names[j] for t, j in zip(_per_value(_lp_term, data), indices.tolist())]
         texts = []
         for start, end in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
-            text = " ".join(terms[start:end]) if end > start else "0 " + names[0]
+            text = " ".join(terms[start:end]) if end > start else empty
             texts.append(text[2:] if text.startswith("+ ") else text)
         return texts
 

@@ -3,8 +3,11 @@ import os
 
 import pytest
 
-from odmts.cli import EXIT_INVALID, EXIT_OK, PipelineConfig, main, run_pipeline
+from odmts.cli import EXIT_INVALID, EXIT_OK, PipelineConfig, _merge_config, build_parser, main, run_pipeline
 from odmts.instance import load_instance
+from odmts.milp import write_lp
+
+from model_files import read_lp
 
 ARTIFACTS = ("routes.jsonl", "design.json", "fleet.json", "report.json", "report.csv")
 
@@ -168,6 +171,46 @@ def test_flags_override_config(tmp_path, tiny_instance_file):
     assert main([
         "validate", "--config", str(cfgfile), "--instance", tiny_instance_file,
     ]) == EXIT_OK
+
+
+def test_config_sets_subcommand_options(tmp_path):
+    # Subcommand options with a non-None default are filled from the config
+    # too; an explicit flag still wins.
+    fleet_cfg = tmp_path / "fleet.cfg"
+    fleet_cfg.write_text("formulation = dense\ncheck_oracle = true\n")
+    parser = build_parser()
+    args = _merge_config(parser.parse_args([
+        "fleet-size", "--design", "d.json", "--out", "f.json", "--config", str(fleet_cfg),
+    ]), parser)
+    assert (args.formulation, args.check_oracle) == ("dense", True)
+
+    gen_cfg = tmp_path / "gen.cfg"
+    gen_cfg.write_text("seed = 5\nnodes = 30\n")
+    args = _merge_config(parser.parse_args(["gen", "--out", "i.json", "--config", str(gen_cfg)]), parser)
+    assert (args.seed, args.nodes) == (5, 30)
+    path = str(tmp_path / "gen.json")
+    assert main([
+        "gen", "--out", path, "--config", str(gen_cfg), "--nodes", "12", "--commodities", "3",
+    ]) == EXIT_OK
+    assert len(load_instance(path).nodes) == 12
+
+
+def test_fleet_size_exports_model_without_variables(tmp_path):
+    inst = str(tmp_path / "empty.json")
+    run = str(tmp_path / "run")
+    lp = str(tmp_path / "fleet.lp")
+    assert main(["gen", "--out", inst, "--commodities", "0"]) == EXIT_OK
+    assert main(["pipeline", "--instance", inst, "--out", run]) == EXIT_OK
+    assert main([
+        "fleet-size", "--instance", inst, "--design", os.path.join(run, "design.json"),
+        "--out", str(tmp_path / "fleet.json"), "--export-model", lp,
+    ]) == EXIT_OK
+    back = read_lp(lp)
+    assert back.var_names == [] and back.row_names == [] and back.objective == {}
+    again = str(tmp_path / "again.lp")
+    write_lp(back, again)
+    # The first line names the model; the rest must round-trip unchanged.
+    assert open(again).read().splitlines()[1:] == open(lp).read().splitlines()[1:]
 
 
 def test_pipeline_deterministic(tmp_path, tiny_instance_file):

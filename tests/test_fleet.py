@@ -50,8 +50,12 @@ def six_tasks():
     ]
 
 
+def arc_set(graph):
+    return {(i, j) for i, j in graph.arcs.tolist()}
+
+
 def id_arcs(graph):
-    return {(graph.tasks[i].id, graph.tasks[j].id) for i, j in graph.arcs}
+    return {(graph.tasks[i].id, graph.tasks[j].id) for i, j in arc_set(graph)}
 
 
 def test_dense_graph_exact_arcs():
@@ -76,8 +80,8 @@ def test_single_task_graphs():
     inst = colocated_instance()
     for build in (build_dense_graph, build_sparse_graph):
         graph = build([Task("A", "x", "x", 0.0, 5.0)], inst)
-        assert graph.arcs == set()
-        assert graph.source_arcs == {0} and graph.sink_arcs == {0}
+        assert arc_set(graph) == set()
+        assert set(graph.source_arcs.tolist()) == {0} and set(graph.sink_arcs.tolist()) == {0}
 
 
 def test_sparse_graph_keeps_nine_arcs():
@@ -147,20 +151,46 @@ def test_empty_task_list():
     inst = colocated_instance()
     for build in (build_dense_graph, build_sparse_graph):
         graph = build([], inst)
-        assert graph.arcs == set()
-        assert graph.source_arcs == set() and graph.sink_arcs == set()
+        assert arc_set(graph) == set()
+        assert set(graph.source_arcs.tolist()) == set() and set(graph.sink_arcs.tolist()) == set()
     assert min_fleet_oracle([], inst) == 0
     assert solve_fleet_sparse(build_sparse_graph([], inst)).fleet_size == 0
     assert solve_fleet_dense(build_dense_graph([], inst)).fleet_size == 0
 
 
-def test_graph_indices_are_python_ints():
+def assert_strictly_increasing(values):
+    assert (np.diff(values) > 0).all(), values
+
+
+def test_graph_arrays_are_sorted_int64():
+    rng = np.random.default_rng(5)
+    metric = metric_instance(rng)
+    cases = [
+        (six_tasks() + [Task("G", "x", "x", 20.0, 2.0)], colocated_instance()),
+        (random_tasks(rng, 40, metric), metric),
+    ]
+    for tasks, inst in cases:
+        for build in (build_dense_graph, build_sparse_graph):
+            graph = build(tasks, inst)
+            assert graph.arcs.dtype == np.int64 and graph.arcs.shape[1:] == (2,) and len(graph.arcs)
+            # Lexicographic rows: the row keys tail * n + head strictly increase.
+            assert_strictly_increasing(graph.arcs[:, 0] * len(graph.tasks) + graph.arcs[:, 1])
+            for ends in (graph.source_arcs, graph.sink_arcs):
+                assert ends.dtype == np.int64
+                assert_strictly_increasing(ends)
+
+
+def test_flow_keys_are_python_ints():
     inst = colocated_instance()
-    for build in (build_dense_graph, build_sparse_graph):
-        graph = build(six_tasks() + [Task("G", "x", "x", 20.0, 2.0)], inst)
-        assert graph.arcs
-        assert all(type(i) is int and type(j) is int for i, j in graph.arcs)
-        assert all(type(i) is int for i in graph.source_arcs | graph.sink_arcs)
+    tasks = six_tasks() + [Task("G", "x", "x", 20.0, 2.0)]
+    for build, solve in (
+        (build_dense_graph, solve_fleet_dense),
+        (build_sparse_graph, solve_fleet_sparse),
+    ):
+        flows = solve(build(tasks, inst)).flows
+        assert flows
+        for key in flows:
+            assert all(type(end) is int or end in (SOURCE, SINK) for end in key), key
 
 
 def test_recover_single_task_flow():
@@ -254,6 +284,29 @@ def test_formulations_agree_with_matching_oracle(seed):
     assert schedules_feasible(sparse, tasks, inst)
 
 
+@pytest.mark.parametrize("seed", [None, *range(6)])
+def test_dense_schedules_follow_unit_lp_arcs(seed):
+    # None is the six-task set; the seeds draw metric task sets.
+    if seed is None:
+        inst, tasks = colocated_instance(), six_tasks()
+    else:
+        rng = np.random.default_rng(300 + seed)
+        inst = metric_instance(rng)
+        tasks = random_tasks(rng, int(rng.integers(5, 30)), inst)
+    graph = build_dense_graph(tasks, inst)
+    result = solve_fleet_dense(graph)
+    index = {t.id: k for k, t in enumerate(graph.tasks)}
+    arcs = arc_set(graph)
+    for sched in result.schedules:
+        path = [index[tid] for tid in sched]
+        assert result.flows[(SOURCE, path[0])] == 1 and result.flows[(path[-1], SINK)] == 1
+        for pair in zip(path, path[1:]):
+            assert pair in arcs and result.flows[pair] == 1, (sched, pair)
+    served = [tid for sched in result.schedules for tid in sched]
+    assert sorted(served) == sorted(t.id for t in tasks)
+    assert result.fleet_size == len(result.schedules)
+
+
 def test_compatibility_transitive_on_metric_tasks():
     # Travel times obey the triangle inequality and every task lasts at least
     # its direct travel time, so a -> b -> c implies a -> c. That is why the
@@ -345,11 +398,11 @@ def test_sparse_graph_matches_brute_force_relay_scan(seed):
         for j in range(n)
         if comp[i][j] and not any(comp[i][k] and comp[k][j] for k in range(n))
     }
-    assert graph.arcs == expected
+    assert arc_set(graph) == expected
     has_in = {j for _, j in expected}
     has_out = {i for i, _ in expected}
-    assert graph.source_arcs == set(range(n)) - has_in
-    assert graph.sink_arcs == set(range(n)) - has_out
+    assert set(graph.source_arcs.tolist()) == set(range(n)) - has_in
+    assert set(graph.sink_arcs.tolist()) == set(range(n)) - has_out
 
 
 def test_oracle_survives_long_augmenting_path():
@@ -372,7 +425,11 @@ def test_oracle_survives_long_augmenting_path():
 
 def min_flow_size(graph):
     flows = _min_flow(graph)
-    keys = {(SOURCE, i) for i in graph.source_arcs} | graph.arcs | {(i, SINK) for i in graph.sink_arcs}
+    keys = (
+        {(SOURCE, i) for i in graph.source_arcs.tolist()}
+        | arc_set(graph)
+        | {(i, SINK) for i in graph.sink_arcs.tolist()}
+    )
     assert set(flows) <= keys
     assert all(type(v) is int and v > 0 for v in flows.values())
     return sum(v for (a, _), v in flows.items() if a == SOURCE), flows
@@ -382,7 +439,7 @@ def test_min_flow_without_arcs():
     inst = colocated_instance()
     tasks = [Task(f"T{i}", "x", "x", float(i), 5.0) for i in range(4)]  # overlapping
     graph = build_sparse_graph(tasks, inst)
-    assert graph.arcs == set()
+    assert arc_set(graph) == set()
     size, flows = min_flow_size(graph)
     assert size == 4
     assert flows == {**{(SOURCE, i): 1 for i in range(4)}, **{(i, SINK): 1 for i in range(4)}}
@@ -421,12 +478,12 @@ def test_min_flow_moves_entries_and_exits_onto_graph_arcs():
         Task("F", "x", "x", 25.0, 1.0),
     ]
     fork = build_sparse_graph(tasks[:3], inst)
-    assert id_arcs(fork) == {("A", "B"), ("A", "C")} and fork.source_arcs == {0}
+    assert id_arcs(fork) == {("A", "B"), ("A", "C")} and set(fork.source_arcs.tolist()) == {0}
     size, flows = min_flow_size(fork)
     assert size == 2
     assert flows == {(SOURCE, 0): 2, (0, 1): 1, (0, 2): 1, (1, SINK): 1, (2, SINK): 1}
     join = build_sparse_graph(tasks[3:], inst)
-    assert id_arcs(join) == {("D", "F"), ("E", "F")} and join.sink_arcs == {2}
+    assert id_arcs(join) == {("D", "F"), ("E", "F")} and set(join.sink_arcs.tolist()) == {2}
     size, flows = min_flow_size(join)
     assert size == 2
     assert flows == {(SOURCE, 0): 1, (SOURCE, 1): 1, (0, 2): 1, (1, 2): 1, (2, SINK): 2}
