@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import design as design_mod
 from . import fleet as fleet_mod
@@ -36,11 +36,10 @@ EXIT_SOLVER = 3
 class StageError(RuntimeError):
     def __init__(self, stage: str, message: str, code: int = EXIT_SOLVER):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
         self.code = code
 
 
-@dataclass
+@dataclasses.dataclass
 class PipelineConfig:
     instance: str
     out: str
@@ -56,65 +55,63 @@ class PipelineConfig:
     perturb_seed: int = 0
 
 
-def _apply_overrides(inst: Instance, cfg) -> Instance:
-    routing = inst.routing
-    updates = {}
-    if getattr(cfg, "capacity", None) is not None:
-        updates["shuttle_capacity"] = cfg.capacity
-    if getattr(cfg, "delta", None) is not None:
-        updates["duration_threshold"] = cfg.delta
-    if getattr(cfg, "bucket", None) is not None:
-        updates["bucket_len"] = cfg.bucket
-    if getattr(cfg, "first_hubs", None) is not None:
-        updates["first_hub_count"] = cfg.first_hubs
-    if getattr(cfg, "last_hubs", None) is not None:
-        updates["last_hub_count"] = cfg.last_hubs
-    if updates:
-        routing = dataclasses.replace(routing, **updates)
-        inst = dataclasses.replace(inst, routing=routing)
-    return inst
+def _apply_overrides(inst: Instance, cfg: PipelineConfig) -> Instance:
+    updates = {
+        "shuttle_capacity": cfg.capacity,
+        "duration_threshold": cfg.delta,
+        "bucket_len": cfg.bucket,
+        "first_hub_count": cfg.first_hubs,
+        "last_hub_count": cfg.last_hubs,
+    }
+    updates = {field: val for field, val in updates.items() if val is not None}
+    if not updates:
+        return inst
+    return dataclasses.replace(inst, routing=dataclasses.replace(inst.routing, **updates))
 
 
-def _load_checked(path: str, cfg, stage: str) -> Instance:
+def _load(cfg: PipelineConfig, stage: str) -> Instance:
     try:
-        inst = load_instance(path)
+        inst = load_instance(cfg.instance)
     except (OSError, InstanceFormatError) as exc:
         raise StageError(stage, str(exc), EXIT_INVALID)
-    inst = _apply_overrides(inst, cfg)
-    inst = dataclasses.replace(
-        inst,
-        commodities=tuple(
-            split_commodities(inst.commodities, inst.routing.shuttle_capacity)
-        ),
-    )
+    return _apply_overrides(inst, cfg)
+
+
+def _load_checked(cfg: PipelineConfig, stage: str) -> Instance:
+    """Load and override the instance, split its commodities, and validate it."""
+    inst = _load(cfg, stage)
+    parts = split_commodities(inst.commodities, inst.routing.shuttle_capacity)
+    inst = dataclasses.replace(inst, commodities=tuple(parts))
     report = validate(inst)
     if not report.ok:
         raise StageError(stage, report.summary(), EXIT_INVALID)
     return inst
 
 
-def _enumerate(inst: Instance, perturb_scale=None, perturb_seed=0):
+def _stage_routes(inst: Instance, cfg: PipelineConfig, path: str):
+    """Enumerate pickup and dropoff routes and dump them to `path`."""
     hs = routegen.compute_hub_sets(inst)
     offsets = None
-    if perturb_scale is not None:
-        offsets = instgen.perturb_arrival_estimates(inst, perturb_scale, perturb_seed)
+    if cfg.perturb_scale is not None:
+        offsets = instgen.perturb_arrival_estimates(inst, cfg.perturb_scale, cfg.perturb_seed)
     omega_minus = routegen.enumerate_pickup_routes(inst, hs)
     omega_plus = routegen.enumerate_dropoff_routes(inst, hs, t1_offsets=offsets)
+    routegen.dump_routes(omega_minus, omega_plus, path)
     return omega_minus, omega_plus
 
 
-def _export(model: milp.MilpModel, path: str) -> None:
-    milp.export_model(model, path, "mps" if path.endswith(".mps") else "lp")
-
-
-def _design(inst: Instance, omega_minus, omega_plus, export_path: str | None):
-    """Solve the design model, first writing it to `export_path` if given."""
+def _stage_design(inst: Instance, routes, cfg: PipelineConfig, path: str) -> design_mod.DesignSolution:
+    """Solve the design model, first writing it to `cfg.export_model` if set,
+    and save the solution to `path`."""
     try:
-        if export_path:
-            _export(design_mod.build_design_model(inst, omega_minus, omega_plus).model, export_path)
-        return design_mod.solve_design(inst, omega_minus, omega_plus)
+        if cfg.export_model:
+            model = design_mod.build_design_model(inst, *routes).model
+            milp.export_model(model, cfg.export_model, "mps" if cfg.export_model.endswith(".mps") else "lp")
+        ds = design_mod.solve_design(inst, *routes)
     except (milp.SolveEffortError, milp.SolveNumericalError, design_mod.DesignError) as exc:
         raise StageError("design", str(exc))
+    design_mod.save_solution(ds, path)
+    return ds
 
 
 def _formulation(name: str):
@@ -124,66 +121,80 @@ def _formulation(name: str):
     return fleet_mod.build_sparse_graph, fleet_mod.solve_fleet_sparse
 
 
-def _size_fleet(
-    tasks, inst: Instance, formulation: str, check_oracle: bool, export_path: str | None, stage: str
+def _stage_fleet(
+    inst: Instance, ds, cfg: PipelineConfig, path: str, stage: str = "fleet"
 ) -> fleet_mod.FleetResult:
     """Solve the chosen fleet formulation, first writing its model to
-    `export_path` if given. With `check_oracle`, also solve the other
-    formulation and the matching oracle and require all three sizes to agree."""
+    `cfg.export_model` if set, and save the result to `path`. With
+    `check_oracle`, also solve the other formulation and the matching oracle
+    and require all three sizes to agree."""
+    tasks = fleet_mod.routes_to_tasks(ds, inst)
     try:
-        build, solve = _formulation(formulation)
+        build, solve = _formulation(cfg.formulation)
         graph = build(tasks, inst)
-        if export_path:
-            _export(fleet_mod.fleet_model(graph)[0], export_path)
+        if cfg.export_model:
+            model = fleet_mod.fleet_model(graph)[0]
+            milp.export_model(model, cfg.export_model, "mps" if cfg.export_model.endswith(".mps") else "lp")
         result = solve(graph)
-        if check_oracle:
-            other = "sparse" if formulation == "dense" else "dense"
+        if cfg.check_oracle:
+            other = "sparse" if cfg.formulation == "dense" else "dense"
             build, solve = _formulation(other)
-            sizes = {formulation: result.fleet_size, other: solve(build(tasks, inst)).fleet_size}
+            sizes = {cfg.formulation: result.fleet_size, other: solve(build(tasks, inst)).fleet_size}
             oracle = fleet_mod.min_fleet_oracle(tasks, inst)
-            if not (sizes["dense"] == sizes["sparse"] == oracle):
-                raise StageError(
-                    stage,
-                    f"formulations disagree: dense={sizes['dense']} "
-                    f"sparse={sizes['sparse']} matching={oracle}",
-                )
+            if not sizes["dense"] == sizes["sparse"] == oracle:
+                disagree = "formulations disagree: dense={dense} sparse={sparse}".format(**sizes)
+                raise StageError(stage, f"{disagree} matching={oracle}")
     except (milp.SolveNumericalError, fleet_mod.FlowError) as exc:
         raise StageError(stage, str(exc))
+    fleet_mod.save_result(result, tasks, path)
     return result
+
+
+def _stage_report(inst: Instance, ds, result, *paths: str) -> metrics.Report:
+    """Build the report and write it to each path, as CSV if it ends in .csv."""
+    report = metrics.build_report(ds, result, inst)
+    for path in paths:
+        metrics.emit_report(report, path, "csv" if path.endswith(".csv") else "json")
+    return report
+
+
+def _exit_code(stage: str, run, arg) -> int:
+    """Run `run(arg)`; map a failure to its exit code and one stderr line."""
+    try:
+        return run(arg)
+    except StageError as exc:
+        print(str(exc), file=sys.stderr)
+        return exc.code
+    except (OSError, InstanceFormatError) as exc:
+        print(f"[{stage}] {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run_pipeline(cfg: PipelineConfig) -> int:
     """Run validate -> enumerate -> design -> fleet -> report, writing
     routes.jsonl, design.json, fleet.json, report.json and report.csv into
     the output directory. Returns a process exit code."""
-    try:
-        os.makedirs(cfg.out, exist_ok=True)
-        inst = _load_checked(cfg.instance, cfg, "validate")
+    return _exit_code("pipeline", _pipeline, cfg)
 
-        t0 = time.perf_counter()
-        omega_minus, omega_plus = _enumerate(inst, cfg.perturb_scale, cfg.perturb_seed)
-        routegen.dump_routes(omega_minus, omega_plus, os.path.join(cfg.out, "routes.jsonl"))
 
-        ds = _design(inst, omega_minus, omega_plus, cfg.export_model)
-        design_mod.save_solution(ds, os.path.join(cfg.out, "design.json"))
+def _pipeline(cfg: PipelineConfig) -> int:
+    os.makedirs(cfg.out, exist_ok=True)
+    inst = _load_checked(cfg, "validate")
+    out = functools.partial(os.path.join, cfg.out)
 
-        tasks = fleet_mod.routes_to_tasks(ds, inst)
-        result = _size_fleet(tasks, inst, cfg.formulation, cfg.check_oracle, None, "fleet")
-        fleet_mod.save_result(result, tasks, os.path.join(cfg.out, "fleet.json"))
-
-        report = metrics.build_report(ds, result, inst)
-        metrics.emit_report(report, os.path.join(cfg.out, "report.json"), "json")
-        metrics.emit_report(report, os.path.join(cfg.out, "report.csv"), "csv")
-        elapsed = time.perf_counter() - t0
-        print(
-            f"pipeline done in {elapsed:.1f}s: cost={report.total_cost:.2f} "
-            f"lines={report.opened_lines} fleet={report.fleet_size} "
-            f"direct={report.direct_routes}"
-        )
-        return EXIT_OK
-    except StageError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+    t0 = time.perf_counter()
+    routes = _stage_routes(inst, cfg, out("routes.jsonl"))
+    ds = _stage_design(inst, routes, cfg, out("design.json"))
+    # --export-model names the design model here, not the fleet model.
+    result = _stage_fleet(inst, ds, dataclasses.replace(cfg, export_model=None), out("fleet.json"))
+    report = _stage_report(inst, ds, result, out("report.json"), out("report.csv"))
+    elapsed = time.perf_counter() - t0
+    print(
+        f"pipeline done in {elapsed:.1f}s: cost={report.total_cost:.2f} "
+        f"lines={report.opened_lines} fleet={report.fleet_size} "
+        f"direct={report.direct_routes}"
+    )
+    return EXIT_OK
 
 
 # -- argument plumbing --------------------------------------------------------
@@ -203,21 +214,12 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _coerce(val: str):
-    if val.lower() in ("true", "false"):
-        return val.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            pass
-    return val
-
-
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill in options the command line left at their defaults; explicit
-    flags always win over config values."""
-    if not getattr(args, "config", None):
+def _merge_config(parser: argparse.ArgumentParser, argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse `argv`. With --config, install the file's values as the chosen
+    subcommand's defaults and parse again: argparse then applies each
+    option's own type, and explicit flags always win over config values."""
+    args = parser.parse_args(argv)
+    if not args.config:
         return args
     try:
         raw = _read_config(args.config)
@@ -226,13 +228,16 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     # Defaults live on the subcommand's own parser, not the top-level one.
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = commands.choices[args.command]
-    for key, val in raw.items():
-        if not hasattr(args, key):
+    for action in command._actions:
+        val = raw.get(action.dest)
+        if val is None:
             continue
-        current = getattr(args, key)
-        if current is None or current == command.get_default(key):
-            setattr(args, key, _coerce(val))
-    return args
+        flag = action.nargs == 0  # a store_true option takes true or false
+        val, choices = (val.lower(), ("true", "false")) if flag else (val, action.choices)
+        if choices and val not in choices:
+            parser.error(f"config {action.dest} = {val!r}: expected one of {', '.join(choices)}")
+        command.set_defaults(**{action.dest: val == "true" if flag else val})
+    return parser.parse_args(argv)
 
 
 def _add_common(p: argparse.ArgumentParser, *, instance: bool = True) -> None:
@@ -298,20 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = _merge_config(parser.parse_args(argv), parser)
-    try:
-        return _dispatch(args)
-    except StageError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except (OSError, InstanceFormatError) as exc:
-        print(f"[{args.command}] {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    args = _merge_config(build_parser(), argv)
+    return _exit_code(args.command, _dispatch, args)
+
+
+def _config(args: argparse.Namespace) -> PipelineConfig:
+    """The parsed options as a PipelineConfig, matched by field name."""
+    given = {"instance": None, "out": None, **vars(args)}  # gen has no --instance, validate no --out
+    fields = (f.name for f in dataclasses.fields(PipelineConfig))
+    return PipelineConfig(**{name: given[name] for name in fields if name in given})
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    cmd = args.command
+    cmd, cfg = args.command, _config(args)
     if cmd == "gen":
         inst = instgen.generate(
             seed=args.seed,
@@ -320,81 +324,36 @@ def _dispatch(args: argparse.Namespace) -> int:
             n_commodities=args.commodities,
             horizon=(args.t_min, args.t_max),
         )
-        inst = _apply_overrides(inst, args)
-        save_instance(inst, args.out)
-        print(f"wrote {args.out}")
+        save_instance(_apply_overrides(inst, cfg), cfg.out)
+        print(f"wrote {cfg.out}")
         return EXIT_OK
-
     if cmd == "validate":
-        try:
-            inst = load_instance(args.instance)
-        except (OSError, InstanceFormatError) as exc:
-            print(f"[validate] {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        inst = _apply_overrides(inst, args)
-        report = validate(inst)
+        report = validate(_load(cfg, cmd))
         print(report.summary())
         return EXIT_OK if report.ok else EXIT_INVALID
-
-    if cmd == "enumerate-routes":
-        inst = _load_checked(args.instance, args, "enumerate-routes")
-        omega_minus, omega_plus = _enumerate(inst)
-        routegen.dump_routes(omega_minus, omega_plus, args.out)
-        n = sum(len(v) for v in omega_minus.values()) + sum(len(v) for v in omega_plus.values())
-        print(f"wrote {args.out} ({n} route memberships)")
-        return EXIT_OK
-
-    if cmd == "design":
-        inst = _load_checked(args.instance, args, "design")
-        omega_minus, omega_plus = routegen.load_routes(args.routes, inst)
-        ds = _design(inst, omega_minus, omega_plus, args.export_model)
-        design_mod.save_solution(ds, args.out)
-        print(f"wrote {args.out} (objective {ds.objective:.6f})")
-        return EXIT_OK
-
-    if cmd == "fleet-size":
-        inst = _load_checked(args.instance, args, "fleet-size")
-        ds = design_mod.load_solution(args.design, inst)
-        tasks = fleet_mod.routes_to_tasks(ds, inst)
-        result = _size_fleet(
-            tasks, inst, args.formulation, args.check_oracle, args.export_model, "fleet-size"
-        )
-        fleet_mod.save_result(result, tasks, args.out)
-        print(f"wrote {args.out} (fleet size {result.fleet_size})")
-        return EXIT_OK
-
-    if cmd == "report":
-        inst = _load_checked(args.instance, args, "report")
-        ds = design_mod.load_solution(args.design, inst)
-        with open(args.fleet, "r", encoding="utf-8") as fh:
-            fleet_data = json.load(fh)
-        result = fleet_mod.FleetResult(
-            fleet_size=fleet_data["fleet_size"],
-            schedules=tuple(tuple(s) for s in fleet_data["schedules"]),
-            flows={},
-        )
-        report = metrics.build_report(ds, result, inst)
-        fmt = "csv" if args.out.endswith(".csv") else "json"
-        metrics.emit_report(report, args.out, fmt)
-        print(f"wrote {args.out}")
-        return EXIT_OK
-
     if cmd == "pipeline":
-        cfg = PipelineConfig(
-            instance=args.instance,
-            out=args.out,
-            capacity=args.capacity,
-            delta=args.delta,
-            bucket=args.bucket,
-            first_hubs=args.first_hubs,
-            last_hubs=args.last_hubs,
-            formulation=args.formulation,
-            check_oracle=args.check_oracle,
-            export_model=args.export_model,
-        )
         return run_pipeline(cfg)
 
-    raise AssertionError(f"unhandled command {cmd}")
+    inst = _load_checked(cfg, cmd)
+    if cmd == "enumerate-routes":
+        routes = _stage_routes(inst, cfg, cfg.out)
+        n = sum(len(v) for omega in routes for v in omega.values())
+        print(f"wrote {cfg.out} ({n} route memberships)")
+    elif cmd == "design":
+        ds = _stage_design(inst, routegen.load_routes(args.routes, inst), cfg, cfg.out)
+        print(f"wrote {cfg.out} (objective {ds.objective:.6f})")
+    elif cmd == "fleet-size":
+        result = _stage_fleet(inst, design_mod.load_solution(args.design, inst), cfg, cfg.out, cmd)
+        print(f"wrote {cfg.out} (fleet size {result.fleet_size})")
+    else:  # report
+        ds = design_mod.load_solution(args.design, inst)
+        with open(args.fleet, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        schedules = tuple(tuple(s) for s in data["schedules"])
+        result = fleet_mod.FleetResult(fleet_size=data["fleet_size"], schedules=schedules, flows={})
+        _stage_report(inst, ds, result, cfg.out)
+        print(f"wrote {cfg.out}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -274,9 +274,6 @@ class MilpSolution:
     values: dict[str, float]
     best_bound: float | None
 
-    def value(self, name: str) -> float:
-        return self.values[name]
-
 
 def _log_solve(kind: str, model: MilpModel, rows, status: str, objective, extra: str = "") -> None:
     target = os.environ.get("ODMTS_SOLVE_LOG")

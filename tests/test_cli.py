@@ -3,8 +3,11 @@ import os
 
 import pytest
 
-from odmts.cli import EXIT_INVALID, EXIT_OK, PipelineConfig, _merge_config, build_parser, main, run_pipeline
-from odmts.instance import load_instance
+from odmts import instgen
+from odmts.cli import (
+    EXIT_INVALID, EXIT_OK, EXIT_USAGE, PipelineConfig, _merge_config, build_parser, main, run_pipeline,
+)
+from odmts.instance import CostParams, load_instance, save_instance
 from odmts.milp import write_lp
 
 from model_files import read_lp
@@ -179,20 +182,93 @@ def test_config_sets_subcommand_options(tmp_path):
     fleet_cfg = tmp_path / "fleet.cfg"
     fleet_cfg.write_text("formulation = dense\ncheck_oracle = true\n")
     parser = build_parser()
-    args = _merge_config(parser.parse_args([
+    args = _merge_config(parser, [
         "fleet-size", "--design", "d.json", "--out", "f.json", "--config", str(fleet_cfg),
-    ]), parser)
+    ])
     assert (args.formulation, args.check_oracle) == ("dense", True)
 
     gen_cfg = tmp_path / "gen.cfg"
     gen_cfg.write_text("seed = 5\nnodes = 30\n")
-    args = _merge_config(parser.parse_args(["gen", "--out", "i.json", "--config", str(gen_cfg)]), parser)
+    args = _merge_config(parser, ["gen", "--out", "i.json", "--config", str(gen_cfg)])
     assert (args.seed, args.nodes) == (5, 30)
     path = str(tmp_path / "gen.json")
     assert main([
         "gen", "--out", path, "--config", str(gen_cfg), "--nodes", "12", "--commodities", "3",
     ]) == EXIT_OK
     assert len(load_instance(path).nodes) == 12
+
+
+def test_explicit_flag_equal_to_default_beats_config(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("seed = 5\nformulation = dense\n")
+    plain, configured = str(tmp_path / "plain.json"), str(tmp_path / "configured.json")
+    gen = ["gen", "--seed", "0", "--nodes", "8", "--commodities", "3"]
+    assert main([*gen, "--out", plain]) == EXIT_OK
+    assert main([*gen, "--out", configured, "--config", str(cfgfile)]) == EXIT_OK
+    assert open(configured).read() == open(plain).read()
+
+    args = _merge_config(build_parser(), [
+        "fleet-size", "--design", "d.json", "--out", "f.json",
+        "--formulation", "sparse", "--config", str(cfgfile),
+    ])
+    assert args.formulation == "sparse"
+
+
+def test_config_values_take_each_option_type(tmp_path, tiny_instance_file, monkeypatch, capsys):
+    # A numeric path stays a path; it is not read as a file descriptor.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "123").write_text(open(tiny_instance_file).read())
+    (tmp_path / "path.cfg").write_text("instance = 123\n")
+    assert main(["validate", "--config", "path.cfg"]) == EXIT_OK
+    assert "valid" in capsys.readouterr().out
+
+    # A store_true option takes only true or false.
+    (tmp_path / "flag.cfg").write_text("check_oracle = yes\n")
+    with pytest.raises(SystemExit):
+        main(["pipeline", "--instance", "123", "--out", "run", "--config", "flag.cfg"])
+    assert "check_oracle" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_pipeline_output_path_taken_by_file(tmp_path, tiny_instance_file, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_pipeline(PipelineConfig(instance=tiny_instance_file, out=str(taken))) == EXIT_USAGE
+    api_err = capsys.readouterr().err
+    assert api_err.startswith("[pipeline] ")
+    assert main(["pipeline", "--instance", tiny_instance_file, "--out", str(taken)]) == EXIT_USAGE
+    assert capsys.readouterr().err == api_err
+
+
+def test_stagewise_artifacts_equal_pipeline_bytes(tmp_path):
+    # The criterion-9 instance: the design opens lines and the fleet is non-trivial.
+    cost = CostParams(
+        alpha=1e-3, shuttle_cost_per_km=1.0, bus_cost_per_km=0.4, bus_trips_per_line=1, bus_wait=7.5,
+    )
+    inst = instgen.generate(
+        seed=12, n_nodes=30, n_hubs=4, n_commodities=40, horizon=(0.0, 60.0), side_km=16.0, cost=cost,
+    )
+    path = str(tmp_path / "inst.json")
+    save_instance(inst, path)
+    staged, piped = tmp_path / "staged", tmp_path / "piped"
+    staged.mkdir()
+    out = {name: str(staged / name) for name in ARTIFACTS}
+    on_inst = ["--instance", path]
+    assert main(["enumerate-routes", *on_inst, "--out", out["routes.jsonl"]]) == EXIT_OK
+    assert main(["design", *on_inst, "--routes", out["routes.jsonl"], "--out", out["design.json"]]) == EXIT_OK
+    assert main([
+        "fleet-size", *on_inst, "--design", out["design.json"], "--out", out["fleet.json"], "--check-oracle",
+    ]) == EXIT_OK
+    for name in ("report.json", "report.csv"):
+        assert main([
+            "report", *on_inst, "--design", out["design.json"], "--fleet", out["fleet.json"], "--out", out[name],
+        ]) == EXIT_OK
+
+    assert main(["pipeline", *on_inst, "--out", str(piped), "--check-oracle"]) == EXIT_OK
+    design = json.load(open(piped / "design.json"))
+    assert design["opened_lines"] and json.load(open(piped / "fleet.json"))["fleet_size"] > 1
+    for name in ARTIFACTS:
+        assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
 
 
 def test_fleet_size_exports_model_without_variables(tmp_path):
