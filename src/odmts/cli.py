@@ -348,9 +348,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     else:  # report
         ds = design_mod.load_solution(args.design, inst)
         with open(args.fleet, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        schedules = tuple(tuple(s) for s in data["schedules"])
-        result = fleet_mod.FleetResult(fleet_size=data["fleet_size"], schedules=schedules, flows={})
+            try:
+                data = json.load(fh)
+                schedules = tuple(tuple(s) for s in data["schedules"])
+                result = fleet_mod.FleetResult(fleet_size=data["fleet_size"], schedules=schedules, flows={})
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InstanceFormatError(f"{args.fleet}: not a fleet result: {exc!r}") from exc
         _stage_report(inst, ds, result, cfg.out)
         print(f"wrote {cfg.out}")
     return EXIT_OK

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .instance import Commodity, Instance
+from .instance import Commodity, Instance, InstanceFormatError
 from .milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel, MilpSolution, OPTIMAL, solve_milp
 from .routegen import DROPOFF, PICKUP, Route, direct_cost, route_from_dict, route_to_dict
 
@@ -417,5 +417,10 @@ def save_solution(ds: DesignSolution, path: str) -> None:
 
 
 def load_solution(path: str, inst: Instance) -> DesignSolution:
+    """Read a saved design solution; a file that is not one for `inst`
+    raises InstanceFormatError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return solution_from_dict(json.load(fh), inst)
+        try:
+            return solution_from_dict(json.load(fh), inst)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceFormatError(f"{path}: not a design solution: {exc!r}") from exc

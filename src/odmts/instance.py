@@ -15,13 +15,15 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
 #: Absolute tolerance for time (and cost tie-break) comparisons, in minutes.
 EPS = 1e-9
 
 
 class InstanceFormatError(ValueError):
-    """Raised when an instance file cannot be parsed into the schema."""
+    """Raised when an instance file, or a stage artifact read back from
+    disk, cannot be parsed into its schema."""
 
 
 class HorizonError(ValueError):
@@ -285,16 +287,102 @@ def save_instance(inst: Instance, path: str) -> None:
 # -- validation --------------------------------------------------------------
 
 
-def _check_matrix(name: str, mat: np.ndarray, nodes: Sequence[str], out: list[Violation]) -> None:
-    neg = np.argwhere(mat < 0)
-    for i, j in neg:
+#: Witnesses kept per finding code and matrix; the rest are only counted.
+_MAX_WITNESSES = 20
+
+
+def _capped_more(name: str, code: str, what: str, total: int, out: list[Violation]) -> None:
+    """Close a witness list cut at _MAX_WITNESSES with one `<code>-more`
+    finding that carries the total count."""
+    if total > _MAX_WITNESSES:
         out.append(
             Violation(
-                "negative-entry",
-                (name, nodes[i], nodes[j]),
-                f"{name}[{nodes[i]},{nodes[j]}] = {mat[i, j]} is negative",
+                f"{code}-more",
+                (name, total),
+                f"{name}: {total} {what} in all, first {_MAX_WITNESSES} listed",
             )
         )
+
+
+def _check_entries(
+    name: str,
+    mat: np.ndarray,
+    nodes: Sequence[str],
+    mask: np.ndarray,
+    code: str,
+    adjective: str,
+    out: list[Violation],
+) -> None:
+    """One finding per entry flagged in `mask`, row-major, capped."""
+    for i, j in np.argwhere(mask)[:_MAX_WITNESSES]:
+        out.append(
+            Violation(
+                code,
+                (name, nodes[i], nodes[j]),
+                f"{name}[{nodes[i]},{nodes[j]}] = {mat[i, j]} is {adjective}",
+            )
+        )
+    _capped_more(name, code, f"{adjective} entries", int(np.count_nonzero(mask)), out)
+
+
+def _triangle_rows(mat: np.ndarray) -> np.ndarray:
+    """Rows that may hold a triangle violation, by a shortest-path certificate.
+
+    The Floyd-Warshall closure is at most fl(mat[i,k] + mat[k,j]) for every
+    relay k (float addition is monotone), so a pair (i, j) whose entry
+    exceeds its closure by at most EPS cannot violate. The closure needs
+    non-negative arcs; with a negative entry every row is returned.
+    """
+    if (mat < 0).any():
+        return np.arange(len(mat))
+    # null_value=inf keeps off-diagonal zeros as arcs.
+    closure = floyd_warshall(csgraph_from_dense(mat, null_value=np.inf), directed=True)
+    slack = mat - closure
+    np.fill_diagonal(slack, 0.0)
+    return np.flatnonzero((slack > EPS).any(axis=1))
+
+
+def _check_triangle(name: str, mat: np.ndarray, nodes: Sequence[str], out: list[Violation]) -> None:
+    """Triangle inequality over every (i, k, j) with distinct indices,
+    witnesses in k-major then row-major order, capped. `mat` is finite."""
+    rows = _triangle_rows(mat)
+    if not len(rows):
+        return
+    # An infinite relay diagonal rules out k == i and k == j, and a -inf
+    # left-hand diagonal rules out i == j, with no masking per relay.
+    relay = mat.copy()
+    np.fill_diagonal(relay, np.inf)
+    relay_t = np.ascontiguousarray(relay.T)
+    lhs = mat[rows]
+    lhs[np.arange(len(rows)), rows] = -np.inf
+    buf = np.empty_like(lhs)
+    hit = np.empty(lhs.shape, dtype=bool)
+    total = 0
+    for k in range(len(mat)):
+        np.add(relay_t[k, rows][:, None], relay[k], out=buf)
+        np.subtract(lhs, buf, out=buf)
+        np.greater(buf, EPS, out=hit)
+        count = np.count_nonzero(hit)
+        if count and total < _MAX_WITNESSES:
+            for r, j in np.argwhere(hit)[: _MAX_WITNESSES - total]:
+                i = rows[r]
+                out.append(
+                    Violation(
+                        "triangle",
+                        (name, nodes[i], nodes[k], nodes[j]),
+                        f"{name}[{nodes[i]},{nodes[j]}] = {mat[i, j]} exceeds "
+                        f"{name}[{nodes[i]},{nodes[k]}] + {name}[{nodes[k]},{nodes[j]}] "
+                        f"= {mat[i, k] + mat[k, j]}",
+                    )
+                )
+        total += count
+    _capped_more(name, "triangle", "triangle violations", total, out)
+
+
+def _check_matrix(name: str, mat: np.ndarray, nodes: Sequence[str], out: list[Violation]) -> None:
+    _check_entries(name, mat, nodes, mat < 0, "negative-entry", "negative", out)
+    finite = np.isfinite(mat)
+    _check_entries(name, mat, nodes, ~finite, "nonfinite-entry", "non-finite", out)
     diag = np.flatnonzero(np.abs(np.diagonal(mat)) > EPS)
     for i in diag:
         out.append(
@@ -304,22 +392,9 @@ def _check_matrix(name: str, mat: np.ndarray, nodes: Sequence[str], out: list[Vi
                 f"{name}[{nodes[i]},{nodes[i]}] = {mat[i, i]} must be zero",
             )
         )
-    # Triangle inequality, with every violating (i, k, j) triple as witness.
-    n = len(nodes)
-    for k in range(n):
-        excess = mat - (mat[:, [k]] + mat[[k], :])
-        for i, j in np.argwhere(excess > EPS):
-            if i == k or j == k or i == j:
-                continue
-            out.append(
-                Violation(
-                    "triangle",
-                    (name, nodes[i], nodes[k], nodes[j]),
-                    f"{name}[{nodes[i]},{nodes[j]}] = {mat[i, j]} exceeds "
-                    f"{name}[{nodes[i]},{nodes[k]}] + {name}[{nodes[k]},{nodes[j]}] "
-                    f"= {mat[i, k] + mat[k, j]}",
-                )
-            )
+    # A non-finite entry has no meaningful triangle; it is reported above.
+    if finite.all():
+        _check_triangle(name, mat, nodes, out)
 
 
 def validate(inst: Instance) -> ValidationReport:

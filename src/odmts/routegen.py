@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .instance import EPS, Commodity, Instance, bucket_of, window_of
+from .instance import EPS, Commodity, Instance, InstanceFormatError, bucket_of, window_of
 
 PICKUP = "pickup"
 DROPOFF = "dropoff"
@@ -450,15 +450,19 @@ def dump_routes(omega_minus: dict[str, list[Route]], omega_plus: dict[str, list[
 
 
 def load_routes(path: str, inst: Instance) -> tuple[dict[str, list[Route]], dict[str, list[Route]]]:
-    """Rebuild the per-commodity route maps from a route dump."""
+    """Rebuild the per-commodity route maps from a route dump; a line that
+    is not a route of `inst` raises InstanceFormatError naming the path."""
     omega_minus: dict[str, list[Route]] = {c.id: [] for c in inst.commodities}
     omega_plus: dict[str, list[Route]] = {c.id: [] for c in inst.commodities}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            route = route_from_dict(json.loads(line), inst)
+            try:
+                route = route_from_dict(json.loads(line), inst)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InstanceFormatError(f"{path}: line {lineno} is not a route: {exc!r}") from exc
             target = omega_minus if route.kind == PICKUP else omega_plus
             for c in route.commodities:
                 target[c.id].append(route)

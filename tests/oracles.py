@@ -9,6 +9,9 @@ MILP machinery.
 `design_model_by_rows` is the reference for the bulk design-model
 assembly: it adds the same variables and rows one at a time through
 `MilpModel.add_var` and `MilpModel.add_constraint`.
+
+`matrix_findings` is the reference for the matrix checks of `validate`:
+plain loops over Python floats, every (i, k, j) triple tried.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import itertools
 import math
 
 from odmts.design import bus_lines, line_open_cost, line_use_cost
+from odmts.instance import EPS
 from odmts.milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel
 from odmts.routegen import (
     DROPOFF,
@@ -311,3 +315,60 @@ def design_model_by_rows(inst, omega_minus, omega_plus):
                         row[x_idx[w.key]] = row.get(x_idx[w.key], 0.0) + sign
             model.add_constraint(row, EQUAL, 0.0, name=f"flow[{c.id},{h}]")
     return model
+
+
+def matrix_findings(name, mat, nodes, cap=20):
+    """The (code, subject, message) findings `validate` reports for one
+    matrix, in its order, and the uncapped triangle violation count.
+
+    Negative and non-finite entries (row-major), then non-zero diagonal
+    entries, then every (i, k, j) with distinct indices whose entry
+    exceeds the relayed sum by more than EPS (k-major, then row-major),
+    tried only when every entry is finite. The entry and triangle lists
+    keep their first `cap` findings plus one `<code>-more` total.
+    """
+    m = [[float(x) for x in row] for row in mat]
+    n = len(nodes)
+
+    def capped(code, found, plural):
+        if len(found) <= cap:
+            return found
+        more = (f"{code}-more", (name, len(found)), f"{name}: {len(found)} {plural} in all, first {cap} listed")
+        return found[:cap] + [more]
+
+    def entries(code, test, what):
+        return [
+            (code, (name, nodes[i], nodes[j]), f"{name}[{nodes[i]},{nodes[j]}] = {m[i][j]} is {what}")
+            for i in range(n)
+            for j in range(n)
+            if test(m[i][j])
+        ]
+
+    negative = entries("negative-entry", lambda x: x < 0, "negative")
+    nonfinite = entries("nonfinite-entry", lambda x: not math.isfinite(x), "non-finite")
+    diagonal = [
+        ("nonzero-diagonal", (name, nodes[i]), f"{name}[{nodes[i]},{nodes[i]}] = {m[i][i]} must be zero")
+        for i in range(n)
+        if abs(m[i][i]) > EPS
+    ]
+    triangle = []
+    for k in range(n) if not nonfinite else ():
+        for i in range(n):
+            for j in range(n):
+                if i == k or j == k or i == j:
+                    continue
+                via = m[i][k] + m[k][j]
+                if m[i][j] - via > EPS:
+                    triangle.append((
+                        "triangle",
+                        (name, nodes[i], nodes[k], nodes[j]),
+                        f"{name}[{nodes[i]},{nodes[j]}] = {m[i][j]} exceeds "
+                        f"{name}[{nodes[i]},{nodes[k]}] + {name}[{nodes[k]},{nodes[j]}] = {via}",
+                    ))
+    findings = (
+        capped("negative-entry", negative, "negative entries")
+        + capped("nonfinite-entry", nonfinite, "non-finite entries")
+        + diagonal
+        + capped("triangle", triangle, "triangle violations")
+    )
+    return findings, len(triangle)

@@ -167,6 +167,57 @@ def test_missing_artifact_file_is_reported(tmp_path, tiny_instance_file, capsys)
     assert "absent.json" in capsys.readouterr().err
 
 
+@pytest.fixture
+def tiny_pipeline(tmp_path, tiny_instance_file):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--instance", tiny_instance_file, "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def _one_usage_line(code, capsys, prefix):
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_report_rejects_fleet_without_size(tmp_path, tiny_instance_file, tiny_pipeline, capsys):
+    fleet = tmp_path / "fleet.json"
+    fleet.write_text('{"schedules": []}')
+    code = main([
+        "report", "--instance", tiny_instance_file, "--design", str(tiny_pipeline / "design.json"),
+        "--fleet", str(fleet), "--out", str(tmp_path / "r.json"),
+    ])
+    _one_usage_line(code, capsys, f"[report] {fleet}: ")
+
+
+def test_report_rejects_non_json_fleet(tmp_path, tiny_instance_file, tiny_pipeline, capsys):
+    fleet = tmp_path / "fleet.json"
+    fleet.write_text("not json")
+    code = main([
+        "report", "--instance", tiny_instance_file, "--design", str(tiny_pipeline / "design.json"),
+        "--fleet", str(fleet), "--out", str(tmp_path / "r.json"),
+    ])
+    _one_usage_line(code, capsys, f"[report] {fleet}: ")
+
+
+def test_fleet_size_rejects_empty_design(tmp_path, tiny_instance_file, capsys):
+    design = tmp_path / "design.json"
+    design.write_text("{}")
+    code = main([
+        "fleet-size", "--instance", tiny_instance_file, "--design", str(design), "--out", str(tmp_path / "f.json"),
+    ])
+    _one_usage_line(code, capsys, f"[fleet-size] {design}: ")
+
+
+def test_design_rejects_malformed_routes(tmp_path, tiny_instance_file, capsys):
+    routes = tmp_path / "routes.jsonl"
+    routes.write_text('{"kind": "pickup"}\n')
+    code = main([
+        "design", "--instance", tiny_instance_file, "--routes", str(routes), "--out", str(tmp_path / "d.json"),
+    ])
+    _one_usage_line(code, capsys, f"[design] {routes}: line 1 ")
+
+
 def test_flags_override_config(tmp_path, tiny_instance_file):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"instance = {tmp_path / 'missing.json'}\n")

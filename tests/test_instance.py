@@ -1,13 +1,17 @@
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from odmts import instgen
 from odmts.instance import (
     EPS,
     HorizonError,
     InstanceFormatError,
+    _triangle_rows,
     bucket_of,
     load_instance,
     split_commodities,
@@ -16,6 +20,7 @@ from odmts.instance import (
 )
 
 from conftest import mk_commodity, mk_instance
+from oracles import matrix_findings
 
 MINIMAL = {
     "nodes": ["a", "b"],
@@ -105,6 +110,136 @@ def test_triangle_violation_has_witness():
     report = validate(inst)
     triangle = [v for v in report.violations if v.code == "triangle"]
     assert [v.subject for v in triangle] == [("time", "A", "C", "B")]
+
+
+def _closure(mat):
+    mat = np.array(mat, dtype=float)
+    for k in range(len(mat)):
+        np.minimum(mat, mat[:, [k]] + mat[[k], :], out=mat)
+    return mat
+
+
+def _random_matrix(rng, n, kind):
+    mat = rng.uniform(0.0, 10.0, (n, n))
+    if kind in ("zeros", "metric-zeros"):
+        mat[rng.random((n, n)) < 0.3] = 0.0
+    if kind == "negative":
+        mat[rng.random((n, n)) < 0.15] *= -1.0
+    np.fill_diagonal(mat, 0.0)
+    if kind.startswith(("metric", "raised", "diagonal")):
+        mat = _closure(mat)
+    if kind.startswith("diagonal"):
+        mat[0, 0], mat[-1, -1] = 2.0, -1.0 if kind == "diagonal-mixed" else 3.0
+    if kind.startswith("raised"):
+        # Raise the entry whose best single relay is tightest.
+        via = mat[:, :, None] + mat[None, :, :]  # via[i, k, j]
+        idx = np.arange(n)
+        via[idx, idx, :] = np.inf
+        via[:, idx, idx] = np.inf
+        slack = via.min(axis=1) - mat
+        np.fill_diagonal(slack, np.inf)
+        i, j = np.unravel_index(np.argmin(slack), slack.shape)
+        mat[i, j] += 2 * EPS if kind == "raised-2eps" else 0.5 * EPS
+    return mat
+
+
+def _matrix_reference(time, dist, nodes):
+    found, time_total = matrix_findings("time", time, nodes)
+    more, dist_total = matrix_findings("dist", dist, nodes)
+    return found + more, (time_total, dist_total)
+
+
+def _findings(inst):
+    return [(v.code, v.subject, v.message) for v in validate(inst).violations]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "raw",
+        "metric",
+        "zeros",
+        "metric-zeros",
+        "negative",
+        "diagonal-positive",
+        "diagonal-mixed",
+        "raised-2eps",
+        "raised-half-eps",
+    ],
+)
+def test_matrix_checks_match_reference(kind, seed):
+    rng = np.random.default_rng([seed, len(kind)])
+    n = int(rng.integers(3, 13))
+    time, dist = _random_matrix(rng, n, kind), _random_matrix(rng, n, kind)
+    nodes = [f"v{i}" for i in range(n)]
+    expected, totals = _matrix_reference(time, dist, nodes)
+    assert _findings(mk_instance(nodes, nodes[:1], time, dist)) == expected
+    if kind.startswith("metric") or kind == "raised-half-eps":
+        assert expected == []
+    if kind == "raised-2eps":
+        assert min(totals) >= 1
+
+
+def test_sub_eps_slack_chain_validates_ok():
+    # Each single relay saves 0.5 EPS, so no triple violates, but the chain
+    # 0 -> 1 -> ... -> 7 undercuts the direct entry by 3 EPS.
+    n = 8
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    time = gap + 0.5 * EPS * np.maximum(gap - 1, 0)
+    assert len(_triangle_rows(time)) > 0
+    inst = mk_instance([f"v{i}" for i in range(n)], ["v0"], time)
+    assert validate(inst).ok
+
+
+def test_noisy_city_matrix_capped_with_exact_total():
+    base = instgen.generate(seed=400, n_nodes=150, n_hubs=6, n_commodities=0)
+    rng = np.random.default_rng(7)
+    time, dist = (m * rng.uniform(1.0, 1.02, m.shape) for m in (base.travel_time, base.travel_dist))
+    nodes = list(base.nodes)
+    expected, totals = _matrix_reference(time, dist, nodes)
+    assert min(totals) > 1000
+    found = _findings(mk_instance(nodes, nodes[:1], time, dist))
+    assert found == expected
+    for name, total in zip(("time", "dist"), totals):
+        ours = [f for f in found if f[1][0] == name]
+        assert len(ours) == 21
+        assert ours[-1][:2] == ("triangle-more", (name, total))
+        assert ours[-1][2] == f"{name}: {total} triangle violations in all, first 20 listed"
+
+
+def test_negative_entries_capped():
+    n = 6
+    time = -np.ones((n, n))
+    np.fill_diagonal(time, 0.0)
+    nodes = [f"v{i}" for i in range(n)]
+    expected, totals = _matrix_reference(time, time, nodes)
+    found = _findings(mk_instance(nodes, nodes[:1], time))
+    assert found == expected
+    codes = [code for code, subject, _ in found if subject[0] == "time"]
+    assert codes == ["negative-entry"] * 20 + ["negative-entry-more"] + ["triangle"] * 20 + ["triangle-more"]
+    assert totals == (120, 120)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_entry_flagged_without_warning(bad):
+    time = _closure(np.random.default_rng(3).uniform(1.0, 5.0, (5, 5)) * (1 - np.eye(5)))
+    time[1, 3] = bad
+    nodes = [f"v{i}" for i in range(5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = _findings(mk_instance(nodes, nodes[:1], time, time.copy()))
+    expected, _ = _matrix_reference(time, time, nodes)
+    assert found == expected
+    assert [code for code, *_ in found if code != "negative-entry"] == ["nonfinite-entry"] * 2
+
+
+def test_json_nan_loads_then_validate_flags(tmp_path):
+    data = json.loads(json.dumps(MINIMAL))
+    data["time"][0][1] = math.nan  # json.dumps writes NaN, json.load reads it back
+    report = validate(load_instance(write_json(tmp_path, data)))
+    assert [v.subject for v in report.violations] == [("time", "a", "b")]
+    assert report.violations[0].code == "nonfinite-entry"
 
 
 def test_valid_instance_empty_report():
