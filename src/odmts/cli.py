@@ -100,14 +100,18 @@ def _stage_routes(inst: Instance, cfg: PipelineConfig, path: str):
     return omega_minus, omega_plus
 
 
+def _export(model: milp.MilpModel, path: str) -> None:
+    milp.export_model(model, path, "mps" if path.endswith(".mps") else "lp")
+
+
 def _stage_design(inst: Instance, routes, cfg: PipelineConfig, path: str) -> design_mod.DesignSolution:
-    """Solve the design model, first writing it to `cfg.export_model` if set,
-    and save the solution to `path`."""
+    """Build the design model, write it to `cfg.export_model` if set, solve
+    it and save the solution to `path`."""
     try:
+        dm = design_mod.build_design_model(inst, *routes)
         if cfg.export_model:
-            model = design_mod.build_design_model(inst, *routes).model
-            milp.export_model(model, cfg.export_model, "mps" if cfg.export_model.endswith(".mps") else "lp")
-        ds = design_mod.solve_design(inst, *routes)
+            _export(dm.model, cfg.export_model)
+        ds = design_mod.solve_design_model(dm, inst)
     except (milp.SolveEffortError, milp.SolveNumericalError, design_mod.DesignError) as exc:
         raise StageError("design", str(exc))
     design_mod.save_solution(ds, path)
@@ -115,36 +119,33 @@ def _stage_design(inst: Instance, routes, cfg: PipelineConfig, path: str) -> des
 
 
 def _formulation(name: str):
-    # Resolved per call, not at import, so patched or wrapped fleet functions run.
-    if name == "dense":
-        return fleet_mod.build_dense_graph, fleet_mod.solve_fleet_dense
-    return fleet_mod.build_sparse_graph, fleet_mod.solve_fleet_sparse
+    """The fleet graph builder for `name`. Resolved per call, not at import,
+    so patched or wrapped builders run."""
+    return fleet_mod.build_dense_graph if name == "dense" else fleet_mod.build_sparse_graph
 
 
 def _stage_fleet(
     inst: Instance, ds, cfg: PipelineConfig, path: str, stage: str = "fleet"
 ) -> fleet_mod.FleetResult:
-    """Solve the chosen fleet formulation, first writing its model to
-    `cfg.export_model` if set, and save the result to `path`. With
-    `check_oracle`, also solve the other formulation and the matching oracle
-    and require all three sizes to agree."""
+    """Build the chosen fleet graph, write its model to `cfg.export_model` if
+    set, solve it and save the result to `path`. With `check_oracle`, also
+    solve the other graph and the matching oracle and require all three
+    sizes to agree."""
     tasks = fleet_mod.routes_to_tasks(ds, inst)
     try:
-        build, solve = _formulation(cfg.formulation)
-        graph = build(tasks, inst)
+        graph = _formulation(cfg.formulation)(tasks, inst)
         if cfg.export_model:
-            model = fleet_mod.fleet_model(graph)[0]
-            milp.export_model(model, cfg.export_model, "mps" if cfg.export_model.endswith(".mps") else "lp")
-        result = solve(graph)
+            _export(fleet_mod.fleet_model(graph)[0], cfg.export_model)
+        result = fleet_mod.solve_fleet(graph)
         if cfg.check_oracle:
             other = "sparse" if cfg.formulation == "dense" else "dense"
-            build, solve = _formulation(other)
-            sizes = {cfg.formulation: result.fleet_size, other: solve(build(tasks, inst)).fleet_size}
+            other_result = fleet_mod.solve_fleet(_formulation(other)(tasks, inst))
+            sizes = {cfg.formulation: result.fleet_size, other: other_result.fleet_size}
             oracle = fleet_mod.min_fleet_oracle(tasks, inst)
             if not sizes["dense"] == sizes["sparse"] == oracle:
                 disagree = "formulations disagree: dense={dense} sparse={sparse}".format(**sizes)
                 raise StageError(stage, f"{disagree} matching={oracle}")
-    except (milp.SolveNumericalError, fleet_mod.FlowError) as exc:
+    except fleet_mod.FlowError as exc:
         raise StageError(stage, str(exc))
     fleet_mod.save_result(result, tasks, path)
     return result

@@ -265,13 +265,17 @@ def solve_design(
     omega_minus: dict[str, list[Route]],
     omega_plus: dict[str, list[Route]],
 ) -> DesignSolution:
-    """Solve the design model to proven optimality.
+    """Build the design model and solve it with `solve_design_model`."""
+    return solve_design_model(build_design_model(inst, omega_minus, omega_plus), inst)
+
+
+def solve_design_model(dm: DesignModel, inst: Instance) -> DesignSolution:
+    """Solve an assembled design model to proven optimality.
 
     With alpha = 0 bus legs are free and optimal y flows can contain
     cost-neutral cycles; a second lexicographic pass then minimizes the
     number of bus legs at unchanged cost so itineraries stay extractable.
     """
-    dm = build_design_model(inst, omega_minus, omega_plus)
     sol = solve_milp(dm.model)
     if sol.status != OPTIMAL:
         raise DesignError(

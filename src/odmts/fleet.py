@@ -4,29 +4,28 @@ Each selected route becomes a timed task (start location, end location,
 start time, duration). Two tasks are compatible when one shuttle can serve
 them back to back, i.e. finish the first and reposition before the second
 starts. The minimum fleet is the minimum number of source-to-sink flow
-units covering every task:
+units covering every task. There are two fleet graphs:
 
-* the dense formulation puts an arc on every compatible ordered pair and
-  requires exactly one unit through each task;
-* the sparse formulation drops transitive arcs (kept only when no one-stop
-  relay exists; relays are read off the compatibility matrix squared in
-  float32), requires at least one unit per task and lets arcs carry any
-  integer flow.
+* the dense graph puts an arc on every compatible ordered pair and lets the
+  source feed and the sink drain every task;
+* the sparse graph drops transitive arcs (kept only when no one-stop relay
+  exists; relays are read off the compatibility matrix squared in float32),
+  so the source feeds only tasks without predecessors and the sink drains
+  only tasks without successors.
 
-The sparse model is a minimum flow with lower bounds, solved as one max flow
-(scipy's Dinic) by the textbook reduction in `_min_flow`. The dense model is
-solved as an LP; its constraint matrix, like the sparse one, is totally
-unimodular, so a basic LP optimum is already integral. `fleet_model` writes
-either model as an LP for export and cross-checks.
+`solve_fleet` solves either graph as a covering minimum flow (at least one
+unit per task, uncapacitated integer arcs), found as one max flow (scipy's
+Dinic) by the lower-bound reduction in `_min_flow` and split into
+source-sink paths by `recover_schedules`; a task goes to the first path
+that reaches it. Compatibility is transitive on metric tasks, so the relay
+filter keeps the optimum. `fleet_model` writes the paper's LP for either
+graph (exact unit visits on the dense one, covering visits on the sparse
+one) for export and cross-checks.
 
 A `FleetGraph` keeps its arcs as arrays that the model writer and the max
 flow read directly: (tail, head) rows in lexicographic order, as
 `np.argwhere` reads them off the arc mask, and the sorted indices of the
 tasks the source feeds and of those that drain to the sink.
-
-Both formulations leave through one decomposition, `recover_schedules`: the
-flow (the dense LP's rounded unit flows or the sparse min flow) is split
-into source-sink paths, and a task goes to the first path that reaches it.
 
 A minimum path cover oracle (task count minus a maximum bipartite matching
 over the full compatibility relation, found as a unit-capacity Dinic max
@@ -44,7 +43,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_flow
 
 from .instance import EPS, Instance
-from .milp import EQUAL, GREATER_EQUAL, MilpModel, OPTIMAL, solve_lp
+from .milp import EQUAL, GREATER_EQUAL, MilpModel
 from .routegen import DROPOFF, PICKUP
 
 SOURCE = "s"
@@ -199,27 +198,9 @@ def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
     return model, var
 
 
-def solve_fleet_dense(g: FleetGraph) -> FleetResult:
-    """Solve the exact-cover flow model by LP and hand the rounded unit flows
-    to `recover_schedules`, the decomposition the sparse solver uses too."""
-    if not g.tasks:
-        return FleetResult(0, (), {})
-    model, var = fleet_model(g)
-    sol = solve_lp(model)
-    if sol.status != OPTIMAL:
-        raise FlowError(f"fleet model unexpectedly {sol.status}")
-    flows = {}
-    for key, idx in var.items():
-        val = sol.values[model.var_names[idx]]
-        if abs(val - round(val)) > 1e-6:
-            raise FlowError(f"fleet LP returned fractional flow {val} on arc {key}")
-        flows[key] = int(round(val))
-    return recover_schedules(g, flows)
-
-
 def _min_flow(g: FleetGraph) -> dict[tuple, int]:
-    """Minimum covering flow on a sparse fleet graph, found as one max flow
-    (the lower-bound reduction of Ahuja, Magnanti & Orlin, ch. 6).
+    """Minimum covering flow on a fleet graph, found as one max flow (the
+    lower-bound reduction of Ahuja, Magnanti & Orlin, ch. 6).
 
     Start from the n unit paths s -> i -> t and cancel as many units as
     possible with one max flow from t to s (Dinic) on the residual graph.
@@ -233,8 +214,11 @@ def _min_flow(g: FleetGraph) -> dict[tuple, int]:
     predecessor arcs to a source task, and one that leaves at a task with a
     successor is walked forward along fixed successor arcs to a sink task.
     Arcs are uncapacitated and point forward in the sorted task order, so
-    this keeps the fleet size. Returns the positive flows on the graph's own
-    arcs."""
+    this keeps the fleet size. The walks follow graph arcs and end at tasks
+    the source feeds or the sink drains; on the sparse graph those are the
+    tasks without predecessors or successors, and on the dense graph the
+    source and sink reach every task. So on either graph the result is a
+    flow on the graph's own arcs. Returns its positive entries."""
     n = len(g.tasks)
     tail, head = g.arcs.T
     t, s = 2 * n, 2 * n + 1
@@ -278,12 +262,18 @@ def _min_flow(g: FleetGraph) -> dict[tuple, int]:
     return flows
 
 
-def solve_fleet_sparse(g: FleetGraph) -> FleetResult:
-    """Solve the covering flow model on the filtered graph as a max flow;
-    shuttles may share arcs so schedules are recovered by path decomposition."""
+def solve_fleet(g: FleetGraph) -> FleetResult:
+    """Minimum fleet on a dense or sparse fleet graph: the covering min flow,
+    decomposed into shuttle schedules. Shuttles may share arcs, so a unit
+    serves only the tasks no earlier unit reached."""
     if not g.tasks:
         return FleetResult(0, (), {})
     return recover_schedules(g, _min_flow(g))
+
+
+# The benchmark's fleet_1k workload (perfbench/workloads.py) still calls the
+# old name; drop this alias when the benchmark moves to `solve_fleet`.
+solve_fleet_sparse = solve_fleet
 
 
 def recover_schedules(g: FleetGraph, flows: dict[tuple, int]) -> FleetResult:

@@ -349,7 +349,8 @@ def _finish(kind: str, model: MilpModel, rows, res) -> MilpSolution:
 
 def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the continuous relaxation (integrality flags ignored) to an
-    optimal basic solution."""
+    optimal basic solution. No pipeline stage calls this; it is the LP
+    solver for exported or hand-built models and for cross-checks."""
     if not model.var_names:
         return MilpSolution(OPTIMAL, 0.0, {}, 0.0)
     rows = a, lo, hi = _constraint_rows(model)

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from odmts import instgen
+from odmts import design, fleet, instgen
 from odmts.cli import (
     EXIT_INVALID, EXIT_OK, EXIT_USAGE, PipelineConfig, _merge_config, build_parser, main, run_pipeline,
 )
@@ -338,6 +338,37 @@ def test_fleet_size_exports_model_without_variables(tmp_path):
     write_lp(back, again)
     # The first line names the model; the rest must round-trip unchanged.
     assert open(again).read().splitlines()[1:] == open(lp).read().splitlines()[1:]
+
+
+def test_export_builds_each_model_once(tmp_path, tiny_instance_file, monkeypatch):
+    builds = {"design": 0, "fleet": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            builds[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(design, "build_design_model", counted("design", design.build_design_model))
+    monkeypatch.setattr(fleet, "fleet_model", counted("fleet", fleet.fleet_model))
+    run = str(tmp_path / "run")
+    on_inst = ["--instance", tiny_instance_file]
+    runs = [  # (argv, expected design builds, expected fleet builds)
+        (["pipeline", *on_inst, "--out", run, "--export-model", str(tmp_path / "p.lp")], 1, 0),
+        ([
+            "design", *on_inst, "--routes", os.path.join(run, "routes.jsonl"),
+            "--out", str(tmp_path / "design.json"), "--export-model", str(tmp_path / "d.lp"),
+        ], 1, 0),
+        ([
+            "fleet-size", *on_inst, "--design", os.path.join(run, "design.json"),
+            "--out", str(tmp_path / "fleet.json"), "--formulation", "dense",
+            "--export-model", str(tmp_path / "f.lp"),
+        ], 0, 1),
+    ]
+    for argv, n_design, n_fleet in runs:
+        builds.update(design=0, fleet=0)
+        assert main(argv) == EXIT_OK
+        assert (builds["design"], builds["fleet"]) == (n_design, n_fleet), argv[0]
 
 
 def test_pipeline_deterministic(tmp_path, tiny_instance_file):

@@ -8,7 +8,7 @@ from odmts.design import solve_design
 from odmts.fleet import (
     build_sparse_graph,
     routes_to_tasks,
-    solve_fleet_sparse,
+    solve_fleet,
 )
 from odmts.metrics import (
     avg_inconvenience,
@@ -33,7 +33,7 @@ def solve_all(inst):
     op = enumerate_dropoff_routes(inst, hs)
     ds = solve_design(inst, om, op)
     tasks = routes_to_tasks(ds, inst)
-    fleet = solve_fleet_sparse(build_sparse_graph(tasks, inst))
+    fleet = solve_fleet(build_sparse_graph(tasks, inst))
     return ds, fleet
 
 
