@@ -9,9 +9,11 @@ units covering every task. There are two fleet graphs:
 * the dense graph puts an arc on every compatible ordered pair and lets the
   source feed and the sink drain every task;
 * the sparse graph drops transitive arcs (kept only when no one-stop relay
-  exists; relays are read off the compatibility matrix squared in float32),
-  so the source feeds only tasks without predecessors and the sink drains
-  only tasks without successors.
+  exists; relays are read off a float32 product of the compatibility matrix
+  with itself, taken block by block over the tasks between each pair of
+  blocks, since the matrix is strictly upper triangular in start order), so
+  the source feeds only tasks without predecessors and the sink drains only
+  tasks without successors.
 
 `solve_fleet` solves either graph as a covering minimum flow (at least one
 unit per task, uncapacitated integer arcs), found as one max flow (scipy's
@@ -28,8 +30,9 @@ flow read directly: (tail, head) rows in lexicographic order, as
 tasks the source feeds and of those that drain to the sink.
 
 A minimum path cover oracle (task count minus a maximum bipartite matching
-over the full compatibility relation, found as a unit-capacity Dinic max
-flow) is provided for cross-checking.
+over the full compatibility relation, found by scipy's Hopcroft-Karp on the
+biadjacency matrix, so it shares no code with the max flow it checks) is
+provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 
 from .instance import EPS, Instance
 from .milp import EQUAL, GREATER_EQUAL, MilpModel
@@ -51,6 +54,8 @@ SINK = "t"
 
 DENSE = "dense"
 SPARSE = "sparse"
+
+RELAY_BLOCK = 256  # tasks per block of the relay product in `build_sparse_graph`
 
 
 class FlowError(ValueError):
@@ -145,13 +150,23 @@ def build_dense_graph(tasks, inst: Instance) -> FleetGraph:
 def build_sparse_graph(tasks, inst: Instance) -> FleetGraph:
     """Keep a compatibility arc only when no one-stop relay covers it; the
     source feeds tasks without predecessors and tasks without successors
-    drain to the sink."""
+    drain to the sink. Relays come from the product of the compatibility
+    matrix with itself, computed in RELAY_BLOCK-square blocks on and above
+    the diagonal only."""
     ts = _sorted_tasks(tasks)
     comp = _compatibility(ts, inst)
+    n = len(ts)
+    # comp is strictly upper triangular on (start, id)-sorted tasks, so a relay
+    # k of (i, j) has i < k < j and block (I, J) needs only k in [I0, J1).
     # float32 goes through BLAS; a sum of non-negative 0/1 products is never
     # rounded to 0, so "> 0" is exact.
     c = comp.astype(np.float32)
-    keep = comp & ~((c @ c) > 0)
+    keep = comp.copy()
+    for i0 in range(0, n, RELAY_BLOCK):
+        i1 = min(i0 + RELAY_BLOCK, n)
+        for j0 in range(i0, n, RELAY_BLOCK):
+            j1 = min(j0 + RELAY_BLOCK, n)
+            keep[i0:i1, j0:j1] &= ~((c[i0:i1, i0:j1] @ c[i0:j1, j0:j1]) > 0)
     sources = np.flatnonzero(~keep.any(axis=0))
     sinks = np.flatnonzero(~keep.any(axis=1))
     return FleetGraph(SPARSE, ts, np.argwhere(keep), sources, sinks)
@@ -341,31 +356,32 @@ def _assert_partition(result: FleetResult, g: FleetGraph) -> None:
 
 
 def schedules_feasible(result: FleetResult, tasks, inst: Instance) -> bool:
-    """Every consecutive task pair in every schedule must be servable by one
-    shuttle (holds even across filtered arcs, by the triangle inequality)."""
+    """Every consecutive task pair in every schedule must be `compatible`
+    (holds even across filtered arcs, by the triangle inequality)."""
     by_id = {t.id: t for t in tasks}
-    for sched in result.schedules:
-        for a_id, b_id in zip(sched, sched[1:]):
-            a, b = by_id[a_id], by_id[b_id]
-            if a.start + a.duration + inst.time(a.end_loc, b.start_loc) > b.start + EPS:
-                return False
-    return True
+    return all(
+        compatible(by_id[a], by_id[b], inst)
+        for sched in result.schedules
+        for a, b in zip(sched, sched[1:])
+    )
 
 
 def min_fleet_oracle(tasks, inst: Instance) -> int:
     """Independent check: minimum path cover of the full compatibility
-    relation, computed as task count minus a maximum bipartite matching. The
-    matching is a unit-capacity max flow (Dinic) s -> i -> j' -> t, one
-    i -> j' arc per compatible pair."""
+    relation, computed as task count minus a maximum bipartite matching
+    (scipy's Hopcroft-Karp on the task-by-task biadjacency CSR, one entry per
+    compatible pair)."""
     ts = _sorted_tasks(tasks)
     n = len(ts)
-    left, right = np.nonzero(_compatibility(ts, inst))
-    s, t = 2 * n, 2 * n + 1
-    idx = np.arange(n)
-    rows = np.concatenate([np.full(n, s), left, n + idx])
-    cols = np.concatenate([idx, n + right, np.full(n, t)])
-    graph = sp.csr_array((np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
-    return n - int(maximum_flow(graph, s, t, method="dinic").flow_value)
+    # Rows run from the latest task back: on 2,500-task sets scipy's search
+    # takes 0.04-0.3 s in this order and 45 s with rows in start order.
+    comp = _compatibility(ts, inst)[::-1]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(comp, axis=1), out=indptr[1:])
+    indices = np.nonzero(comp)[1].astype(np.int32)
+    graph = sp.csr_array((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
+    matched = maximum_bipartite_matching(graph, perm_type="column")
+    return n - int(np.count_nonzero(matched >= 0))
 
 
 # -- serialization -----------------------------------------------------------

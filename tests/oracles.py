@@ -12,6 +12,10 @@ assembly: it adds the same variables and rows one at a time through
 
 `matrix_findings` is the reference for the matrix checks of `validate`:
 plain loops over Python floats, every (i, k, j) triple tried.
+
+`path_cover_by_max_flow` is the second reference for `min_fleet_oracle`:
+the same minimum path cover with the matching found as a unit-capacity
+max flow (Dinic) instead of Hopcroft-Karp.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import maximum_flow
+
 from odmts.design import bus_lines, line_open_cost, line_use_cost
+from odmts.fleet import _compatibility, _sorted_tasks
 from odmts.instance import EPS
 from odmts.milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel
 from odmts.routegen import (
@@ -372,3 +381,18 @@ def matrix_findings(name, mat, nodes, cap=20):
         + capped("triangle", triangle, "triangle violations")
     )
     return findings, len(triangle)
+
+
+def path_cover_by_max_flow(tasks, inst):
+    """Minimum path cover of the full compatibility relation: task count
+    minus a maximum bipartite matching, found as a unit-capacity max flow
+    (Dinic) s -> i -> j' -> t with one i -> j' arc per compatible pair."""
+    ts = _sorted_tasks(tasks)
+    n = len(ts)
+    left, right = np.nonzero(_compatibility(ts, inst))
+    s, t = 2 * n, 2 * n + 1
+    idx = np.arange(n)
+    rows = np.concatenate([np.full(n, s), left, n + idx])
+    cols = np.concatenate([idx, n + right, np.full(n, t)])
+    graph = sp.csr_array((np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
+    return n - int(maximum_flow(graph, s, t, method="dinic").flow_value)

@@ -5,8 +5,10 @@ import pytest
 
 from odmts import instgen
 from odmts.fleet import (
+    RELAY_BLOCK,
     SINK,
     SOURCE,
+    FleetResult,
     FlowError,
     Task,
     _compatibility,
@@ -32,6 +34,7 @@ from odmts.design import solve_design
 from odmts.instance import EPS
 
 from conftest import euclid_instance, mk_commodity, mk_instance
+from oracles import path_cover_by_max_flow
 
 
 def colocated_instance():
@@ -372,6 +375,7 @@ def test_compatibility_ties_at_eps():
         Task("h", "y", "y", 0.6 - EPS, 0.0),
     ]
     ts, comp = assert_compatibility_matches_scalar_rule(tasks, inst)
+    assert not np.tril(comp).any()  # strictly upper triangular in (start, id) order
     idx = {t.id: k for k, t in enumerate(ts)}
     assert not comp[idx["a"], idx["b"]] and not comp[idx["b"], idx["a"]]
     assert comp[idx["a"], idx["c"]]
@@ -406,6 +410,52 @@ def test_sparse_graph_matches_brute_force_relay_scan(seed):
     has_out = {i for i, _ in expected}
     assert set(graph.source_arcs.tolist()) == set(range(n)) - has_in
     assert set(graph.sink_arcs.tolist()) == set(range(n)) - has_out
+
+
+@pytest.mark.parametrize("n", [RELAY_BLOCK - 1, RELAY_BLOCK + 1, 5 * RELAY_BLOCK // 2 + 7])
+def test_sparse_graph_blocks_match_unblocked_relay_filter(n):
+    # One block, one block plus a task, and a partial third block: the
+    # blocked relay product must equal the full product.
+    rng = np.random.default_rng(700 + n)
+    inst = metric_instance(rng)
+    tasks = random_tasks(rng, n, inst)
+    graph = build_sparse_graph(tasks, inst)
+    comp = _compatibility(graph.tasks, inst)
+    assert not np.tril(comp).any()  # the precondition of the blocked product
+    c = comp.astype(np.float32)
+    relayed = (c @ c) > 0
+    keep = comp & ~relayed
+    if n > RELAY_BLOCK:  # some arcs across a block edge are dropped, some kept
+        assert (comp & relayed)[:RELAY_BLOCK, RELAY_BLOCK:].any()
+        assert keep[:RELAY_BLOCK, RELAY_BLOCK:].any()
+    np.testing.assert_array_equal(graph.arcs, np.argwhere(keep))
+    np.testing.assert_array_equal(graph.source_arcs, np.flatnonzero(~keep.any(axis=0)))
+    np.testing.assert_array_equal(graph.sink_arcs, np.flatnonzero(~keep.any(axis=1)))
+
+
+def test_schedules_feasible_rejects_simultaneous_starts():
+    # Zero-duration tasks at one node: a's arrival rule holds for b, but b
+    # does not start after a, so `compatible` rejects the pair.
+    inst = colocated_instance()
+    tasks = [Task("a", "x", "x", 3.0, 0.0), Task("b", "x", "x", 3.0, 0.0), Task("c", "x", "x", 4.0, 0.0)]
+    assert not compatible(tasks[0], tasks[1], inst)
+    assert not schedules_feasible(FleetResult(1, (("a", "b"), ("c",)), {}), tasks, inst)
+    assert schedules_feasible(FleetResult(2, (("a", "c"), ("b",)), {}), tasks, inst)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_oracle_matches_max_flow_path_cover(seed):
+    rng = np.random.default_rng(500 + seed)
+    inst = metric_instance(rng)
+    tasks = random_tasks(rng, int(rng.integers(5, 60)), inst)
+    assert min_fleet_oracle(tasks, inst) == path_cover_by_max_flow(tasks, inst)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_oracle_matches_max_flow_path_cover_tiny(n):
+    inst = colocated_instance()
+    tasks = six_tasks()[:n]
+    assert min_fleet_oracle(tasks, inst) == path_cover_by_max_flow(tasks, inst) == n
 
 
 def test_oracle_survives_long_augmenting_path():
@@ -577,6 +627,7 @@ def test_both_graphs_at_scale():
     inst = instgen.generate(seed=400, n_nodes=60, n_hubs=6, n_commodities=10)
     tasks = random_tasks(np.random.default_rng(0), 1000, inst, horizon=120.0)
     oracle = min_fleet_oracle(tasks, inst)
+    assert oracle == path_cover_by_max_flow(tasks, inst) == 144
     for build in (build_dense_graph, build_sparse_graph):
         result = solve_fleet(build(tasks, inst))
         assert result.fleet_size == len(result.schedules) == oracle
