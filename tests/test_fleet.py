@@ -443,19 +443,13 @@ def test_schedules_feasible_rejects_simultaneous_starts():
     assert schedules_feasible(FleetResult(2, (("a", "c"), ("b",)), {}), tasks, inst)
 
 
-@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("seed", range(22))
 def test_oracle_matches_max_flow_path_cover(seed):
+    # Seeds 0 and 1 draw 0 and 1 tasks; the other 20 draw 5 to 59.
     rng = np.random.default_rng(500 + seed)
     inst = metric_instance(rng)
-    tasks = random_tasks(rng, int(rng.integers(5, 60)), inst)
+    tasks = random_tasks(rng, seed if seed < 2 else int(rng.integers(5, 60)), inst)
     assert min_fleet_oracle(tasks, inst) == path_cover_by_max_flow(tasks, inst)
-
-
-@pytest.mark.parametrize("n", [0, 1])
-def test_oracle_matches_max_flow_path_cover_tiny(n):
-    inst = colocated_instance()
-    tasks = six_tasks()[:n]
-    assert min_fleet_oracle(tasks, inst) == path_cover_by_max_flow(tasks, inst) == n
 
 
 def test_oracle_survives_long_augmenting_path():
