@@ -18,8 +18,11 @@ optima are proven.
 
 Both solvers and the check of their solutions read the rows from one sparse
 matrix with per-row bounds, lo <= A x <= hi, stacked from the blocks. The LP
-and MPS writers walk the same matrix (by columns for MPS) and format each
-distinct number once.
+and MPS writers walk the same matrix (by columns for MPS), format each
+distinct number once and stream the file: each write holds at most
+WRITE_CHUNK coefficient entries, rows or variables, never the whole text.
+Written names are chosen per position, so same-named rows and colliding
+sanitised names still get distinct names in the file.
 
 Set the ODMTS_SOLVE_LOG environment variable to a file path ('-' for stderr)
 to log one line per solve.
@@ -400,6 +403,8 @@ def solve_milp(
 
 # -- model files -------------------------------------------------------------
 
+WRITE_CHUNK = 4096  # coefficient entries, rows or variables formatted per write by `write_lp` and `write_mps`
+
 # Every character outside [A-Za-z0-9_] becomes '_', one for one: ASCII by a
 # translation table, the rest by a regex that finds nothing in ASCII text.
 _UNSAFE_ASCII = {c: "_" for c in range(128) if not (chr(c).isalnum() or chr(c) == "_")}
@@ -410,22 +415,33 @@ def _clean(text: str) -> str:
     return _NON_ASCII.sub("_", text.translate(_UNSAFE_ASCII))
 
 
-def _sanitize_names(names: list[str], max_len: int, prefix: str) -> dict[str, str]:
-    """Deterministically map arbitrary names to format-safe ones."""
-    mapping: dict[str, str] = {}
+def _sanitize_names(names: list[str], max_len: int, prefix: str) -> list[str]:
+    """Deterministically map arbitrary names, position by position, to
+    distinct format-safe ones. Unsafe characters become '_' and an empty
+    name or one with a leading digit gets a '_' in front; a name that is
+    then too long or already taken at position i becomes the first free
+    one of prefix + i, prefix + (i + 1), ..."""
+    out: list[str] = []
     used: set[str] = set()
-    cleaned = _clean("".join(names))  # cut apart again below: cleaning keeps lengths
-    end = 0
-    for i, name in enumerate(names):
-        start, end = end, end + len(name)
-        clean = cleaned[start:end]
-        if not clean or clean[0].isdigit():
-            clean = "_" + clean
-        if len(clean) > max_len or clean in used:
-            clean = f"{prefix}{i}"
-        mapping[name] = clean
-        used.add(clean)
-    return mapping
+    for k in range(0, len(names), WRITE_CHUNK):
+        part = names[k:k + WRITE_CHUNK]
+        cleaned = _clean("".join(part))  # cut apart again below: cleaning keeps lengths
+        end = 0
+        for i, name in enumerate(part, k):
+            start, end = end, end + len(name)
+            clean = cleaned[start:end]
+            if not clean or clean[0].isdigit():
+                clean = "_" + clean
+            if len(clean) > max_len or clean in used:
+                clean = f"{prefix}{i}"
+                while clean in used:
+                    i += 1
+                    clean = f"{prefix}{i}"
+            elif clean == name:
+                clean = name  # the caller's string, not a copy
+            out.append(clean)
+            used.add(clean)
+    return out
 
 
 def _fmt(value: float) -> str:
@@ -448,67 +464,132 @@ def _lp_term(value: float) -> str:
     return ("- " if value < 0 else "+ ") + _fmt(abs(value)) + " "
 
 
-def write_lp(model: MilpModel, path: str) -> dict[str, str]:
-    """CPLEX-style LP text file. Returns the original -> written name map."""
-    vmap = _sanitize_names(model.var_names, 200, "x")
-    cmap = _sanitize_names(model.row_names, 200, "c")
-    names = [vmap[n] for n in model.var_names]
-
-    empty = "0 " + names[0] if names else "0"  # a model without variables has only constants
-
-    def row_texts(indptr, indices, data) -> list[str]:
-        terms = [t + names[j] for t, j in zip(_per_value(_lp_term, data), indices.tolist())]
-        texts = []
-        for start, end in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
-            text = " ".join(terms[start:end]) if end > start else empty
-            texts.append(text[2:] if text.startswith("+ ") else text)
-        return texts
-
-    lines = [f"\\ {model.name}"]
-    for orig, new in sorted(vmap.items()):
-        if orig != new:
-            lines.append(f"\\ name-map: {new} <- {orig}")
-    lines.append("Minimize")
-    obj = sorted(model.objective.items())
-    obj_idx = np.array([i for i, _ in obj], dtype=np.int64)
-    obj_val = np.array([v for _, v in obj], dtype=float)
-    lines.append(" obj: " + row_texts(np.array([0, len(obj)]), obj_idx, obj_val)[0])
-    lines.append("Subject To")
-    indptr, indices, data, sense, rhs = model._merged_rows()
-    lines.extend(
-        f" {cmap[name]}: {text} {_SENSES[s]} {r}"
-        for name, text, s, r in zip(
-            model.row_names, row_texts(indptr, indices, data), sense.tolist(), _per_value(_fmt, rhs)
-        )
-    )
-    lines.append("Bounds")
-    for name, lb, ub, lb_text, ub_text in zip(
-        names, model.lb.tolist(), model.ub.tolist(), _per_value(_fmt, model.lb), _per_value(_fmt, model.ub)
-    ):
-        if math.isinf(ub) and lb == 0:
-            continue  # default bounds
-        if lb == -math.inf and math.isinf(ub):
-            lines.append(f" {name} free")
-        elif math.isinf(ub):
-            lines.append(f" {name} >= {lb_text}")
+def _pieces(indptr: np.ndarray):
+    """Cut the rows of a CSR (or the columns of a CSC) index pointer into
+    consecutive pieces (r0, r1, p0, p1): rows r0..r1-1 with entries
+    p0..p1-1, at most WRITE_CHUNK of each. A row with more entries than
+    that comes alone, in pieces of its entries."""
+    n = len(indptr) - 1
+    r0 = 0
+    while r0 < n:
+        p0 = int(indptr[r0])
+        r1 = min(int(np.searchsorted(indptr, p0 + WRITE_CHUNK, "right")) - 1, r0 + WRITE_CHUNK)
+        if r1 > r0:
+            yield r0, r1, p0, int(indptr[r1])
         else:
-            lines.append(f" {lb_text} <= {name} <= {ub_text}")
-    generals = [names[i] for i in np.flatnonzero(model.integer).tolist()]
-    if generals:
-        lines.append("General")
-        lines.extend(f" {g}" for g in generals)
-    lines.append("End")
-    with open(path, "w", encoding="utf-8") as fh:
+            end, r1 = int(indptr[r0 + 1]), r0 + 1
+            for p in range(p0, end, WRITE_CHUNK):
+                yield r0, r1, p, min(p + WRITE_CHUNK, end)
+        r0 = r1
+
+
+def _write_lines(fh, lines: list[str]) -> None:
+    if lines:
         fh.write("\n".join(lines) + "\n")
-    return vmap
+
+
+def _write_name_map(fh, marker: str, originals: list[str], written: np.ndarray) -> None:
+    """One comment line per renamed variable, in order of original name."""
+    renamed = [i for i, (a, b) in enumerate(zip(originals, written)) if a != b]
+    renamed.sort(key=originals.__getitem__)
+    for k in range(0, len(renamed), WRITE_CHUNK):
+        _write_lines(
+            fh, [f"{marker} name-map: {written[i]} <- {originals[i]}" for i in renamed[k:k + WRITE_CHUNK]]
+        )
+
+
+def _bounds(names: np.ndarray, lb: np.ndarray, ub: np.ndarray):
+    """Per piece of WRITE_CHUNK variables, their (name, lb, ub, lb text,
+    ub text)."""
+    for k in range(0, names.size, WRITE_CHUNK):
+        part = slice(k, k + WRITE_CHUNK)
+        yield zip(
+            names[part], lb[part].tolist(), ub[part].tolist(), _per_value(_fmt, lb[part]), _per_value(_fmt, ub[part])
+        )
+
+
+def _objective_entries(model: MilpModel) -> tuple[np.ndarray, np.ndarray]:
+    """The explicit objective entries (explicit zeros too), by variable."""
+    idx = np.fromiter(model.objective, dtype=np.int64, count=len(model.objective))
+    val = np.fromiter(model.objective.values(), dtype=float, count=len(model.objective))
+    order = np.argsort(idx)
+    return idx[order], val[order]
+
+
+def _write_lp_rows(fh, names: np.ndarray, indptr, indices, data, heads, tails) -> None:
+    """Write each row r of a CSR block as its head, its terms and its tail;
+    `heads(r0, r1)` and `tails(r0, r1)` give those texts for rows r0..r1-1.
+    A row without entries reads '0 <first variable>'."""
+    empty = "0 " + names[0] if names.size else "0"  # a model without variables has only constants
+    for r0, r1, p0, p1 in _pieces(indptr):
+        terms = [t + n for t, n in zip(_per_value(_lp_term, data[p0:p1]), names[indices[p0:p1]].tolist())]
+        text = []
+        starts, ends = indptr[r0:r1].tolist(), indptr[r0 + 1:r1 + 1].tolist()
+        for a, b, head, tail in zip(starts, ends, heads(r0, r1), tails(r0, r1)):
+            line = " ".join(terms[max(a, p0) - p0:min(b, p1) - p0])
+            if a < p0:  # the row began in an earlier piece
+                text.append(" " + line)
+            else:
+                text.append(head + (line[2:] if line.startswith("+ ") else line or empty))
+            if b <= p1:
+                text.append(tail)
+        fh.write("".join(text))
+
+
+def write_lp(model: MilpModel, path: str) -> dict[str, str]:
+    """CPLEX-style LP text file, formatted and written at most WRITE_CHUNK
+    coefficient entries, rows or variables at a time. Variables and rows
+    get distinct written names by position (`_sanitize_names`). Returns the
+    original -> written variable name map."""
+    names = np.array(_sanitize_names(model.var_names, 200, "x"), dtype=object)
+    rows = _sanitize_names(model.row_names, 200, "c")
+    indptr, indices, data, sense, rhs = model._merged_rows()
+    obj_idx, obj_val = _objective_entries(model)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"\\ {model.name}\n")
+        _write_name_map(fh, "\\", model.var_names, names)
+        fh.write("Minimize\n")
+        _write_lp_rows(
+            fh, names, np.array([0, obj_idx.size]), obj_idx, obj_val,
+            lambda r0, r1: [" obj: "], lambda r0, r1: ["\n"],
+        )
+        fh.write("Subject To\n")
+        _write_lp_rows(
+            fh, names, indptr, indices, data,
+            lambda r0, r1: [f" {row}: " for row in rows[r0:r1]],
+            lambda r0, r1: [
+                f" {_SENSES[s]} {r}\n" for s, r in zip(sense[r0:r1].tolist(), _per_value(_fmt, rhs[r0:r1]))
+            ],
+        )
+        fh.write("Bounds\n")
+        for piece in _bounds(names, model.lb, model.ub):
+            lines = []
+            for name, lo, hi, lo_text, hi_text in piece:
+                if math.isinf(hi) and lo == 0:
+                    continue  # default bounds
+                if lo == -math.inf and math.isinf(hi):
+                    lines.append(f" {name} free")
+                elif math.isinf(hi):
+                    lines.append(f" {name} >= {lo_text}")
+                else:
+                    lines.append(f" {lo_text} <= {name} <= {hi_text}")
+            _write_lines(fh, lines)
+        generals = np.flatnonzero(model.integer)
+        if generals.size:
+            fh.write("General\n")
+            for k in range(0, generals.size, WRITE_CHUNK):
+                _write_lines(fh, [f" {name}" for name in names[generals[k:k + WRITE_CHUNK]]])
+        fh.write("End\n")
+    return dict(zip(model.var_names, names))
 
 
 def write_mps(model: MilpModel, path: str) -> dict[str, str]:
-    """Fixed-format MPS file. Returns the original -> written name map."""
-    vmap = _sanitize_names(model.var_names, 8, "X")
-    cmap = _sanitize_names(model.row_names, 8, "R")
-    names = [vmap[n] for n in model.var_names]
-    rows = [cmap[n] for n in model.row_names]
+    """Fixed-format MPS file, formatted and written at most WRITE_CHUNK
+    coefficient entries, rows or variables at a time. Variables and rows
+    get distinct written names by position (`_sanitize_names`). Returns the
+    original -> written variable name map."""
+    names = np.array(_sanitize_names(model.var_names, 8, "X"), dtype=object)
+    rows = _sanitize_names(model.row_names, 8, "R")
 
     def fields(f1: str, f2: str = "", f3: str = "", f4: str = "", f5: str = "", f6: str = "") -> str:
         # Field start columns of the fixed layout: 2, 5, 15, 25, 40, 50.
@@ -520,63 +601,67 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
     def marker(k: int, tag: str) -> str:
         return fields("", f"M{k}", "'MARKER'") + (" " * 17) + tag
 
-    lines = [f"NAME          {_clean(model.name)[:8].upper() or 'MODEL'}"]
-    for orig, new in sorted(vmap.items()):
-        if orig != new:
-            lines.append(f"* name-map: {new} <- {orig}")
-    lines.append("ROWS")
-    lines.append(fields("N", "COST"))
     _, _, _, sense, rhs = model._merged_rows()
-    lines.extend(fields("LEG"[s], row) for s, row in zip(sense.tolist(), rows))
-
-    # Column entries, as fields("", variable, row, value) writes them: the
-    # objective entry first, then the rows in order.
     cols = _constraint_rows(model)[0].tocsc()
-    heads = ["    " + name.ljust(9) + " " for name in names]
-    pads = [row.ljust(9) + " " for row in rows]
-    col_of = np.repeat(np.arange(len(names)), np.diff(cols.indptr)).tolist()
-    entries = [
-        heads[j] + pads[r] + v
-        for j, r, v in zip(col_of, cols.indices.tolist(), _per_value(_fmt, cols.data))
-    ]
-    cost = {
-        j: "COST".ljust(9) + " " + text
-        for j, text in zip(model.objective, _per_value(_fmt, list(model.objective.values())))
-    }
-    lines.append("COLUMNS")
-    in_int = False
-    n_markers = 0
-    ptr = cols.indptr.tolist()
-    for j, is_int in enumerate(model.integer.tolist()):
-        if is_int != in_int:
-            lines.append(marker(n_markers, "'INTORG'" if is_int else "'INTEND'"))
-            in_int = is_int
-            n_markers += 1
-        if j in cost:
-            lines.append(heads[j] + cost[j])
-        lines.extend(entries[ptr[j]:ptr[j + 1]])
-    if in_int:
-        lines.append(marker(n_markers, "'INTEND'"))
-
-    lines.append("RHS")
-    nonzero = np.flatnonzero(rhs != 0.0)
-    lines.extend(
-        fields("", "RHS", rows[r], text) for r, text in zip(nonzero.tolist(), _per_value(_fmt, rhs[nonzero]))
-    )
-
-    lines.append("BOUNDS")
-    for name, lb, ub, lb_text, ub_text in zip(
-        names, model.lb.tolist(), model.ub.tolist(), _per_value(_fmt, model.lb), _per_value(_fmt, model.ub)
-    ):
-        if lb == -math.inf and math.isinf(ub):
-            lines.append(fields("FR", "BND", name))
-            continue
-        lines.append(fields("MI", "BND", name) if lb == -math.inf else fields("LO", "BND", name, lb_text))
-        lines.append(fields("PL", "BND", name) if math.isinf(ub) else fields("UP", "BND", name, ub_text))
-    lines.append("ENDATA")
+    obj_idx, obj_val = _objective_entries(model)
+    integer = model.integer
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return vmap
+        fh.write(f"NAME          {_clean(model.name)[:8].upper() or 'MODEL'}\n")
+        _write_name_map(fh, "*", model.var_names, names)
+        fh.write("ROWS\n" + fields("N", "COST") + "\n")
+        for k in range(0, len(rows), WRITE_CHUNK):
+            part = slice(k, k + WRITE_CHUNK)
+            _write_lines(fh, [fields("LEG"[s], row) for s, row in zip(sense[part].tolist(), rows[part])])
+
+        # Column j: an integrality marker where integrality changes, its
+        # objective entry, then its rows in order, as fields("", variable,
+        # row, value) writes them.
+        fh.write("COLUMNS\n")
+        pads = np.array([row.ljust(9) + " " for row in rows], dtype=object)
+        in_int = False
+        n_markers = 0
+        for j0, j1, p0, p1 in _pieces(cols.indptr):
+            values = _per_value(_fmt, cols.data[p0:p1])
+            row_pads = pads[cols.indices[p0:p1]].tolist()
+            o0, o1 = np.searchsorted(obj_idx, [j0, j1])
+            cost = dict(zip(obj_idx[o0:o1].tolist(), _per_value(_fmt, obj_val[o0:o1])))
+            lines = []
+            starts, ends = cols.indptr[j0:j1].tolist(), cols.indptr[j0 + 1:j1 + 1].tolist()
+            for j, a, b, is_int in zip(range(j0, j1), starts, ends, integer[j0:j1].tolist()):
+                head = "    " + names[j].ljust(9) + " "
+                if a >= p0:  # the column starts in this piece
+                    if is_int != in_int:
+                        lines.append(marker(n_markers, "'INTORG'" if is_int else "'INTEND'"))
+                        in_int = is_int
+                        n_markers += 1
+                    if j in cost:
+                        lines.append(head + "COST".ljust(9) + " " + cost[j])
+                a, b = max(a, p0) - p0, min(b, p1) - p0
+                lines.extend(f"{head}{pad}{v}" for pad, v in zip(row_pads[a:b], values[a:b]))
+            _write_lines(fh, lines)
+        if in_int:
+            fh.write(marker(n_markers, "'INTEND'") + "\n")
+
+        fh.write("RHS\n")
+        nonzero = np.flatnonzero(rhs != 0.0)
+        for k in range(0, nonzero.size, WRITE_CHUNK):
+            part = nonzero[k:k + WRITE_CHUNK]
+            _write_lines(
+                fh, [fields("", "RHS", rows[r], text) for r, text in zip(part.tolist(), _per_value(_fmt, rhs[part]))]
+            )
+
+        fh.write("BOUNDS\n")
+        for piece in _bounds(names, model.lb, model.ub):
+            lines = []
+            for name, lo, hi, lo_text, hi_text in piece:
+                if lo == -math.inf and math.isinf(hi):
+                    lines.append(fields("FR", "BND", name))
+                    continue
+                lines.append(fields("MI", "BND", name) if lo == -math.inf else fields("LO", "BND", name, lo_text))
+                lines.append(fields("PL", "BND", name) if math.isinf(hi) else fields("UP", "BND", name, hi_text))
+            _write_lines(fh, lines)
+        fh.write("ENDATA\n")
+    return dict(zip(model.var_names, names))
 
 
 def export_model(model: MilpModel, path: str, fmt: str) -> dict[str, str]:

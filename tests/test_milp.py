@@ -1,12 +1,14 @@
 import itertools
 import math
 import re
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from odmts import design, fleet, instgen, routegen
+from odmts import design, fleet, instgen, milp, routegen
 from odmts.milp import (
     EQUAL,
     GREATER_EQUAL,
@@ -440,21 +442,21 @@ def test_exports_keep_signed_zero_coefficients_apart(tmp_path):
 
 
 def _sanitize_by_regex(names, max_len, prefix):
-    mapping, used = {}, set()
+    written, used = [], set()
     for i, name in enumerate(names):
         clean = re.sub(r"[^A-Za-z0-9_]", "_", name)
         if not clean or clean[0].isdigit():
             clean = "_" + clean
         if len(clean) > max_len or clean in used:
-            clean = f"{prefix}{i}"
-        mapping[name] = clean
+            clean = next(f"{prefix}{j}" for j in itertools.count(i) if f"{prefix}{j}" not in used)
+        written.append(clean)
         used.add(clean)
-    return mapping
+    return written
 
 
 def test_sanitized_names_match_per_name_regex():
     names = ["x", "", "9lives", "a b", "a_b", "x1", "flow[\u00e9,\u0394]", "line\nbreak", "\U0001f68c bus",
-             "tab\there", "longer_than_eight", "X4", "c-1", "ok_name", "\u00e9", "a.b"]
+             "tab\there", "longer_than_eight", "X4", "c-1", "ok_name", "\u00e9", "a.b", "x17", "a;b"]
     for max_len, prefix in ((8, "X"), (200, "x")):
         assert _sanitize_names(names, max_len, prefix) == _sanitize_by_regex(names, max_len, prefix)
 
@@ -478,6 +480,111 @@ def test_name_sanitization_emits_mapping(tmp_path):
     # Same sanitization applied twice stays identical.
     again = export_model(m, str(tmp_path / "b.lp"), "lp")
     assert again == export_model(m, str(tmp_path / "c.lp"), "lp")
+
+
+@pytest.mark.parametrize("fmt,reader,names", [
+    ("lp", read_lp, ["x2", "a[", "a]"]),  # the fallback for "a]" at position 2 would be x2
+    ("mps", read_mps, ["X2", "a[", "a]"]),
+])
+def test_fallback_names_never_collide(tmp_path, fmt, reader, names):
+    m = MilpModel(name="clash")
+    m.add_vars(names, 0.0, 1.0)
+    m.set_objective({0: 1.0, 1: 2.0, 2: 3.0})
+    m.add_constraint({0: 1.0, 1: 1.0, 2: 1.0}, GREATER_EQUAL, 1.0, name="cover")
+    path = str(tmp_path / f"clash.{fmt}")
+    mapping = export_model(m, path, fmt)
+    assert list(mapping) == names
+    assert len(set(mapping.values())) == 3
+    assert mapping[names[0]] == names[0]  # the clean name keeps its spelling
+    back = reader(path)
+    assert len(back.var_names) == 3
+    assert sorted(back.objective.values()) == [1.0, 2.0, 3.0]
+    assert solve_lp(back).objective == pytest.approx(1.0)
+    if fmt == "lp":
+        assert " obj: 1 x2 + 2 a_ + 3 x3" in (tmp_path / "clash.lp").read_text()
+
+
+def test_same_named_rows_get_distinct_written_names(tmp_path):
+    m = MilpModel(name="twins")
+    a, b = m.add_var("a", 0, 5), m.add_var("b", 0, 5)
+    m.add_constraint({a: 1.0}, GREATER_EQUAL, 1.0, name="r")
+    m.add_constraint({b: 1.0}, GREATER_EQUAL, 2.0, name="r")
+    m.set_objective({a: 1.0, b: 1.0})
+    for fmt, reader in (("lp", read_lp), ("mps", read_mps)):
+        path = str(tmp_path / f"twins.{fmt}")
+        export_model(m, path, fmt)
+        back = reader(path)
+        assert len(back.row_names) == 2
+        assert len(set(back.row_names)) == 2
+        assert solve_lp(back).objective == pytest.approx(3.0)
+
+
+def _edge_models():
+    """Models that exercise the writers' corner cases."""
+    empty_row = MilpModel(name="empty_row")
+    empty_row.add_vars(["a", "b"], [0.0, -math.inf], [2.0, math.inf], [True, False])
+    empty_row.add_rows([0, 2, 2, 3], [0, 1, 1], [1.0, -1.0, 4.0], [LESS_EQUAL, EQUAL, GREATER_EQUAL], [3.0, 0.0, -1.0])
+    empty_row.set_objective({1: 1.0})
+    no_rows = MilpModel(name="no_rows")
+    no_rows.add_vars(["p", "q", "r", "s"], 0.0, [1.0, 1.0, math.inf, 7.0], [True, True, False, True])
+    no_rows.set_objective({0: -1.0, 3: 2.0})
+    no_vars = MilpModel(name="no_vars")
+    no_vars.add_rows([0, 0, 0], [], [], LESS_EQUAL, [1.0, 0.0])
+    return {"empty_row": empty_row, "no_rows": no_rows, "no_vars": no_vars}
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("fmt", ["lp", "mps"])
+def test_exports_do_not_depend_on_chunk_size(tmp_path, monkeypatch, fmt, chunk):
+    """Pieces of 1 and 3 entries cut rows, columns, the objective, the
+    name map and the bounds mid-way; the bytes must not change."""
+    edge = _edge_models()
+    whole = {}
+    for name, model in edge.items():
+        path = tmp_path / f"{name}.{fmt}"
+        export_model(model, str(path), fmt)
+        whole[name] = path.read_bytes()
+    if fmt == "lp":
+        assert b" c1: 0 a = 0\n" in whole["empty_row"]
+        assert whole["no_vars"].endswith(b" obj: 0\nSubject To\n c0: 0 <= 1\n c1: 0 <= 0\nBounds\nEnd\n")
+    monkeypatch.setattr(milp, "WRITE_CHUNK", chunk)
+    for name, model in _golden_models().items():
+        path = tmp_path / f"{name}.{fmt}"
+        export_model(model, str(path), fmt)
+        assert path.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes(), name
+    for name, model in edge.items():
+        path = tmp_path / f"{name}.{fmt}"
+        export_model(model, str(path), fmt)
+        assert path.read_bytes() == whole[name], name
+
+
+def _synthetic_model(n_vars=2000, n_rows=5000, per_row=40):
+    """n_vars variables, per_row distinct columns in each of n_rows rows."""
+    m = MilpModel(name="synthetic")
+    m.add_vars([f"v{i}" for i in range(n_vars)], 0.0, np.arange(n_vars) % 7 + 1.0, np.arange(n_vars) % 2 == 0)
+    step = n_vars // per_row
+    cols = (np.arange(n_rows)[:, None] * 7 + np.arange(per_row) * step) % n_vars
+    m.add_rows(
+        np.arange(0, n_rows * per_row + 1, per_row), cols.ravel(), (cols.ravel() % 13 - 6) / 4.0,
+        LESS_EQUAL, np.arange(n_rows) % 50.0,
+    )
+    m.set_objective({i: float(i % 19 + 1) for i in range(n_vars)})
+    return m
+
+
+@pytest.mark.parametrize("fmt", ["lp", "mps"])
+def test_export_memory_stays_below_file_size(tmp_path, fmt):
+    m = _synthetic_model()
+    assert m._merged_rows()[0][-1] >= 200_000
+    m.lb  # merge the column blocks before tracing
+    path = tmp_path / f"synthetic.{fmt}"
+    tracemalloc.start()
+    try:
+        export_model(m, str(path), fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_solve_log_env(tmp_path, monkeypatch):
