@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 import time
@@ -318,13 +317,16 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
 def _dispatch(args: argparse.Namespace) -> int:
     cmd, cfg = args.command, _config(args)
     if cmd == "gen":
-        inst = instgen.generate(
-            seed=args.seed,
-            n_nodes=args.nodes,
-            n_hubs=args.hubs,
-            n_commodities=args.commodities,
-            horizon=(args.t_min, args.t_max),
-        )
+        try:
+            inst = instgen.generate(
+                seed=args.seed,
+                n_nodes=args.nodes,
+                n_hubs=args.hubs,
+                n_commodities=args.commodities,
+                horizon=(args.t_min, args.t_max),
+            )
+        except ValueError as exc:
+            raise StageError(cmd, str(exc), EXIT_USAGE)
         save_instance(_apply_overrides(inst, cfg), cfg.out)
         print(f"wrote {cfg.out}")
         return EXIT_OK
@@ -348,14 +350,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"wrote {cfg.out} (fleet size {result.fleet_size})")
     else:  # report
         ds = design_mod.load_solution(args.design, inst)
-        with open(args.fleet, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-                schedules = tuple(tuple(s) for s in data["schedules"])
-                result = fleet_mod.FleetResult(fleet_size=data["fleet_size"], schedules=schedules, flows={})
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InstanceFormatError(f"{args.fleet}: not a fleet result: {exc!r}") from exc
-        _stage_report(inst, ds, result, cfg.out)
+        _stage_report(inst, ds, fleet_mod.load_result(args.fleet), cfg.out)
         print(f"wrote {cfg.out}")
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .instance import Commodity, Instance, InstanceFormatError
+from .instance import Commodity, Instance, InstanceFormatError, record_dict
 from .milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel, MilpSolution, OPTIMAL, solve_milp
 from .routegen import DROPOFF, PICKUP, Route, direct_cost, route_from_dict, route_to_dict
 
@@ -98,15 +98,17 @@ class DesignSolution:
 
 @dataclass
 class DesignModel:
-    """The assembled model plus the variable bookkeeping needed to read it back."""
+    """The assembled model and the column of each variable: z per line, y
+    per commodity and line (a commodities x lines array), x per route in
+    `routes` order and eta per commodity."""
 
     model: MilpModel
     lines: list[tuple[str, str]]
-    routes: dict[tuple, Route]
-    z_idx: dict[tuple[str, str], int]
-    y_idx: dict[tuple[str, str, str], int]
-    x_idx: dict[tuple, int]
-    eta_idx: dict[str, int]
+    routes: list[Route]
+    z: np.ndarray
+    y: np.ndarray
+    x: np.ndarray
+    eta: np.ndarray
 
 
 def build_design_model(
@@ -149,10 +151,7 @@ def build_design_model(
     ).reshape(n_c, n_l)
     x = model.add_vars([f"x[{k[0]},{k[1]},{'|'.join(k[2])}]" for k in keys], 0, 1, integer=True)
     eta = model.add_vars([f"eta[{c.id}]" for c in comms], 0, 1, integer=True)
-    z_idx = dict(zip(lines, z.tolist()))
-    y_idx = dict(zip(((c.id, h, l) for c in comms for h, l in lines), y.ravel().tolist()))
-    x_idx = dict(zip(keys, x.tolist()))
-    eta_idx = dict(zip((c.id for c in comms), eta.tolist()))
+    x_of = dict(zip(keys, x.tolist()))
 
     # line_use_cost for every (commodity, line) pair, in the same float order.
     hub_pos = {h: k for k, h in enumerate(inst.hubs)}
@@ -184,14 +183,14 @@ def build_design_model(
     # flow rows. A route listed twice counts once in a cover row and twice in
     # a flow row.
     cover_rows, cover_cols, flow_rows, flow_cols, flow_vals = [], [], [], [], []
-    for ci, c in enumerate(comms):
+    for ci, (c, eta_col) in enumerate(zip(comms, eta.tolist())):
         for side, (omega, sign) in enumerate(((omega_minus, 1.0), (omega_plus, -1.0))):
             members = omega.get(c.id, [])
-            cols = list(dict.fromkeys([eta_idx[c.id]] + [x_idx[w.key] for w in members]))
+            cols = list(dict.fromkeys([eta_col] + [x_of[w.key] for w in members]))
             cover_rows += [2 * ci + side] * len(cols)
             cover_cols += cols
             flow_rows += [ci * n_h + hub_pos[w.hub] for w in members]
-            flow_cols += [x_idx[w.key] for w in members]
+            flow_cols += [x_of[w.key] for w in members]
             flow_vals += [sign] * len(members)
     add_block(
         cover_rows, cover_cols, np.ones(len(cover_cols)), 2 * n_c, GREATER_EQUAL, 1.0,
@@ -218,29 +217,20 @@ def build_design_model(
         n_c * n_h, EQUAL, 0.0, [f"flow[{c.id},{h}]" for c in comms for h in inst.hubs],
     )
 
-    return DesignModel(
-        model=model,
-        lines=lines,
-        routes=routes,
-        z_idx=z_idx,
-        y_idx=y_idx,
-        x_idx=x_idx,
-        eta_idx=eta_idx,
-    )
+    return DesignModel(model, lines, [routes[key] for key in keys], z, y, x, eta)
 
 
 def _extract(dm: DesignModel, sol: MilpSolution, inst: Instance) -> DesignSolution:
-    def on(name: str) -> bool:
-        return sol.values[name] > 0.5
-
-    names = dm.model.var_names
-    opened = tuple(hl for hl in dm.lines if on(names[dm.z_idx[hl]]))
+    """Read the solution off the model's columns; `inst` is the instance
+    the model was built from."""
+    on = sol.x > 0.5
+    opened = tuple(hl for hl, o in zip(dm.lines, on[dm.z].tolist()) if o)
     bus_legs = {
-        c.id: tuple(hl for hl in dm.lines if on(names[dm.y_idx[(c.id, *hl)]]))
-        for c in inst.commodities
+        c.id: tuple(hl for hl, o in zip(dm.lines, row) if o)
+        for c, row in zip(inst.commodities, on[dm.y].tolist())
     }
-    selected = tuple(dm.routes[key] for key in sorted(dm.routes) if on(names[dm.x_idx[key]]))
-    direct = frozenset(c.id for c in inst.commodities if on(names[dm.eta_idx[c.id]]))
+    selected = tuple(w for w, o in zip(dm.routes, on[dm.x].tolist()) if o)
+    direct = frozenset(c.id for c, o in zip(inst.commodities, on[dm.eta].tolist()) if o)
 
     breakdown = CostBreakdown(
         bus_fixed=sum(line_open_cost(*hl, inst) for hl in opened),
@@ -298,7 +288,7 @@ def _lexicographic_min_legs(dm: DesignModel, first: MilpSolution) -> MilpSolutio
     cap = first.objective + 1e-9 * max(1.0, abs(first.objective))
     tie = dm.model.copy("design-tiebreak")
     tie.add_constraint(dm.model.objective, LESS_EQUAL, cap, name="objective-cap")
-    tie.set_objective(dict.fromkeys(dm.y_idx.values(), 1.0))
+    tie.set_objective(dict.fromkeys(dm.y.ravel().tolist(), 1.0))
     sol = solve_milp(tie)
     if sol.status != OPTIMAL:
         raise DesignError("tie-break pass unexpectedly failed")
@@ -393,12 +383,7 @@ def solution_to_dict(ds: DesignSolution) -> dict:
         "selected_routes": [route_to_dict(w) for w in ds.selected_routes],
         "direct": sorted(ds.direct),
         "objective": ds.objective,
-        "breakdown": {
-            "bus_fixed": ds.breakdown.bus_fixed,
-            "route_cost": ds.breakdown.route_cost,
-            "direct_cost": ds.breakdown.direct_cost,
-            "bus_inconvenience": ds.breakdown.bus_inconvenience,
-        },
+        "breakdown": record_dict(ds.breakdown),
     }
 
 

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 
-from .instance import EPS, Instance
+from .instance import EPS, Instance, InstanceFormatError, record_dict
 from .milp import EQUAL, GREATER_EQUAL, MilpModel
 from .routegen import DROPOFF, PICKUP
 
@@ -392,16 +392,7 @@ def result_to_dict(result: FleetResult, tasks) -> dict:
     return {
         "fleet_size": result.fleet_size,
         "schedules": [list(s) for s in result.schedules],
-        "tasks": [
-            {
-                "id": t.id,
-                "start_loc": t.start_loc,
-                "end_loc": t.end_loc,
-                "start": t.start,
-                "duration": t.duration,
-            }
-            for t in sorted(by_id.values(), key=lambda t: (t.start, t.id))
-        ],
+        "tasks": [record_dict(t) for t in _sorted_tasks(by_id.values())],
     }
 
 
@@ -409,3 +400,15 @@ def save_result(result: FleetResult, tasks, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result_to_dict(result, tasks), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def load_result(path: str) -> FleetResult:
+    """Read the fleet size and schedules of a saved fleet result; a file
+    that is not one raises InstanceFormatError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+            schedules = tuple(tuple(s) for s in data["schedules"])
+            return FleetResult(fleet_size=data["fleet_size"], schedules=schedules, flows={})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceFormatError(f"{path}: not a fleet result: {exc!r}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -77,7 +77,7 @@ class RoutingParams:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """Immutable problem instance; safe to share across workers after load."""
+    """Immutable problem instance."""
 
     nodes: tuple[str, ...]
     hubs: tuple[str, ...]
@@ -173,51 +173,56 @@ def _matrix(raw: Any, n: int, name: str) -> np.ndarray:
     return mat
 
 
+def _typed(val: Any, kind: type, what: str, name: str) -> Any:
+    if not isinstance(val, kind):
+        raise InstanceFormatError(f"field '{name}' must be {what}, got {type(val).__name__}")
+    return val
+
+
+def _list(obj: dict, key: str) -> list:
+    return _typed(_require(obj, key, ""), list, "a list", key)
+
+
+# Field type annotation (a string under postponed evaluation) -> reader.
+_READERS = {
+    "str": lambda raw, key, path: str(_require(raw, key, path)),
+    "int": _integer,
+    "float": _number,
+}
+
+
+def _record(cls: type, raw: Any, path: str) -> Any:
+    """A `cls` record read from the object `raw`, field by field in
+    declaration order; `path` ends in '.' and prefixes field names in errors."""
+    _typed(raw, dict, "an object", path[:-1])
+    return cls(*[_READERS[f.type](raw, f.name, path) for f in fields(cls)])
+
+
+def record_dict(rec: Any) -> dict:
+    """A dataclass record's fields as a flat dict; unlike
+    `dataclasses.asdict`, the values are not copied."""
+    return {f.name: getattr(rec, f.name) for f in fields(rec)}
+
+
 def instance_from_dict(data: dict) -> Instance:
     """Build an Instance from the JSON document structure (no semantic checks)."""
-    nodes = tuple(str(n) for n in _require(data, "nodes", ""))
-    hubs = tuple(str(h) for h in _require(data, "hubs", ""))
+    nodes = tuple(str(n) for n in _list(data, "nodes"))
+    hubs = tuple(str(h) for h in _list(data, "hubs"))
     time_mat = _matrix(_require(data, "time", ""), len(nodes), "time")
     dist_mat = _matrix(_require(data, "dist", ""), len(nodes), "dist")
-
-    commodities = []
-    for k, raw in enumerate(_require(data, "commodities", "")):
-        path = f"commodities[{k}]."
-        commodities.append(
-            Commodity(
-                id=str(_require(raw, "id", path)),
-                origin=str(_require(raw, "origin", path)),
-                destination=str(_require(raw, "destination", path)),
-                passengers=_integer(raw, "passengers", path),
-                depart=_number(raw, "depart", path),
-            )
-        )
-
-    cost_raw = _require(data, "cost", "")
-    cost = CostParams(
-        alpha=_number(cost_raw, "alpha", "cost."),
-        shuttle_cost_per_km=_number(cost_raw, "shuttle_cost_per_km", "cost."),
-        bus_cost_per_km=_number(cost_raw, "bus_cost_per_km", "cost."),
-        bus_trips_per_line=_number(cost_raw, "bus_trips_per_line", "cost."),
-        bus_wait=_number(cost_raw, "bus_wait", "cost."),
+    commodities = tuple(
+        _record(Commodity, raw, f"commodities[{k}].") for k, raw in enumerate(_list(data, "commodities"))
     )
-    routing_raw = _require(data, "routing", "")
-    routing = RoutingParams(
-        shuttle_capacity=_integer(routing_raw, "shuttle_capacity", "routing."),
-        duration_threshold=_number(routing_raw, "duration_threshold", "routing."),
-        bucket_len=_number(routing_raw, "bucket_len", "routing."),
-        first_hub_count=_integer(routing_raw, "first_hub_count", "routing."),
-        last_hub_count=_integer(routing_raw, "last_hub_count", "routing."),
-    )
-    horizon_raw = _require(data, "horizon", "")
+    cost = _record(CostParams, _require(data, "cost", ""), "cost.")
+    routing = _record(RoutingParams, _require(data, "routing", ""), "routing.")
+    horizon_raw = _typed(_require(data, "horizon", ""), dict, "an object", "horizon")
     horizon = (_number(horizon_raw, "t_min", "horizon."), _number(horizon_raw, "t_max", "horizon."))
-
     return Instance(
         nodes=nodes,
         hubs=hubs,
         travel_time=time_mat,
         travel_dist=dist_mat,
-        commodities=tuple(commodities),
+        commodities=commodities,
         cost=cost,
         routing=routing,
         horizon=horizon,
@@ -231,30 +236,9 @@ def instance_to_dict(inst: Instance) -> dict:
         "hubs": list(inst.hubs),
         "time": inst.travel_time.tolist(),
         "dist": inst.travel_dist.tolist(),
-        "commodities": [
-            {
-                "id": c.id,
-                "origin": c.origin,
-                "destination": c.destination,
-                "passengers": c.passengers,
-                "depart": c.depart,
-            }
-            for c in inst.commodities
-        ],
-        "cost": {
-            "alpha": inst.cost.alpha,
-            "shuttle_cost_per_km": inst.cost.shuttle_cost_per_km,
-            "bus_cost_per_km": inst.cost.bus_cost_per_km,
-            "bus_trips_per_line": inst.cost.bus_trips_per_line,
-            "bus_wait": inst.cost.bus_wait,
-        },
-        "routing": {
-            "shuttle_capacity": inst.routing.shuttle_capacity,
-            "duration_threshold": inst.routing.duration_threshold,
-            "bucket_len": inst.routing.bucket_len,
-            "first_hub_count": inst.routing.first_hub_count,
-            "last_hub_count": inst.routing.last_hub_count,
-        },
+        "commodities": [record_dict(c) for c in inst.commodities],
+        "cost": record_dict(inst.cost),
+        "routing": record_dict(inst.routing),
         "horizon": {"t_min": inst.horizon[0], "t_max": inst.horizon[1]},
     }
 

@@ -61,6 +61,9 @@ def generate(
         raise ValueError(f"n_hubs {n_hubs} exceeds n_nodes {n_nodes}")
     if n_hubs < 1 or n_nodes < 2:
         raise ValueError("need at least two nodes and one hub")
+    t_min, t_max = horizon
+    if t_max < t_min:
+        raise ValueError(f"horizon end {t_max} precedes its start {t_min}")
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, side_km, size=(n_nodes, 2))
     diff = coords[:, None, :] - coords[None, :, :]
@@ -87,7 +90,6 @@ def generate(
         )
     elif routing.first_hub_count > n_hubs or routing.last_hub_count > n_hubs:
         raise ValueError("hub counts in routing params exceed the number of hubs")
-    t_min, t_max = horizon
     commodities = []
     for i in range(n_commodities):
         o = int(rng.integers(n_nodes))

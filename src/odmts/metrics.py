@@ -8,23 +8,25 @@ from dataclasses import dataclass
 
 from .design import DesignSolution, rider_minutes
 from .fleet import FleetResult
-from .instance import Instance
+from .instance import Instance, record_dict
 from .routegen import DROPOFF, PICKUP
 
 
 @dataclass
 class Report:
+    """One run's metrics, in the order `report_to_dict` writes them."""
+
     capacity: int
     total_cost: float
     opened_lines: int
     direct_routes: int
     fleet_size: int
     avg_inconvenience: float
+    cost_breakdown: dict[str, float]
+    connectivity_flag: bool
     avg_shuttle_usage: float | None
     usage_first_leg: float | None
     usage_last_leg: float | None
-    cost_breakdown: dict[str, float]
-    connectivity_flag: bool
 
 
 def avg_inconvenience(ds: DesignSolution, inst: Instance) -> float:
@@ -111,25 +113,8 @@ _CSV_COLUMNS = [
 
 
 def report_to_dict(report: Report) -> dict:
-    out = {
-        "capacity": report.capacity,
-        "total_cost": report.total_cost,
-        "opened_lines": report.opened_lines,
-        "direct_routes": report.direct_routes,
-        "fleet_size": report.fleet_size,
-        "avg_inconvenience": report.avg_inconvenience,
-        "cost_breakdown": dict(report.cost_breakdown),
-        "connectivity_flag": report.connectivity_flag,
-    }
     # Ratios over empty denominators are omitted rather than written as null.
-    for key, val in (
-        ("avg_shuttle_usage", report.avg_shuttle_usage),
-        ("usage_first_leg", report.usage_first_leg),
-        ("usage_last_leg", report.usage_last_leg),
-    ):
-        if val is not None:
-            out[key] = val
-    return out
+    return {key: val for key, val in record_dict(report).items() if val is not None}
 
 
 def emit_report(reports: Report | list[Report], path: str, fmt: str) -> None:

@@ -274,7 +274,7 @@ class MilpModel:
 class MilpSolution:
     status: str
     objective: float | None
-    values: dict[str, float]
+    x: np.ndarray  # variable values in model column order; empty unless OPTIMAL
     best_bound: float | None
 
 
@@ -329,7 +329,7 @@ def _finish(kind: str, model: MilpModel, rows, res) -> MilpSolution:
     if res.status in (2, 3):
         status = INFEASIBLE if res.status == 2 else UNBOUNDED
         _log_solve(kind, model, rows, status, None)
-        return MilpSolution(status, None, {}, None)
+        return MilpSolution(status, None, np.empty(0), None)
     integer = kind == "milp"
     if integer and res.status == 1:
         incumbent = float(res.fun) if res.x is not None else None
@@ -340,14 +340,13 @@ def _finish(kind: str, model: MilpModel, rows, res) -> MilpSolution:
     if res.status != 0 or res.x is None:
         raise SolveNumericalError(f"{kind.upper()} solve failed: {res.message}")
     _check_solution(model, rows, res.x, integrality=integer)
-    values = dict(zip(model.var_names, res.x.tolist()))
     if integer:
         bound = float(res.fun) if res.mip_dual_bound is None else float(res.mip_dual_bound)
         extra = f"nodes={getattr(res, 'mip_node_count', '?')}"
     else:
         bound, extra = float(res.fun), f"iters={getattr(res, 'nit', '?')}"
     _log_solve(kind, model, rows, OPTIMAL, res.fun, extra)
-    return MilpSolution(OPTIMAL, float(res.fun), values, bound)
+    return MilpSolution(OPTIMAL, float(res.fun), res.x, bound)
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
@@ -355,7 +354,7 @@ def solve_lp(model: MilpModel) -> MilpSolution:
     optimal basic solution. No pipeline stage calls this; it is the LP
     solver for exported or hand-built models and for cross-checks."""
     if not model.var_names:
-        return MilpSolution(OPTIMAL, 0.0, {}, 0.0)
+        return MilpSolution(OPTIMAL, 0.0, np.empty(0), 0.0)
     rows = a, lo, hi = _constraint_rows(model)
     # linprog takes A_ub x <= b_ub and A_eq x = b_eq, so '>=' rows are
     # negated; each system keeps the model's row order.
@@ -381,7 +380,7 @@ def solve_milp(
     """Solve to proven optimality (1e-9 relative gap). Raises SolveEffortError
     with the incumbent and bound when a limit is hit first."""
     if not model.var_names:
-        return MilpSolution(OPTIMAL, 0.0, {}, 0.0)
+        return MilpSolution(OPTIMAL, 0.0, np.empty(0), 0.0)
     bad = np.flatnonzero(model.integer & (np.isinf(model.lb) | np.isinf(model.ub)))
     if bad.size:
         raise ModelError(f"integer variable {model.var_names[bad[0]]} must have finite bounds")
@@ -591,15 +590,7 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
     names = np.array(_sanitize_names(model.var_names, 8, "X"), dtype=object)
     rows = _sanitize_names(model.row_names, 8, "R")
 
-    def fields(f1: str, f2: str = "", f3: str = "", f4: str = "", f5: str = "", f6: str = "") -> str:
-        # Field start columns of the fixed layout: 2, 5, 15, 25, 40, 50.
-        line = " " + f1.ljust(2) + " " + f2.ljust(9) + " " + f3.ljust(9) + " " + f4.ljust(14)
-        if f5:
-            line += " " + f5.ljust(9) + " " + f6
-        return line.rstrip()
-
-    def marker(k: int, tag: str) -> str:
-        return fields("", f"M{k}", "'MARKER'") + (" " * 17) + tag
+    marker = "    M{:<8} 'MARKER'" + " " * 17 + "{}"
 
     _, _, _, sense, rhs = model._merged_rows()
     cols = _constraint_rows(model)[0].tocsc()
@@ -608,14 +599,13 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"NAME          {_clean(model.name)[:8].upper() or 'MODEL'}\n")
         _write_name_map(fh, "*", model.var_names, names)
-        fh.write("ROWS\n" + fields("N", "COST") + "\n")
+        fh.write("ROWS\n N  COST\n")
         for k in range(0, len(rows), WRITE_CHUNK):
             part = slice(k, k + WRITE_CHUNK)
-            _write_lines(fh, [fields("LEG"[s], row) for s, row in zip(sense[part].tolist(), rows[part])])
+            _write_lines(fh, [f" {'LEG'[s]}  {row}" for s, row in zip(sense[part].tolist(), rows[part])])
 
         # Column j: an integrality marker where integrality changes, its
-        # objective entry, then its rows in order, as fields("", variable,
-        # row, value) writes them.
+        # objective entry, then its rows in order.
         fh.write("COLUMNS\n")
         pads = np.array([row.ljust(9) + " " for row in rows], dtype=object)
         in_int = False
@@ -631,7 +621,7 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
                 head = "    " + names[j].ljust(9) + " "
                 if a >= p0:  # the column starts in this piece
                     if is_int != in_int:
-                        lines.append(marker(n_markers, "'INTORG'" if is_int else "'INTEND'"))
+                        lines.append(marker.format(n_markers, "'INTORG'" if is_int else "'INTEND'"))
                         in_int = is_int
                         n_markers += 1
                     if j in cost:
@@ -640,14 +630,14 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
                 lines.extend(f"{head}{pad}{v}" for pad, v in zip(row_pads[a:b], values[a:b]))
             _write_lines(fh, lines)
         if in_int:
-            fh.write(marker(n_markers, "'INTEND'") + "\n")
+            fh.write(marker.format(n_markers, "'INTEND'") + "\n")
 
         fh.write("RHS\n")
         nonzero = np.flatnonzero(rhs != 0.0)
         for k in range(0, nonzero.size, WRITE_CHUNK):
             part = nonzero[k:k + WRITE_CHUNK]
             _write_lines(
-                fh, [fields("", "RHS", rows[r], text) for r, text in zip(part.tolist(), _per_value(_fmt, rhs[part]))]
+                fh, [f"    RHS       {rows[r]:<9} {text}" for r, text in zip(part.tolist(), _per_value(_fmt, rhs[part]))]
             )
 
         fh.write("BOUNDS\n")
@@ -655,10 +645,10 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
             lines = []
             for name, lo, hi, lo_text, hi_text in piece:
                 if lo == -math.inf and math.isinf(hi):
-                    lines.append(fields("FR", "BND", name))
+                    lines.append(f" FR BND       {name}")
                     continue
-                lines.append(fields("MI", "BND", name) if lo == -math.inf else fields("LO", "BND", name, lo_text))
-                lines.append(fields("PL", "BND", name) if math.isinf(hi) else fields("UP", "BND", name, hi_text))
+                lines.append(f" MI BND       {name}" if lo == -math.inf else f" LO BND       {name:<9} {lo_text}")
+                lines.append(f" PL BND       {name}" if math.isinf(hi) else f" UP BND       {name:<9} {hi_text}")
             _write_lines(fh, lines)
         fh.write("ENDATA\n")
     return dict(zip(model.var_names, names))

@@ -77,9 +77,7 @@ def fleet_battery():
         for graph in (dense_graph, sparse_graph):
             model, var = fleet_model(graph)
             sol = solve_lp(model)
-            deviations.append(
-                max(abs(v - round(v)) for v in sol.values.values()) if sol.values else 0.0
-            )
+            deviations.append(float(np.abs(sol.x - np.round(sol.x)).max(initial=0.0)))
             objectives.append(sol.objective)
         records.append(
             {

@@ -13,6 +13,7 @@ from odmts.milp import write_lp
 from model_files import read_lp
 
 ARTIFACTS = ("routes.jsonl", "design.json", "fleet.json", "report.json", "report.csv")
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "pipeline_tiny")
 
 
 @pytest.fixture
@@ -43,6 +44,48 @@ def test_validate_rejects_bad_matrix(tmp_path, tiny_instance_file, capsys):
     bad.write_text(json.dumps(data))
     assert main(["validate", "--instance", str(bad)]) == EXIT_INVALID
     assert "negative" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [("nodes", 5), ("hubs", "h"), ("commodities", [5]), ("commodities", None), ("cost", 5),
+     ("routing", None), ("horizon", [0, 30])],
+)
+def test_validate_rejects_section_of_wrong_type(tiny_instance_file, capsys, section, value):
+    data = json.load(open(tiny_instance_file))
+    data[section] = value
+    with open(tiny_instance_file, "w") as fh:
+        json.dump(data, fh)
+    code = main(["validate", "--instance", tiny_instance_file])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert err.startswith(f"[validate] {tiny_instance_file}: field '{section}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--nodes", "3", "--hubs", "5"], ["--nodes", "0", "--hubs", "0"], ["--t-min", "10", "--t-max", "5"]],
+)
+def test_gen_rejects_impossible_arguments(tmp_path, capsys, args):
+    code = main(["gen", "--out", str(tmp_path / "x.json"), *args])
+    _one_usage_line(code, capsys, "[gen] ")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_pipeline_matches_golden_artifacts(tmp_path, tiny_instance_file):
+    """The tiny instance and everything `pipeline --check-oracle
+    --export-model` writes for it stay byte for byte as recorded in
+    tests/data/pipeline_tiny."""
+    out = tmp_path / "run"
+    assert main([
+        "pipeline", "--instance", tiny_instance_file, "--out", str(out), "--check-oracle",
+        "--export-model", str(out / "design.lp"),
+    ]) == EXIT_OK
+    got = {"tiny.json": open(tiny_instance_file, "rb").read()}
+    got.update({name: (out / name).read_bytes() for name in (*ARTIFACTS, "design.lp")})
+    for name, data in got.items():
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            assert data == fh.read(), name
 
 
 def test_validate_missing_file(tmp_path):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,11 +11,15 @@ from hypothesis import given, strategies as st
 from odmts import instgen
 from odmts.instance import (
     EPS,
+    Commodity,
+    CostParams,
     HorizonError,
     InstanceFormatError,
+    RoutingParams,
     _triangle_rows,
     bucket_of,
     load_instance,
+    save_instance,
     split_commodities,
     validate,
     window_of,
@@ -76,6 +82,50 @@ def test_missing_alpha_names_field(tmp_path):
     del data["cost"]["alpha"]
     with pytest.raises(InstanceFormatError, match="cost.alpha"):
         load_instance(write_json(tmp_path, data))
+
+
+# (record type, JSON path prefix, the record's object inside a document)
+RECORDS = [
+    (Commodity, "commodities[0].", lambda data: data["commodities"][0]),
+    (CostParams, "cost.", lambda data: data["cost"]),
+    (RoutingParams, "routing.", lambda data: data["routing"]),
+]
+RECORD_FIELDS = [
+    pytest.param(path, section, f, id=path + f.name)
+    for cls, path, section in RECORDS
+    for f in dataclasses.fields(cls)
+]
+
+
+@pytest.mark.parametrize("path, section, field", RECORD_FIELDS)
+def test_missing_record_field_is_named(tmp_path, path, section, field):
+    data = json.loads(json.dumps(MINIMAL))
+    del section(data)[field.name]
+    with pytest.raises(InstanceFormatError, match=re.escape(f"missing required field '{path}{field.name}'")):
+        load_instance(write_json(tmp_path, data))
+
+
+@pytest.mark.parametrize("path, section, field", [p for p in RECORD_FIELDS if p.values[2].type != "str"])
+def test_mistyped_record_field_is_named(tmp_path, path, section, field):
+    for bad in ["1", 1.5] if field.type == "int" else ["1"]:
+        data = json.loads(json.dumps(MINIMAL))
+        section(data)[field.name] = bad
+        with pytest.raises(InstanceFormatError, match=re.escape(f"field '{path}{field.name}' must be")):
+            load_instance(write_json(tmp_path, data))
+
+
+def test_saved_instance_round_trips_byte_for_byte(tmp_path):
+    """A desk-shape instance saves, loads and saves to the same bytes. Its
+    bus_trips_per_line is the float the loader returns: instgen's default is
+    the int 16, written as 16 and read back as 16.0."""
+    cost = dataclasses.replace(instgen.DEFAULT_COST, bus_trips_per_line=16.0)
+    inst = instgen.generate(seed=400, n_nodes=60, n_hubs=6, n_commodities=100, cost=cost)
+    first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_instance(inst, first)
+    loaded = load_instance(first)
+    save_instance(loaded, second)
+    assert open(first, "rb").read() == open(second, "rb").read()
+    assert (loaded.commodities, loaded.cost, loaded.routing) == (inst.commodities, inst.cost, inst.routing)
 
 
 def test_parse_error_reports_position(tmp_path):

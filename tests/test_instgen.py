@@ -58,6 +58,8 @@ def test_parameter_validation():
         generate(seed=0, n_nodes=4, n_hubs=5, n_commodities=1)
     with pytest.raises(ValueError):
         generate(seed=0, n_nodes=1, n_hubs=1, n_commodities=1)
+    with pytest.raises(ValueError, match="horizon"):
+        generate(seed=0, n_nodes=4, n_hubs=1, n_commodities=0, horizon=(10.0, 5.0))
 
 
 def test_perturbation_deterministic_and_complete():

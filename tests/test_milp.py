@@ -44,7 +44,7 @@ def test_lp_simple_bound():
     sol = solve_lp(bound_model())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(2.5)
-    assert sol.values["x"] == pytest.approx(2.5)
+    assert sol.x.tolist() == pytest.approx([2.5])
 
 
 def test_lp_infeasible():
@@ -52,7 +52,8 @@ def test_lp_infeasible():
     x = m.add_var("x", 0, 0)
     m.add_constraint({x: 1.0}, GREATER_EQUAL, 1.0)
     m.set_objective({x: 1.0})
-    assert solve_lp(m).status == INFEASIBLE
+    sol = solve_lp(m)
+    assert sol.status == INFEASIBLE and sol.x.size == 0
 
 
 def test_lp_unbounded():
@@ -282,7 +283,7 @@ def test_row_kinds_solve_alone(solve, senses, objective, expected):
     sol = solve(m)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(objective * sum(expected))
-    assert (sol.values["x"], sol.values["y"]) == pytest.approx(expected)
+    assert sol.x.tolist() == pytest.approx(expected)
 
 
 def _six_task_instance():
@@ -305,7 +306,7 @@ def test_fleet_lp_is_integral_with_objective_three():
     sol = solve_lp(model)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-6)
-    assert all(abs(v - round(v)) <= 1e-6 for v in sol.values.values())
+    assert np.abs(sol.x - np.round(sol.x)).max() <= 1e-6
 
 
 def _random_fleet_model(seed):
@@ -332,7 +333,7 @@ def _random_fleet_model(seed):
 def test_totally_unimodular_models_solve_integrally(seed):
     sol = solve_lp(_random_fleet_model(seed))
     assert sol.status == OPTIMAL
-    assert all(abs(v - round(v)) <= 1e-6 for v in sol.values.values())
+    assert np.abs(sol.x - np.round(sol.x)).max() <= 1e-6
 
 
 def _random_bounded_milp(seed):
@@ -364,7 +365,7 @@ def test_solve_is_deterministic():
     a = solve_milp(m)
     b = solve_milp(m)
     assert a.objective == b.objective
-    assert a.values == b.values
+    assert a.x.tolist() == b.x.tolist()
 
 
 # -- model files ---------------------------------------------------------------
