@@ -11,6 +11,16 @@ Decision variables (all binary): z per candidate line, y per commodity and
 line, x per distinct shuttle route, eta per commodity (direct flag). A
 route's cost enters the objective once, no matter how many commodities it
 serves.
+
+The MIP is solved in integrality rounds. Its gap comes from the
+fixed-charge line variables z; once they are integral, the rest of an
+optimal solution almost always is too. So round 1 solves the model with
+only z integer, and each later round also makes integer the columns that
+came out fractional, until a round returns an integral solution. That
+solution is feasible for the full MIP and optimal for a relaxation of it,
+so it is a proven optimum of the full MIP, at the same 1e-9 gap. It can be
+a different cost-equal optimum from the one a single solve of the full MIP
+returns.
 """
 
 from __future__ import annotations
@@ -23,7 +33,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from .instance import Commodity, Instance, InstanceFormatError, record_dict
-from .milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel, MilpSolution, OPTIMAL, solve_milp
+from .milp import (
+    EQUAL,
+    GREATER_EQUAL,
+    INT_TOL,
+    LESS_EQUAL,
+    OPTIMAL,
+    MilpModel,
+    MilpSolution,
+    _check_solution,
+    _constraint_rows,
+    solve_milp,
+)
 from .routegen import DROPOFF, PICKUP, Route, direct_cost, route_from_dict, route_to_dict
 
 
@@ -260,13 +281,19 @@ def solve_design(
 
 
 def solve_design_model(dm: DesignModel, inst: Instance) -> DesignSolution:
-    """Solve an assembled design model to proven optimality.
+    """Solve an assembled design model to proven optimality, in the
+    integrality rounds of `solve_in_rounds`: the first integral round's
+    solution is feasible for the full MIP and optimal for a relaxation of
+    it, so it is optimal for the MIP to the same 1e-9 gap. It may be a
+    different cost-equal optimum from the one a single solve of the full
+    MIP returns.
 
     With alpha = 0 bus legs are free and optimal y flows can contain
-    cost-neutral cycles; a second lexicographic pass then minimizes the
-    number of bus legs at unchanged cost so itineraries stay extractable.
+    cost-neutral cycles; a second lexicographic pass over the full MIP then
+    minimizes the number of bus legs at unchanged cost so itineraries stay
+    extractable.
     """
-    sol = solve_milp(dm.model)
+    sol, _ = solve_in_rounds(dm)
     if sol.status != OPTIMAL:
         raise DesignError(
             f"design model unexpectedly {sol.status}; every commodity has a direct option"
@@ -282,6 +309,33 @@ def solve_design_model(dm: DesignModel, inst: Instance) -> DesignSolution:
         )
     _assert_solution(extracted, inst, sol)
     return extracted
+
+
+def solve_in_rounds(dm: DesignModel) -> tuple[MilpSolution, int]:
+    """Solve the design MIP as a sequence of relaxations and return the
+    solution with the number of rounds taken.
+
+    Round 1 keeps only the z columns integer. Each later round also makes
+    integer every column that came out fractional (|v - round(v)| >
+    INT_TOL), so the loop ends by the full MIP at the latest. The first
+    integral solution is checked against the full model, integrality
+    included. A relaxation that is not solved to optimality ends the loop
+    with its status."""
+    full = dm.model.integer
+    integer = np.zeros_like(full)
+    integer[dm.z] = full[dm.z]
+    rounds = 0
+    while True:
+        rounds += 1
+        sol = solve_milp(dm.model.copy(f"{dm.model.name}-round{rounds}", integer=integer))
+        if sol.status != OPTIMAL:
+            return sol, rounds
+        frac = full & ~integer & (np.abs(sol.x - np.round(sol.x)) > INT_TOL)
+        if not frac.any():
+            break
+        integer |= frac
+    _check_solution(dm.model, _constraint_rows(dm.model), sol.x, integrality=True)
+    return sol, rounds
 
 
 def _lexicographic_min_legs(dm: DesignModel, first: MilpSolution) -> MilpSolution:

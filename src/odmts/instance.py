@@ -154,6 +154,12 @@ def _number(obj: dict, key: str, path: str) -> float:
     return float(val)
 
 
+def _string(val: Any, name: str) -> str:
+    if not isinstance(val, str):
+        raise InstanceFormatError(f"field '{name}' must be a string, got {val!r}")
+    return val
+
+
 def _integer(obj: dict, key: str, path: str) -> int:
     val = _number(obj, key, path)
     if val != int(val):
@@ -185,7 +191,7 @@ def _list(obj: dict, key: str) -> list:
 
 # Field type annotation (a string under postponed evaluation) -> reader.
 _READERS = {
-    "str": lambda raw, key, path: str(_require(raw, key, path)),
+    "str": lambda raw, key, path: _string(_require(raw, key, path), path + key),
     "int": _integer,
     "float": _number,
 }
@@ -206,8 +212,8 @@ def record_dict(rec: Any) -> dict:
 
 def instance_from_dict(data: dict) -> Instance:
     """Build an Instance from the JSON document structure (no semantic checks)."""
-    nodes = tuple(str(n) for n in _list(data, "nodes"))
-    hubs = tuple(str(h) for h in _list(data, "hubs"))
+    nodes = tuple(_string(n, f"nodes[{k}]") for k, n in enumerate(_list(data, "nodes")))
+    hubs = tuple(_string(h, f"hubs[{k}]") for k, h in enumerate(_list(data, "hubs")))
     time_mat = _matrix(_require(data, "time", ""), len(nodes), "time")
     dist_mat = _matrix(_require(data, "dist", ""), len(nodes), "dist")
     commodities = tuple(

@@ -25,7 +25,7 @@ Written names are chosen per position, so same-named rows and colliding
 sanitised names still get distinct names in the file.
 
 Set the ODMTS_SOLVE_LOG environment variable to a file path ('-' for stderr)
-to log one line per solve.
+to log one line per solve; a MIP's line counts its integer columns.
 """
 
 from __future__ import annotations
@@ -260,12 +260,16 @@ class MilpModel:
             self._rows = [(indptr, *(np.concatenate(col) for col in list(zip(*parts))[1:]))]
         return self._rows[0]
 
-    def copy(self, name: str) -> MilpModel:
-        """An independent copy of the model under another name."""
+    def copy(self, name: str, integer=None) -> MilpModel:
+        """An independent copy of the model under another name; `integer`,
+        when given, is the copy's integrality, one flag per variable."""
         out = MilpModel(name)
         out.var_names, out.row_names = list(self.var_names), list(self.row_names)
         out.objective, out._index = dict(self.objective), dict(self._index)
-        out._cols = [tuple(a.copy() for a in self._columns())]
+        lb, ub, flags = (a.copy() for a in self._columns())
+        if integer is not None:
+            flags = _block_column(integer, len(self.var_names), bool, f"integer of the copy {name!r}")
+        out._cols = [(lb, ub, flags)]
         out._rows = [tuple(a.copy() for a in self._merged_rows())]
         return out
 
@@ -342,7 +346,7 @@ def _finish(kind: str, model: MilpModel, rows, res) -> MilpSolution:
     _check_solution(model, rows, res.x, integrality=integer)
     if integer:
         bound = float(res.fun) if res.mip_dual_bound is None else float(res.mip_dual_bound)
-        extra = f"nodes={getattr(res, 'mip_node_count', '?')}"
+        extra = f"integer={np.count_nonzero(model.integer)} nodes={getattr(res, 'mip_node_count', '?')}"
     else:
         bound, extra = float(res.fun), f"iters={getattr(res, 'nit', '?')}"
     _log_solve(kind, model, rows, OPTIMAL, res.fun, extra)

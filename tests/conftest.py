@@ -3,6 +3,11 @@ import pytest
 
 from odmts.instance import Commodity, CostParams, Instance, RoutingParams
 
+# The desk-scale costs of acceptance criteria 5 and 8.
+DESK_COST = CostParams(
+    alpha=1e-3, shuttle_cost_per_km=1.0, bus_cost_per_km=0.4, bus_trips_per_line=1, bus_wait=7.5
+)
+
 
 def mk_commodity(cid, origin, destination, depart, passengers=1):
     return Commodity(

@@ -15,8 +15,9 @@ from odmts.design import (
     rider_minutes,
     save_solution,
     solve_design,
+    solve_in_rounds,
 )
-from odmts.milp import _constraint_rows
+from odmts.milp import _check_solution, _constraint_rows, solve_milp
 from odmts.routegen import (
     compute_hub_sets,
     direct_cost,
@@ -24,7 +25,7 @@ from odmts.routegen import (
     enumerate_pickup_routes,
 )
 
-from conftest import euclid_instance, mk_commodity, mk_instance
+from conftest import DESK_COST, euclid_instance, mk_commodity, mk_instance
 from oracles import design_model_by_rows, design_oracle
 
 
@@ -302,6 +303,29 @@ def test_oracle_equality_under_heavy_sharing(seed):
     assert len(shared) >= 5
     ds = solve_design(inst, om, op)
     assert ds.objective == pytest.approx(design_oracle(inst, om, op), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "seed, horizon, rounds",
+    [
+        (402, (0.0, 240.0), [1]),
+        (403, (0.0, 240.0), [1]),
+        (404, (0.0, 240.0), [1]),
+        (405, (0.0, 240.0), [1]),
+        (204, (0.0, 60.0), [2, 3]),  # fractional route columns after round 1
+    ],
+)
+def test_rounds_equal_monolithic_mip(seed, horizon, rounds):
+    inst = instgen.generate(
+        seed=seed, n_nodes=60, n_hubs=6, n_commodities=100, horizon=horizon, side_km=16.0,
+        cost=DESK_COST,
+    )
+    assert inst.routing.shuttle_capacity == 3
+    dm = build_design_model(inst, *enumerated(inst))
+    sol, taken = solve_in_rounds(dm)
+    assert sol.objective == pytest.approx(solve_milp(dm.model).objective, rel=1e-9, abs=0.0)
+    assert taken in rounds
+    _check_solution(dm.model, _constraint_rows(dm.model), sol.x, integrality=True)
 
 
 def test_objective_monotone_in_capacity():

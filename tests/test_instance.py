@@ -105,13 +105,26 @@ def test_missing_record_field_is_named(tmp_path, path, section, field):
         load_instance(write_json(tmp_path, data))
 
 
-@pytest.mark.parametrize("path, section, field", [p for p in RECORD_FIELDS if p.values[2].type != "str"])
+MISTYPED = {"int": ["1", 1.5], "float": ["1"], "str": [5, {"a": 1}, None]}
+
+
+@pytest.mark.parametrize("path, section, field", RECORD_FIELDS)
 def test_mistyped_record_field_is_named(tmp_path, path, section, field):
-    for bad in ["1", 1.5] if field.type == "int" else ["1"]:
+    for bad in MISTYPED[field.type]:
         data = json.loads(json.dumps(MINIMAL))
         section(data)[field.name] = bad
         with pytest.raises(InstanceFormatError, match=re.escape(f"field '{path}{field.name}' must be")):
             load_instance(write_json(tmp_path, data))
+
+
+@pytest.mark.parametrize("key", ["nodes", "hubs"])
+@pytest.mark.parametrize("bad", [0, 1.5, ["a"], None])
+def test_non_string_node_or_hub_is_named(tmp_path, key, bad):
+    data = json.loads(json.dumps(MINIMAL))
+    data[key][-1] = bad
+    where = f"{key}[{len(data[key]) - 1}]"
+    with pytest.raises(InstanceFormatError, match=re.escape(f"field '{where}' must be a string, got {bad!r}")):
+        load_instance(write_json(tmp_path, data))
 
 
 def test_saved_instance_round_trips_byte_for_byte(tmp_path):
