@@ -41,8 +41,6 @@ from .milp import (
     OPTIMAL,
     MilpModel,
     MilpSolution,
-    _check_solution,
-    _constraint_rows,
     solve_milp,
 )
 from .routegen import DROPOFF, PICKUP, Route, direct_cost, route_from_dict, route_to_dict
@@ -315,27 +313,27 @@ def solve_in_rounds(dm: DesignModel) -> tuple[MilpSolution, int]:
     """Solve the design MIP as a sequence of relaxations and return the
     solution with the number of rounds taken.
 
-    Round 1 keeps only the z columns integer. Each later round also makes
-    integer every column that came out fractional (|v - round(v)| >
-    INT_TOL), so the loop ends by the full MIP at the latest. The first
-    integral solution is checked against the full model, integrality
-    included. A relaxation that is not solved to optimality ends the loop
-    with its status."""
+    Each round solves `dm.model` itself under an integrality mask, which
+    leaves the model unchanged. Round 1 keeps only the z columns integer.
+    Each later round also makes integer every column that came out
+    fractional (|v - round(v)| > INT_TOL), so the loop ends by the full MIP
+    at the latest. The solver checks every round's solution against the
+    rows and the round's mask; the first round in which no other column is
+    fractional is integral for the full model. A relaxation that is not
+    solved to optimality ends the loop with its status."""
     full = dm.model.integer
     integer = np.zeros_like(full)
     integer[dm.z] = full[dm.z]
     rounds = 0
     while True:
         rounds += 1
-        sol = solve_milp(dm.model.copy(f"{dm.model.name}-round{rounds}", integer=integer))
+        sol = solve_milp(dm.model, integer=integer)
         if sol.status != OPTIMAL:
             return sol, rounds
         frac = full & ~integer & (np.abs(sol.x - np.round(sol.x)) > INT_TOL)
         if not frac.any():
-            break
+            return sol, rounds
         integer |= frac
-    _check_solution(dm.model, _constraint_rows(dm.model), sol.x, integrality=True)
-    return sol, rounds
 
 
 def _lexicographic_min_legs(dm: DesignModel, first: MilpSolution) -> MilpSolution:

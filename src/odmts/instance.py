@@ -204,6 +204,16 @@ def _record(cls: type, raw: Any, path: str) -> Any:
     return cls(*[_READERS[f.type](raw, f.name, path) for f in fields(cls)])
 
 
+# Field type annotation -> the value `_record` reads back unchanged: a
+# float-declared field holding an int is written as a float.
+_WRITERS = {"str": str, "int": int, "float": float}
+
+
+def _record_json(rec: Any) -> dict:
+    """An instance record's fields as written to the instance file."""
+    return {f.name: _WRITERS[f.type](getattr(rec, f.name)) for f in fields(rec)}
+
+
 def record_dict(rec: Any) -> dict:
     """A dataclass record's fields as a flat dict; unlike
     `dataclasses.asdict`, the values are not copied."""
@@ -242,9 +252,9 @@ def instance_to_dict(inst: Instance) -> dict:
         "hubs": list(inst.hubs),
         "time": inst.travel_time.tolist(),
         "dist": inst.travel_dist.tolist(),
-        "commodities": [record_dict(c) for c in inst.commodities],
-        "cost": record_dict(inst.cost),
-        "routing": record_dict(inst.routing),
+        "commodities": [_record_json(c) for c in inst.commodities],
+        "cost": _record_json(inst.cost),
+        "routing": _record_json(inst.routing),
         "horizon": {"t_min": inst.horizon[0], "t_max": inst.horizon[1]},
     }
 

@@ -17,7 +17,7 @@ DEFAULT_COST = CostParams(
     alpha=1e-3,
     shuttle_cost_per_km=1.0,
     bus_cost_per_km=3.75,
-    bus_trips_per_line=16,
+    bus_trips_per_line=16.0,
     bus_wait=7.5,
 )
 

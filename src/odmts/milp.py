@@ -9,14 +9,13 @@ whole block and validate it with array operations; `add_var` and
 `add_constraint` are one-row wrappers over them. Within a row, repeated
 columns are summed and the columns are sorted.
 
-Models are always minimization. Solving is delegated to the HiGHS engines
-shipped with scipy: the continuous relaxation is solved with dual simplex so
-that the result is an optimal *basic* solution (on totally unimodular systems
-with integral right-hand sides this yields integral values), and integer
-models are solved with branch-and-cut at a 1e-9 relative gap so reported
-optima are proven.
+Models are always minimization. Every solve, LP or MIP, is one call of
+`scipy.optimize.milp` (HiGHS) at a 1e-9 relative gap, so reported optima
+are proven; `solve_lp` is that call with no integer column. The tests check
+that LP solutions on totally unimodular systems with integral right-hand
+sides come back integral, i.e. that HiGHS returns vertex solutions there.
 
-Both solvers and the check of their solutions read the rows from one sparse
+The solver and the check of its solutions read the rows from one sparse
 matrix with per-row bounds, lo <= A x <= hi, stacked from the blocks. The LP
 and MPS writers walk the same matrix (by columns for MPS), format each
 distinct number once and stream the file: each write holds at most
@@ -25,7 +24,8 @@ Written names are chosen per position, so same-named rows and colliding
 sanitised names still get distinct names in the file.
 
 Set the ODMTS_SOLVE_LOG environment variable to a file path ('-' for stderr)
-to log one line per solve; a MIP's line counts its integer columns.
+to log one line per solve; a MIP's line counts its integer columns and
+branch-and-bound nodes.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as _scipy_milp
 
 OPTIMAL = "optimal"
@@ -60,7 +60,8 @@ class ModelError(ValueError):
 
 
 class SolveNumericalError(RuntimeError):
-    """The backend failed numerically or hit its pivot limit."""
+    """The solver failed, or returned a point that violates a row or an
+    integrality flag of the solve."""
 
 
 class SolveEffortError(RuntimeError):
@@ -260,16 +261,12 @@ class MilpModel:
             self._rows = [(indptr, *(np.concatenate(col) for col in list(zip(*parts))[1:]))]
         return self._rows[0]
 
-    def copy(self, name: str, integer=None) -> MilpModel:
-        """An independent copy of the model under another name; `integer`,
-        when given, is the copy's integrality, one flag per variable."""
+    def copy(self, name: str) -> MilpModel:
+        """An independent copy of the model under another name."""
         out = MilpModel(name)
         out.var_names, out.row_names = list(self.var_names), list(self.row_names)
         out.objective, out._index = dict(self.objective), dict(self._index)
-        lb, ub, flags = (a.copy() for a in self._columns())
-        if integer is not None:
-            flags = _block_column(integer, len(self.var_names), bool, f"integer of the copy {name!r}")
-        out._cols = [(lb, ub, flags)]
+        out._cols = [tuple(a.copy() for a in self._columns())]
         out._rows = [tuple(a.copy() for a in self._merged_rows())]
         return out
 
@@ -288,7 +285,7 @@ def _log_solve(kind: str, model: MilpModel, rows, status: str, objective, extra:
         return
     line = (
         f"[{kind}] model={model.name} vars={len(model.var_names)} rows={len(model.row_names)} "
-        f"nnz={rows[0].nnz} status={status} objective={objective} {extra}\n"
+        f"nnz={rows[0].nnz} status={status} objective={objective}{extra}\n"
     )
     if target == "-":
         sys.stderr.write(line)
@@ -307,9 +304,10 @@ def _constraint_rows(model: MilpModel) -> tuple[sp.csr_matrix, np.ndarray, np.nd
     return a, lo, hi
 
 
-def _check_solution(model: MilpModel, rows, x: np.ndarray, integrality: bool) -> None:
+def _check_solution(model: MilpModel, rows, x: np.ndarray, integrality: bool | np.ndarray) -> None:
     """Raise on the first row of `rows` = (A, lo, hi) that x violates, and on
-    a fractional integer variable when `integrality` is set."""
+    a fractional value in an integer column: `integrality` is True for the
+    model's integer columns, False for none, or a mask of columns."""
     a, lo, hi = rows
     lhs = a @ x
     bad = np.flatnonzero(~((lhs >= lo - FEAS_TOL) & (lhs <= hi + FEAS_TOL)))
@@ -319,23 +317,23 @@ def _check_solution(model: MilpModel, rows, x: np.ndarray, integrality: bool) ->
         raise SolveNumericalError(
             f"solution violates constraint {model.row_names[r]}: lhs={lhs[r]} rhs={rhs}"
         )
-    if integrality:
-        frac = np.flatnonzero(model.integer & (np.abs(x - np.round(x)) > INT_TOL))
-        if frac.size:
-            raise SolveNumericalError(
-                f"integer variable {model.var_names[frac[0]]} has fractional value {x[frac[0]]}"
-            )
+    mask = model.integer if integrality is True else np.asarray(integrality, dtype=bool)
+    frac = np.flatnonzero(mask & (np.abs(x - np.round(x)) > INT_TOL))
+    if frac.size:
+        raise SolveNumericalError(
+            f"integer variable {model.var_names[frac[0]]} has fractional value {x[frac[0]]}"
+        )
 
 
-def _finish(kind: str, model: MilpModel, rows, res) -> MilpSolution:
-    """Map a scipy result to a MilpSolution, checking an optimal one.
-    `kind` is 'lp' or 'milp'; only a MILP reads an effort limit as such."""
+def _finish(model: MilpModel, rows, integer: np.ndarray, res) -> MilpSolution:
+    """Map a scipy result to a MilpSolution, checking an optimal one
+    against the rows and the integer columns `integer` of the solve."""
+    kind = "milp" if integer.any() else "lp"
     if res.status in (2, 3):
         status = INFEASIBLE if res.status == 2 else UNBOUNDED
         _log_solve(kind, model, rows, status, None)
         return MilpSolution(status, None, np.empty(0), None)
-    integer = kind == "milp"
-    if integer and res.status == 1:
+    if res.status == 1:
         incumbent = float(res.fun) if res.x is not None else None
         bound = float(res.mip_dual_bound) if res.mip_dual_bound is not None else None
         raise SolveEffortError(
@@ -344,48 +342,34 @@ def _finish(kind: str, model: MilpModel, rows, res) -> MilpSolution:
     if res.status != 0 or res.x is None:
         raise SolveNumericalError(f"{kind.upper()} solve failed: {res.message}")
     _check_solution(model, rows, res.x, integrality=integer)
-    if integer:
-        bound = float(res.fun) if res.mip_dual_bound is None else float(res.mip_dual_bound)
-        extra = f"integer={np.count_nonzero(model.integer)} nodes={getattr(res, 'mip_node_count', '?')}"
-    else:
-        bound, extra = float(res.fun), f"iters={getattr(res, 'nit', '?')}"
+    bound = float(res.fun) if res.mip_dual_bound is None else float(res.mip_dual_bound)
+    extra = f" integer={np.count_nonzero(integer)} nodes={res.mip_node_count}" if kind == "milp" else ""
     _log_solve(kind, model, rows, OPTIMAL, res.fun, extra)
     return MilpSolution(OPTIMAL, float(res.fun), res.x, bound)
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
-    """Solve the continuous relaxation (integrality flags ignored) to an
-    optimal basic solution. No pipeline stage calls this; it is the LP
-    solver for exported or hand-built models and for cross-checks."""
-    if not model.var_names:
-        return MilpSolution(OPTIMAL, 0.0, np.empty(0), 0.0)
-    rows = a, lo, hi = _constraint_rows(model)
-    # linprog takes A_ub x <= b_ub and A_eq x = b_eq, so '>=' rows are
-    # negated; each system keeps the model's row order.
-    is_eq = lo == hi
-    ge = np.isposinf(hi)
-    ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
-    sign = np.where(ge[ub], -1.0, 1.0)
-    res = linprog(
-        model.objective_vector(),
-        A_ub=sp.diags(sign) @ a[ub] if ub.size else None,
-        b_ub=np.where(ge, -lo, hi)[ub] if ub.size else None,
-        A_eq=a[eq] if eq.size else None,
-        b_eq=hi[eq] if eq.size else None,
-        bounds=np.column_stack([model.lb, model.ub]),
-        method="highs-ds",
-    )
-    return _finish("lp", model, rows, res)
+    """Solve the continuous relaxation: `solve_milp` with no integer
+    column. No pipeline stage calls this; it is the LP solver for exported
+    or hand-built models and for cross-checks."""
+    return solve_milp(model, integer=False)
 
 
 def solve_milp(
-    model: MilpModel, time_limit: float | None = None, node_limit: int | None = None
+    model: MilpModel,
+    time_limit: float | None = None,
+    node_limit: int | None = None,
+    integer=None,
 ) -> MilpSolution:
-    """Solve to proven optimality (1e-9 relative gap). Raises SolveEffortError
-    with the incumbent and bound when a limit is hit first."""
+    """Solve to proven optimality (1e-9 relative gap). `integer`, when
+    given, is this solve's integrality, one flag per variable or one for
+    all; it defaults to `model.integer`, which it leaves unchanged. Raises
+    SolveEffortError with the incumbent and bound when a limit is hit first."""
     if not model.var_names:
         return MilpSolution(OPTIMAL, 0.0, np.empty(0), 0.0)
-    bad = np.flatnonzero(model.integer & (np.isinf(model.lb) | np.isinf(model.ub)))
+    given = model.integer if integer is None else integer
+    integer = _block_column(given, len(model.var_names), bool, f"integer mask of {model.name!r}")
+    bad = np.flatnonzero(integer & (np.isinf(model.lb) | np.isinf(model.ub)))
     if bad.size:
         raise ModelError(f"integer variable {model.var_names[bad[0]]} must have finite bounds")
     rows = a, lo, hi = _constraint_rows(model)
@@ -396,12 +380,12 @@ def solve_milp(
         options["node_limit"] = node_limit
     res = _scipy_milp(
         c=model.objective_vector(),
-        integrality=model.integer,
+        integrality=integer,
         bounds=Bounds(model.lb, model.ub),
         constraints=LinearConstraint(a, lo, hi) if a.shape[0] else None,
         options=options,
     )
-    return _finish("milp", model, rows, res)
+    return _finish(model, rows, integer, res)
 
 
 # -- model files -------------------------------------------------------------

@@ -32,6 +32,12 @@ def test_gen_writes_loadable_instance(tiny_instance_file):
     assert len(inst.commodities) == 6
 
 
+def test_gen_output_is_a_fixed_point_of_load_and_save(tmp_path, tiny_instance_file):
+    again = str(tmp_path / "again.json")
+    save_instance(load_instance(tiny_instance_file), again)
+    assert open(again, "rb").read() == open(tiny_instance_file, "rb").read()
+
+
 def test_validate_ok(tiny_instance_file, capsys):
     assert main(["validate", "--instance", tiny_instance_file]) == EXIT_OK
     assert "valid" in capsys.readouterr().out

@@ -328,6 +328,21 @@ def test_rounds_equal_monolithic_mip(seed, horizon, rounds):
     _check_solution(dm.model, _constraint_rows(dm.model), sol.x, integrality=True)
 
 
+def test_rounds_leave_the_model_unchanged():
+    inst = instgen.generate(
+        seed=204, n_nodes=60, n_hubs=6, n_commodities=100, horizon=(0.0, 60.0), side_km=16.0,
+        cost=DESK_COST,
+    )
+    dm = build_design_model(inst, *enumerated(inst))
+    before = [a.copy() for a in (dm.model.integer, dm.model.lb, dm.model.ub, *dm.model._merged_rows())]
+    _, taken = solve_in_rounds(dm)
+    assert taken >= 2
+    after = (dm.model.integer, dm.model.lb, dm.model.ub, *dm.model._merged_rows())
+    for old, new in zip(before, after):
+        np.testing.assert_array_equal(new, old)
+        assert new.dtype == old.dtype
+
+
 def test_objective_monotone_in_capacity():
     base = instgen.generate(seed=21, n_nodes=10, n_hubs=2, n_commodities=8, horizon=(0.0, 6.0))
     objectives = []

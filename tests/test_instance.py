@@ -128,11 +128,8 @@ def test_non_string_node_or_hub_is_named(tmp_path, key, bad):
 
 
 def test_saved_instance_round_trips_byte_for_byte(tmp_path):
-    """A desk-shape instance saves, loads and saves to the same bytes. Its
-    bus_trips_per_line is the float the loader returns: instgen's default is
-    the int 16, written as 16 and read back as 16.0."""
-    cost = dataclasses.replace(instgen.DEFAULT_COST, bus_trips_per_line=16.0)
-    inst = instgen.generate(seed=400, n_nodes=60, n_hubs=6, n_commodities=100, cost=cost)
+    """A desk-shape instance saves, loads and saves to the same bytes."""
+    inst = instgen.generate(seed=400, n_nodes=60, n_hubs=6, n_commodities=100)
     first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     save_instance(inst, first)
     loaded = load_instance(first)

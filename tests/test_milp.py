@@ -119,6 +119,8 @@ def test_milp_requires_bounded_integers():
     m.set_objective({0: 1.0})
     with pytest.raises(ModelError):
         solve_milp(m)
+    relaxed = solve_lp(m)  # the relaxation has no integer column to bound
+    assert relaxed.status == OPTIMAL and relaxed.objective == pytest.approx(0.0)
 
 
 def test_duplicate_names_rejected():
@@ -230,21 +232,18 @@ def test_copy_shares_no_state():
     m.add_var("z")  # the copy's names are its own
 
 
-def test_copy_with_integer_mask_leaves_original():
+def test_integer_mask_applies_to_one_solve():
     m = MilpModel()
     m.add_vars(["x", "y"], 0.0, 10.0, integer=True)
     m.add_constraint({0: 2.0, 1: 2.0}, LESS_EQUAL, 3.0, name="cap")
     m.set_objective({0: -1.0, 1: -1.0})
-    relaxed = m.copy("relaxed", integer=False)
-    part = m.copy("part", integer=[True, False])
-    assert relaxed.integer.tolist() == [False, False] and part.integer.tolist() == [True, False]
-    assert solve_milp(relaxed).objective == pytest.approx(-1.5)
-    assert solve_milp(part).objective == pytest.approx(-1.5)
+    assert solve_milp(m, integer=False).objective == pytest.approx(-1.5)
+    assert solve_milp(m, integer=[True, False]).objective == pytest.approx(-1.5)
     assert m.integer.tolist() == [True, True]
     assert solve_milp(m).objective == pytest.approx(-1.0)
-    assert m.copy("same").integer.tolist() == [True, True]
-    with pytest.raises(ModelError, match="integer of the copy 'short'"):
-        m.copy("short", integer=[True])
+    with pytest.raises(ModelError, match=r"integer mask of 'model' has shape \(1,\)"):
+        solve_milp(m, integer=[True])
+    assert m.integer.tolist() == [True, True]
 
 
 def _checked_model():
@@ -616,14 +615,15 @@ def test_solve_log_env(tmp_path, monkeypatch):
     assert " vars=1 rows=1 nnz=1 " in first
     # 6 source arcs sit in 2 rows each, 9 task arcs in 3, 6 sink arcs in 1.
     assert " vars=21 rows=12 nnz=45 " in second
-    assert "integer=" not in first + second
+    assert first.startswith("[lp] ") and second.startswith("[lp] ")
+    assert "integer=" not in first + second and "iters=" not in first + second
 
     solve_milp(_checked_model())
     assert re.search(r"^\[milp\] model=model .* integer=1 nodes=\d+$", log.read_text().splitlines()[2])
 
-    # One line per design round, each with its integer-column count: the
-    # bus lines alone in round 1, more in every later round. This
-    # criterion-5 instance takes two rounds.
+    # One line per design round, all for the design model itself, each
+    # with its integer-column count: the bus lines alone in round 1, more
+    # in every later round. This criterion-5 instance takes two rounds.
     inst = instgen.generate(
         seed=204, n_nodes=60, n_hubs=6, n_commodities=100, horizon=(0.0, 60.0), side_km=16.0, cost=DESK_COST
     )
@@ -634,8 +634,7 @@ def test_solve_log_env(tmp_path, monkeypatch):
     log.write_text("")
     _, rounds = design.solve_in_rounds(dm)
     lines = log.read_text().splitlines()
-    assert [re.match(r"\[milp\] model=design-round(\d+) ", line)[1] for line in lines] == [
-        str(k) for k in range(1, rounds + 1)
-    ]
+    assert len(lines) == rounds >= 2
+    assert all(re.match(r"\[milp\] model=design ", line) for line in lines)
     counts = [int(re.search(r" integer=(\d+) ", line)[1]) for line in lines]
-    assert rounds >= 2 and counts[0] == len(dm.z) and counts == sorted(set(counts))
+    assert counts[0] == len(dm.z) and all(a < b for a, b in zip(counts, counts[1:]))
