@@ -55,7 +55,7 @@ SINK = "t"
 DENSE = "dense"
 SPARSE = "sparse"
 
-RELAY_BLOCK = 256  # tasks per block of the relay product in `build_sparse_graph`
+RELAY_BLOCK = 256  # tasks per block: of the relay product in `build_sparse_graph`, of rows in `_compatibility`
 
 
 class FlowError(ValueError):
@@ -126,16 +126,22 @@ def compatible(a: Task, b: Task, inst: Instance) -> bool:
 
 def _compatibility(tasks: tuple[Task, ...], inst: Instance) -> np.ndarray:
     """comp[i, j] == (i != j and compatible(tasks[i], tasks[j], inst)), with
-    the scalar rule's float order so ties at EPS fall the same way."""
+    the scalar rule's float order so ties at EPS fall the same way. It is
+    built RELAY_BLOCK rows at a time, so no n x n float matrix is held."""
     start = np.array([t.start for t in tasks], dtype=float)
     dur = np.array([t.duration for t in tasks], dtype=float)
-    end_idx = [inst.node_index(t.end_loc) for t in tasks]
-    start_idx = [inst.node_index(t.start_loc) for t in tasks]
-    arrive = inst.travel_time[np.ix_(end_idx, start_idx)]  # reposition times, a fresh copy
-    arrive += (start + dur)[:, None]
+    end_idx = np.array([inst.node_index(t.end_loc) for t in tasks], dtype=np.intp)
+    start_idx = np.array([inst.node_index(t.start_loc) for t in tasks], dtype=np.intp)
+    finish = start + dur
     latest = start + EPS
-    comp = arrive <= latest[None, :]
-    comp &= ~(start[None, :] <= latest[:, None])
+    n = len(tasks)
+    comp = np.empty((n, n), dtype=bool)
+    for i0 in range(0, n, RELAY_BLOCK):
+        rows = slice(i0, i0 + RELAY_BLOCK)
+        arrive = inst.travel_time[np.ix_(end_idx[rows], start_idx)]  # reposition times, a fresh copy
+        arrive += finish[rows, None]
+        np.less_equal(arrive, latest[None, :], out=comp[rows])
+        comp[rows] &= ~(start[None, :] <= latest[rows, None])
     np.fill_diagonal(comp, False)
     return comp
 

@@ -17,11 +17,14 @@ sides come back integral, i.e. that HiGHS returns vertex solutions there.
 
 The solver and the check of its solutions read the rows from one sparse
 matrix with per-row bounds, lo <= A x <= hi, stacked from the blocks. The LP
-and MPS writers walk the same matrix (by columns for MPS), format each
-distinct number once and stream the file: each write holds at most
-WRITE_CHUNK coefficient entries, rows or variables, never the whole text.
-Written names are chosen per position, so same-named rows and colliding
-sanitised names still get distinct names in the file.
+and MPS writers walk the same matrix (by columns for MPS) and stream the
+file: each write holds at most WRITE_CHUNK coefficient entries, rows or
+variables, never the whole text. A piece is one object array of texts that
+already exist (names, and one text per distinct coefficient, row tail or
+bound pair), filled by fancy indexing and joined once, so no string is made
+per entry; the bytes are those of the earlier per-term writers. Written
+names are chosen per position, so same-named rows and colliding sanitised
+names still get distinct names in the file.
 
 Set the ODMTS_SOLVE_LOG environment variable to a file path ('-' for stderr)
 to log one line per solve; a MIP's line counts its integer columns and
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import string
 import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -390,16 +394,26 @@ def solve_milp(
 
 # -- model files -------------------------------------------------------------
 
-WRITE_CHUNK = 4096  # coefficient entries, rows or variables formatted per write by `write_lp` and `write_mps`
+WRITE_CHUNK = 4096  # coefficient entries, rows or variables written per piece by `write_lp` and `write_mps`
 
-# Every character outside [A-Za-z0-9_] becomes '_', one for one: ASCII by a
-# translation table, the rest by a regex that finds nothing in ASCII text.
-_UNSAFE_ASCII = {c: "_" for c in range(128) if not (chr(c).isalnum() or chr(c) == "_")}
+# Every character outside [A-Za-z0-9_] becomes '_', one for one, except the
+# '\n' that separates the names of a chunk: ASCII text goes through a byte
+# table, other text through a dict and a regex that finds nothing in ASCII.
+_KEPT = frozenset((string.ascii_letters + string.digits + "_\n").encode())
+_ASCII_LINES = bytes(c if c in _KEPT else ord("_") for c in range(256))
+_UNSAFE_LINES = {c: "_" for c in range(128) if c not in _KEPT}
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
+_NEEDS_PREFIX = re.compile(r"\n[0-9\n]")  # in '\n' + lines + '\n': a line that is empty or starts with a digit
+
+
+def _clean_lines(text: str) -> str:
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_LINES).decode("ascii")
+    return _NON_ASCII.sub("_", text.translate(_UNSAFE_LINES))
 
 
 def _clean(text: str) -> str:
-    return _NON_ASCII.sub("_", text.translate(_UNSAFE_ASCII))
+    return _clean_lines(text).replace("\n", "_")
 
 
 def _sanitize_names(names: list[str], max_len: int, prefix: str) -> list[str]:
@@ -407,16 +421,32 @@ def _sanitize_names(names: list[str], max_len: int, prefix: str) -> list[str]:
     distinct format-safe ones. Unsafe characters become '_' and an empty
     name or one with a leading digit gets a '_' in front; a name that is
     then too long or already taken at position i becomes the first free
-    one of prefix + i, prefix + (i + 1), ..."""
+    one of prefix + i, prefix + (i + 1), ...
+
+    Each chunk of WRITE_CHUNK names is cleaned in one pass over its text.
+    The per-name loop below is the rule; it runs only on a chunk where some
+    name needs the '_' or a fallback, or holds a '\n'."""
     out: list[str] = []
     used: set[str] = set()
     for k in range(0, len(names), WRITE_CHUNK):
         part = names[k:k + WRITE_CHUNK]
-        cleaned = _clean("".join(part))  # cut apart again below: cleaning keeps lengths
-        end = 0
-        for i, name in enumerate(part, k):
-            start, end = end, end + len(name)
-            clean = cleaned[start:end]
+        text = "\n".join(part)
+        if text.count("\n") == len(part) - 1:  # no name holds a '\n'
+            cleaned_text = _clean_lines(text)
+            cleaned = part if cleaned_text == text else cleaned_text.split("\n")
+            fresh = set(cleaned)
+            if (
+                len(fresh) == len(part)
+                and used.isdisjoint(fresh)
+                and max(map(len, cleaned)) <= max_len
+                and not _NEEDS_PREFIX.search(f"\n{cleaned_text}\n")
+            ):
+                out.extend(cleaned)
+                used |= fresh
+                continue
+        else:
+            cleaned = [_clean(name) for name in part]
+        for i, (name, clean) in enumerate(zip(part, cleaned), k):
             if not clean or clean[0].isdigit():
                 clean = "_" + clean
             if len(clean) > max_len or clean in used:
@@ -439,12 +469,26 @@ def _fmt(value: float) -> str:
     return "%.5g" % value
 
 
-def _per_value(fn: Callable[[float], str], values) -> list[str]:
-    """[fn(v) for v in values], calling fn once per distinct value (bit for
-    bit, so -0.0 and 0.0 stay apart)."""
-    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    text = [fn(v) for v in bits.view(float).tolist()]
-    return [text[k] for k in inverse.tolist()]
+def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the rows of the columns: row i equals row
+    first[inverse[i]], one first per distinct row. Floats compare bit for
+    bit, so -0.0 and 0.0 stay apart."""
+    codes = [c.view(np.int64) if c.dtype == float else c for c in columns]
+    key = codes[0]
+    for code in codes[1:]:  # number the distinct values of each side, then the pairs
+        left, right = (np.unique(c, return_inverse=True)[1] for c in (key, code))
+        key = left * (right.max(initial=0) + 1) + right
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _per_value(fn: Callable[..., str], *columns: np.ndarray) -> np.ndarray:
+    """fn(*row) for each row of the columns, as an object array of shared
+    texts: fn is called once per distinct row (see `_distinct`)."""
+    first, inverse = _distinct(*columns)
+    texts = np.empty(first.size, dtype=object)
+    texts[:] = [fn(*row) for row in zip(*(c[first].tolist() for c in columns))]
+    return texts[inverse]
 
 
 def _lp_term(value: float) -> str:
@@ -470,29 +514,59 @@ def _pieces(indptr: np.ndarray):
         r0 = r1
 
 
-def _write_lines(fh, lines: list[str]) -> None:
-    if lines:
-        fh.write("\n".join(lines) + "\n")
+def _layout(lead: np.ndarray, count: np.ndarray, width: int, tail: np.ndarray):
+    """Slots for groups (rows or columns) of lead[g] texts, then `width`
+    texts per entry (count[g] entries), then tail[g] texts: the empty slot
+    array and the first slot of each group, the first slot of each entry
+    and the end of each group."""
+    size = lead + width * count + tail
+    stop = np.cumsum(size)
+    start = stop - size
+    group = np.repeat(np.arange(count.size), count)
+    shift = start + lead - width * (np.cumsum(count) - count)
+    entry = width * np.arange(group.size) + shift[group]
+    return np.empty(int(stop[-1]) if stop.size else 0, dtype=object), start, entry, stop
+
+
+def _write_joined(fh, *columns) -> None:
+    """Write the i-th text of every column in turn, for each i, joined
+    once; a column is an array or list of texts, or one text for all."""
+    n = next((len(c) for c in columns if not isinstance(c, str)), 0)
+    slots = np.empty((n, len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        slots[:, k] = column
+    fh.write("".join(slots.ravel().tolist()))
 
 
 def _write_name_map(fh, marker: str, originals: list[str], written: np.ndarray) -> None:
     """One comment line per renamed variable, in order of original name."""
-    renamed = [i for i, (a, b) in enumerate(zip(originals, written)) if a != b]
+    renamed = np.flatnonzero(np.array(originals, dtype=object) != written).tolist()
     renamed.sort(key=originals.__getitem__)
     for k in range(0, len(renamed), WRITE_CHUNK):
-        _write_lines(
-            fh, [f"{marker} name-map: {written[i]} <- {originals[i]}" for i in renamed[k:k + WRITE_CHUNK]]
-        )
+        part = renamed[k:k + WRITE_CHUNK]
+        _write_joined(fh, f"{marker} name-map: ", written[part], " <- ", [originals[i] for i in part], "\n")
 
 
-def _bounds(names: np.ndarray, lb: np.ndarray, ub: np.ndarray):
-    """Per piece of WRITE_CHUNK variables, their (name, lb, ub, lb text,
-    ub text)."""
+def _write_bounds(fh, names: np.ndarray, lb: np.ndarray, ub: np.ndarray, lines) -> None:
+    """Per piece of WRITE_CHUNK variables, write each variable's bound
+    lines: `lines(lo, hi)` gives, once per distinct (lb, ub), up to two
+    (before, padded, after) texts, and a line is before + the name (padded
+    by ljust(9) if `padded`) + after."""
     for k in range(0, names.size, WRITE_CHUNK):
         part = slice(k, k + WRITE_CHUNK)
-        yield zip(
-            names[part], lb[part].tolist(), ub[part].tolist(), _per_value(_fmt, lb[part]), _per_value(_fmt, ub[part])
-        )
+        first, inverse = _distinct(lb[part], ub[part])
+        table = np.full((first.size, 2, 3), "", dtype=object)
+        real = np.zeros((first.size, 2), dtype=bool)
+        for code, (lo, hi) in enumerate(zip(lb[part][first].tolist(), ub[part][first].tolist())):
+            for n, line in enumerate(lines(lo, hi)):
+                table[code, n], real[code, n] = line, True
+        slots, keep = table[inverse], real[inverse]
+        middle = slots[:, :, 1]  # a view: the padded flags, then the names
+        padded = middle.astype(bool)
+        middle[:] = names[part, None]
+        if padded.any():
+            middle[padded] = [name.ljust(9) for name in middle[padded].tolist()]
+        fh.write("".join(slots[keep].ravel().tolist()))
 
 
 def _objective_entries(model: MilpModel) -> tuple[np.ndarray, np.ndarray]:
@@ -503,33 +577,54 @@ def _objective_entries(model: MilpModel) -> tuple[np.ndarray, np.ndarray]:
     return idx[order], val[order]
 
 
-def _write_lp_rows(fh, names: np.ndarray, indptr, indices, data, heads, tails) -> None:
-    """Write each row r of a CSR block as its head, its terms and its tail;
-    `heads(r0, r1)` and `tails(r0, r1)` give those texts for rows r0..r1-1.
-    A row without entries reads '0 <first variable>'."""
+def _write_lp_rows(fh, names: np.ndarray, indptr, indices, data, heads: np.ndarray, tails) -> None:
+    """Write each row r of a CSR block as ' <heads[r]>: ', its terms and its
+    tail; `tails(r0, r1)` gives the tails of rows r0..r1-1 as an object
+    array. A row without entries reads '0 <first variable>'. Each distinct
+    coefficient has two shared texts: a row's first term without '+ ' and a
+    later term after ' '."""
     empty = "0 " + names[0] if names.size else "0"  # a model without variables has only constants
     for r0, r1, p0, p1 in _pieces(indptr):
-        terms = [t + n for t, n in zip(_per_value(_lp_term, data[p0:p1]), names[indices[p0:p1]].tolist())]
-        text = []
-        starts, ends = indptr[r0:r1].tolist(), indptr[r0 + 1:r1 + 1].tolist()
-        for a, b, head, tail in zip(starts, ends, heads(r0, r1), tails(r0, r1)):
-            line = " ".join(terms[max(a, p0) - p0:min(b, p1) - p0])
-            if a < p0:  # the row began in an earlier piece
-                text.append(" " + line)
-            else:
-                text.append(head + (line[2:] if line.startswith("+ ") else line or empty))
-            if b <= p1:
-                text.append(tail)
-        fh.write("".join(text))
+        starts, ends = indptr[r0:r1], indptr[r0 + 1:r1 + 1]
+        head, tail = starts >= p0, ends <= p1  # the row begins or ends in this piece
+        count = np.minimum(ends, p1) - np.maximum(starts, p0)
+        blank = count == 0
+        slots, start, entry, stop = _layout(3 * head + blank, count, 2, tail)
+        first, inverse = _distinct(data[p0:p1])
+        terms = [_lp_term(v) for v in data[p0:p1][first].tolist()]
+        table = np.array([t[2:] if t.startswith("+ ") else t for t in terms] + [" " + t for t in terms], dtype=object)
+        code = inverse + len(terms)
+        code[starts[head & ~blank] - p0] -= len(terms)  # each row's first term
+        slots[entry] = table[code]
+        slots[entry + 1] = names[indices[p0:p1]]
+        slots[start[head]] = " "
+        slots[start[head] + 1] = heads[r0:r1][head]
+        slots[start[head] + 2] = ": "
+        slots[start[blank] + 3] = empty  # after the head
+        slots[stop[tail] - 1] = tails(r0, r1)[tail]
+        fh.write("".join(slots.tolist()))
+
+
+def _lp_bound_lines(lo: float, hi: float) -> list[tuple[str, bool, str]]:
+    if math.isinf(hi) and lo == 0:
+        return []  # default bounds
+    if lo == -math.inf and math.isinf(hi):
+        return [(" ", False, " free\n")]
+    if math.isinf(hi):
+        return [(" ", False, f" >= {_fmt(lo)}\n")]
+    return [(f" {_fmt(lo)} <= ", False, f" <= {_fmt(hi)}\n")]
 
 
 def write_lp(model: MilpModel, path: str) -> dict[str, str]:
-    """CPLEX-style LP text file, formatted and written at most WRITE_CHUNK
-    coefficient entries, rows or variables at a time. Variables and rows
-    get distinct written names by position (`_sanitize_names`). Returns the
-    original -> written variable name map."""
+    """CPLEX-style LP text file, written in pieces of at most WRITE_CHUNK
+    coefficient entries, rows or variables. A piece is one object array of
+    texts that already exist (names, and one text per distinct coefficient,
+    row tail or bound pair), joined once; the file's bytes are those of the
+    per-term formatting it replaced. Variables and rows get distinct written
+    names by position (`_sanitize_names`). Returns the original -> written
+    variable name map."""
     names = np.array(_sanitize_names(model.var_names, 200, "x"), dtype=object)
-    rows = _sanitize_names(model.row_names, 200, "c")
+    rows = np.array(_sanitize_names(model.row_names, 200, "c"), dtype=object)
     indptr, indices, data, sense, rhs = model._merged_rows()
     obj_idx, obj_val = _objective_entries(model)
     with open(path, "w", encoding="utf-8") as fh:
@@ -538,106 +633,108 @@ def write_lp(model: MilpModel, path: str) -> dict[str, str]:
         fh.write("Minimize\n")
         _write_lp_rows(
             fh, names, np.array([0, obj_idx.size]), obj_idx, obj_val,
-            lambda r0, r1: [" obj: "], lambda r0, r1: ["\n"],
+            np.array(["obj"], dtype=object), lambda r0, r1: np.full(r1 - r0, "\n", dtype=object),
         )
         fh.write("Subject To\n")
         _write_lp_rows(
-            fh, names, indptr, indices, data,
-            lambda r0, r1: [f" {row}: " for row in rows[r0:r1]],
-            lambda r0, r1: [
-                f" {_SENSES[s]} {r}\n" for s, r in zip(sense[r0:r1].tolist(), _per_value(_fmt, rhs[r0:r1]))
-            ],
+            fh, names, indptr, indices, data, rows,
+            lambda r0, r1: _per_value(lambda s, r: f" {_SENSES[s]} {_fmt(r)}\n", sense[r0:r1], rhs[r0:r1]),
         )
         fh.write("Bounds\n")
-        for piece in _bounds(names, model.lb, model.ub):
-            lines = []
-            for name, lo, hi, lo_text, hi_text in piece:
-                if math.isinf(hi) and lo == 0:
-                    continue  # default bounds
-                if lo == -math.inf and math.isinf(hi):
-                    lines.append(f" {name} free")
-                elif math.isinf(hi):
-                    lines.append(f" {name} >= {lo_text}")
-                else:
-                    lines.append(f" {lo_text} <= {name} <= {hi_text}")
-            _write_lines(fh, lines)
+        _write_bounds(fh, names, model.lb, model.ub, _lp_bound_lines)
         generals = np.flatnonzero(model.integer)
         if generals.size:
             fh.write("General\n")
             for k in range(0, generals.size, WRITE_CHUNK):
-                _write_lines(fh, [f" {name}" for name in names[generals[k:k + WRITE_CHUNK]]])
+                _write_joined(fh, " ", names[generals[k:k + WRITE_CHUNK]], "\n")
         fh.write("End\n")
     return dict(zip(model.var_names, names))
 
 
-def write_mps(model: MilpModel, path: str) -> dict[str, str]:
-    """Fixed-format MPS file, formatted and written at most WRITE_CHUNK
-    coefficient entries, rows or variables at a time. Variables and rows
-    get distinct written names by position (`_sanitize_names`). Returns the
-    original -> written variable name map."""
-    names = np.array(_sanitize_names(model.var_names, 8, "X"), dtype=object)
-    rows = _sanitize_names(model.row_names, 8, "R")
+def _mps_bound_lines(lo: float, hi: float) -> list[tuple[str, bool, str]]:
+    if lo == -math.inf and math.isinf(hi):
+        return [(" FR BND       ", False, "\n")]
+    return [
+        (" MI BND       ", False, "\n") if lo == -math.inf else (" LO BND       ", True, f" {_fmt(lo)}\n"),
+        (" PL BND       ", False, "\n") if math.isinf(hi) else (" UP BND       ", True, f" {_fmt(hi)}\n"),
+    ]
 
-    marker = "    M{:<8} 'MARKER'" + " " * 17 + "{}"
+
+def _fmt_line(value: float) -> str:
+    return _fmt(value) + "\n"
+
+
+def _write_mps_columns(fh, names: np.ndarray, pads: np.ndarray, cols, obj_idx, obj_val, integer) -> None:
+    """The COLUMNS section from the CSC matrix `cols`: per column j an
+    integrality marker where integrality changes, its objective entry, then
+    its rows in order, every line but a marker starting with j's head.
+    `pads[r]` is row r's name padded for its field."""
+    marker = "    M{:<8} 'MARKER'" + " " * 17 + "{}\n"
+    changes = np.flatnonzero(np.diff(integer, prepend=False))  # marker n sits before column changes[n]
+    for j0, j1, p0, p1 in _pieces(cols.indptr):
+        starts, ends = cols.indptr[j0:j1], cols.indptr[j0 + 1:j1 + 1]
+        begins = starts >= p0  # the column begins in this piece
+        count = np.minimum(ends, p1) - np.maximum(starts, p0)
+        m0, m1 = np.searchsorted(changes, [j0, j1])
+        o0, o1 = np.searchsorted(obj_idx, [j0, j1])
+        marked = np.flatnonzero(begins[changes[m0:m1] - j0]) + m0  # markers written in this piece
+        costed = np.flatnonzero(begins[obj_idx[o0:o1] - j0]) + o0
+        lead = np.zeros(j1 - j0, dtype=np.int64)
+        lead[changes[marked] - j0] += 1
+        lead[obj_idx[costed] - j0] += 3
+        slots, start, entry, _ = _layout(lead, count, 3, 0)
+        heads = np.array([f"    {name:<9} " for name in names[j0:j1].tolist()], dtype=object)
+        slots[start[changes[marked] - j0]] = [
+            marker.format(n, "'INTORG'" if integer[j] else "'INTEND'")
+            for n, j in zip(marked.tolist(), changes[marked].tolist())
+        ]
+        at = obj_idx[costed] - j0
+        cost = start[at] + lead[at] - 3  # after the column's marker, if any
+        slots[cost] = heads[at]
+        slots[cost + 1] = "COST      "
+        slots[cost + 2] = _per_value(_fmt_line, obj_val[costed])
+        slots[entry] = heads[np.repeat(np.arange(j1 - j0), count)]
+        slots[entry + 1] = pads[cols.indices[p0:p1]]
+        slots[entry + 2] = _per_value(_fmt_line, cols.data[p0:p1])
+        fh.write("".join(slots.tolist()))
+    if integer.size and integer[-1]:
+        fh.write(marker.format(changes.size, "'INTEND'"))
+
+
+def write_mps(model: MilpModel, path: str) -> dict[str, str]:
+    """Fixed-format MPS file, written in pieces of at most WRITE_CHUNK
+    coefficient entries, rows or variables, each joined once from shared
+    texts as in `write_lp`; the file's bytes are those of the per-line
+    formatting it replaced. Variables and rows get distinct written names
+    by position (`_sanitize_names`). Returns the original -> written
+    variable name map."""
+    names = np.array(_sanitize_names(model.var_names, 8, "X"), dtype=object)
+    rows = np.array(_sanitize_names(model.row_names, 8, "R"), dtype=object)
+    pads = np.array([row.ljust(9) + " " for row in rows.tolist()], dtype=object)
 
     _, _, _, sense, rhs = model._merged_rows()
     cols = _constraint_rows(model)[0].tocsc()
     obj_idx, obj_val = _objective_entries(model)
-    integer = model.integer
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"NAME          {_clean(model.name)[:8].upper() or 'MODEL'}\n")
         _write_name_map(fh, "*", model.var_names, names)
         fh.write("ROWS\n N  COST\n")
-        for k in range(0, len(rows), WRITE_CHUNK):
+        kinds = np.array([" L  ", " E  ", " G  "], dtype=object)
+        for k in range(0, rows.size, WRITE_CHUNK):
             part = slice(k, k + WRITE_CHUNK)
-            _write_lines(fh, [f" {'LEG'[s]}  {row}" for s, row in zip(sense[part].tolist(), rows[part])])
+            _write_joined(fh, kinds[sense[part]], rows[part], "\n")
 
-        # Column j: an integrality marker where integrality changes, its
-        # objective entry, then its rows in order.
         fh.write("COLUMNS\n")
-        pads = np.array([row.ljust(9) + " " for row in rows], dtype=object)
-        in_int = False
-        n_markers = 0
-        for j0, j1, p0, p1 in _pieces(cols.indptr):
-            values = _per_value(_fmt, cols.data[p0:p1])
-            row_pads = pads[cols.indices[p0:p1]].tolist()
-            o0, o1 = np.searchsorted(obj_idx, [j0, j1])
-            cost = dict(zip(obj_idx[o0:o1].tolist(), _per_value(_fmt, obj_val[o0:o1])))
-            lines = []
-            starts, ends = cols.indptr[j0:j1].tolist(), cols.indptr[j0 + 1:j1 + 1].tolist()
-            for j, a, b, is_int in zip(range(j0, j1), starts, ends, integer[j0:j1].tolist()):
-                head = "    " + names[j].ljust(9) + " "
-                if a >= p0:  # the column starts in this piece
-                    if is_int != in_int:
-                        lines.append(marker.format(n_markers, "'INTORG'" if is_int else "'INTEND'"))
-                        in_int = is_int
-                        n_markers += 1
-                    if j in cost:
-                        lines.append(head + "COST".ljust(9) + " " + cost[j])
-                a, b = max(a, p0) - p0, min(b, p1) - p0
-                lines.extend(f"{head}{pad}{v}" for pad, v in zip(row_pads[a:b], values[a:b]))
-            _write_lines(fh, lines)
-        if in_int:
-            fh.write(marker.format(n_markers, "'INTEND'") + "\n")
+        _write_mps_columns(fh, names, pads, cols, obj_idx, obj_val, model.integer)
 
         fh.write("RHS\n")
         nonzero = np.flatnonzero(rhs != 0.0)
         for k in range(0, nonzero.size, WRITE_CHUNK):
             part = nonzero[k:k + WRITE_CHUNK]
-            _write_lines(
-                fh, [f"    RHS       {rows[r]:<9} {text}" for r, text in zip(part.tolist(), _per_value(_fmt, rhs[part]))]
-            )
+            _write_joined(fh, "    RHS       ", pads[part], _per_value(_fmt_line, rhs[part]))
 
         fh.write("BOUNDS\n")
-        for piece in _bounds(names, model.lb, model.ub):
-            lines = []
-            for name, lo, hi, lo_text, hi_text in piece:
-                if lo == -math.inf and math.isinf(hi):
-                    lines.append(f" FR BND       {name}")
-                    continue
-                lines.append(f" MI BND       {name}" if lo == -math.inf else f" LO BND       {name:<9} {lo_text}")
-                lines.append(f" PL BND       {name}" if math.isinf(hi) else f" UP BND       {name:<9} {hi_text}")
-            _write_lines(fh, lines)
+        _write_bounds(fh, names, model.lb, model.ub, _mps_bound_lines)
         fh.write("ENDATA\n")
     return dict(zip(model.var_names, names))
 

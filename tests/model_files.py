@@ -1,6 +1,9 @@
 """Readers for the LP and MPS subsets that `odmts.milp` writes, used by the
 tests to check that exported models round-trip. They build models through
-the one-row wrappers `MilpModel.add_var` and `MilpModel.add_constraint`."""
+the one-row wrappers `MilpModel.add_var` and `MilpModel.add_constraint`.
+
+`reference_lp` is a plain LP writer, one f-string per term and per line,
+that the tests hold `write_lp`'s bytes against."""
 
 from __future__ import annotations
 
@@ -207,3 +210,47 @@ def read_lp(path: str) -> MilpModel:
             {model.var_index(n): v for n, v in terms.items()}, op, rhs, name=name
         )
     return model
+
+
+def _number(value: float) -> str:
+    """A number as the model files write it: the first of %.11g, %.9g and
+    %.6g that fits in 12 characters, else %.5g."""
+    for spec in ("%.11g", "%.9g", "%.6g"):
+        if len(spec % value) <= 12:
+            return spec % value
+    return "%.5g" % value
+
+
+def reference_lp(model: MilpModel, names: list[str], rows: list[str]) -> str:
+    """The LP text of `model` with written variable names `names` and row
+    names `rows`, in the layout of `odmts.milp.write_lp`."""
+
+    def terms(entries) -> str:
+        text = " ".join(f"{'-' if v < 0 else '+'} {_number(abs(v))} {names[j]}" for j, v in entries)
+        if not text:
+            return f"0 {names[0]}" if names else "0"
+        return text[2:] if text.startswith("+ ") else text
+
+    renamed = sorted((old, new) for old, new in zip(model.var_names, names) if old != new)
+    lines = [f"\\ {model.name}", *(f"\\ name-map: {new} <- {old}" for old, new in renamed)]
+    lines += ["Minimize", f" obj: {terms(sorted(model.objective.items()))}", "Subject To"]
+    indptr, indices, data, sense, rhs = model._merged_rows()
+    for r, row in enumerate(rows):
+        entries = zip(indices[indptr[r]:indptr[r + 1]].tolist(), data[indptr[r]:indptr[r + 1]].tolist())
+        op = (LESS_EQUAL, EQUAL, GREATER_EQUAL)[sense[r]]
+        lines.append(f" {row}: {terms(entries)} {op} {_number(rhs[r])}")
+    lines.append("Bounds")
+    for name, lo, hi in zip(names, model.lb.tolist(), model.ub.tolist()):
+        if math.isinf(hi) and lo == 0:
+            continue  # default bounds
+        if lo == -math.inf and math.isinf(hi):
+            lines.append(f" {name} free")
+        elif math.isinf(hi):
+            lines.append(f" {name} >= {_number(lo)}")
+        else:
+            lines.append(f" {_number(lo)} <= {name} <= {_number(hi)}")
+    generals = [name for name, integer in zip(names, model.integer.tolist()) if integer]
+    if generals:
+        lines += ["General", *(f" {name}" for name in generals)]
+    lines.append("End")
+    return "\n".join(lines) + "\n"

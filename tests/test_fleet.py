@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from odmts import instgen
+from odmts import fleet, instgen
 from odmts.fleet import (
     RELAY_BLOCK,
     SINK,
@@ -388,6 +389,30 @@ def test_compatibility_tiny(n):
     inst = colocated_instance()
     ts, comp = assert_compatibility_matches_scalar_rule(six_tasks()[:n], inst)
     assert comp.shape == (n, n) and not comp.any()
+
+
+def test_compatibility_blocks_match_scalar_rule(monkeypatch):
+    # Blocks of 7 rows: several full blocks and a partial last one.
+    monkeypatch.setattr(fleet, "RELAY_BLOCK", 7)
+    rng = np.random.default_rng(17)
+    inst = metric_instance(rng)
+    assert_compatibility_matches_scalar_rule(random_tasks(rng, 47, inst), inst)
+
+
+def test_compatibility_holds_no_square_float_matrix():
+    # At 2,500 tasks the mask is 6.25 MB and an n x n float64 matrix 50 MB;
+    # row blocks keep the traced peak below three bytes per task pair.
+    rng = np.random.default_rng(5)
+    inst = metric_instance(rng)
+    ts = _sorted_tasks(random_tasks(rng, 2500, inst))
+    tracemalloc.start()
+    try:
+        comp = _compatibility(ts, inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.shape == (2500, 2500)
+    assert peak <= 3 * 2500**2, peak
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,12 +1,16 @@
 import itertools
 import math
+import os
 import re
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from odmts import design, fleet, instgen, milp, routegen
 from odmts.milp import (
@@ -29,7 +33,7 @@ from odmts.milp import (
 )
 
 from conftest import DESK_COST, mk_instance
-from model_files import read_lp, read_mps
+from model_files import read_lp, read_mps, reference_lp
 
 
 def bound_model():
@@ -478,6 +482,26 @@ def test_sanitized_names_match_per_name_regex():
         assert _sanitize_names(names, max_len, prefix) == _sanitize_by_regex(names, max_len, prefix)
 
 
+_NAMES = st.one_of(
+    st.sampled_from(
+        ["", "a[", "a]", "a_", "9lives", "\u00e9", "\U0001f68c", "line\nbreak", "\n", "longer_than_eight", "y" * 201]
+    ),
+    st.integers(0, 12).map("x{}".format),
+    st.integers(0, 12).map("X{}".format),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_NAMES, max_size=14))
+@example(["a[", "a]", "b", "x1", "X1"])  # at chunk 3, 'x1' is clean but an earlier chunk's fallback took it
+def test_sanitize_chunks_match_per_name_regex(names):
+    for chunk in (1, 3, 4096):
+        with mock.patch.object(milp, "WRITE_CHUNK", chunk):
+            for max_len, prefix in ((8, "X"), (200, "x")):
+                assert _sanitize_names(names, max_len, prefix) == _sanitize_by_regex(names, max_len, prefix), chunk
+
+
 def test_name_sanitization_emits_mapping(tmp_path):
     m = MilpModel(name="messy")
     x = m.add_var("flow rate [a,b]", 0, 3)
@@ -573,6 +597,54 @@ def test_exports_do_not_depend_on_chunk_size(tmp_path, monkeypatch, fmt, chunk):
         path = tmp_path / f"{name}.{fmt}"
         export_model(model, str(path), fmt)
         assert path.read_bytes() == whole[name], name
+
+
+_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -3.25, 1 / 3, -1e-9, 123456.789, -4.5e12]
+
+
+@st.composite
+def small_models(draw):
+    """Models of up to 6 variables and 5 rows: signed zeros, negative first
+    terms, empty rows, rows and objectives longer than a piece of 3,
+    infinite bounds, mixed integrality, and no variables or no rows."""
+    n = draw(st.integers(0, 6))
+    names = st.sampled_from(["x", "y[1]", "z_2", "a b", "7up", "w", "v[0,1]", "x1"])
+    lower = st.sampled_from([0.0, -0.0, -math.inf, -2.5, 1.5])
+    upper = st.sampled_from([math.inf, 0.0, 3.0, 1e-7, 123456789.125])
+    bounds = [sorted(pair) for pair in draw(st.lists(st.tuples(lower, upper), min_size=n, max_size=n))]
+    m = MilpModel(name="small")
+    m.add_vars(
+        draw(st.lists(names, min_size=n, max_size=n, unique=True)),
+        [lo for lo, _ in bounds], [hi for _, hi in bounds],
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    )
+    entry = st.tuples(st.integers(0, max(n - 1, 0)), st.sampled_from(_VALUES))
+    rows = draw(st.lists(st.lists(entry, max_size=7 if n else 0), max_size=5))
+    if rows:
+        m.add_rows(
+            np.cumsum([0] + [len(row) for row in rows]),
+            [j for row in rows for j, _ in row],
+            [v for row in rows for _, v in row],
+            draw(st.lists(st.sampled_from([LESS_EQUAL, EQUAL, GREATER_EQUAL]), min_size=len(rows), max_size=len(rows))),
+            draw(st.lists(st.sampled_from(_VALUES), min_size=len(rows), max_size=len(rows))),
+            draw(st.none() | st.lists(st.sampled_from(["r", "bal[1]", "c0"]), min_size=len(rows), max_size=len(rows))),
+        )
+    m.set_objective(draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(_VALUES), max_size=n)) if n else {})
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_models())
+def test_write_lp_matches_reference_writer(model):
+    expected = reference_lp(
+        model, _sanitize_names(model.var_names, 200, "x"), _sanitize_names(model.row_names, 200, "c")
+    ).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "small.lp")
+        for chunk in (1, 3, milp.WRITE_CHUNK):
+            with mock.patch.object(milp, "WRITE_CHUNK", chunk):
+                write_lp(model, path)
+            assert Path(path).read_bytes() == expected, chunk
 
 
 def _synthetic_model(n_vars=2000, n_rows=5000, per_row=40):
