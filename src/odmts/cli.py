@@ -47,7 +47,6 @@ class PipelineConfig:
     bucket: float | None = None
     first_hubs: int | None = None
     last_hubs: int | None = None
-    formulation: str = "sparse"
     check_oracle: bool = False
     export_model: str | None = None
     perturb_scale: float | None = None
@@ -117,33 +116,26 @@ def _stage_design(inst: Instance, routes, cfg: PipelineConfig, path: str) -> des
     return ds
 
 
-def _formulation(name: str):
-    """The fleet graph builder for `name`. Resolved per call, not at import,
-    so patched or wrapped builders run."""
-    return fleet_mod.build_dense_graph if name == "dense" else fleet_mod.build_sparse_graph
-
-
 def _stage_fleet(
     inst: Instance, ds, cfg: PipelineConfig, path: str, stage: str = "fleet"
 ) -> fleet_mod.FleetResult:
-    """Build the chosen fleet graph, write its model to `cfg.export_model` if
-    set, solve it and save the result to `path`. With `check_oracle`, also
-    solve the other graph and the matching oracle and require all three
-    sizes to agree."""
+    """Build the sparse fleet graph, write its model to `cfg.export_model`
+    if set, solve it and save the result to `path`. With `check_oracle`,
+    also solve the dense graph and the matching oracle and require all
+    three sizes to agree."""
     tasks = fleet_mod.routes_to_tasks(ds, inst)
     try:
-        graph = _formulation(cfg.formulation)(tasks, inst)
+        graph = fleet_mod.build_sparse_graph(tasks, inst)
         if cfg.export_model:
             _export(fleet_mod.fleet_model(graph)[0], cfg.export_model)
         result = fleet_mod.solve_fleet(graph)
         if cfg.check_oracle:
-            other = "sparse" if cfg.formulation == "dense" else "dense"
-            other_result = fleet_mod.solve_fleet(_formulation(other)(tasks, inst))
-            sizes = {cfg.formulation: result.fleet_size, other: other_result.fleet_size}
+            dense = fleet_mod.solve_fleet(fleet_mod.build_dense_graph(tasks, inst)).fleet_size
             oracle = fleet_mod.min_fleet_oracle(tasks, inst)
-            if not sizes["dense"] == sizes["sparse"] == oracle:
-                disagree = "formulations disagree: dense={dense} sparse={sparse}".format(**sizes)
-                raise StageError(stage, f"{disagree} matching={oracle}")
+            if not dense == result.fleet_size == oracle:
+                raise StageError(
+                    stage, f"formulations disagree: dense={dense} sparse={result.fleet_size} matching={oracle}"
+                )
     except fleet_mod.FlowError as exc:
         raise StageError(stage, str(exc))
     fleet_mod.save_result(result, tasks, path)
@@ -225,8 +217,13 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str] | None = None
         raw = _read_config(args.config)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    # Defaults live on the subcommand's own parser, not the top-level one.
+    # Defaults live on the subcommand's own parser, not the top-level one. A
+    # key that only another subcommand takes is allowed, so one file can
+    # serve several subcommands; a key that no option takes is an error.
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unknown = set(raw).difference(*({a.dest for a in p._actions} for p in commands.choices.values()))
+    if unknown:
+        parser.error(f"config {args.config}: no option takes {', '.join(sorted(unknown))}")
     command = commands.choices[args.command]
     for action in command._actions:
         val = raw.get(action.dest)
@@ -281,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fleet-size", help="size the shuttle fleet for a design")
     p.add_argument("--design", required=True, help="design.json path")
     p.add_argument("--out", required=True, help="fleet.json path")
-    p.add_argument("--formulation", choices=["dense", "sparse"], default="sparse")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     p.add_argument("--export-model", dest="export_model", default=None)
     _add_common(p)
@@ -294,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run all stages into an output directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--formulation", choices=["dense", "sparse"], default="sparse")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     p.add_argument("--export-model", dest="export_model", default=None)
     _add_common(p)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .instance import Commodity, Instance, InstanceFormatError, record_dict
 from .milp import (
@@ -186,16 +185,11 @@ def build_design_model(
     cost[eta] = [direct_cost(c, inst) for c in comms]
     model.set_objective(dict(enumerate(cost.tolist())))
 
-    def add_block(rows, cols, vals, n_rows, sense, rhs, names) -> None:
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        a = sp.csr_array((vals, (rows, cols)), shape=(n_rows, len(model.var_names)))
-        model.add_rows(a.indptr, a.indices, a.data, sense, rhs, names)
-
     # Per-hub balance of opened lines.
     ones = np.ones(n_l)
-    add_block(
+    model.add_rows(
         np.concatenate([tail, head]), np.concatenate([z, z]), np.concatenate([ones, -ones]),
-        n_h, EQUAL, 0.0, [f"balance[{h}]" for h in inst.hubs],
+        EQUAL, 0.0, [f"balance[{h}]" for h in inst.hubs],
     )
 
     # Cover rows (pickup, dropoff per commodity) and the route terms of the
@@ -211,14 +205,14 @@ def build_design_model(
             flow_rows += [ci * n_h + hub_pos[w.hub] for w in members]
             flow_cols += [x_of[w.key] for w in members]
             flow_vals += [sign] * len(members)
-    add_block(
-        cover_rows, cover_cols, np.ones(len(cover_cols)), 2 * n_c, GREATER_EQUAL, 1.0,
+    model.add_rows(
+        cover_rows, cover_cols, np.ones(len(cover_cols)), GREATER_EQUAL, 1.0,
         [f"cover_{side}[{c.id}]" for c in comms for side in "pd"],
     )
 
     # Bus legs only on opened lines: y[c, h, l] - z[h, l] <= 0.
     model.add_rows(
-        np.arange(0, 2 * y.size + 1, 2),
+        np.repeat(np.arange(y.size), 2),
         np.column_stack([np.tile(z, n_c), y.ravel()]).ravel(),
         np.tile([-1.0, 1.0], y.size),
         LESS_EQUAL,
@@ -229,11 +223,11 @@ def build_design_model(
     # Hub flow conservation per commodity: bus arrivals plus pickup-route
     # drop-offs equal bus departures plus dropoff-route starts.
     base = (np.arange(n_c) * n_h)[:, None]
-    add_block(
+    model.add_rows(
         np.concatenate([(base + head).ravel(), (base + tail).ravel(), flow_rows]),
         np.concatenate([y.ravel(), y.ravel(), flow_cols]),
         np.concatenate([np.ones(y.size), -np.ones(y.size), flow_vals]),
-        n_c * n_h, EQUAL, 0.0, [f"flow[{c.id},{h}]" for c in comms for h in inst.hubs],
+        EQUAL, 0.0, [f"flow[{c.id},{h}]" for c in comms for h in inst.hubs],
     )
 
     return DesignModel(model, lines, [routes[key] for key in keys], z, y, x, eta)

@@ -84,7 +84,6 @@ class FleetGraph:
 class FleetResult:
     fleet_size: int
     schedules: tuple[tuple[str, ...], ...]
-    flows: dict[tuple, int]
 
 
 def routes_to_tasks(ds, inst: Instance) -> list[Task]:
@@ -201,16 +200,10 @@ def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
     into = np.concatenate([src, head])
     out_of = np.concatenate([tail, snk])
     k_in = np.arange(into.size)
-    k_out = np.arange(src.size, len(keys))
-    a = sp.csr_array(
-        (
-            np.concatenate([np.ones(2 * into.size), -np.ones(out_of.size)]),
-            (np.concatenate([2 * into, 2 * into + 1, 2 * out_of + 1]), np.concatenate([k_in, k_in, k_out])),
-        ),
-        shape=(2 * n, len(keys)),
-    )
     model.add_rows(
-        a.indptr, a.indices, a.data,
+        np.concatenate([2 * into, 2 * into + 1, 2 * out_of + 1]),
+        np.concatenate([k_in, k_in, np.arange(src.size, len(keys))]),
+        np.concatenate([np.ones(2 * into.size), -np.ones(out_of.size)]),
         np.tile([EQUAL if binary else GREATER_EQUAL, EQUAL], n),
         np.tile([1.0, 0.0], n),
         [name for i in range(n) for name in (f"visit[{i}]", f"conserve[{i}]")],
@@ -288,7 +281,7 @@ def solve_fleet(g: FleetGraph) -> FleetResult:
     decomposed into shuttle schedules. Shuttles may share arcs, so a unit
     serves only the tasks no earlier unit reached."""
     if not g.tasks:
-        return FleetResult(0, (), {})
+        return FleetResult(0, ())
     return recover_schedules(g, _min_flow(g))
 
 
@@ -350,7 +343,7 @@ def recover_schedules(g: FleetGraph, flows: dict[tuple, int]) -> FleetResult:
         schedules.append(tuple(g.tasks[i].id for i in fresh))
     if len(covered) != n:
         raise FlowError("flow decomposition left tasks unserved")
-    result = FleetResult(len(schedules), tuple(schedules), dict(flows))
+    result = FleetResult(len(schedules), tuple(schedules))
     _assert_partition(result, g)
     return result
 
@@ -415,6 +408,6 @@ def load_result(path: str) -> FleetResult:
         try:
             data = json.load(fh)
             schedules = tuple(tuple(s) for s in data["schedules"])
-            return FleetResult(fleet_size=data["fleet_size"], schedules=schedules, flows={})
+            return FleetResult(fleet_size=data["fleet_size"], schedules=schedules)
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceFormatError(f"{path}: not a fleet result: {exc!r}") from exc

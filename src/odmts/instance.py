@@ -9,8 +9,10 @@ passes so that malformed data can be reported in bulk.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Sequence
 
@@ -214,10 +216,17 @@ def _record_json(rec: Any) -> dict:
     return {f.name: _WRITERS[f.type](getattr(rec, f.name)) for f in fields(rec)}
 
 
+@functools.cache
+def _field_getter(cls: type) -> tuple[tuple[str, ...], Any]:
+    names = tuple(f.name for f in fields(cls))
+    return names, operator.attrgetter(*names)
+
+
 def record_dict(rec: Any) -> dict:
     """A dataclass record's fields as a flat dict; unlike
     `dataclasses.asdict`, the values are not copied."""
-    return {f.name: getattr(rec, f.name) for f in fields(rec)}
+    names, get = _field_getter(type(rec))
+    return dict(zip(names, get(rec)))
 
 
 def instance_from_dict(data: dict) -> Instance:

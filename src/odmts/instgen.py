@@ -2,9 +2,8 @@
 
 Nodes are placed uniformly in a square; travel times and distances are both
 the Euclidean distance (times scaled by a minutes-per-km factor), so the
-triangle inequality holds by construction. Hubs are either a spread subset
-(greedy farthest-point) or a random one. Everything is deterministic per
-seed.
+triangle inequality holds by construction. Hubs are a spread subset
+(greedy farthest-point). Everything is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ def generate(
     side_km: float = 10.0,
     minutes_per_km: float = 1.0,
     max_passengers: int = 1,
-    hub_strategy: str = "spread",
     cost: CostParams | None = None,
     routing: RoutingParams | None = None,
 ) -> Instance:
@@ -72,13 +70,7 @@ def generate(
     time = dist * minutes_per_km
 
     nodes = tuple(f"n{i}" for i in range(n_nodes))
-    if hub_strategy == "spread":
-        hub_ids = _spread_hubs(coords, n_hubs)
-    elif hub_strategy == "random":
-        hub_ids = sorted(rng.choice(n_nodes, size=n_hubs, replace=False).tolist())
-    else:
-        raise ValueError(f"unknown hub strategy {hub_strategy!r}")
-    hubs = tuple(nodes[i] for i in hub_ids)
+    hubs = tuple(nodes[i] for i in _spread_hubs(coords, n_hubs))
 
     if routing is None:
         routing = RoutingParams(

@@ -1,19 +1,22 @@
-"""Generic mixed-integer linear model container, exact solvers, and model-file
+"""Generic mixed-integer linear model container, exact solver, and model-file
 export.
 
 A model is stored as arrays. Each variable is one entry of the parallel
 name, lb, ub and integer columns; the objective keeps its explicit
-(index, value) entries; the rows are CSR blocks (indptr, indices, data) with
-one sense and right-hand side per row. `add_vars` and `add_rows` append a
-whole block and validate it with array operations; `add_var` and
-`add_constraint` are one-row wrappers over them. Within a row, repeated
-columns are summed and the columns are sorted.
+(index, value) entries; the rows are kept in CSR blocks (indptr, indices,
+data) with one sense and right-hand side per row. `add_vars` appends a
+block of variables and `add_rows` a block of named rows given as COO
+triplets (block-local row, column, value); both validate the block with
+array operations, and `add_var` and `add_constraint` are one-row wrappers
+over them. Within a row, repeated columns are summed and the columns are
+sorted.
 
 Models are always minimization. Every solve, LP or MIP, is one call of
-`scipy.optimize.milp` (HiGHS) at a 1e-9 relative gap, so reported optima
-are proven; `solve_lp` is that call with no integer column. The tests check
-that LP solutions on totally unimodular systems with integral right-hand
-sides come back integral, i.e. that HiGHS returns vertex solutions there.
+`solve_milp`, i.e. of `scipy.optimize.milp` (HiGHS) at a 1e-9 relative
+gap, so reported optima are proven; an LP is a model without integer
+columns, or a solve with `integer=False`. The tests check that LP solutions
+on totally unimodular systems with integral right-hand sides come back
+integral, i.e. that HiGHS returns vertex solutions there.
 
 The solver and the check of its solutions read the rows from one sparse
 matrix with per-row bounds, lo <= A x <= hi, stacked from the blocks. The LP
@@ -110,6 +113,10 @@ class MilpModel:
         lb = _block_column(lb, k, float, f"lb of {block}")
         ub = _block_column(ub, k, float, f"ub of {block}")
         integer = _block_column(integer, k, bool, f"integer of {block}")
+        bad = np.isnan(lb) | np.isnan(ub) | (lb == math.inf) | (ub == -math.inf)
+        if bad.any():
+            i = bad.argmax()
+            raise ModelError(f"variable {names[i]!r} has invalid bounds lb {lb[i]}, ub {ub[i]}")
         bad = lb > ub
         if bad.any():
             i = bad.argmax()
@@ -131,38 +138,26 @@ class MilpModel:
     ) -> int:
         return int(self.add_vars([name], lb, ub, integer)[0])
 
-    def add_rows(
-        self,
-        indptr,
-        indices,
-        data,
-        sense,
-        rhs,
-        names: Sequence[str] | None = None,
-    ) -> None:
-        """Append a block of rows in CSR form: row r has coefficients
-        data[indptr[r]:indptr[r + 1]] on the variables
-        indices[indptr[r]:indptr[r + 1]]. `sense` and `rhs` are one value
-        for the block or one per row; `names` defaults to c<row number>.
-        Repeated columns in a row are summed and the columns sorted."""
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        data = np.asarray(data, dtype=float)
-        start = len(self.row_names)
-        k = indptr.size - 1
-        names = [f"c{i}" for i in range(start, start + k)] if names is None else list(names)
+    def add_rows(self, rows, cols, vals, sense, rhs, names: Sequence[str]) -> None:
+        """Append a block of rows, one per name, given as COO triplets:
+        entry p puts vals[p] on the variable cols[p] in row rows[p] of the
+        block, counted from 0. `sense` and `rhs` are one value for the
+        block or one per row. Repeated columns in a row are summed and the
+        columns sorted."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=float)
+        names = list(names)
+        start, k = len(self.row_names), len(names)
         if (
-            indptr.ndim != 1
-            or k < 0
-            or indptr[0] != 0
-            or np.any(indptr[1:] < indptr[:-1])
-            or indices.shape != (indptr[-1],)
-            or data.shape != indices.shape
-            or len(names) != k
+            rows.ndim != 1
+            or cols.shape != rows.shape
+            or vals.shape != rows.shape
+            or (rows.size and not 0 <= rows.min() <= rows.max() < k)
         ):
             raise ModelError(
-                f"row block from row {start} has mismatched lengths: indptr {indptr.size}, "
-                f"indices {indices.size}, data {data.size}, names {len(names)}"
+                f"row block from row {start} has mismatched lengths: rows {rows.size}, cols {cols.size}, "
+                f"vals {vals.size}, names {k} (row indices {rows.min(initial=0)}..{rows.max(initial=-1)})"
             )
         given = np.asarray(sense, dtype=object)
         code = np.full(given.shape, -1, dtype=np.int8)
@@ -171,45 +166,45 @@ class MilpModel:
         block = f"the row block from row {start}"
         code = _block_column(code, k, np.int8, f"sense of {block}")
         rhs = _block_column(rhs, k, float, f"rhs of {block}")
-        row = np.repeat(np.arange(k), np.diff(indptr))  # row of each entry
         bad = code < 0
         if bad.any():
             r = bad.argmax()
             raise ModelError(f"row {names[r]!r} has unknown sense {np.broadcast_to(given, (k,))[r]!r}")
-        bad = (indices < 0) | (indices >= len(self.var_names))
+        bad = (cols < 0) | (cols >= len(self.var_names))
         if bad.any():
             p = bad.argmax()
-            raise ModelError(f"row {names[row[p]]!r} references unknown variable index {indices[p]}")
-        bad = ~np.isfinite(data)
+            raise ModelError(f"row {names[rows[p]]!r} references unknown variable index {cols[p]}")
+        bad = ~np.isfinite(vals)
         if bad.any():
             p = bad.argmax()
             raise ModelError(
-                f"row {names[row[p]]!r} has non-finite coefficient {data[p]} on variable {indices[p]}"
+                f"row {names[rows[p]]!r} has non-finite coefficient {vals[p]} on variable {cols[p]}"
             )
         bad = ~np.isfinite(rhs)
         if bad.any():
             r = bad.argmax()
             raise ModelError(f"row {names[r]!r} has non-finite right-hand side {rhs[r]}")
         # Sort each row's columns (stably) and sum repeated ones.
-        order = np.lexsort((indices, row))
-        row, indices, data = row[order], indices[order], data[order]
-        first = np.ones(indices.size, dtype=bool)
-        first[1:] = (row[1:] != row[:-1]) | (indices[1:] != indices[:-1])
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.ones(cols.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         if not first.all():
             starts = np.flatnonzero(first)
-            row, indices, data = row[starts], indices[starts], np.add.reduceat(data, starts)
-        indptr = np.searchsorted(row, np.arange(k + 1))
-        self._rows.append((indptr, indices, data, code, rhs))
+            rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
+        indptr = np.searchsorted(rows, np.arange(k + 1))
+        self._rows.append((indptr, cols, vals, code, rhs))
         self.row_names.extend(names)
 
     def add_constraint(
         self, coeffs: Mapping[int, float], sense: str, rhs: float, name: str | None = None
     ) -> int:
+        row = len(self.row_names)
         self.add_rows(
-            [0, len(coeffs)], list(coeffs), list(coeffs.values()), sense, rhs,
-            None if name is None else [name],
+            np.zeros(len(coeffs)), list(coeffs), list(coeffs.values()), sense, rhs,
+            [f"c{row}" if name is None else name],
         )
-        return len(self.row_names) - 1
+        return row
 
     def set_objective(self, coeffs: Mapping[int, float]) -> None:
         idx = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
@@ -352,23 +347,12 @@ def _finish(model: MilpModel, rows, integer: np.ndarray, res) -> MilpSolution:
     return MilpSolution(OPTIMAL, float(res.fun), res.x, bound)
 
 
-def solve_lp(model: MilpModel) -> MilpSolution:
-    """Solve the continuous relaxation: `solve_milp` with no integer
-    column. No pipeline stage calls this; it is the LP solver for exported
-    or hand-built models and for cross-checks."""
-    return solve_milp(model, integer=False)
-
-
-def solve_milp(
-    model: MilpModel,
-    time_limit: float | None = None,
-    node_limit: int | None = None,
-    integer=None,
-) -> MilpSolution:
+def solve_milp(model: MilpModel, time_limit: float | None = None, integer=None) -> MilpSolution:
     """Solve to proven optimality (1e-9 relative gap). `integer`, when
     given, is this solve's integrality, one flag per variable or one for
     all; it defaults to `model.integer`, which it leaves unchanged. Raises
-    SolveEffortError with the incumbent and bound when a limit is hit first."""
+    SolveEffortError with the incumbent and bound when the time limit is hit
+    first."""
     if not model.var_names:
         return MilpSolution(OPTIMAL, 0.0, np.empty(0), 0.0)
     given = model.integer if integer is None else integer
@@ -380,8 +364,6 @@ def solve_milp(
     options: dict = {"mip_rel_gap": 1e-9, "presolve": True}
     if time_limit is not None:
         options["time_limit"] = time_limit
-    if node_limit is not None:
-        options["node_limit"] = node_limit
     res = _scipy_milp(
         c=model.objective_vector(),
         integrality=integer,

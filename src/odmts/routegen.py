@@ -1,9 +1,10 @@
 """Shuttle route materialization and enumeration.
 
-Three route kinds exist. A pickup route collects commodities at their
+Two route kinds exist. A pickup route collects commodities at their
 origins in sequence and delivers all of them to one hub; a dropoff route
-starts at a hub and drops its commodities off in sequence; a direct route
-drives one commodity straight from origin to destination.
+starts at a hub and drops its commodities off in sequence. A direct ride,
+one commodity driven straight from origin to destination, is not a route:
+the design model's eta variable stands for it, at `direct_cost`.
 
 Timing rules:
 
@@ -32,14 +33,13 @@ sequence, so pruning never removes a feasible completion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
-from .instance import EPS, Commodity, Instance, InstanceFormatError, bucket_of, window_of
+from .instance import EPS, Commodity, Instance, InstanceFormatError, bucket_of, record_dict, window_of
 
 PICKUP = "pickup"
 DROPOFF = "dropoff"
-DIRECT = "direct"
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class Route:
 
     kind: str
     commodities: tuple[Commodity, ...]
-    hub: str | None
+    hub: str
     xi: tuple[float, ...]
     passengers: int
     arcs: tuple[tuple[str, str], ...]
@@ -179,22 +179,6 @@ def materialize_dropoff(
     )
 
 
-def materialize_direct(r: Commodity, inst: Instance) -> Route:
-    t = inst.time(r.origin, r.destination)
-    return Route(
-        kind=DIRECT,
-        commodities=(r,),
-        hub=None,
-        xi=(t,),
-        passengers=r.passengers,
-        arcs=((r.origin, r.destination),),
-        dist=inst.dist(r.origin, r.destination),
-        cost=direct_cost(r, inst),
-        start_time=r.depart,
-        duration=t,
-    )
-
-
 def direct_cost(r: Commodity, inst: Instance) -> float:
     """Cost of serving r with its own origin-to-destination shuttle ride."""
     a = inst.cost.alpha
@@ -205,8 +189,6 @@ def direct_cost(r: Commodity, inst: Instance) -> float:
 
 def route_cost(route: Route, inst: Instance) -> float:
     """Recompute a route's cost from its fields (independent of the cached value)."""
-    if route.kind == DIRECT:
-        return direct_cost(route.commodities[0], inst)
     rider_minutes = sum(c.passengers * x for c, x in zip(route.commodities, route.xi))
     return _blend(inst, route.dist, rider_minutes)
 
@@ -226,10 +208,7 @@ def _dropoff_t1_values(route: Route, inst: Instance) -> list[float]:
 def feasible(route: Route, inst: Instance, hs: HubSets | None = None) -> bool:
     """Check the practical-interest conditions: eligible hub and bounded
     detour for every commodity, capacity, and a shared consolidation window
-    (departure times for pickups, hub-arrival estimates for dropoffs).
-    Direct routes are always feasible."""
-    if route.kind == DIRECT:
-        return True
+    (departure times for pickups, hub-arrival estimates for dropoffs)."""
     if hs is None:
         hs = compute_hub_sets(inst)
     if route.passengers > inst.routing.shuttle_capacity:
@@ -407,33 +386,24 @@ def enumerate_dropoff_routes(
 
 
 def route_to_dict(route: Route) -> dict:
-    return {
-        "kind": route.kind,
-        "hub": route.hub,
-        "commodities": [c.id for c in route.commodities],
-        "xi": list(route.xi),
-        "passengers": route.passengers,
-        "arcs": [list(a) for a in route.arcs],
-        "dist": route.dist,
-        "cost": route.cost,
-        "start_time": route.start_time,
-        "duration": route.duration,
-    }
+    """A route's fields as a flat dict, its commodities as their ids."""
+    rec = record_dict(route)
+    rec["commodities"] = [c.id for c in route.commodities]
+    return rec
 
 
 def route_from_dict(data: dict, inst: Instance) -> Route:
-    return Route(
-        kind=data["kind"],
-        commodities=tuple(inst.commodity(cid) for cid in data["commodities"]),
-        hub=data["hub"],
-        xi=tuple(data["xi"]),
-        passengers=data["passengers"],
-        arcs=tuple((a, b) for a, b in data["arcs"]),
-        dist=data["dist"],
-        cost=data["cost"],
-        start_time=data["start_time"],
-        duration=data["duration"],
+    """The route of `route_to_dict`, its commodities looked up in `inst`."""
+    rec = {f.name: data[f.name] for f in fields(Route)}
+    rec.update(
+        commodities=tuple(inst.commodity(cid) for cid in rec["commodities"]),
+        xi=tuple(rec["xi"]),
+        arcs=tuple((a, b) for a, b in rec["arcs"]),
     )
+    return Route(**rec)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True) would build one per call
 
 
 def dump_routes(omega_minus: dict[str, list[Route]], omega_plus: dict[str, list[Route]], path: str) -> None:
@@ -445,7 +415,7 @@ def dump_routes(omega_minus: dict[str, list[Route]], omega_plus: dict[str, list[
                 seen[r.key] = r
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(seen):
-            fh.write(json.dumps(route_to_dict(seen[key]), sort_keys=True))
+            fh.write(_ENCODER.encode(route_to_dict(seen[key])))
             fh.write("\n")
 
 

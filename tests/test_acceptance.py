@@ -17,6 +17,7 @@ from odmts.cli import EXIT_OK, PipelineConfig, run_pipeline
 from odmts.design import solve_design
 from odmts.fleet import (
     Task,
+    _min_flow,
     build_dense_graph,
     build_sparse_graph,
     min_fleet_oracle,
@@ -24,7 +25,7 @@ from odmts.fleet import (
     solve_fleet,
 )
 from odmts.instance import EPS, CostParams, save_instance
-from odmts.milp import _check_solution, _constraint_rows, solve_lp
+from odmts.milp import _check_solution, _constraint_rows, solve_milp
 from odmts.fleet import fleet_model
 from odmts.routegen import (
     compute_hub_sets,
@@ -76,7 +77,7 @@ def fleet_battery():
         deviations, objectives = [], []
         for graph in (dense_graph, sparse_graph):
             model, var = fleet_model(graph)
-            sol = solve_lp(model)
+            sol = solve_milp(model)
             deviations.append(float(np.abs(sol.x - np.round(sol.x)).max(initial=0.0)))
             objectives.append(sol.objective)
         records.append(
@@ -86,6 +87,7 @@ def fleet_battery():
                 "tasks": tasks,
                 "dense": solve_fleet(dense_graph),
                 "sparse": solve_fleet(sparse_graph),
+                "sparse_flow": _min_flow(sparse_graph),
                 "oracle": min_fleet_oracle(tasks, inst),
                 "lp_deviation": max(deviations),
                 # HiGHS on the dense (exact-cover) and sparse LPs: an
@@ -111,11 +113,11 @@ def test_criterion_1_fleet_equivalence(fleet_battery):
         not mismatches and elapsed < 30.0,
         f"mismatched seeds: {mismatches or 'none'}, runtime {elapsed:.1f}s",
     )
-    # The min-flow solution is an optimal point of the sparse LP: only the
-    # LP's variables, every row of its model satisfied, the LP's objective.
+    # The min flow is an optimal point of the sparse LP: only the LP's
+    # variables, every row of its model satisfied, the LP's objective.
     for r in records:
         model, var = r["sparse_lp"]
-        flows = r["sparse"].flows
+        flows = r["sparse_flow"]
         assert set(flows) <= set(var), r["seed"]
         x = np.zeros(len(model.var_names))
         for key, val in flows.items():

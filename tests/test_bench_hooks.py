@@ -12,17 +12,34 @@ import importlib
 import pytest
 
 HOOKS = (
-    ("milp", "_scipy_milp"),
-    ("milp", "solve_milp"),
-    ("milp", "export_model"),
-    ("design", "solve_milp"),
+    ("cli", "run_pipeline"),
+    ("cli", "load_instance"),
+    ("cli", "validate"),
+    ("instance", "load_instance"),
+    ("instance", "validate"),
+    ("instance", "save_instance"),
+    ("routegen", "compute_hub_sets"),
+    ("routegen", "enumerate_pickup_routes"),
+    ("routegen", "enumerate_dropoff_routes"),
+    ("routegen", "dump_routes"),
     ("design", "build_design_model"),
-    ("fleet", "solve_fleet_sparse"),
+    ("design", "solve_design"),
+    ("design", "save_solution"),
+    ("design", "solve_milp"),
+    ("milp", "solve_milp"),
+    ("milp", "_scipy_milp"),
+    ("milp", "export_model"),
+    ("fleet", "routes_to_tasks"),
     ("fleet", "build_sparse_graph"),
+    ("fleet", "build_dense_graph"),
+    ("fleet", "fleet_model"),
+    ("fleet", "solve_fleet_sparse"),
+    ("fleet", "recover_schedules"),
     ("fleet", "min_fleet_oracle"),
     ("fleet", "schedules_feasible"),
-    ("cli", "run_pipeline"),
-    ("instance", "save_instance"),
+    ("fleet", "save_result"),
+    ("metrics", "build_report"),
+    ("metrics", "emit_report"),
 )
 
 

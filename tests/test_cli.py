@@ -5,7 +5,8 @@ import pytest
 
 from odmts import design, fleet, instgen
 from odmts.cli import (
-    EXIT_INVALID, EXIT_OK, EXIT_USAGE, PipelineConfig, _merge_config, build_parser, main, run_pipeline,
+    EXIT_INVALID, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, PipelineConfig, _merge_config, build_parser, main,
+    run_pipeline,
 )
 from odmts.instance import CostParams, load_instance, save_instance
 from odmts.milp import write_lp
@@ -109,7 +110,7 @@ def test_stagewise_equals_pipeline(tmp_path, tiny_instance_file):
     ]) == EXIT_OK
     assert main([
         "fleet-size", "--instance", tiny_instance_file, "--design", designf,
-        "--out", fleetf, "--formulation", "dense", "--check-oracle",
+        "--out", fleetf, "--check-oracle",
     ]) == EXIT_OK
     assert main([
         "report", "--instance", tiny_instance_file, "--design", designf,
@@ -280,12 +281,12 @@ def test_config_sets_subcommand_options(tmp_path):
     # Subcommand options with a non-None default are filled from the config
     # too; an explicit flag still wins.
     fleet_cfg = tmp_path / "fleet.cfg"
-    fleet_cfg.write_text("formulation = dense\ncheck_oracle = true\n")
+    fleet_cfg.write_text("export_model = f.lp\ncheck_oracle = true\n")
     parser = build_parser()
     args = _merge_config(parser, [
         "fleet-size", "--design", "d.json", "--out", "f.json", "--config", str(fleet_cfg),
     ])
-    assert (args.formulation, args.check_oracle) == ("dense", True)
+    assert (args.export_model, args.check_oracle) == ("f.lp", True)
 
     gen_cfg = tmp_path / "gen.cfg"
     gen_cfg.write_text("seed = 5\nnodes = 30\n")
@@ -300,18 +301,33 @@ def test_config_sets_subcommand_options(tmp_path):
 
 def test_explicit_flag_equal_to_default_beats_config(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("seed = 5\nformulation = dense\n")
+    cfgfile.write_text("seed = 5\nnodes = 30\n")
     plain, configured = str(tmp_path / "plain.json"), str(tmp_path / "configured.json")
     gen = ["gen", "--seed", "0", "--nodes", "8", "--commodities", "3"]
     assert main([*gen, "--out", plain]) == EXIT_OK
     assert main([*gen, "--out", configured, "--config", str(cfgfile)]) == EXIT_OK
     assert open(configured).read() == open(plain).read()
 
-    args = _merge_config(build_parser(), [
-        "fleet-size", "--design", "d.json", "--out", "f.json",
-        "--formulation", "sparse", "--config", str(cfgfile),
-    ])
-    assert args.formulation == "sparse"
+    args = _merge_config(build_parser(), ["gen", "--out", "i.json", "--nodes", "60", "--config", str(cfgfile)])
+    assert (args.seed, args.nodes) == (5, 60)
+
+
+def test_config_rejects_key_no_option_takes(tmp_path, capsys):
+    parser = build_parser()
+    fleet_size = ["fleet-size", "--design", "d.json", "--out", "f.json", "--config"]
+    for text, key in (("capacty = 3\n", "capacty"), ("formulation = dense\n", "formulation")):
+        cfgfile = tmp_path / f"{key}.cfg"
+        cfgfile.write_text(f"check_oracle = true\n{text}")
+        with pytest.raises(SystemExit):
+            _merge_config(parser, [*fleet_size, str(cfgfile)])
+        err = capsys.readouterr().err
+        assert f"no option takes {key}" in err and str(cfgfile) in err
+    # A key of another subcommand is allowed, so one file serves several.
+    shared = tmp_path / "shared.cfg"
+    shared.write_text("seed = 5\ncheck_oracle = true\ncapacity = 2\n")
+    args = _merge_config(parser, [*fleet_size, str(shared)])
+    assert (args.check_oracle, args.capacity) == (True, 2)
+    assert _merge_config(parser, ["gen", "--out", "i.json", "--config", str(shared)]).seed == 5
 
 
 def test_config_values_take_each_option_type(tmp_path, tiny_instance_file, monkeypatch, capsys):
@@ -410,14 +426,30 @@ def test_export_builds_each_model_once(tmp_path, tiny_instance_file, monkeypatch
         ], 1, 0),
         ([
             "fleet-size", *on_inst, "--design", os.path.join(run, "design.json"),
-            "--out", str(tmp_path / "fleet.json"), "--formulation", "dense",
-            "--export-model", str(tmp_path / "f.lp"),
+            "--out", str(tmp_path / "fleet.json"), "--export-model", str(tmp_path / "f.lp"),
         ], 0, 1),
     ]
     for argv, n_design, n_fleet in runs:
         builds.update(design=0, fleet=0)
         assert main(argv) == EXIT_OK
         assert (builds["design"], builds["fleet"]) == (n_design, n_fleet), argv[0]
+
+
+def test_check_oracle_disagreement_fails_the_stage(tmp_path, tiny_instance_file, tiny_pipeline, monkeypatch, capsys):
+    monkeypatch.setattr(fleet, "min_fleet_oracle", lambda tasks, inst: -1)
+    runs = {
+        "[fleet-size] ": [
+            "fleet-size", "--instance", tiny_instance_file, "--design", str(tiny_pipeline / "design.json"),
+            "--out", str(tmp_path / "fleet.json"), "--check-oracle",
+        ],
+        "[fleet] ": ["pipeline", "--instance", tiny_instance_file, "--out", str(tmp_path / "again"), "--check-oracle"],
+    }
+    for label, argv in runs.items():
+        assert main(argv) == EXIT_SOLVER, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(label) and err.count("\n") == 1, err
+        assert all(f" {name}=" in err for name in ("dense", "sparse")) and " matching=-1" in err, err
+    assert not (tmp_path / "fleet.json").exists()
 
 
 def test_pipeline_deterministic(tmp_path, tiny_instance_file):

@@ -45,14 +45,6 @@ def test_speed_factor_decouples_time_from_distance():
     assert np.allclose(inst.travel_time, inst.travel_dist * 2.5)
 
 
-def test_hub_strategies():
-    spread = generate(seed=5, n_nodes=30, n_hubs=4, n_commodities=2, hub_strategy="spread")
-    rand = generate(seed=5, n_nodes=30, n_hubs=4, n_commodities=2, hub_strategy="random")
-    assert len(spread.hubs) == len(rand.hubs) == 4
-    with pytest.raises(ValueError):
-        generate(seed=5, n_nodes=30, n_hubs=4, n_commodities=2, hub_strategy="grid")
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError):
         generate(seed=0, n_nodes=4, n_hubs=5, n_commodities=1)

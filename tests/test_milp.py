@@ -27,13 +27,17 @@ from odmts.milp import (
     _constraint_rows,
     _sanitize_names,
     export_model,
-    solve_lp,
     solve_milp,
     write_lp,
 )
 
 from conftest import DESK_COST, mk_instance
 from model_files import read_lp, read_mps, reference_lp
+
+
+def solve_lp(model):
+    """The model's LP relaxation: `solve_milp` with no integer column."""
+    return solve_milp(model, integer=False)
 
 
 def bound_model():
@@ -140,6 +144,30 @@ def test_bad_bounds_rejected():
         m.add_var("x", 2.0, 1.0)
 
 
+@pytest.mark.parametrize("lb, ub", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_nan_bound_rejected(lb, ub):
+    m = MilpModel()
+    with pytest.raises(ModelError, match="variable 'x' has invalid bounds"):
+        m.add_var("x", lb, ub)
+    assert m.var_names == []
+
+
+def test_lower_bound_of_plus_infinity_rejected():
+    m = MilpModel()
+    for ub in (math.inf, 1.0):
+        with pytest.raises(ModelError, match="variable 'x' has invalid bounds lb inf"):
+            m.add_var("x", math.inf, ub)
+    assert m.var_names == []
+
+
+def test_upper_bound_of_minus_infinity_rejected():
+    m = MilpModel()
+    for lb in (-math.inf, 0.0):
+        with pytest.raises(ModelError, match="variable 'x' has invalid bounds .* ub -inf"):
+            m.add_var("x", lb, -math.inf)
+    assert m.var_names == []
+
+
 def test_nonfinite_coefficient_rejected():
     m = MilpModel()
     x = m.add_var("x")
@@ -156,14 +184,14 @@ def _two_var_model():
 @pytest.mark.parametrize(
     "block,message",
     [
-        (dict(indices=[0, 2]), "row 'b' references unknown variable index 2"),
-        (dict(indices=[0, -1]), "row 'b' references unknown variable index -1"),
-        (dict(data=[1.0, math.nan]), "row 'b' has non-finite coefficient nan on variable 1"),
+        (dict(cols=[0, 2]), "row 'b' references unknown variable index 2"),
+        (dict(cols=[0, -1]), "row 'b' references unknown variable index -1"),
+        (dict(vals=[1.0, math.nan]), "row 'b' has non-finite coefficient nan on variable 1"),
         (dict(rhs=[1.0, -math.inf]), "row 'b' has non-finite right-hand side -inf"),
         (dict(sense=[LESS_EQUAL, "<"]), "row 'b' has unknown sense '<'"),
-        (dict(indptr=[0, 1, 3]), "row block from row 1 has mismatched lengths"),
-        (dict(indptr=[0, 2, 1]), "row block from row 1 has mismatched lengths"),
-        (dict(data=[1.0]), "row block from row 1 has mismatched lengths"),
+        (dict(rows=[0, 1, 1]), "row block from row 1 has mismatched lengths"),
+        (dict(rows=[0, 2]), "row block from row 1 has mismatched lengths"),
+        (dict(vals=[1.0]), "row block from row 1 has mismatched lengths"),
         (dict(names=["a"]), "row block from row 1 has mismatched lengths"),
         (dict(rhs=[1.0, 2.0, 3.0]), r"rhs of the row block from row 1 has shape \(3,\)"),
         (dict(sense=[LESS_EQUAL] * 3), r"sense of the row block from row 1 has shape \(3,\)"),
@@ -172,7 +200,7 @@ def _two_var_model():
 def test_add_rows_rejects_bad_block(block, message):
     m = _two_var_model()
     m.add_constraint({0: 1.0}, LESS_EQUAL, 1.0, name="first")
-    args = dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0, 1.0], sense=EQUAL, rhs=1.0, names=["a", "b"])
+    args = dict(rows=[0, 1], cols=[0, 1], vals=[1.0, 1.0], sense=EQUAL, rhs=1.0, names=["a", "b"])
     with pytest.raises(ModelError, match=message):
         m.add_rows(**{**args, **block})
     assert m.row_names == ["first"]  # a rejected block adds nothing
@@ -202,8 +230,8 @@ def test_add_vars_rejects_bad_block(blocks, message):
 def test_add_rows_sums_repeated_columns_and_sorts():
     m = _two_var_model()
     m.add_rows(
-        [0, 3, 5, 5], [1, 0, 1, 0, 0], [2.0, 0.5, 1.5, 1.0, -1.0],
-        [LESS_EQUAL, GREATER_EQUAL, EQUAL], [4.0, 1.0, 0.0],
+        [0, 1, 0, 1, 0], [1, 0, 1, 0, 0], [2.0, 1.0, 1.5, -1.0, 0.5],
+        [LESS_EQUAL, GREATER_EQUAL, EQUAL], [4.0, 1.0, 0.0], ["c0", "c1", "c2"],
     )
     m.add_constraint({1: -1.0, 0: 3.0}, EQUAL, 2.0, name="last")
     a, lo, hi = _constraint_rows(m)
@@ -564,13 +592,15 @@ def _edge_models():
     """Models that exercise the writers' corner cases."""
     empty_row = MilpModel(name="empty_row")
     empty_row.add_vars(["a", "b"], [0.0, -math.inf], [2.0, math.inf], [True, False])
-    empty_row.add_rows([0, 2, 2, 3], [0, 1, 1], [1.0, -1.0, 4.0], [LESS_EQUAL, EQUAL, GREATER_EQUAL], [3.0, 0.0, -1.0])
+    empty_row.add_rows(
+        [0, 0, 2], [0, 1, 1], [1.0, -1.0, 4.0], [LESS_EQUAL, EQUAL, GREATER_EQUAL], [3.0, 0.0, -1.0], ["c0", "c1", "c2"]
+    )
     empty_row.set_objective({1: 1.0})
     no_rows = MilpModel(name="no_rows")
     no_rows.add_vars(["p", "q", "r", "s"], 0.0, [1.0, 1.0, math.inf, 7.0], [True, True, False, True])
     no_rows.set_objective({0: -1.0, 3: 2.0})
     no_vars = MilpModel(name="no_vars")
-    no_vars.add_rows([0, 0, 0], [], [], LESS_EQUAL, [1.0, 0.0])
+    no_vars.add_rows([], [], [], LESS_EQUAL, [1.0, 0.0], ["c0", "c1"])
     return {"empty_row": empty_row, "no_rows": no_rows, "no_vars": no_vars}
 
 
@@ -622,12 +652,13 @@ def small_models(draw):
     rows = draw(st.lists(st.lists(entry, max_size=7 if n else 0), max_size=5))
     if rows:
         m.add_rows(
-            np.cumsum([0] + [len(row) for row in rows]),
+            [r for r, row in enumerate(rows) for _ in row],
             [j for row in rows for j, _ in row],
             [v for row in rows for _, v in row],
             draw(st.lists(st.sampled_from([LESS_EQUAL, EQUAL, GREATER_EQUAL]), min_size=len(rows), max_size=len(rows))),
             draw(st.lists(st.sampled_from(_VALUES), min_size=len(rows), max_size=len(rows))),
-            draw(st.none() | st.lists(st.sampled_from(["r", "bal[1]", "c0"]), min_size=len(rows), max_size=len(rows))),
+            draw(st.none() | st.lists(st.sampled_from(["r", "bal[1]", "c0"]), min_size=len(rows), max_size=len(rows)))
+            or [f"c{r}" for r in range(len(rows))],
         )
     m.set_objective(draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(_VALUES), max_size=n)) if n else {})
     return m
@@ -654,8 +685,8 @@ def _synthetic_model(n_vars=2000, n_rows=5000, per_row=40):
     step = n_vars // per_row
     cols = (np.arange(n_rows)[:, None] * 7 + np.arange(per_row) * step) % n_vars
     m.add_rows(
-        np.arange(0, n_rows * per_row + 1, per_row), cols.ravel(), (cols.ravel() % 13 - 6) / 4.0,
-        LESS_EQUAL, np.arange(n_rows) % 50.0,
+        np.repeat(np.arange(n_rows), per_row), cols.ravel(), (cols.ravel() % 13 - 6) / 4.0,
+        LESS_EQUAL, np.arange(n_rows) % 50.0, [f"c{r}" for r in range(n_rows)],
     )
     m.set_objective({i: float(i % 19 + 1) for i in range(n_vars)})
     return m

@@ -13,7 +13,6 @@ from odmts.routegen import (
     estimate_hub_arrival,
     feasible,
     load_routes,
-    materialize_direct,
     materialize_dropoff,
     materialize_pickup,
     route_cost,
@@ -137,8 +136,6 @@ def test_route_cost_direct_and_boundaries():
     r = mk_commodity("r", "a", "b", 0.0)
     inst = mk_instance(["a", "b"], ["a"], time, commodities=(r,))
     assert direct_cost(r, inst) == pytest.approx(20.0, abs=1e-9)
-    route = materialize_direct(r, inst)
-    assert route_cost(route, inst) == pytest.approx(20.0, abs=1e-9)
 
     zero_alpha = mk_instance(["a", "b"], ["a"], time, commodities=(r,), alpha=0.0)
     pickup = materialize_pickup((r,), "a", zero_alpha)
@@ -188,7 +185,6 @@ def test_feasible_bucket_condition(pickup_pair_instance):
     other_bucket = mk_commodity("r2", "b", "h", 4.0)  # bucket 1 vs r1's bucket 0 (W = 3)
     route = materialize_pickup((r1, other_bucket), "h", inst)
     assert not feasible(route, inst, compute_hub_sets(inst))
-    assert feasible(materialize_direct(r1, inst), inst)
 
 
 def test_enumerate_pickup_k1_individuals_only():
