@@ -68,18 +68,20 @@ def _apply_overrides(inst: Instance, cfg: PipelineConfig) -> Instance:
 
 
 def _load(cfg: PipelineConfig, stage: str) -> Instance:
+    """The overridden instance with its commodities split to the capacity:
+    the one the stages run on. A capacity below 1 is left to `validate`."""
     try:
         inst = load_instance(cfg.instance)
     except (OSError, InstanceFormatError) as exc:
         raise StageError(stage, str(exc), EXIT_INVALID)
-    return _apply_overrides(inst, cfg)
+    inst = _apply_overrides(inst, cfg)
+    capacity = inst.routing.shuttle_capacity
+    parts = split_commodities(inst.commodities, capacity) if capacity >= 1 else inst.commodities
+    return dataclasses.replace(inst, commodities=tuple(parts))
 
 
 def _load_checked(cfg: PipelineConfig, stage: str) -> Instance:
-    """Load and override the instance, split its commodities, and validate it."""
     inst = _load(cfg, stage)
-    parts = split_commodities(inst.commodities, inst.routing.shuttle_capacity)
-    inst = dataclasses.replace(inst, commodities=tuple(parts))
     report = validate(inst)
     if not report.ok:
         raise StageError(stage, report.summary(), EXIT_INVALID)
@@ -110,7 +112,7 @@ def _stage_design(inst: Instance, routes, cfg: PipelineConfig, path: str) -> des
         if cfg.export_model:
             _export(dm.model, cfg.export_model)
         ds = design_mod.solve_design_model(dm, inst)
-    except (milp.SolveEffortError, milp.SolveNumericalError, design_mod.DesignError) as exc:
+    except (milp.SolveNumericalError, design_mod.DesignError) as exc:
         raise StageError("design", str(exc))
     design_mod.save_solution(ds, path)
     return ds
@@ -237,15 +239,18 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str] | None = None
     return parser.parse_args(argv)
 
 
-def _add_common(p: argparse.ArgumentParser, *, instance: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, instance: bool = True, routing: bool = True) -> None:
+    """`routing` adds the overrides only route enumeration reads; --capacity
+    splits the commodities, so it fixes the ids every stage's artifacts carry."""
     if instance:
         p.add_argument("--instance", help="instance JSON file")
     p.add_argument("--config", help="key = value config file; flags override it")
     p.add_argument("--capacity", type=int, default=None, help="shuttle capacity override")
-    p.add_argument("--delta", type=float, default=None, help="route duration threshold override")
-    p.add_argument("--bucket", type=float, default=None, help="consolidation window length override")
-    p.add_argument("--first-hubs", type=int, default=None, dest="first_hubs")
-    p.add_argument("--last-hubs", type=int, default=None, dest="last_hubs")
+    if routing:
+        p.add_argument("--delta", type=float, default=None, help="route duration threshold override")
+        p.add_argument("--bucket", type=float, default=None, help="consolidation window length override")
+        p.add_argument("--first-hubs", type=int, default=None, dest="first_hubs")
+        p.add_argument("--last-hubs", type=int, default=None, dest="last_hubs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,20 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--routes", required=True, help="routes.jsonl from enumerate-routes")
     p.add_argument("--out", required=True, help="design.json path")
     p.add_argument("--export-model", dest="export_model", default=None)
-    _add_common(p)
+    _add_common(p, routing=False)
 
     p = sub.add_parser("fleet-size", help="size the shuttle fleet for a design")
     p.add_argument("--design", required=True, help="design.json path")
     p.add_argument("--out", required=True, help="fleet.json path")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     p.add_argument("--export-model", dest="export_model", default=None)
-    _add_common(p)
+    _add_common(p, routing=False)
 
     p = sub.add_parser("report", help="compute metrics for design + fleet results")
     p.add_argument("--design", required=True)
     p.add_argument("--fleet", required=True)
     p.add_argument("--out", required=True, help="report path (.json or .csv)")
-    _add_common(p)
+    _add_common(p, routing=False)
 
     p = sub.add_parser("pipeline", help="run all stages into an output directory")
     p.add_argument("--out", required=True, help="output directory")

@@ -287,9 +287,7 @@ def solve_design_model(dm: DesignModel, inst: Instance) -> DesignSolution:
     """
     sol, _ = solve_in_rounds(dm)
     if sol.status != OPTIMAL:
-        raise DesignError(
-            f"design model unexpectedly {sol.status}; every commodity has a direct option"
-        )
+        raise DesignError(f"design solve ended {sol.status}, not optimal")
     solver_objective = sol.objective
     if inst.cost.alpha == 0.0 and inst.commodities:
         sol = _lexicographic_min_legs(dm, sol)
@@ -299,7 +297,7 @@ def solve_design_model(dm: DesignModel, inst: Instance) -> DesignSolution:
         raise DesignError(
             f"cost breakdown {extracted.objective} does not match solver objective {solver_objective}"
         )
-    _assert_solution(extracted, inst, sol)
+    _assert_solution(extracted, inst)
     return extracted
 
 
@@ -337,11 +335,11 @@ def _lexicographic_min_legs(dm: DesignModel, first: MilpSolution) -> MilpSolutio
     tie.set_objective(dict.fromkeys(dm.y.ravel().tolist(), 1.0))
     sol = solve_milp(tie)
     if sol.status != OPTIMAL:
-        raise DesignError("tie-break pass unexpectedly failed")
+        raise DesignError(f"tie-break pass ended {sol.status}, not optimal")
     return sol
 
 
-def _assert_solution(ds: DesignSolution, inst: Instance, sol: MilpSolution) -> None:
+def _assert_solution(ds: DesignSolution, inst: Instance) -> None:
     for h in inst.hubs:
         outs = sum(1 for (a, b) in ds.opened_lines if a == h)
         ins = sum(1 for (a, b) in ds.opened_lines if b == h)

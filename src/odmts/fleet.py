@@ -164,17 +164,17 @@ def build_sparse_graph(tasks, inst: Instance) -> FleetGraph:
     # comp is strictly upper triangular on (start, id)-sorted tasks, so a relay
     # k of (i, j) has i < k < j and block (I, J) needs only k in [I0, J1).
     # float32 goes through BLAS; a sum of non-negative 0/1 products is never
-    # rounded to 0, so "> 0" is exact.
+    # rounded to 0, so "> 0" is exact. Only c is read, so comp is filtered in place.
     c = comp.astype(np.float32)
-    keep = comp.copy()
     for i0 in range(0, n, RELAY_BLOCK):
         i1 = min(i0 + RELAY_BLOCK, n)
         for j0 in range(i0, n, RELAY_BLOCK):
             j1 = min(j0 + RELAY_BLOCK, n)
-            keep[i0:i1, j0:j1] &= ~((c[i0:i1, i0:j1] @ c[i0:j1, j0:j1]) > 0)
-    sources = np.flatnonzero(~keep.any(axis=0))
-    sinks = np.flatnonzero(~keep.any(axis=1))
-    return FleetGraph(SPARSE, ts, np.argwhere(keep), sources, sinks)
+            comp[i0:i1, j0:j1] &= ~((c[i0:i1, i0:j1] @ c[i0:j1, j0:j1]) > 0)
+    del c  # lowers the peak under argwhere; freed at return, glibc trimmed the heap on every call
+    sources = np.flatnonzero(~comp.any(axis=0))
+    sinks = np.flatnonzero(~comp.any(axis=1))
+    return FleetGraph(SPARSE, ts, np.argwhere(comp), sources, sinks)
 
 
 def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:

@@ -465,7 +465,7 @@ def validate(inst: Instance) -> ValidationReport:
             out.append(
                 Violation("passengers", (c.id,), f"commodity '{c.id}' has passengers < 1")
             )
-        if c.passengers > rp.shuttle_capacity:
+        if 1 <= rp.shuttle_capacity < c.passengers:  # a capacity below 1 is its own finding
             out.append(
                 Violation(
                     "passengers-capacity",

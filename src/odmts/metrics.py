@@ -6,6 +6,9 @@ import csv
 import json
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.sparse.csgraph import connected_components
+
 from .design import DesignSolution, rider_minutes
 from .fleet import FleetResult
 from .instance import Instance, record_dict
@@ -61,21 +64,10 @@ def _leg_usage(ds: DesignSolution, kind: str) -> float | None:
 def lines_connected(opened: tuple[tuple[str, str], ...]) -> bool:
     """True when the opened lines form a single weakly connected component
     (trivially true with no lines)."""
-    if not opened:
-        return True
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for h, l in opened:
-        parent[find(h)] = find(l)
-    roots = {find(h) for hl in opened for h in hl}
-    return len(roots) == 1
+    hubs, ends = np.unique(np.asarray(opened, dtype=str), return_inverse=True)
+    adjacency = np.zeros((hubs.size, hubs.size))
+    adjacency[tuple(ends.reshape(-1, 2).T)] = 1.0
+    return connected_components(adjacency, connection="weak", return_labels=False) <= 1
 
 
 def build_report(ds: DesignSolution, fleet: FleetResult, inst: Instance) -> Report:

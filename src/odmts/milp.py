@@ -13,7 +13,8 @@ sorted.
 
 Models are always minimization. Every solve, LP or MIP, is one call of
 `solve_milp`, i.e. of `scipy.optimize.milp` (HiGHS) at a 1e-9 relative
-gap, so reported optima are proven; an LP is a model without integer
+gap, so reported optima are proven; a solve stopped by its time limit
+returns its incumbent, if any, and bound. An LP is a model without integer
 columns, or a solve with `integer=False`. The tests check that LP solutions
 on totally unimodular systems with integral right-hand sides come back
 integral, i.e. that HiGHS returns vertex solutions there.
@@ -30,8 +31,8 @@ names are chosen per position, so same-named rows and colliding sanitised
 names still get distinct names in the file.
 
 Set the ODMTS_SOLVE_LOG environment variable to a file path ('-' for stderr)
-to log one line per solve; a MIP's line counts its integer columns and
-branch-and-bound nodes.
+to log one line per solve, whatever its status; a MIP's line counts its
+integer columns and branch-and-bound nodes.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ from scipy.optimize import milp as _scipy_milp
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+TIME_LIMIT = "time_limit"
+_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}  # by scipy milp status code
 
 FEAS_TOL = 1e-6
 INT_TOL = 1e-6
@@ -69,15 +72,6 @@ class ModelError(ValueError):
 class SolveNumericalError(RuntimeError):
     """The solver failed, or returned a point that violates a row or an
     integrality flag of the solve."""
-
-
-class SolveEffortError(RuntimeError):
-    """The effort limit was reached; carries the incumbent and best bound."""
-
-    def __init__(self, message: str, incumbent: float | None, bound: float | None):
-        super().__init__(message)
-        self.incumbent = incumbent
-        self.bound = bound
 
 
 def _block_column(values, k: int, dtype, what: str) -> np.ndarray:
@@ -273,8 +267,8 @@ class MilpModel:
 @dataclass
 class MilpSolution:
     status: str
-    objective: float | None
-    x: np.ndarray  # variable values in model column order; empty unless OPTIMAL
+    objective: float | None  # the value of x; None when x is empty
+    x: np.ndarray  # in model column order: the optimum, or the TIME_LIMIT incumbent; empty if none
     best_bound: float | None
 
 
@@ -325,34 +319,29 @@ def _check_solution(model: MilpModel, rows, x: np.ndarray, integrality: bool | n
 
 
 def _finish(model: MilpModel, rows, integer: np.ndarray, res) -> MilpSolution:
-    """Map a scipy result to a MilpSolution, checking an optimal one
+    """Map a scipy result to a MilpSolution, checking its point, if any,
     against the rows and the integer columns `integer` of the solve."""
     kind = "milp" if integer.any() else "lp"
-    if res.status in (2, 3):
-        status = INFEASIBLE if res.status == 2 else UNBOUNDED
-        _log_solve(kind, model, rows, status, None)
-        return MilpSolution(status, None, np.empty(0), None)
-    if res.status == 1:
-        incumbent = float(res.fun) if res.x is not None else None
-        bound = float(res.mip_dual_bound) if res.mip_dual_bound is not None else None
-        raise SolveEffortError(
-            f"effort limit reached (incumbent={incumbent}, bound={bound})", incumbent, bound
-        )
-    if res.status != 0 or res.x is None:
+    status = _STATUS.get(res.status)
+    if status is None or (status == OPTIMAL and res.x is None):
         raise SolveNumericalError(f"{kind.upper()} solve failed: {res.message}")
-    _check_solution(model, rows, res.x, integrality=integer)
-    bound = float(res.fun) if res.mip_dual_bound is None else float(res.mip_dual_bound)
+    x, objective = (np.empty(0), None) if res.x is None else (res.x, float(res.fun))
+    if x.size:
+        _check_solution(model, rows, x, integrality=integer)
+    bound = objective if status == OPTIMAL else None
+    if res.mip_dual_bound is not None:
+        bound = float(res.mip_dual_bound)
     extra = f" integer={np.count_nonzero(integer)} nodes={res.mip_node_count}" if kind == "milp" else ""
-    _log_solve(kind, model, rows, OPTIMAL, res.fun, extra)
-    return MilpSolution(OPTIMAL, float(res.fun), res.x, bound)
+    _log_solve(kind, model, rows, status, objective, extra)
+    return MilpSolution(status, objective, x, bound)
 
 
 def solve_milp(model: MilpModel, time_limit: float | None = None, integer=None) -> MilpSolution:
     """Solve to proven optimality (1e-9 relative gap). `integer`, when
     given, is this solve's integrality, one flag per variable or one for
-    all; it defaults to `model.integer`, which it leaves unchanged. Raises
-    SolveEffortError with the incumbent and bound when the time limit is hit
-    first."""
+    all; it defaults to `model.integer`, which it leaves unchanged. When the
+    time limit is hit first, the status is TIME_LIMIT, with the incumbent,
+    if any, and the solver's bound."""
     if not model.var_names:
         return MilpSolution(OPTIMAL, 0.0, np.empty(0), 0.0)
     given = model.integer if integer is None else integer

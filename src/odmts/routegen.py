@@ -393,8 +393,11 @@ def route_to_dict(route: Route) -> dict:
 
 
 def route_from_dict(data: dict, inst: Instance) -> Route:
-    """The route of `route_to_dict`, its commodities looked up in `inst`."""
+    """The route of `route_to_dict`, its commodities looked up in `inst`;
+    an unknown kind, or a hub `inst` lacks, raises ValueError."""
     rec = {f.name: data[f.name] for f in fields(Route)}
+    if rec["kind"] not in (PICKUP, DROPOFF) or rec["hub"] not in inst.hubs:
+        raise ValueError(f"kind {rec['kind']!r} at hub {rec['hub']!r}: not a route kind at a hub of the instance")
     rec.update(
         commodities=tuple(inst.commodity(cid) for cid in rec["commodities"]),
         xi=tuple(rec["xi"]),

@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from odmts import design, fleet, instgen
+from odmts import design, fleet, instgen, milp
 from odmts.cli import (
     EXIT_INVALID, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, PipelineConfig, _merge_config, build_parser, main,
     run_pipeline,
@@ -159,6 +160,34 @@ def test_pipeline_rejects_duplicate_commodity_id(tmp_path, tiny_instance_file, c
         assert not os.path.exists(os.path.join(out, name)), name
 
 
+def test_validate_checks_the_instance_the_stages_run(tmp_path, tiny_instance_file, capsys):
+    # Every stage splits commodities to the capacity before it validates, and
+    # so does `validate`: 5 riders at capacity 3 become a party of 3 and one of 2.
+    data = json.load(open(tiny_instance_file))
+    data["commodities"][0]["passengers"] = 5
+    data["routing"]["shuttle_capacity"] = 3
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--instance", str(path)]) == EXIT_OK
+    assert "valid" in capsys.readouterr().out
+    assert main(["pipeline", "--instance", str(path), "--out", str(tmp_path / "run")]) == EXIT_OK
+
+
+def test_capacity_below_one_is_a_finding(tmp_path, tiny_instance_file, capsys):
+    assert main(["validate", "--instance", tiny_instance_file, "--capacity", "0"]) == EXIT_INVALID
+    out = capsys.readouterr().out
+    assert "[capacity]" in out and "passengers-capacity" not in out, out
+    routes = str(tmp_path / "routes.jsonl")
+    for argv in (
+        ["pipeline", "--out", str(tmp_path / "run")],
+        ["design", "--routes", routes, "--out", str(tmp_path / "design.json")],
+    ):
+        code = main([*argv, "--instance", tiny_instance_file, "--capacity", "0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID and "[capacity]" in err, err
+        assert err.startswith("[validate] " if argv[0] == "pipeline" else "[design] "), err
+
+
 def test_pipeline_capacity_override_changes_routing(tmp_path, tiny_instance_file):
     out1 = str(tmp_path / "k1")
     out3 = str(tmp_path / "k3")
@@ -266,6 +295,35 @@ def test_design_rejects_malformed_routes(tmp_path, tiny_instance_file, capsys):
         "design", "--instance", tiny_instance_file, "--routes", str(routes), "--out", str(tmp_path / "d.json"),
     ])
     _one_usage_line(code, capsys, f"[design] {routes}: line 1 ")
+
+
+@pytest.mark.parametrize("field", ["kind", "hub"])
+def test_design_rejects_route_of_unknown_kind_or_hub(tmp_path, tiny_instance_file, tiny_pipeline, capsys, field):
+    inst = load_instance(tiny_instance_file)
+    lines = (tiny_pipeline / "routes.jsonl").read_text().splitlines()
+    route = json.loads(lines[1])
+    route[field] = "shuttle" if field == "kind" else next(n for n in inst.nodes if n not in inst.hubs)
+    routes = tmp_path / "routes.jsonl"
+    routes.write_text("\n".join([lines[0], json.dumps(route), *lines[2:]]) + "\n")
+    code = main([
+        "design", "--instance", tiny_instance_file, "--routes", str(routes), "--out", str(tmp_path / "d.json"),
+    ])
+    _one_usage_line(code, capsys, f"[design] {routes}: line 2 ")
+
+
+def test_routing_flags_only_on_the_stages_that_read_them(tmp_path, tiny_instance_file, tiny_pipeline, capsys):
+    argv = [
+        "design", "--instance", tiny_instance_file, "--routes", str(tiny_pipeline / "routes.jsonl"),
+        "--out", str(tmp_path / "design.json"),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--delta", "1"])
+    assert exc.value.code == 2 and "--delta" in capsys.readouterr().err
+    # The same key in a config file is allowed: enumerate-routes and pipeline take it.
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("delta = 1\n")
+    assert main([*argv, "--config", str(cfgfile)]) == EXIT_OK
+    assert (tmp_path / "design.json").read_bytes() == (tiny_pipeline / "design.json").read_bytes()
 
 
 def test_flags_override_config(tmp_path, tiny_instance_file):
@@ -450,6 +508,31 @@ def test_check_oracle_disagreement_fails_the_stage(tmp_path, tiny_instance_file,
         assert err.startswith(label) and err.count("\n") == 1, err
         assert all(f" {name}=" in err for name in ("dense", "sparse")) and " matching=-1" in err, err
     assert not (tmp_path / "fleet.json").exists()
+
+
+def _stopped_at_time_limit(*args, **kwargs):
+    return milp.MilpSolution(milp.TIME_LIMIT, None, np.empty(0), None)
+
+
+def _flow_error(*args, **kwargs):
+    raise fleet.FlowError("flow is not integral")
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, line",
+    [
+        (design, "solve_milp", _stopped_at_time_limit, "[design] design solve ended time_limit, not optimal\n"),
+        (fleet, "solve_fleet", _flow_error, "[fleet] flow is not integral\n"),
+    ],
+    ids=["design", "fleet"],
+)
+def test_solver_failure_fails_the_stage(tmp_path, tiny_instance_file, monkeypatch, capsys, module, name, fake, line):
+    monkeypatch.setattr(module, name, fake)
+    out = tmp_path / "run"
+    code = main(["pipeline", "--instance", tiny_instance_file, "--out", str(out)])
+    assert code == EXIT_SOLVER
+    assert capsys.readouterr().err == line
+    assert not (out / "report.json").exists()
 
 
 def test_pipeline_deterministic(tmp_path, tiny_instance_file):

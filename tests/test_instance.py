@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import warnings
 
@@ -348,6 +349,58 @@ def test_validate_flags_duplicate_ids():
     )
     dups = [v.subject for v in validate(inst).violations if v.code == "duplicate-id"]
     assert dups == [("node", "a"), ("commodity", "c")]
+
+
+_CODE_BASE = dict(
+    nodes=["a", "b", "c"],
+    hubs=["a"],
+    time=[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+    commodities=(mk_commodity("c0", "a", "b", 10.0),),
+)
+# One edit of a valid instance per finding code; each yields that code alone.
+FINDING_CASES = {
+    "duplicate-id": dict(commodities=(mk_commodity("c0", "a", "b", 10.0), mk_commodity("c0", "b", "a", 11.0))),
+    "no-hubs": dict(hubs=[]),
+    "hub-membership": dict(hubs=["z"]),
+    "hub-count": dict(first_hubs=2),
+    "negative-entry": dict(dist=[[0.0, -1.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+    "nonfinite-entry": dict(dist=[[0.0, math.inf, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+    "nonzero-diagonal": dict(dist=[[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+    "triangle": dict(dist=[[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+    "horizon": dict(horizon=(10.0, 5.0), commodities=()),
+    "alpha-range": dict(alpha=1.5),
+    "cost-negative": dict(bus_wait=-1.0),
+    "capacity": dict(capacity=0),
+    "threshold": dict(delta=-0.5),
+    "bucket-len": dict(bucket=0.0),
+    "passengers": dict(commodities=(mk_commodity("c0", "a", "b", 10.0, passengers=0),)),
+    "passengers-capacity": dict(commodities=(mk_commodity("c0", "a", "b", 10.0, passengers=5),)),
+    "origin-destination": dict(commodities=(mk_commodity("c0", "a", "a", 10.0),)),
+    "node-membership": dict(commodities=(mk_commodity("c0", "a", "z", 10.0),)),
+    "horizon-membership": dict(commodities=(mk_commodity("c0", "a", "b", 241.0),)),
+}
+
+
+def test_finding_cases_edit_a_valid_instance():
+    assert validate(mk_instance(**_CODE_BASE)).ok
+
+
+@pytest.mark.parametrize("code", FINDING_CASES)
+def test_each_finding_code(code):
+    inst = mk_instance(**{**_CODE_BASE, **FINDING_CASES[code]})
+    assert {v.code for v in validate(inst).violations} == {code}
+
+
+def test_finding_cases_cover_the_readme_codes():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    listing = readme.split("The codes are:", 1)[1].strip().split("\n\n", 1)[0]
+    # Each bullet is "- label: `code`, ..."; the label may name the matrices.
+    codes = {
+        code
+        for bullet in re.split(r"^- ", listing, flags=re.M)[1:]
+        for code in re.findall(r"`([a-z]+(?:-[a-z]+)*)`", bullet.split(": ", 1)[1])
+    }
+    assert codes == set(FINDING_CASES)
 
 
 def test_commodity_lookup_by_id():

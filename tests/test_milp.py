@@ -22,6 +22,7 @@ from odmts.milp import (
     ModelError,
     OPTIMAL,
     SolveNumericalError,
+    TIME_LIMIT,
     UNBOUNDED,
     _check_solution,
     _constraint_rows,
@@ -105,9 +106,9 @@ def test_milp_infeasible():
     assert solve_milp(m).status == INFEASIBLE
 
 
-def test_milp_effort_limit_raises():
-    from odmts.milp import SolveEffortError
-
+def test_milp_time_limit_returns_incumbent_and_bound(tmp_path, monkeypatch):
+    log = tmp_path / "solve.log"
+    monkeypatch.setenv("ODMTS_SOLVE_LOG", str(log))
     rng = np.random.default_rng(0)
     m = MilpModel()
     n = 30
@@ -116,9 +117,16 @@ def test_milp_effort_limit_raises():
     weights = rng.uniform(1.0, 10.0, size=n)
     m.add_constraint({i: float(weights[i]) for i in range(n)}, LESS_EQUAL, float(weights.sum() / 2))
     m.set_objective({i: -float(rng.uniform(1.0, 10.0)) for i in range(n)})
-    with pytest.raises(SolveEffortError) as err:
-        solve_milp(m, time_limit=1e-4)
-    assert hasattr(err.value, "incumbent") and hasattr(err.value, "bound")
+    sol = solve_milp(m, time_limit=1e-4)
+    assert sol.status == TIME_LIMIT
+    # HiGHS may or may not have found an incumbent by the limit.
+    if sol.x.size:
+        _check_solution(m, _constraint_rows(m), sol.x, integrality=True)
+        assert sol.best_bound <= sol.objective
+    else:
+        assert sol.objective is None
+    (line,) = log.read_text().splitlines()
+    assert line.startswith("[milp] ") and " status=time_limit " in line
 
 
 def test_milp_requires_bounded_integers():
