@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .instance import Commodity, Instance, InstanceFormatError, record_dict
+from .instance import Commodity, Instance, InstanceFormatError, _number, _record, _typed, record_dict
 from .milp import (
     EQUAL,
     GREATER_EQUAL,
@@ -183,7 +183,7 @@ def build_design_model(
     cost[y] = (passengers * inst.cost.alpha)[:, None] * (ride + inst.cost.bus_wait)[None, :]
     cost[x] = [routes[key].cost for key in keys]
     cost[eta] = [direct_cost(c, inst) for c in comms]
-    model.set_objective(dict(enumerate(cost.tolist())))
+    model.set_objective(np.arange(cost.size), cost)
 
     # Per-hub balance of opened lines.
     ones = np.ones(n_l)
@@ -253,14 +253,7 @@ def _extract(dm: DesignModel, sol: MilpSolution, inst: Instance) -> DesignSoluti
             line_use_cost(c, h, l, inst) for c in inst.commodities for (h, l) in bus_legs[c.id]
         ),
     )
-    return DesignSolution(
-        opened_lines=opened,
-        bus_legs=bus_legs,
-        selected_routes=selected,
-        direct=direct,
-        objective=breakdown.total(),
-        breakdown=breakdown,
-    )
+    return DesignSolution(opened, bus_legs, selected, direct, breakdown.total(), breakdown)
 
 
 def solve_design(
@@ -331,8 +324,8 @@ def solve_in_rounds(dm: DesignModel) -> tuple[MilpSolution, int]:
 def _lexicographic_min_legs(dm: DesignModel, first: MilpSolution) -> MilpSolution:
     cap = first.objective + 1e-9 * max(1.0, abs(first.objective))
     tie = dm.model.copy("design-tiebreak")
-    tie.add_constraint(dm.model.objective, LESS_EQUAL, cap, name="objective-cap")
-    tie.set_objective(dict.fromkeys(dm.y.ravel().tolist(), 1.0))
+    tie.add_rows(np.zeros(dm.model.objective[0].size), *dm.model.objective, LESS_EQUAL, cap, ["objective-cap"])
+    tie.set_objective(dm.y.ravel(), 1.0)
     sol = solve_milp(tie)
     if sol.status != OPTIMAL:
         raise DesignError(f"tie-break pass ended {sol.status}, not optimal")
@@ -355,7 +348,7 @@ def _assert_solution(ds: DesignSolution, inst: Instance) -> None:
                 raise DesignError(f"commodity {c.id} uses unopened line {leg}")
 
 
-def commodity_itinerary(ds: DesignSolution, cid: str, inst: Instance) -> list["ItineraryLeg"]:
+def commodity_itinerary(ds: DesignSolution, cid: str) -> list["ItineraryLeg"]:
     """Ordered legs for one commodity: [direct] or pickup, bus..., dropoff.
 
     Raises ItineraryError when the solution's bus legs do not form a simple
@@ -406,7 +399,7 @@ def rider_minutes(ds: DesignSolution, cid: str, inst: Instance) -> float:
     elapsed times and per-bus-leg wait + ride."""
     c = inst.commodity(cid)
     total = 0.0
-    for leg in commodity_itinerary(ds, cid, inst):
+    for leg in commodity_itinerary(ds, cid):
         if leg.kind == "direct":
             total += inst.time(c.origin, c.destination)
         elif leg.kind == "bus":
@@ -432,15 +425,21 @@ def solution_to_dict(ds: DesignSolution) -> dict:
 
 
 def solution_from_dict(data: dict, inst: Instance) -> DesignSolution:
-    breakdown = CostBreakdown(**data["breakdown"])
-    return DesignSolution(
-        opened_lines=tuple((a, b) for a, b in data["opened_lines"]),
-        bus_legs={cid: tuple((a, b) for a, b in legs) for cid, legs in data["bus_legs"].items()},
-        selected_routes=tuple(route_from_dict(d, inst) for d in data["selected_routes"]),
-        direct=frozenset(data["direct"]),
-        objective=data["objective"],
-        breakdown=breakdown,
-    )
+    """The solution of `solution_to_dict`, checked against `inst`: lines and bus
+    legs must be pairs of distinct hubs, ids commodities of `inst` and costs
+    numbers (kept as written); else it raises KeyError, TypeError or ValueError."""
+    opened = tuple((a, b) for a, b in data["opened_lines"])
+    legs_of = _typed(data["bus_legs"], dict, "an object", "bus_legs")
+    bus_legs = {cid: tuple((a, b) for a, b in legs) for cid, legs in legs_of.items()}
+    direct = frozenset(data["direct"])
+    for h, l in [*opened, *(leg for legs in bus_legs.values() for leg in legs)]:
+        _check_line(h, l, inst)
+    unknown = (bus_legs.keys() | direct) - {c.id for c in inst.commodities}
+    if unknown:
+        raise ValueError(f"commodities {', '.join(sorted(map(repr, unknown)))} are not in the instance")
+    selected = tuple(route_from_dict(d, inst) for d in data["selected_routes"])
+    breakdown = _record(CostBreakdown, data["breakdown"], "breakdown.", {"float": _number})
+    return DesignSolution(opened, bus_legs, selected, direct, _number(data, "objective", ""), breakdown)
 
 
 def save_solution(ds: DesignSolution, path: str) -> None:

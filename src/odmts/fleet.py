@@ -47,7 +47,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 
 from .instance import EPS, Instance, InstanceFormatError, record_dict
 from .milp import EQUAL, GREATER_EQUAL, MilpModel
-from .routegen import DROPOFF, PICKUP
+from .routegen import PICKUP
 
 SOURCE = "s"
 SINK = "t"
@@ -91,17 +91,11 @@ def routes_to_tasks(ds, inst: Instance) -> list[Task]:
     for each direct commodity, one single-rider task per passenger."""
     tasks: list[Task] = []
     for w in ds.selected_routes:
-        first, last = w.commodities[0], w.commodities[-1]
+        ids = "|".join(c.id for c in w.commodities)
         if w.kind == PICKUP:
-            tasks.append(
-                Task(f"p:{w.hub}:{'|'.join(c.id for c in w.commodities)}",
-                     first.origin, w.hub, w.start_time, w.duration)
-            )
-        elif w.kind == DROPOFF:
-            tasks.append(
-                Task(f"d:{w.hub}:{'|'.join(c.id for c in w.commodities)}",
-                     w.hub, last.destination, w.start_time, w.duration)
-            )
+            tasks.append(Task(f"p:{w.hub}:{ids}", w.commodities[0].origin, w.hub, w.start_time, w.duration))
+        else:
+            tasks.append(Task(f"d:{w.hub}:{ids}", w.hub, w.commodities[-1].destination, w.start_time, w.duration))
     for cid in sorted(ds.direct):
         c = inst.commodity(cid)
         for k in range(c.passengers):
@@ -208,7 +202,7 @@ def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
         np.tile([1.0, 0.0], n),
         [name for i in range(n) for name in (f"visit[{i}]", f"conserve[{i}]")],
     )
-    model.set_objective(dict.fromkeys(range(src.size), 1.0))
+    model.set_objective(np.arange(src.size), 1.0)
     return model, var
 
 
@@ -408,6 +402,9 @@ def load_result(path: str) -> FleetResult:
         try:
             data = json.load(fh)
             schedules = tuple(tuple(s) for s in data["schedules"])
-            return FleetResult(fleet_size=data["fleet_size"], schedules=schedules)
+            size = data["fleet_size"]
+            if type(size) is not int or size != len(schedules):
+                raise ValueError(f"fleet_size {size!r} is not the count of its {len(schedules)} schedules")
+            return FleetResult(fleet_size=size, schedules=schedules)
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceFormatError(f"{path}: not a fleet result: {exc!r}") from exc

@@ -149,11 +149,13 @@ def _require(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
-def _number(obj: dict, key: str, path: str) -> float:
+def _number(obj: dict, key: str, path: str) -> int | float:
+    """The number at `key` as written: an int stays an int, so a stage
+    artifact read back writes the same bytes again."""
     val = _require(obj, key, path)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise InstanceFormatError(f"field '{path}{key}' must be a number, got {val!r}")
-    return float(val)
+    return val
 
 
 def _string(val: Any, name: str) -> str:
@@ -164,7 +166,7 @@ def _string(val: Any, name: str) -> str:
 
 def _integer(obj: dict, key: str, path: str) -> int:
     val = _number(obj, key, path)
-    if val != int(val):
+    if not math.isfinite(val) or val != int(val):
         raise InstanceFormatError(f"field '{path}{key}' must be an integer, got {val!r}")
     return int(val)
 
@@ -195,15 +197,16 @@ def _list(obj: dict, key: str) -> list:
 _READERS = {
     "str": lambda raw, key, path: _string(_require(raw, key, path), path + key),
     "int": _integer,
-    "float": _number,
+    "float": lambda raw, key, path: float(_number(raw, key, path)),
 }
 
 
-def _record(cls: type, raw: Any, path: str) -> Any:
+def _record(cls: type, raw: Any, path: str, readers: dict = _READERS) -> Any:
     """A `cls` record read from the object `raw`, field by field in
-    declaration order; `path` ends in '.' and prefixes field names in errors."""
+    declaration order, each by the reader of its annotation; `path` ends
+    in '.' and prefixes field names in errors."""
     _typed(raw, dict, "an object", path[:-1])
-    return cls(*[_READERS[f.type](raw, f.name, path) for f in fields(cls)])
+    return cls(*[readers[f.type](raw, f.name, path) for f in fields(cls)])
 
 
 # Field type annotation -> the value `_record` reads back unchanged: a
@@ -241,7 +244,7 @@ def instance_from_dict(data: dict) -> Instance:
     cost = _record(CostParams, _require(data, "cost", ""), "cost.")
     routing = _record(RoutingParams, _require(data, "routing", ""), "routing.")
     horizon_raw = _typed(_require(data, "horizon", ""), dict, "an object", "horizon")
-    horizon = (_number(horizon_raw, "t_min", "horizon."), _number(horizon_raw, "t_max", "horizon."))
+    horizon = tuple(float(_number(horizon_raw, key, "horizon.")) for key in ("t_min", "t_max"))
     return Instance(
         nodes=nodes,
         hubs=hubs,

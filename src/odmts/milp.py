@@ -2,14 +2,15 @@
 export.
 
 A model is stored as arrays. Each variable is one entry of the parallel
-name, lb, ub and integer columns; the objective keeps its explicit
-(index, value) entries; the rows are kept in CSR blocks (indptr, indices,
-data) with one sense and right-hand side per row. `add_vars` appends a
-block of variables and `add_rows` a block of named rows given as COO
-triplets (block-local row, column, value); both validate the block with
-array operations, and `add_var` and `add_constraint` are one-row wrappers
-over them. Within a row, repeated columns are summed and the columns are
-sorted.
+name, lb, ub and integer columns; the objective is its sorted (cols, vals)
+entries; the rows are kept in CSR blocks (indptr, indices, data) with one
+sense and right-hand side per row. `add_vars` appends a block of variables
+and `add_rows` a block of named rows given as COO triplets (block-local
+row, column, value); `set_objective` takes the objective as one more such
+row. All validate their input with array operations, and `add_var` and
+`add_constraint` are one-row wrappers. Every coefficient goes through one
+check and, within a row or the objective, repeated columns are summed and
+the columns sorted.
 
 Models are always minimization. Every solve, LP or MIP, is one call of
 `solve_milp`, i.e. of `scipy.optimize.milp` (HiGHS) at a 1e-9 relative
@@ -91,8 +92,8 @@ class MilpModel:
         self.name = name
         self.var_names: list[str] = []
         self.row_names: list[str] = []
-        self.objective: dict[int, float] = {}
-        self._index: dict[str, int] = {}
+        self.objective: tuple[np.ndarray, np.ndarray] = (np.empty(0, np.int64), np.empty(0))  # (cols, vals)
+        self._name_set: set[str] = set()
         self._cols: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lb, ub, integer)
         self._rows: list[tuple[np.ndarray, ...]] = []  # (indptr, indices, data, sense, rhs)
 
@@ -115,14 +116,14 @@ class MilpModel:
         if bad.any():
             i = bad.argmax()
             raise ModelError(f"variable {names[i]!r} has lb {lb[i]} > ub {ub[i]}")
-        new = dict(zip(names, range(start, start + k)))
-        if len(new) < k or not self._index.keys().isdisjoint(new):
-            seen = set(self._index)
+        new = set(names)
+        if len(new) < k or not self._name_set.isdisjoint(new):
+            seen = set(self._name_set)
             for name in names:
                 if name in seen:
                     raise ModelError(f"duplicate variable name {name!r}")
                 seen.add(name)
-        self._index.update(new)
+        self._name_set.update(new)
         self.var_names.extend(names)
         self._cols.append((lb, ub, integer))
         return np.arange(start, start + k)
@@ -131,6 +132,26 @@ class MilpModel:
         self, name: str, lb: float = 0.0, ub: float = math.inf, integer: bool = False
     ) -> int:
         return int(self.add_vars([name], lb, ub, integer)[0])
+
+    def _entries(self, rows, cols, vals, owner: Callable[[int], str]):
+        """The checked COO entries of a row block, or of the objective, with each
+        row's columns sorted (stably) and repeated ones summed; `owner(r)` names row r."""
+        bad = (cols < 0) | (cols >= len(self.var_names))
+        if bad.any():
+            p = bad.argmax()
+            raise ModelError(f"{owner(rows[p])} references unknown variable index {cols[p]}")
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            p = bad.argmax()
+            raise ModelError(f"{owner(rows[p])} has non-finite coefficient {vals[p]} on variable {cols[p]}")
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.ones(cols.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not first.all():
+            starts = np.flatnonzero(first)
+            rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
+        return rows, cols, vals
 
     def add_rows(self, rows, cols, vals, sense, rhs, names: Sequence[str]) -> None:
         """Append a block of rows, one per name, given as COO triplets:
@@ -164,28 +185,11 @@ class MilpModel:
         if bad.any():
             r = bad.argmax()
             raise ModelError(f"row {names[r]!r} has unknown sense {np.broadcast_to(given, (k,))[r]!r}")
-        bad = (cols < 0) | (cols >= len(self.var_names))
-        if bad.any():
-            p = bad.argmax()
-            raise ModelError(f"row {names[rows[p]]!r} references unknown variable index {cols[p]}")
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            p = bad.argmax()
-            raise ModelError(
-                f"row {names[rows[p]]!r} has non-finite coefficient {vals[p]} on variable {cols[p]}"
-            )
+        rows, cols, vals = self._entries(rows, cols, vals, lambda r: f"row {names[r]!r}")
         bad = ~np.isfinite(rhs)
         if bad.any():
             r = bad.argmax()
             raise ModelError(f"row {names[r]!r} has non-finite right-hand side {rhs[r]}")
-        # Sort each row's columns (stably) and sum repeated ones.
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        first = np.ones(cols.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        if not first.all():
-            starts = np.flatnonzero(first)
-            rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
         indptr = np.searchsorted(rows, np.arange(k + 1))
         self._rows.append((indptr, cols, vals, code, rhs))
         self.row_names.extend(names)
@@ -194,35 +198,23 @@ class MilpModel:
         self, coeffs: Mapping[int, float], sense: str, rhs: float, name: str | None = None
     ) -> int:
         row = len(self.row_names)
-        self.add_rows(
-            np.zeros(len(coeffs)), list(coeffs), list(coeffs.values()), sense, rhs,
-            [f"c{row}" if name is None else name],
-        )
+        names = [f"c{row}" if name is None else name]
+        self.add_rows(np.zeros(len(coeffs)), list(coeffs), list(coeffs.values()), sense, rhs, names)
         return row
 
-    def set_objective(self, coeffs: Mapping[int, float]) -> None:
-        idx = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
-        val = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
-        bad = (idx < 0) | (idx >= len(self.var_names))
-        if bad.any():
-            raise ModelError(f"objective references unknown variable index {idx[bad.argmax()]}")
-        bad = ~np.isfinite(val)
-        if bad.any():
-            i = bad.argmax()
-            raise ModelError(
-                f"non-finite objective coefficient {val[i]} on variable {self.var_names[idx[i]]!r}"
-            )
-        self.objective = dict(coeffs)
+    def set_objective(self, cols, vals) -> None:
+        """Replace the objective by vals[p] on the variable cols[p] (`vals` may be
+        one value for all), checked, sorted and summed as one row of `add_rows`."""
+        cols, vals = np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float)
+        if cols.ndim != 1 or vals.shape not in ((), cols.shape):
+            raise ModelError(f"objective has mismatched lengths: cols {cols.size}, vals {vals.size}")
+        rows, vals = np.zeros(cols.size, np.int64), np.broadcast_to(vals, cols.shape)
+        self.objective = self._entries(rows, cols, vals, lambda r: "objective")[1:]
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(len(self.var_names))
-        c[np.fromiter(self.objective, dtype=np.int64, count=len(self.objective))] = list(
-            self.objective.values()
-        )
+        c[self.objective[0]] = self.objective[1]
         return c
-
-    def var_index(self, name: str) -> int:
-        return self._index[name]
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lb, ub, integer) over all variables; the blocks are merged once."""
@@ -258,7 +250,7 @@ class MilpModel:
         """An independent copy of the model under another name."""
         out = MilpModel(name)
         out.var_names, out.row_names = list(self.var_names), list(self.row_names)
-        out.objective, out._index = dict(self.objective), dict(self._index)
+        out.objective, out._name_set = tuple(a.copy() for a in self.objective), set(self._name_set)
         out._cols = [tuple(a.copy() for a in self._columns())]
         out._rows = [tuple(a.copy() for a in self._merged_rows())]
         return out
@@ -540,14 +532,6 @@ def _write_bounds(fh, names: np.ndarray, lb: np.ndarray, ub: np.ndarray, lines) 
         fh.write("".join(slots[keep].ravel().tolist()))
 
 
-def _objective_entries(model: MilpModel) -> tuple[np.ndarray, np.ndarray]:
-    """The explicit objective entries (explicit zeros too), by variable."""
-    idx = np.fromiter(model.objective, dtype=np.int64, count=len(model.objective))
-    val = np.fromiter(model.objective.values(), dtype=float, count=len(model.objective))
-    order = np.argsort(idx)
-    return idx[order], val[order]
-
-
 def _write_lp_rows(fh, names: np.ndarray, indptr, indices, data, heads: np.ndarray, tails) -> None:
     """Write each row r of a CSR block as ' <heads[r]>: ', its terms and its
     tail; `tails(r0, r1)` gives the tails of rows r0..r1-1 as an object
@@ -597,13 +581,12 @@ def write_lp(model: MilpModel, path: str) -> dict[str, str]:
     names = np.array(_sanitize_names(model.var_names, 200, "x"), dtype=object)
     rows = np.array(_sanitize_names(model.row_names, 200, "c"), dtype=object)
     indptr, indices, data, sense, rhs = model._merged_rows()
-    obj_idx, obj_val = _objective_entries(model)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"\\ {model.name}\n")
         _write_name_map(fh, "\\", model.var_names, names)
         fh.write("Minimize\n")
         _write_lp_rows(
-            fh, names, np.array([0, obj_idx.size]), obj_idx, obj_val,
+            fh, names, np.array([0, model.objective[0].size]), *model.objective,
             np.array(["obj"], dtype=object), lambda r0, r1: np.full(r1 - r0, "\n", dtype=object),
         )
         fh.write("Subject To\n")
@@ -685,7 +668,6 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
 
     _, _, _, sense, rhs = model._merged_rows()
     cols = _constraint_rows(model)[0].tocsc()
-    obj_idx, obj_val = _objective_entries(model)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"NAME          {_clean(model.name)[:8].upper() or 'MODEL'}\n")
         _write_name_map(fh, "*", model.var_names, names)
@@ -696,7 +678,7 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
             _write_joined(fh, kinds[sense[part]], rows[part], "\n")
 
         fh.write("COLUMNS\n")
-        _write_mps_columns(fh, names, pads, cols, obj_idx, obj_val, model.integer)
+        _write_mps_columns(fh, names, pads, cols, *model.objective, model.integer)
 
         fh.write("RHS\n")
         nonzero = np.flatnonzero(rhs != 0.0)

@@ -36,7 +36,9 @@ import json
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
-from .instance import EPS, Commodity, Instance, InstanceFormatError, bucket_of, record_dict, window_of
+from .instance import (
+    EPS, Commodity, Instance, InstanceFormatError, _integer, _number, _typed, bucket_of, record_dict, window_of,
+)
 
 PICKUP = "pickup"
 DROPOFF = "dropoff"
@@ -393,14 +395,18 @@ def route_to_dict(route: Route) -> dict:
 
 
 def route_from_dict(data: dict, inst: Instance) -> Route:
-    """The route of `route_to_dict`, its commodities looked up in `inst`;
-    an unknown kind, or a hub `inst` lacks, raises ValueError."""
+    """The route of `route_to_dict`, its commodities looked up in `inst`; an
+    unknown kind, a hub `inst` lacks, or a non-number in a number field (a
+    non-integer in `passengers`) raises ValueError. Numbers stay as written."""
     rec = {f.name: data[f.name] for f in fields(Route)}
     if rec["kind"] not in (PICKUP, DROPOFF) or rec["hub"] not in inst.hubs:
         raise ValueError(f"kind {rec['kind']!r} at hub {rec['hub']!r}: not a route kind at a hub of the instance")
+    xi = {f"[{k}]": v for k, v in enumerate(_typed(rec["xi"], list, "a list", "xi"))}
     rec.update(
+        {key: _number(rec, key, "") for key in ("dist", "cost", "start_time", "duration")},
         commodities=tuple(inst.commodity(cid) for cid in rec["commodities"]),
-        xi=tuple(rec["xi"]),
+        xi=tuple(_number(xi, key, "xi") for key in xi),
+        passengers=_integer(rec, "passengers", ""),
         arcs=tuple((a, b) for a, b in rec["arcs"]),
     )
     return Route(**rec)

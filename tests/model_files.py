@@ -95,7 +95,7 @@ def read_mps(path: str) -> MilpModel:
             math.inf if hi is None else hi,
             integer=idx in int_vars,
         )
-    model.set_objective(obj_coeffs)
+    model.set_objective(list(obj_coeffs), list(obj_coeffs.values()))
     for row in row_order:
         model.add_constraint(row_coeffs[row], row_sense[row], row_rhs.get(row, 0.0), name=row)
     return model
@@ -204,11 +204,10 @@ def read_lp(path: str) -> MilpModel:
     for name in names:
         lb, ub = bounds.get(name, [0.0, math.inf])
         model.add_var(name, lb, ub, integer=name in general)
-    model.set_objective({model.var_index(n): v for n, v in obj_terms.items()})
+    index = {name: k for k, name in enumerate(names)}
+    model.set_objective([index[n] for n in obj_terms], list(obj_terms.values()))
     for name, terms, op, rhs in cons:
-        model.add_constraint(
-            {model.var_index(n): v for n, v in terms.items()}, op, rhs, name=name
-        )
+        model.add_constraint({index[n]: v for n, v in terms.items()}, op, rhs, name=name)
     return model
 
 
@@ -233,7 +232,7 @@ def reference_lp(model: MilpModel, names: list[str], rows: list[str]) -> str:
 
     renamed = sorted((old, new) for old, new in zip(model.var_names, names) if old != new)
     lines = [f"\\ {model.name}", *(f"\\ name-map: {new} <- {old}" for old, new in renamed)]
-    lines += ["Minimize", f" obj: {terms(sorted(model.objective.items()))}", "Subject To"]
+    lines += ["Minimize", f" obj: {terms(zip(*(a.tolist() for a in model.objective)))}", "Subject To"]
     indptr, indices, data, sense, rhs = model._merged_rows()
     for r, row in enumerate(rows):
         entries = zip(indices[indptr[r]:indptr[r + 1]].tolist(), data[indptr[r]:indptr[r + 1]].tolist())

@@ -290,7 +290,7 @@ def design_model_by_rows(inst, omega_minus, omega_plus):
         objective[eta_idx[c.id]] = direct_cost(c, inst)
         for (h, l) in lines:
             objective[y_idx[(c.id, h, l)]] = line_use_cost(c, h, l, inst)
-    model.set_objective(objective)
+    model.set_objective(list(objective), list(objective.values()))
 
     for h in inst.hubs:
         row = {}

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -225,6 +226,23 @@ def test_config_file_supplies_flags(tmp_path, tiny_instance_file, capsys):
     assert main(["validate", "--config", str(cfgfile)]) == EXIT_OK
 
 
+def test_config_line_without_equals_is_a_usage_error(tmp_path, tiny_instance_file, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"instance = {tiny_instance_file}\ncapacity 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert "config line must be 'key = value': 'capacity 3'" in capsys.readouterr().err
+
+
+def test_unreadable_config_is_a_usage_error(tmp_path, tiny_instance_file, capsys):
+    missing = tmp_path / "absent.cfg"
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--instance", tiny_instance_file, "--config", str(missing)])
+    assert exc.value.code == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_config_coerces_typed_values(tmp_path, tiny_instance_file):
     out = str(tmp_path / "cfgrun")
     cfgfile = tmp_path / "run.cfg"
@@ -257,6 +275,7 @@ def _one_usage_line(code, capsys, prefix):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
 
 
 def test_report_rejects_fleet_without_size(tmp_path, tiny_instance_file, tiny_pipeline, capsys):
@@ -295,6 +314,86 @@ def test_design_rejects_malformed_routes(tmp_path, tiny_instance_file, capsys):
         "design", "--instance", tiny_instance_file, "--routes", str(routes), "--out", str(tmp_path / "d.json"),
     ])
     _one_usage_line(code, capsys, f"[design] {routes}: line 1 ")
+
+
+def _edit_json(source, target, edit):
+    """Write the JSON document at `source` to `target` with `edit` applied."""
+    data = json.loads(source.read_text())
+    edit(data)
+    target.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda d: d.update(fleet_size="lots"), id="size-text"),
+        pytest.param(lambda d: d.update(fleet_size=99), id="size-not-the-schedule-count"),
+        pytest.param(lambda d: d.update(fleet_size=3.0), id="size-float"),
+        pytest.param(lambda d: d.update(fleet_size=True, schedules=d["schedules"][:1]), id="size-bool"),
+    ],
+)
+def test_report_rejects_mistyped_fleet(tmp_path, tiny_instance_file, tiny_pipeline, capsys, edit):
+    fleet = tmp_path / "fleet.json"
+    _edit_json(tiny_pipeline / "fleet.json", fleet, edit)
+    code = main([
+        "report", "--instance", tiny_instance_file, "--design", str(tiny_pipeline / "design.json"),
+        "--fleet", str(fleet), "--out", str(tmp_path / "r.json"),
+    ])
+    _one_usage_line(code, capsys, f"[report] {fleet}: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda d: d.update(objective="cheap"), id="objective-text"),
+        pytest.param(lambda d: d["breakdown"].update(bus_fixed="0"), id="breakdown-text"),
+        pytest.param(lambda d: d["breakdown"].pop("route_cost"), id="breakdown-field-missing"),
+        pytest.param(lambda d: d.update(opened_lines=[["n0", "zz"]]), id="line-to-non-hub"),
+        pytest.param(lambda d: d["bus_legs"].update(c0=[["n0", "zz"]]), id="bus-leg-to-non-hub"),
+        pytest.param(lambda d: d["bus_legs"].update(zz=[]), id="bus-legs-of-unknown-commodity"),
+        pytest.param(lambda d: d["direct"].append("zz"), id="direct-unknown-commodity"),
+        pytest.param(lambda d: d.update(bus_legs=[]), id="bus-legs-not-an-object"),
+    ],
+)
+def test_report_rejects_mistyped_design(tmp_path, tiny_instance_file, tiny_pipeline, capsys, edit):
+    design = tmp_path / "design.json"
+    _edit_json(tiny_pipeline / "design.json", design, edit)
+    code = main([
+        "report", "--instance", tiny_instance_file, "--design", str(design),
+        "--fleet", str(tiny_pipeline / "fleet.json"), "--out", str(tmp_path / "r.json"),
+    ])
+    _one_usage_line(code, capsys, f"[report] {design}: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_design_line_of_equal_hubs_rejected(tmp_path, tiny_instance_file, tiny_pipeline, capsys):
+    hub = load_instance(tiny_instance_file).hubs[0]
+    design = tmp_path / "design.json"
+    _edit_json(tiny_pipeline / "design.json", design, lambda d: d.update(opened_lines=[[hub, hub]]))
+    code = main([
+        "fleet-size", "--instance", tiny_instance_file, "--design", str(design), "--out", str(tmp_path / "f.json"),
+    ])
+    assert "bus line endpoints must differ" in _one_usage_line(code, capsys, f"[fleet-size] {design}: ")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("cost", "abc"), ("dist", None), ("start_time", [1.0]), ("duration", True), ("xi", "abc"), ("xi", ["a"]),
+     ("passengers", 1.5), ("passengers", "1"), ("passengers", math.inf)],
+    ids=["cost-text", "dist-null", "start-list", "duration-bool", "xi-text", "xi-entry-text", "passengers-fraction",
+         "passengers-text", "passengers-infinite"],
+)
+def test_design_rejects_route_of_mistyped_number(tmp_path, tiny_instance_file, tiny_pipeline, capsys, field, value):
+    lines = (tiny_pipeline / "routes.jsonl").read_text().splitlines()
+    route = json.loads(lines[1])
+    route[field] = value
+    routes = tmp_path / "routes.jsonl"
+    routes.write_text("\n".join([lines[0], json.dumps(route), *lines[2:]]) + "\n")
+    code = main([
+        "design", "--instance", tiny_instance_file, "--routes", str(routes), "--out", str(tmp_path / "d.json"),
+    ])
+    assert field in _one_usage_line(code, capsys, f"[design] {routes}: line 2 ")
 
 
 @pytest.mark.parametrize("field", ["kind", "hub"])
@@ -456,7 +555,7 @@ def test_fleet_size_exports_model_without_variables(tmp_path):
         "--out", str(tmp_path / "fleet.json"), "--export-model", lp,
     ]) == EXIT_OK
     back = read_lp(lp)
-    assert back.var_names == [] and back.row_names == [] and back.objective == {}
+    assert back.var_names == [] and back.row_names == [] and back.objective[0].size == 0
     again = str(tmp_path / "again.lp")
     write_lp(back, again)
     # The first line names the model; the rest must round-trip unchanged.

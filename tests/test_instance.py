@@ -106,7 +106,7 @@ def test_missing_record_field_is_named(tmp_path, path, section, field):
         load_instance(write_json(tmp_path, data))
 
 
-MISTYPED = {"int": ["1", 1.5], "float": ["1"], "str": [5, {"a": 1}, None]}
+MISTYPED = {"int": ["1", 1.5, math.nan, math.inf], "float": ["1"], "str": [5, {"a": 1}, None]}
 
 
 @pytest.mark.parametrize("path, section, field", RECORD_FIELDS)
@@ -158,6 +158,19 @@ def test_non_square_matrix_rejected(tmp_path):
     data["time"] = [[0.0, 1.0]]
     with pytest.raises(InstanceFormatError, match="square"):
         load_instance(write_json(tmp_path, data))
+
+
+def test_non_numeric_matrix_rejected(tmp_path):
+    data = json.loads(json.dumps(MINIMAL))
+    data["dist"][1] = ["far", 0.0]
+    with pytest.raises(InstanceFormatError, match="field 'dist' is not a numeric matrix"):
+        load_instance(write_json(tmp_path, data))
+
+
+def test_top_level_value_must_be_an_object(tmp_path):
+    path = write_json(tmp_path, [MINIMAL])
+    with pytest.raises(InstanceFormatError, match="top-level JSON value must be an object"):
+        load_instance(path)
 
 
 def test_triangle_violation_has_witness():

@@ -45,7 +45,7 @@ def bound_model():
     m = MilpModel(name="bound")
     x = m.add_var("x")
     m.add_constraint({x: 1.0}, GREATER_EQUAL, 2.5)
-    m.set_objective({x: 1.0})
+    m.set_objective([x], 1.0)
     return m
 
 
@@ -60,7 +60,7 @@ def test_lp_infeasible():
     m = MilpModel()
     x = m.add_var("x", 0, 0)
     m.add_constraint({x: 1.0}, GREATER_EQUAL, 1.0)
-    m.set_objective({x: 1.0})
+    m.set_objective([x], 1.0)
     sol = solve_lp(m)
     assert sol.status == INFEASIBLE and sol.x.size == 0
 
@@ -68,7 +68,7 @@ def test_lp_infeasible():
 def test_lp_unbounded():
     m = MilpModel()
     x = m.add_var("x")
-    m.set_objective({x: -1.0})
+    m.set_objective([x], -1.0)
     assert solve_lp(m).status == UNBOUNDED
 
 
@@ -76,7 +76,7 @@ def test_milp_rounds_up():
     m = MilpModel(name="bound")
     x = m.add_var("x", 0.0, 100.0, integer=True)
     m.add_constraint({x: 1.0}, GREATER_EQUAL, 2.5)
-    m.set_objective({x: 1.0})
+    m.set_objective([x], 1.0)
     sol = solve_milp(m)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0)
@@ -87,7 +87,7 @@ def test_milp_knapsack_matches_enumeration():
     x = m.add_var("x", 0, 1, integer=True)
     y = m.add_var("y", 0, 1, integer=True)
     m.add_constraint({x: 1.0, y: 1.0}, LESS_EQUAL, 1.5)
-    m.set_objective({x: -1.0, y: -1.0})
+    m.set_objective([x, y], [-1.0, -1.0])
     # Enumerate the four 0/1 points to fix the expected optimum.
     best = min(
         -a - b for a, b in itertools.product((0, 1), repeat=2) if a + b <= 1.5
@@ -102,8 +102,17 @@ def test_milp_infeasible():
     m = MilpModel()
     x = m.add_var("x", 0, 1, integer=True)
     m.add_constraint({x: 1.0}, GREATER_EQUAL, 2.0)
-    m.set_objective({x: 1.0})
+    m.set_objective([x], 1.0)
     assert solve_milp(m).status == INFEASIBLE
+
+
+def test_solve_log_dash_writes_to_stderr(monkeypatch, capsys):
+    monkeypatch.setenv("ODMTS_SOLVE_LOG", "-")
+    m = _two_var_model()
+    m.set_objective([0, 1], 1.0)
+    assert solve_milp(m, integer=False).status == OPTIMAL
+    err = capsys.readouterr().err
+    assert err.startswith("[lp] model=model vars=2 rows=0 nnz=0 status=optimal") and err.count("\n") == 1
 
 
 def test_milp_time_limit_returns_incumbent_and_bound(tmp_path, monkeypatch):
@@ -116,7 +125,7 @@ def test_milp_time_limit_returns_incumbent_and_bound(tmp_path, monkeypatch):
         m.add_var(f"x{i}", 0, 1, integer=True)
     weights = rng.uniform(1.0, 10.0, size=n)
     m.add_constraint({i: float(weights[i]) for i in range(n)}, LESS_EQUAL, float(weights.sum() / 2))
-    m.set_objective({i: -float(rng.uniform(1.0, 10.0)) for i in range(n)})
+    m.set_objective(np.arange(n), [-float(rng.uniform(1.0, 10.0)) for _ in range(n)])
     sol = solve_milp(m, time_limit=1e-4)
     assert sol.status == TIME_LIMIT
     # HiGHS may or may not have found an incumbent by the limit.
@@ -132,7 +141,7 @@ def test_milp_time_limit_returns_incumbent_and_bound(tmp_path, monkeypatch):
 def test_milp_requires_bounded_integers():
     m = MilpModel()
     m.add_var("x", 0, math.inf, integer=True)
-    m.set_objective({0: 1.0})
+    m.set_objective([0], 1.0)
     with pytest.raises(ModelError):
         solve_milp(m)
     relaxed = solve_lp(m)  # the relaxation has no integer column to bound
@@ -181,6 +190,11 @@ def test_nonfinite_coefficient_rejected():
     x = m.add_var("x")
     with pytest.raises(ModelError):
         m.add_constraint({x: math.inf}, LESS_EQUAL, 1.0)
+
+
+def _objective(m):
+    """The objective entries as {column: value}."""
+    return dict(zip(*(a.tolist() for a in m.objective)))
 
 
 def _two_var_model():
@@ -253,17 +267,46 @@ def test_add_rows_sums_repeated_columns_and_sorts():
     assert m.integer.tolist() == [True, False]
 
 
+@pytest.mark.parametrize(
+    "cols,vals,message",
+    [
+        ([0, 2], [1.0, 1.0], "objective references unknown variable index 2"),
+        ([-1], 1.0, "objective references unknown variable index -1"),
+        ([0, 1], [1.0, math.inf], "objective has non-finite coefficient inf on variable 1"),
+        ([0, 1], math.nan, "objective has non-finite coefficient nan on variable 0"),
+        ([0, 1], [1.0], "objective has mismatched lengths: cols 2, vals 1"),
+        ([[0, 1]], [[1.0, 1.0]], "objective has mismatched lengths: cols 2, vals 2"),
+    ],
+)
+def test_set_objective_rejects_bad_entries(cols, vals, message):
+    m = _two_var_model()
+    m.set_objective([1], 2.0)
+    with pytest.raises(ModelError, match=message):
+        m.set_objective(cols, vals)
+    assert _objective(m) == {1: 2.0}  # a rejected objective leaves the old one
+
+
+def test_set_objective_sums_repeated_columns_and_sorts():
+    m = _two_var_model()
+    m.set_objective([1, 0, 1, 0], [2.0, -0.0, 0.5, 0.0])
+    cols, vals = m.objective
+    assert cols.tolist() == [0, 1] and vals.tolist() == [0.0, 2.5]  # an explicit zero stays
+    m.set_objective(np.array([1, 0]), 3.0)
+    assert _objective(m) == {0: 3.0, 1: 3.0}
+    assert m.objective_vector().tolist() == [3.0, 3.0]
+
+
 def test_copy_shares_no_state():
     m = _two_var_model()
     m.add_constraint({0: 1.0}, LESS_EQUAL, 1.0, name="r")
-    m.set_objective({1: 2.0})
+    m.set_objective([1], 2.0)
     c = m.copy("copy")
     c.lb[0] = -1.0
     c.add_var("z", 0.0, 1.0)
     c.add_constraint({0: 1.0, 2: 1.0}, GREATER_EQUAL, 0.5, name="s")
-    c.set_objective({2: 1.0})
+    c.set_objective([2], 1.0)
     assert (m.name, c.name) == ("model", "copy")
-    assert m.var_names == ["x", "y"] and m.row_names == ["r"] and m.objective == {1: 2.0}
+    assert m.var_names == ["x", "y"] and m.row_names == ["r"] and _objective(m) == {1: 2.0}
     assert m.lb.tolist() == [0.0, 1.0] and _constraint_rows(m)[0].shape == (1, 2)
     assert c.var_names == ["x", "y", "z"] and c.row_names == ["r", "s"]
     assert _constraint_rows(c)[0].toarray().tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]]
@@ -276,7 +319,7 @@ def test_integer_mask_applies_to_one_solve():
     m = MilpModel()
     m.add_vars(["x", "y"], 0.0, 10.0, integer=True)
     m.add_constraint({0: 2.0, 1: 2.0}, LESS_EQUAL, 3.0, name="cap")
-    m.set_objective({0: -1.0, 1: -1.0})
+    m.set_objective([0, 1], [-1.0, -1.0])
     assert solve_milp(m, integer=False).objective == pytest.approx(-1.5)
     assert solve_milp(m, integer=[True, False]).objective == pytest.approx(-1.5)
     assert m.integer.tolist() == [True, True]
@@ -335,7 +378,7 @@ def test_row_kinds_solve_alone(solve, senses, objective, expected):
     y = m.add_var("y", 0, 4)
     for sense, (row, rhs) in zip(senses, [({x: 1.0, y: 2.0}, 4.0), ({x: 3.0, y: 1.0}, 6.0)]):
         m.add_constraint(row, sense, rhs)
-    m.set_objective({x: objective, y: objective})
+    m.set_objective([x, y], [objective, objective])
     sol = solve(m)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(objective * sum(expected))
@@ -403,7 +446,7 @@ def _random_bounded_milp(seed):
         if not row:
             row = {0: 1.0}
         m.add_constraint(row, LESS_EQUAL, float(rng.uniform(0.5, 8.0)))
-    m.set_objective({i: float(rng.normal()) for i in range(n)})
+    m.set_objective(np.arange(n), [float(rng.normal()) for _ in range(n)])
     return m
 
 
@@ -430,7 +473,7 @@ def test_solve_is_deterministic():
 def test_lp_text_contains_bound_row(tmp_path):
     m = MilpModel(name="one")
     x = m.add_var("x", 1.5, 4.0)
-    m.set_objective({x: 1.0})
+    m.set_objective([x], 1.0)
     path = str(tmp_path / "one.lp")
     write_lp(m, path)
     text = open(path).read()
@@ -490,7 +533,7 @@ def test_exports_keep_signed_zero_coefficients_apart(tmp_path):
     m = MilpModel(name="zeros")
     m.add_vars(["a", "b", "c"])
     m.add_constraint({0: 0.0, 1: -0.0, 2: -2.0}, LESS_EQUAL, -0.0, name="r")
-    m.set_objective({0: -0.0, 1: 0.0})
+    m.set_objective([0, 1], [-0.0, 0.0])
     export_model(m, str(tmp_path / "z.mps"), "mps")
     export_model(m, str(tmp_path / "z.lp"), "lp")
     mps = (tmp_path / "z.mps").read_text().splitlines()
@@ -542,7 +585,7 @@ def test_name_sanitization_emits_mapping(tmp_path):
     m = MilpModel(name="messy")
     x = m.add_var("flow rate [a,b]", 0, 3)
     m.add_constraint({x: 2.0}, GREATER_EQUAL, 1.0)
-    m.set_objective({x: 1.0})
+    m.set_objective([x], 1.0)
     for fmt in ("lp", "mps"):
         path = str(tmp_path / f"messy.{fmt}")
         mapping = export_model(m, path, fmt)
@@ -559,6 +602,12 @@ def test_name_sanitization_emits_mapping(tmp_path):
     assert again == export_model(m, str(tmp_path / "c.lp"), "lp")
 
 
+def test_export_model_rejects_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="unknown model format 'xml'"):
+        export_model(_two_var_model(), str(tmp_path / "m.xml"), "xml")
+    assert not (tmp_path / "m.xml").exists()
+
+
 @pytest.mark.parametrize("fmt,reader,names", [
     ("lp", read_lp, ["x2", "a[", "a]"]),  # the fallback for "a]" at position 2 would be x2
     ("mps", read_mps, ["X2", "a[", "a]"]),
@@ -566,7 +615,7 @@ def test_name_sanitization_emits_mapping(tmp_path):
 def test_fallback_names_never_collide(tmp_path, fmt, reader, names):
     m = MilpModel(name="clash")
     m.add_vars(names, 0.0, 1.0)
-    m.set_objective({0: 1.0, 1: 2.0, 2: 3.0})
+    m.set_objective([0, 1, 2], [1.0, 2.0, 3.0])
     m.add_constraint({0: 1.0, 1: 1.0, 2: 1.0}, GREATER_EQUAL, 1.0, name="cover")
     path = str(tmp_path / f"clash.{fmt}")
     mapping = export_model(m, path, fmt)
@@ -575,7 +624,7 @@ def test_fallback_names_never_collide(tmp_path, fmt, reader, names):
     assert mapping[names[0]] == names[0]  # the clean name keeps its spelling
     back = reader(path)
     assert len(back.var_names) == 3
-    assert sorted(back.objective.values()) == [1.0, 2.0, 3.0]
+    assert sorted(back.objective[1].tolist()) == [1.0, 2.0, 3.0]
     assert solve_lp(back).objective == pytest.approx(1.0)
     if fmt == "lp":
         assert " obj: 1 x2 + 2 a_ + 3 x3" in (tmp_path / "clash.lp").read_text()
@@ -586,7 +635,7 @@ def test_same_named_rows_get_distinct_written_names(tmp_path):
     a, b = m.add_var("a", 0, 5), m.add_var("b", 0, 5)
     m.add_constraint({a: 1.0}, GREATER_EQUAL, 1.0, name="r")
     m.add_constraint({b: 1.0}, GREATER_EQUAL, 2.0, name="r")
-    m.set_objective({a: 1.0, b: 1.0})
+    m.set_objective([a, b], [1.0, 1.0])
     for fmt, reader in (("lp", read_lp), ("mps", read_mps)):
         path = str(tmp_path / f"twins.{fmt}")
         export_model(m, path, fmt)
@@ -603,10 +652,10 @@ def _edge_models():
     empty_row.add_rows(
         [0, 0, 2], [0, 1, 1], [1.0, -1.0, 4.0], [LESS_EQUAL, EQUAL, GREATER_EQUAL], [3.0, 0.0, -1.0], ["c0", "c1", "c2"]
     )
-    empty_row.set_objective({1: 1.0})
+    empty_row.set_objective([1], 1.0)
     no_rows = MilpModel(name="no_rows")
     no_rows.add_vars(["p", "q", "r", "s"], 0.0, [1.0, 1.0, math.inf, 7.0], [True, True, False, True])
-    no_rows.set_objective({0: -1.0, 3: 2.0})
+    no_rows.set_objective([0, 3], [-1.0, 2.0])
     no_vars = MilpModel(name="no_vars")
     no_vars.add_rows([], [], [], LESS_EQUAL, [1.0, 0.0], ["c0", "c1"])
     return {"empty_row": empty_row, "no_rows": no_rows, "no_vars": no_vars}
@@ -668,7 +717,8 @@ def small_models(draw):
             draw(st.none() | st.lists(st.sampled_from(["r", "bal[1]", "c0"]), min_size=len(rows), max_size=len(rows)))
             or [f"c{r}" for r in range(len(rows))],
         )
-    m.set_objective(draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(_VALUES), max_size=n)) if n else {})
+    objective = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(_VALUES), max_size=n)) if n else {}
+    m.set_objective(list(objective), list(objective.values()))
     return m
 
 
@@ -696,7 +746,7 @@ def _synthetic_model(n_vars=2000, n_rows=5000, per_row=40):
         np.repeat(np.arange(n_rows), per_row), cols.ravel(), (cols.ravel() % 13 - 6) / 4.0,
         LESS_EQUAL, np.arange(n_rows) % 50.0, [f"c{r}" for r in range(n_rows)],
     )
-    m.set_objective({i: float(i % 19 + 1) for i in range(n_vars)})
+    m.set_objective(np.arange(n_vars), np.arange(n_vars) % 19 + 1.0)
     return m
 
 

@@ -434,3 +434,23 @@ def test_route_dump_round_trip(tmp_path, pickup_pair_instance):
     for routes in back_minus.values():
         for w in routes:
             assert w.kind == PICKUP
+
+
+def test_load_routes_skips_blank_lines(tmp_path, pickup_pair_instance):
+    inst = pickup_pair_instance
+    hs = compute_hub_sets(inst)
+    path = tmp_path / "routes.jsonl"
+    dump_routes(enumerate_pickup_routes(inst, hs), enumerate_dropoff_routes(inst, hs), str(path))
+    lines = path.read_text().splitlines()
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+    assert len(lines) > 1
+    assert load_routes(str(spaced), inst) == load_routes(str(path), inst)
+
+
+def test_xi_of_rejects_a_commodity_the_route_lacks(pickup_pair_instance):
+    inst = pickup_pair_instance
+    route = materialize_pickup(inst.commodities[:1], "h", inst)
+    assert route.xi_of(inst.commodities[0].id) == route.xi[0]
+    with pytest.raises(KeyError):
+        route.xi_of(inst.commodities[1].id)
