@@ -144,18 +144,18 @@ def build_design_model(
     hubs = set(inst.hubs)
     routes: dict[tuple, Route] = {}
     for omega, kind in ((omega_minus, PICKUP), (omega_plus, DROPOFF)):
-        for cid, rlist in omega.items():
+        for cid in omega:
             if cid not in known:
                 raise ValueError(f"route map references unknown commodity '{cid}'")
-            for w in rlist:
-                if w.kind != kind:
-                    raise ValueError(f"route {w.key} has kind {w.kind!r}, expected {kind!r}")
-                if w.hub not in hubs:
-                    raise ValueError(f"route {w.key} references unknown hub '{w.hub}'")
-                for c in w.commodities:
-                    if c.id not in known:
-                        raise ValueError(f"route {w.key} serves unknown commodity '{c.id}'")
-                routes[w.key] = w
+        for w in {id(w): w for rlist in omega.values() for w in rlist}.values():  # each object once per map
+            if w.kind != kind:
+                raise ValueError(f"route {w.key} has kind {w.kind!r}, expected {kind!r}")
+            if w.hub not in hubs:
+                raise ValueError(f"route {w.key} references unknown hub '{w.hub}'")
+            if not known.issuperset(w.key[2]):
+                unknown = next(cid for cid in w.key[2] if cid not in known)
+                raise ValueError(f"route {w.key} serves unknown commodity '{unknown}'")
+            routes[w.key] = w
 
     model = MilpModel(name="design")
     lines = bus_lines(inst)
@@ -164,8 +164,9 @@ def build_design_model(
     n_h, n_l, n_c = len(inst.hubs), len(lines), len(comms)
 
     z = model.add_vars([f"z[{h},{l}]" for h, l in lines], 0, 1, integer=True)
+    line_ids = [f",{h},{l}]" for h, l in lines]  # the name tail of each (commodity, line) pair
     y = model.add_vars(
-        [f"y[{c.id},{h},{l}]" for c in comms for h, l in lines], 0, 1, integer=True
+        [pre + t for pre in [f"y[{c.id}" for c in comms] for t in line_ids], 0, 1, integer=True
     ).reshape(n_c, n_l)
     x = model.add_vars([f"x[{k[0]},{k[1]},{'|'.join(k[2])}]" for k in keys], 0, 1, integer=True)
     eta = model.add_vars([f"eta[{c.id}]" for c in comms], 0, 1, integer=True)
@@ -199,11 +200,12 @@ def build_design_model(
     for ci, (c, eta_col) in enumerate(zip(comms, eta.tolist())):
         for side, (omega, sign) in enumerate(((omega_minus, 1.0), (omega_plus, -1.0))):
             members = omega.get(c.id, [])
-            cols = list(dict.fromkeys([eta_col] + [x_of[w.key] for w in members]))
-            cover_rows += [2 * ci + side] * len(cols)
-            cover_cols += cols
+            cols = [x_of[w.key] for w in members]
+            cover = dict.fromkeys([eta_col, *cols])
+            cover_rows += [2 * ci + side] * len(cover)
+            cover_cols += cover
             flow_rows += [ci * n_h + hub_pos[w.hub] for w in members]
-            flow_cols += [x_of[w.key] for w in members]
+            flow_cols += cols
             flow_vals += [sign] * len(members)
     model.add_rows(
         cover_rows, cover_cols, np.ones(len(cover_cols)), GREATER_EQUAL, 1.0,
@@ -217,7 +219,7 @@ def build_design_model(
         np.tile([-1.0, 1.0], y.size),
         LESS_EQUAL,
         0.0,
-        [f"open[{c.id},{h},{l}]" for c in comms for h, l in lines],
+        [pre + t for pre in [f"open[{c.id}" for c in comms] for t in line_ids],
     )
 
     # Hub flow conservation per commodity: bus arrivals plus pickup-route

@@ -14,6 +14,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -79,7 +80,8 @@ class RoutingParams:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """Immutable problem instance."""
+    """Immutable problem instance; `time_view` and `dist_view` read the
+    matrices as Python floats, indexed [i, j] by node index."""
 
     nodes: tuple[str, ...]
     hubs: tuple[str, ...]
@@ -91,21 +93,28 @@ class Instance:
     horizon: tuple[float, float]
     _index: dict[str, int] = field(init=False, repr=False)
     _by_id: dict[str, Commodity] = field(init=False, repr=False)
+    time_view: memoryview = field(init=False, repr=False)
+    dist_view: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.nodes)})
         object.__setattr__(self, "_by_id", {c.id: c for c in self.commodities})
-        self.travel_time.setflags(write=False)
-        self.travel_dist.setflags(write=False)
+        for name, mat in (("time_view", self.travel_time), ("dist_view", self.travel_dist)):
+            mat.setflags(write=False)
+            view = np.ascontiguousarray(mat, dtype=float)  # a copy only if not C-contiguous float64
+            object.__setattr__(self, name, memoryview(view).toreadonly())
+
+    def __reduce__(self):  # the views do not pickle; a copy builds its own
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def node_index(self, node: str) -> int:
         return self._index[node]
 
     def time(self, i: str, j: str) -> float:
-        return float(self.travel_time[self._index[i], self._index[j]])
+        return self.time_view[self._index[i], self._index[j]]
 
     def dist(self, i: str, j: str) -> float:
-        return float(self.travel_dist[self._index[i], self._index[j]])
+        return self.dist_view[self._index[i], self._index[j]]
 
     def commodity(self, cid: str) -> Commodity:
         return self._by_id[cid]
@@ -172,9 +181,14 @@ def _integer(obj: dict, key: str, path: str) -> int:
 
 
 def _matrix(raw: Any, n: int, name: str) -> np.ndarray:
+    rows = raw if isinstance(raw, list) and all(isinstance(row, list) for row in raw) else []
+    wrong = set(map(type, chain.from_iterable(rows))) - {int, float}  # a bool, string or null is no JSON number
+    if wrong:
+        i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if type(v) in wrong)
+        raise InstanceFormatError(f"field '{name}' is not a numeric matrix: '{name}[{i}][{j}]' is {rows[i][j]!r}")
     try:
         mat = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"field '{name}' is not a numeric matrix: {exc}") from exc
     if mat.shape != (n, n):
         raise InstanceFormatError(

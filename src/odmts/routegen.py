@@ -27,17 +27,21 @@ hub-arrival estimate for dropoffs. One depth-first search serves both kinds;
 each kind supplies only its timing state and how a stop extends it. The
 search prunes partial sequences only when capacity, the detour bound, or the
 consolidation window is already violated; elapsed times only grow along a
-sequence, so pruning never removes a feasible completion.
+sequence, so pruning never removes a feasible completion. The search reads
+travel times by node index, through index maps built once per enumeration.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from operator import attrgetter, mul
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .instance import (
-    EPS, Commodity, Instance, InstanceFormatError, _integer, _number, _typed, bucket_of, record_dict, window_of,
+    EPS, Commodity, Instance, InstanceFormatError, _integer, _number, _typed, bucket_of, window_of,
 )
 
 PICKUP = "pickup"
@@ -64,9 +68,8 @@ class Route:
     start_time: float
     duration: float
 
-    @property
-    def key(self) -> tuple:
-        return (self.kind, self.hub, tuple(c.id for c in self.commodities))
+    def __post_init__(self) -> None:  # `key` is not a field: `fields(Route)` is the dump schema
+        object.__setattr__(self, "key", (self.kind, self.hub, tuple([c.id for c in self.commodities])))
 
     def xi_of(self, cid: str) -> float:
         for c, x in zip(self.commodities, self.xi):
@@ -86,14 +89,16 @@ class HubSets:
 def compute_hub_sets(inst: Instance) -> HubSets:
     """Nearest hubs by travel time from the origin (first) and to the
     destination (last); ties broken by hub id."""
-    first: dict[str, tuple[str, ...]] = {}
-    last: dict[str, tuple[str, ...]] = {}
-    for c in inst.commodities:
-        by_out = sorted(inst.hubs, key=lambda h: (inst.time(c.origin, h), h))
-        by_in = sorted(inst.hubs, key=lambda h: (inst.time(h, c.destination), h))
-        first[c.id] = tuple(by_out[: inst.routing.first_hub_count])
-        last[c.id] = tuple(by_in[: inst.routing.last_hub_count])
-    return HubSets(first=first, last=last)
+    hubs = sorted(inst.hubs)  # a stable sort by time keeps equal times in id order
+    cols = [inst.node_index(h) for h in hubs]
+    times, sets = np.asarray(inst.time_view), []
+    # A row per node: its times to each hub (for first hubs), then from each hub (for last hubs).
+    for by_node, end, count in ((times[:, cols], "origin", inst.routing.first_hub_count),
+                                (times[cols].T, "destination", inst.routing.last_hub_count)):
+        rows = by_node[[inst.node_index(getattr(c, end)) for c in inst.commodities]]
+        order = np.argsort(rows, axis=1, kind="stable")[:, :count].tolist()
+        sets.append({c.id: tuple([hubs[k] for k in row]) for c, row in zip(inst.commodities, order)})
+    return HubSets(*sets)
 
 
 def estimate_hub_arrival(r: Commodity, hub: str, hs: HubSets, inst: Instance) -> float:
@@ -104,7 +109,8 @@ def estimate_hub_arrival(r: Commodity, hub: str, hs: HubSets, inst: Instance) ->
         raise ValueError(f"'{hub}' is not a hub")
     firsts = hs.first[r.id]
     s = inst.cost.bus_wait
-    total = sum(inst.time(r.origin, h) + s + inst.time(h, hub) for h in firsts)
+    times, origin, end = inst.time_view, inst.node_index(r.origin), inst.node_index(hub)
+    total = sum([times[origin, i] + s + times[i, end] for i in map(inst.node_index, firsts)])
     return r.depart + total / len(firsts)
 
 
@@ -113,38 +119,39 @@ def _blend(inst: Instance, dist: float, rider_minutes: float) -> float:
     return (1.0 - a) * inst.cost.shuttle_cost_per_km * dist + a * rider_minutes
 
 
+def _route(
+    kind: str, seq: Sequence[Commodity], hub: str, xi: list[float], arcs: list[tuple[str, str]], dist: float,
+    start: float, duration: float, inst: Instance,
+) -> Route:
+    """The route serving `seq` at `hub`, its passengers and cost summed over `seq`."""
+    pax = [c.passengers for c in seq]
+    cost = _blend(inst, dist, sum(map(mul, pax, xi)))
+    return Route(kind, tuple(seq), hub, tuple(xi), sum(pax), tuple(arcs), dist, cost, start, duration)
+
+
 def materialize_pickup(seq: Sequence[Commodity], hub: str, inst: Instance) -> Route:
     if not seq:
         raise ValueError("pickup route needs at least one commodity")
+    times, dists, node = inst.time_view, inst.dist_view, inst.node_index
     dep = seq[0].depart
-    loc = seq[0].origin
+    loc, i = seq[0].origin, node(seq[0].origin)
     dist = 0.0
     arcs: list[tuple[str, str]] = []
     for c in seq[1:]:
-        arrival = dep + inst.time(loc, c.origin)
+        j = node(c.origin)
+        arrival = dep + times[i, j]
         if loc != c.origin:
             arcs.append((loc, c.origin))
-            dist += inst.dist(loc, c.origin)
+            dist += dists[i, j]
         dep = max(arrival, c.depart)
-        loc = c.origin
-    hub_arrival = dep + inst.time(loc, hub)
+        loc, i = c.origin, j
+    j = node(hub)
+    hub_arrival = dep + times[i, j]
     if loc != hub:
         arcs.append((loc, hub))
-        dist += inst.dist(loc, hub)
-    xi = tuple(hub_arrival - c.depart for c in seq)
-    rider_minutes = sum(c.passengers * x for c, x in zip(seq, xi))
-    return Route(
-        kind=PICKUP,
-        commodities=tuple(seq),
-        hub=hub,
-        xi=xi,
-        passengers=sum(c.passengers for c in seq),
-        arcs=tuple(arcs),
-        dist=dist,
-        cost=_blend(inst, dist, rider_minutes),
-        start_time=seq[0].depart,
-        duration=xi[0],
-    )
+        dist += dists[i, j]
+    xi = [hub_arrival - c.depart for c in seq]
+    return _route(PICKUP, seq, hub, xi, arcs, dist, seq[0].depart, xi[0], inst)
 
 
 def materialize_dropoff(
@@ -153,32 +160,23 @@ def materialize_dropoff(
     """t1_map gives each commodity's estimated arrival time at `hub`."""
     if not seq:
         raise ValueError("dropoff route needs at least one commodity")
-    start = max(t1_map[c.id] for c in seq)
-    loc = hub
+    t1s = [t1_map[c.id] for c in seq]
+    start = max(t1s)
+    times, dists, node = inst.time_view, inst.dist_view, inst.node_index
+    loc, i = hub, node(hub)
     drive = 0.0
     dist = 0.0
     arcs: list[tuple[str, str]] = []
     xi: list[float] = []
-    for c in seq:
-        drive += inst.time(loc, c.destination)
+    for c, t1 in zip(seq, t1s):
+        j = node(c.destination)
+        drive += times[i, j]
         if loc != c.destination:
             arcs.append((loc, c.destination))
-            dist += inst.dist(loc, c.destination)
-        loc = c.destination
-        xi.append((start - t1_map[c.id]) + drive)
-    rider_minutes = sum(c.passengers * x for c, x in zip(seq, xi))
-    return Route(
-        kind=DROPOFF,
-        commodities=tuple(seq),
-        hub=hub,
-        xi=tuple(xi),
-        passengers=sum(c.passengers for c in seq),
-        arcs=tuple(arcs),
-        dist=dist,
-        cost=_blend(inst, dist, rider_minutes),
-        start_time=start,
-        duration=drive,
-    )
+            dist += dists[i, j]
+        loc, i = c.destination, j
+        xi.append((start - t1) + drive)
+    return _route(DROPOFF, seq, hub, xi, arcs, dist, start, drive, inst)
 
 
 def direct_cost(r: Commodity, inst: Instance) -> float:
@@ -238,18 +236,12 @@ def feasible(route: Route, inst: Instance, hs: HubSets | None = None) -> bool:
 # -- enumeration -------------------------------------------------------------
 
 
-def _better(cost: float, ids: tuple[str, ...], best: tuple[float, tuple[str, ...]]) -> bool:
-    if cost < best[0] - EPS:
-        return True
-    return abs(cost - best[0]) <= EPS and ids < best[1]
-
-
 def _enumerate(
     inst: Instance,
     hubs_of: Mapping[str, tuple[str, ...]],
     group_of: Callable[[Commodity, str], int],
     start: Callable[[Commodity, str], tuple],
-    step: Callable[[str, Commodity, Commodity, tuple], tuple | None],
+    step: Callable[[Commodity, tuple], tuple | None],
     materialize: Callable[[Sequence[Commodity], str], Route],
 ) -> dict[str, list[Route]]:
     """The search shared by both route kinds.
@@ -257,9 +249,10 @@ def _enumerate(
     Commodities are grouped once per (hub, window), in instance order. Every
     commodity gets its individual route to each eligible hub, in hub order;
     shared sequences starting with it extend only within its group. `start`
-    gives the timing state of a one-stop sequence at a hub, and `step` the
-    state after appending a stop, or None when that breaks a detour bound.
-    Per (hub, commodity set) the cheapest order is kept, and shared routes
+    gives the state (timing, node indices) of a one-stop sequence at a hub,
+    and `step` the state after appending a stop, or None when that breaks a
+    detour bound. Per (hub, commodity set) the cheapest order is kept (within
+    EPS, the first by id sequence), and shared routes
     are attached to every member after its individual routes, by hub, then
     sorted ids.
     """
@@ -278,7 +271,7 @@ def _enumerate(
         for c in pool:
             if pax + c.passengers > cap or c.id in ids:
                 continue
-            nstate = step(hub, seq[-1], c, state)
+            nstate = step(c, state)
             if nstate is None:
                 continue  # some rider already over its detour bound
             nseq = seq + (c,)
@@ -286,7 +279,9 @@ def _enumerate(
             route = materialize(nseq, hub)
             key = (hub, frozenset(nids))
             prev = best.get(key)
-            if prev is None or _better(route.cost, nids, (prev.cost, tuple(x.id for x in prev.commodities))):
+            if prev is None or route.cost < prev.cost - EPS or (
+                abs(route.cost - prev.cost) <= EPS and nids < prev.key[2]
+            ):
                 best[key] = route
             if pax + c.passengers < cap:
                 extend(hub, pool, nseq, nids, pax + c.passengers, nstate)
@@ -294,7 +289,8 @@ def _enumerate(
     for r1, hub, pool in firsts:
         omega[r1.id].append(materialize((r1,), hub))
         extend(hub, pool, (r1,), (r1.id,), r1.passengers, start(r1, hub))
-    for key in sorted(best, key=lambda k: (k[0], tuple(sorted(k[1])))):
+    del extend  # it refers to itself; without the cycle the search state is freed on return
+    for key in sorted(best, key=lambda k: (k[0], sorted(k[1]))):
         route = best[key]
         for c in route.commodities:
             omega[c.id].append(route)
@@ -306,19 +302,23 @@ def enumerate_pickup_routes(inst: Instance, hs: HubSets) -> dict[str, list[Route
     serving it. Shared route objects are the same instance in every member's
     list. Riders share when they depart in the same bucket; the shuttle waits
     for late riders, and each rider's hub arrival must meet its detour bound."""
-    delta = inst.routing.duration_threshold
+    stretch = 1.0 + inst.routing.duration_threshold
     bucket = {c.id: bucket_of(c.depart, inst) for c in inst.commodities}
+    times, origin = inst.time_view, {c.id: inst.node_index(c.origin) for c in inst.commodities}
 
     def start(r1: Commodity, hub: str) -> tuple:
-        return r1.depart, r1.depart + (1.0 + delta) * inst.time(r1.origin, hub)
+        i, h = origin[r1.id], inst.node_index(hub)
+        return r1.depart, r1.depart + stretch * times[i, h], i, h
 
-    def step(hub: str, last: Commodity, c: Commodity, state: tuple) -> tuple | None:
-        dep, deadline = state
-        ndep = max(dep + inst.time(last.origin, c.origin), c.depart)
-        ndeadline = min(deadline, c.depart + (1.0 + delta) * inst.time(c.origin, hub))
-        if ndep + inst.time(c.origin, hub) > ndeadline + EPS:
+    def step(c: Commodity, state: tuple) -> tuple | None:
+        dep, deadline, i, h = state  # i: the last origin, h: the hub
+        j = origin[c.id]
+        to_hub = times[j, h]
+        ndep = max(dep + times[i, j], c.depart)
+        ndeadline = min(deadline, c.depart + stretch * to_hub)
+        if ndep + to_hub > ndeadline + EPS:
             return None
-        return ndep, ndeadline
+        return ndep, ndeadline, j, h
 
     return _enumerate(
         inst,
@@ -356,23 +356,26 @@ def enumerate_dropoff_routes(
     the hub-arrival estimates. The shuttle leaves at the latest estimate of
     its riders; `bound` is the latest start that keeps every rider so far
     within its detour bound."""
-    delta = inst.routing.duration_threshold
+    stretch = 1.0 + inst.routing.duration_threshold
     t1: dict[str, dict[str, float]] = {hub: {} for hub in inst.hubs}
     for (cid, hub), val in arrival_estimates(inst, hs, t1_offsets).items():
         t1[hub][cid] = val
+    times, destination = inst.time_view, {c.id: inst.node_index(c.destination) for c in inst.commodities}
 
     def start(r1: Commodity, hub: str) -> tuple:
-        d0 = inst.time(hub, r1.destination)
-        return t1[hub][r1.id], d0, t1[hub][r1.id] + (1.0 + delta) * d0 - d0
+        h, j, t1_at = inst.node_index(hub), destination[r1.id], t1[hub]
+        d0 = times[h, j]
+        return t1_at[r1.id], d0, t1_at[r1.id] + stretch * d0 - d0, j, h, t1_at
 
-    def step(hub: str, last: Commodity, c: Commodity, state: tuple) -> tuple | None:
-        leave, drive, bound = state
-        nleave = max(leave, t1[hub][c.id])
-        ndrive = drive + inst.time(last.destination, c.destination)
-        nbound = min(bound, t1[hub][c.id] + (1.0 + delta) * inst.time(hub, c.destination) - ndrive)
+    def step(c: Commodity, state: tuple) -> tuple | None:
+        leave, drive, bound, i, h, t1_at = state  # i: the last destination, h: the hub
+        j, t1_c = destination[c.id], t1_at[c.id]
+        nleave = max(leave, t1_c)
+        ndrive = drive + times[i, j]
+        nbound = min(bound, t1_c + stretch * times[h, j] - ndrive)
         if nleave > nbound + EPS:
             return None
-        return nleave, ndrive, nbound
+        return nleave, ndrive, nbound, j, h, t1_at
 
     return _enumerate(
         inst,
@@ -387,10 +390,14 @@ def enumerate_dropoff_routes(
 # -- serialization -----------------------------------------------------------
 
 
+_NAMES = tuple(sorted(f.name for f in fields(Route)))
+_values = attrgetter(*_NAMES)
+
+
 def route_to_dict(route: Route) -> dict:
-    """A route's fields as a flat dict, its commodities as their ids."""
-    rec = record_dict(route)
-    rec["commodities"] = [c.id for c in route.commodities]
+    """A route's fields as a flat dict, keys sorted, its commodities as their ids."""
+    rec = dict(zip(_NAMES, _values(route)))
+    rec["commodities"] = list(route.key[2])
     return rec
 
 
@@ -412,20 +419,15 @@ def route_from_dict(data: dict, inst: Instance) -> Route:
     return Route(**rec)
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True) would build one per call
+# Keys come sorted and routes hold no cycles; json.dumps would build an encoder per call.
+_ENCODER = json.JSONEncoder(check_circular=False)
 
 
 def dump_routes(omega_minus: dict[str, list[Route]], omega_plus: dict[str, list[Route]], path: str) -> None:
     """Write one JSON object per line for every distinct route."""
-    seen: dict[tuple, Route] = {}
-    for omega in (omega_minus, omega_plus):
-        for routes in omega.values():
-            for r in routes:
-                seen[r.key] = r
+    seen = {r.key: r for omega in (omega_minus, omega_plus) for routes in omega.values() for r in routes}
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(seen):
-            fh.write(_ENCODER.encode(route_to_dict(seen[key])))
-            fh.write("\n")
+        fh.writelines(_ENCODER.encode(route_to_dict(seen[key])) + "\n" for key in sorted(seen))
 
 
 def load_routes(path: str, inst: Instance) -> tuple[dict[str, list[Route]], dict[str, list[Route]]]:

@@ -71,6 +71,19 @@ def test_validate_rejects_section_of_wrong_type(tiny_instance_file, capsys, sect
     assert err.startswith(f"[validate] {tiny_instance_file}: field '{section}") and err.count("\n") == 1, err
 
 
+def test_validate_rejects_matrix_entry_that_is_no_number(tmp_path, capsys):
+    path = str(tmp_path / "inst.json")
+    save_instance(instgen.generate(seed=4, n_nodes=9, n_hubs=2, n_commodities=6), path)
+    data = json.load(open(path))
+    data["time"][0][1], data["dist"][1][2] = "4.31", True  # loaded as 4.31 and 1.0, they broke triangles
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code = main(["validate", "--instance", path])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert err == f"[validate] {path}: field 'time' is not a numeric matrix: 'time[0][1]' is '4.31'\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [["--nodes", "3", "--hubs", "5"], ["--nodes", "0", "--hubs", "0"], ["--t-min", "10", "--t-max", "5"]],

@@ -412,6 +412,24 @@ def test_route_of_wrong_kind_hub_or_commodity_rejected(edit, message):
         build_design_model(inst, {**om, "r1": [bad]}, op)
 
 
+def test_assembly_checks_each_route_per_map_wherever_it_is_listed():
+    inst = shared_hub_instance()
+    om, op = enumerated(inst)
+    w = om["r1"][0]
+    with pytest.raises(ValueError, match="has kind 'pickup', expected 'dropoff'"):
+        build_design_model(inst, om, {**op, "r2": [*op["r2"], w]})  # the same object, also under dropoffs
+    ghost = mk_commodity("ghost", "a1", "b1", 0.0)
+    for bad, message in (
+        (dataclasses.replace(w, hub="a1"), "references unknown hub 'a1'"),
+        (dataclasses.replace(w, commodities=(*w.commodities, ghost)), "serves unknown commodity 'ghost'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build_design_model(inst, {**om, "r2": [*om["r2"], bad]}, op)  # listed under r2 only
+    # A distinct object with the same key shares its column.
+    twin = build_design_model(inst, {**om, "r2": [*om["r2"], dataclasses.replace(w)]}, op)
+    assert len(twin.routes) == len(build_design_model(inst, om, op).routes)
+
+
 def test_line_endpoints_must_differ():
     with pytest.raises(ValueError, match=r"bus line endpoints must differ, got \(h, h\)"):
         line_open_cost("h", "h", line_cost_instance())

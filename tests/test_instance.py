@@ -1,7 +1,10 @@
+import copy
 import dataclasses
+import itertools
 import json
 import math
 import os
+import pickle
 import re
 import warnings
 
@@ -165,6 +168,43 @@ def test_non_numeric_matrix_rejected(tmp_path):
     data["dist"][1] = ["far", 0.0]
     with pytest.raises(InstanceFormatError, match="field 'dist' is not a numeric matrix"):
         load_instance(write_json(tmp_path, data))
+
+
+@pytest.mark.parametrize(
+    "entry, detail",
+    [("4.31", "'time[1][0]' is '4.31'"), (True, "'time[1][0]' is True"), (None, "'time[1][0]' is None"),
+     (10**400, "int too large to convert to float")],
+)
+def test_matrix_entry_that_is_no_number_rejected(tmp_path, entry, detail):
+    # A numeric string or a bool would convert to a float, null to NaN, and
+    # an integer beyond the float range would end the load with OverflowError.
+    data = json.loads(json.dumps(MINIMAL))
+    data["time"][1][0] = entry
+    message = f"field 'time' is not a numeric matrix: {detail}"
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        load_instance(write_json(tmp_path, data))
+
+
+def test_json_infinity_loads_then_validate_flags(tmp_path):
+    data = json.loads(json.dumps(MINIMAL))
+    data["dist"][1][0] = -math.inf  # json.dumps writes -Infinity, json.load reads it back
+    report = validate(load_instance(write_json(tmp_path, data)))
+    assert [(v.code, v.subject) for v in report.violations] == [
+        ("negative-entry", ("dist", "b", "a")), ("nonfinite-entry", ("dist", "b", "a")),
+    ]
+
+
+def test_lookups_are_floats_whatever_the_matrix_layout():
+    ints = np.array([[0, 3, 7], [2, 0, 4], [5, 1, 0]], dtype=np.int64)
+    strided = np.arange(9.0).reshape(3, 3).T  # float64, not C-contiguous
+    inst = dataclasses.replace(mk_instance(["a", "b", "c"], ["a"], ints), travel_time=ints, travel_dist=strided)
+    for (i, u), (j, v) in itertools.product(enumerate("abc"), repeat=2):
+        t, d = inst.time(u, v), inst.dist(u, v)
+        assert type(t) is float and t == ints[i, j]
+        assert type(d) is float and d == strided[i, j]
+    assert inst.travel_time is ints and inst.travel_dist is strided  # stored as given
+    for twin in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert twin.time("b", "a") == 2.0 and twin.dist("a", "b") == 3.0 and twin.travel_dist.shape == (3, 3)
 
 
 def test_top_level_value_must_be_an_object(tmp_path):

@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odmts import instgen
 from odmts.instance import window_of
@@ -16,6 +19,7 @@ from odmts.routegen import (
     materialize_dropoff,
     materialize_pickup,
     route_cost,
+    route_to_dict,
 )
 
 from conftest import mk_commodity, mk_instance
@@ -454,3 +458,43 @@ def test_xi_of_rejects_a_commodity_the_route_lacks(pickup_pair_instance):
     assert route.xi_of(inst.commodities[0].id) == route.xi[0]
     with pytest.raises(KeyError):
         route.xi_of(inst.commodities[1].id)
+
+
+def test_route_key_and_dump_fields(pickup_pair_instance):
+    inst = pickup_pair_instance
+    r1, r2 = inst.commodities
+    route = materialize_pickup((r2, r1), "h", inst)
+    assert route.key == (PICKUP, "h", ("r2", "r1"))
+    assert dataclasses.replace(route, hub="a").key == (PICKUP, "a", ("r2", "r1"))
+    rec = route_to_dict(route)
+    assert list(rec) == [
+        "arcs", "commodities", "cost", "dist", "duration", "hub", "kind", "passengers", "start_time", "xi",
+    ]
+    assert rec["commodities"] == ["r2", "r1"]
+
+
+NODES_12 = [f"n{k}" for k in range(12)]  # as strings, "n10" < "n11" < "n2" < ... < "n9"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_hub_sets_take_the_nearest_by_time_then_id(data):
+    hubs = data.draw(st.lists(st.sampled_from(NODES_12), min_size=1, unique=True), label="hubs")
+    row = st.lists(st.sampled_from([0.0, 1.5, 2.0]), min_size=12, max_size=12)  # few values: many ties
+    time = data.draw(st.lists(row, min_size=12, max_size=12), label="time")
+    ends = data.draw(st.lists(st.tuples(st.sampled_from(NODES_12), st.sampled_from(NODES_12)), min_size=1, max_size=5))
+    first, last = data.draw(st.integers(1, len(hubs))), data.draw(st.integers(1, len(hubs)))
+    comms = tuple(mk_commodity(f"c{k}", o, d, 0.0) for k, (o, d) in enumerate(ends))
+    inst = mk_instance(NODES_12, hubs, time, commodities=comms, first_hubs=first, last_hubs=last)
+    hs = compute_hub_sets(inst)
+    for c in comms:
+        assert hs.first[c.id] == tuple(sorted(hubs, key=lambda h: (inst.time(c.origin, h), h))[:first])
+        assert hs.last[c.id] == tuple(sorted(hubs, key=lambda h: (inst.time(h, c.destination), h))[:last])
+
+
+def test_hub_set_ties_go_by_id_string():
+    time = [[0.0 if i == j else 1.0 for j in range(12)] for i in range(12)]
+    c = mk_commodity("c", "n0", "n1", 0.0)
+    inst = mk_instance(NODES_12, ["n9", "n10", "n2"], time, commodities=(c,), first_hubs=3, last_hubs=2)
+    hs = compute_hub_sets(inst)
+    assert hs.first["c"] == ("n10", "n2", "n9") and hs.last["c"] == ("n10", "n2")
