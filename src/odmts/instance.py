@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
@@ -160,10 +160,14 @@ def _require(obj: dict, key: str, path: str) -> Any:
 
 def _number(obj: dict, key: str, path: str) -> int | float:
     """The number at `key` as written: an int stays an int, so a stage
-    artifact read back writes the same bytes again."""
+    artifact read back writes the same bytes again; one beyond the float range is rejected."""
     val = _require(obj, key, path)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise InstanceFormatError(f"field '{path}{key}' must be a number, got {val!r}")
+    try:
+        float(val)
+    except OverflowError:
+        raise InstanceFormatError(f"field '{path}{key}' is an integer beyond the float range") from None
     return val
 
 
@@ -271,18 +275,22 @@ def instance_from_dict(data: dict) -> Instance:
     )
 
 
-def instance_to_dict(inst: Instance) -> dict:
-    """Serialize an Instance back to the JSON document structure."""
+def _document(inst: Instance, matrix: Callable[[np.ndarray], Any]) -> dict:
     return {
         "nodes": list(inst.nodes),
         "hubs": list(inst.hubs),
-        "time": inst.travel_time.tolist(),
-        "dist": inst.travel_dist.tolist(),
+        "time": matrix(inst.travel_time),
+        "dist": matrix(inst.travel_dist),
         "commodities": [_record_json(c) for c in inst.commodities],
         "cost": _record_json(inst.cost),
         "routing": _record_json(inst.routing),
         "horizon": {"t_min": inst.horizon[0], "t_max": inst.horizon[1]},
     }
+
+
+def instance_to_dict(inst: Instance) -> dict:
+    """Serialize an Instance back to the JSON document structure."""
+    return _document(inst, np.ndarray.tolist)
 
 
 def load_instance(path: str) -> Instance:
@@ -296,6 +304,8 @@ def load_instance(path: str) -> Instance:
         raise InstanceFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer longer than int() reads from text
+        raise InstanceFormatError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceFormatError(f"{path}: top-level JSON value must be an object")
     try:
@@ -304,10 +314,29 @@ def load_instance(path: str) -> Instance:
         raise InstanceFormatError(f"{path}: {exc}") from exc
 
 
+# The C encoder, which json.dump and json.dumps with an indent never use,
+# puts each entry of a matrix row on its own line at the file's indent.
+_ROW_ENCODER = json.JSONEncoder(check_circular=False, separators=(",\n      ", ": "))
+
+
 def save_instance(inst: Instance, path: str) -> None:
+    """Write `inst` as the bytes of `json.dump(instance_to_dict(inst), fh,
+    indent=2, sort_keys=True)` and a newline: NaN and infinities as `NaN`
+    and `Infinity`, non-ASCII text escaped. The matrices go through the C
+    encoder a row at a time and are never held whole as Python lists."""
+    doc = _document(inst, lambda mat: mat)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for k, key in enumerate(sorted(doc)):
+            fh.write(("{\n  " if k == 0 else ",\n  ") + json.dumps(key) + ": ")
+            value = doc[key]
+            if isinstance(value, np.ndarray):
+                for i, row in enumerate(value):
+                    head = "[\n    [\n      " if i == 0 else "\n    ],\n    [\n      "
+                    fh.write(head + _ROW_ENCODER.encode(row.tolist())[1:-1])
+                fh.write("\n    ]\n  ]" if len(value) else "[]")
+            else:
+                fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+        fh.write("\n}\n")
 
 
 # -- validation --------------------------------------------------------------

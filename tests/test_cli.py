@@ -84,6 +84,21 @@ def test_validate_rejects_matrix_entry_that_is_no_number(tmp_path, capsys):
     assert err == f"[validate] {path}: field 'time' is not a numeric matrix: 'time[0][1]' is '4.31'\n"
 
 
+@pytest.mark.parametrize("section, index, key", [("commodities", 0, "depart"), ("commodities", 5, "passengers"),
+                                               ("horizon", None, "t_max")])
+def test_validate_rejects_integer_beyond_float_range(tiny_instance_file, capsys, section, index, key):
+    data = json.load(open(tiny_instance_file))
+    (data[section] if index is None else data[section][index])[key] = 10**400
+    with open(tiny_instance_file, "w") as fh:
+        json.dump(data, fh)
+    code = main(["validate", "--instance", tiny_instance_file])
+    where = section if index is None else f"{section}[{index}]"
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"[validate] {tiny_instance_file}: field '{where}.{key}' is an integer beyond the float range\n"
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [["--nodes", "3", "--hubs", "5"], ["--nodes", "0", "--hubs", "0"], ["--t-min", "10", "--t-max", "5"]],

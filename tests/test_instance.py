@@ -6,6 +6,8 @@ import math
 import os
 import pickle
 import re
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,10 +20,12 @@ from odmts.instance import (
     Commodity,
     CostParams,
     HorizonError,
+    Instance,
     InstanceFormatError,
     RoutingParams,
     _triangle_rows,
     bucket_of,
+    instance_to_dict,
     load_instance,
     save_instance,
     split_commodities,
@@ -142,6 +146,56 @@ def test_saved_instance_round_trips_byte_for_byte(tmp_path):
     assert (loaded.commodities, loaded.cost, loaded.routing) == (inst.commodities, inst.cost, inst.routing)
 
 
+def _nonfinite(inst):
+    time = inst.travel_time.copy()
+    time[0, 1], time[1, 0], time[2, 3] = math.nan, math.inf, -math.inf
+    return dataclasses.replace(inst, travel_time=time)
+
+
+def _first_nodes(inst, n):
+    zero = np.zeros((n, n))
+    return Instance(("a",)[:n], ("a",)[:n], zero, zero.copy(), (), inst.cost, inst.routing, inst.horizon)
+
+
+SAVE_CASES = {
+    "desk": lambda inst: inst,
+    "nonfinite": _nonfinite,
+    "int64": lambda inst: dataclasses.replace(inst, travel_dist=np.rint(inst.travel_dist * 100).astype(np.int64)),
+    "transposed": lambda inst: dataclasses.replace(inst, travel_time=inst.travel_time.T),
+    "non-ascii": lambda inst: dataclasses.replace(
+        inst,
+        nodes=tuple(f"Ypsilanti-ñ-{n}" for n in inst.nodes),
+        hubs=tuple(f"Ypsilanti-ñ-{h}" for h in inst.hubs),
+        commodities=tuple(dataclasses.replace(c, id=f"€{c.id}\u2603") for c in inst.commodities),
+    ),
+    "no-commodities": lambda inst: dataclasses.replace(inst, commodities=()),
+    "one-node": lambda inst: _first_nodes(inst, 1),
+    "no-nodes": lambda inst: _first_nodes(inst, 0),
+}
+
+
+@pytest.mark.parametrize("case", SAVE_CASES)
+def test_save_writes_the_bytes_of_json_dump(tmp_path, case):
+    """The row-by-row writer against the plain `json` encoding it stands in for."""
+    inst = SAVE_CASES[case](instgen.generate(seed=400, n_nodes=60, n_hubs=6, n_commodities=100))
+    path = tmp_path / "inst.json"
+    save_instance(inst, str(path))
+    expected = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_save_holds_no_matrix_as_python_lists(tmp_path):
+    # Both 400x400 matrices as nested lists take about 10 MB; the file is 8 MB.
+    inst = instgen.generate(seed=400, n_nodes=400, n_hubs=10, n_commodities=1000)
+    tracemalloc.start()
+    try:
+        save_instance(inst, str(tmp_path / "city.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, peak
+
+
 def test_parse_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  bad\n}")
@@ -183,6 +237,37 @@ def test_matrix_entry_that_is_no_number_rejected(tmp_path, entry, detail):
     message = f"field 'time' is not a numeric matrix: {detail}"
     with pytest.raises(InstanceFormatError, match=re.escape(message)):
         load_instance(write_json(tmp_path, data))
+
+
+NUMBER_FIELDS = [
+    pytest.param(path, section, f.name, id=path + f.name) for cls, path, section in RECORDS
+    for f in dataclasses.fields(cls) if f.type != "str"
+] + [pytest.param("horizon.", lambda data: data["horizon"], key, id="horizon." + key) for key in ("t_min", "t_max")]
+
+
+@pytest.mark.parametrize("path, section, name", NUMBER_FIELDS)
+def test_integer_beyond_float_range_is_named(tmp_path, path, section, name):
+    # json reads 10**400 as an int, which float() and math.isfinite() refuse with OverflowError.
+    data = json.loads(json.dumps(MINIMAL))
+    section(data)[name] = 10**400
+    message = f"field '{path}{name}' is an integer beyond the float range"
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        load_instance(write_json(tmp_path, data))
+
+
+def test_largest_integer_a_float_holds_loads(tmp_path):
+    data = json.loads(json.dumps(MINIMAL))
+    data["commodities"][0]["depart"] = data["horizon"]["t_max"] = int(sys.float_info.max)
+    inst = load_instance(write_json(tmp_path, data))
+    assert inst.commodities[0].depart == inst.horizon[1] == sys.float_info.max
+
+
+def test_integer_beyond_the_int_digit_limit_rejected(tmp_path):
+    # json.load reads no integer of more than sys.get_int_max_str_digits() digits and raises ValueError.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(MINIMAL).replace('"depart": 0.0', '"depart": 1' + "0" * 5000))
+    with pytest.raises(InstanceFormatError, match=re.escape(f"{path}: Exceeds the limit")):
+        load_instance(str(path))
 
 
 def test_json_infinity_loads_then_validate_flags(tmp_path):

@@ -1,10 +1,11 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from odmts import instgen
-from odmts.instance import window_of
+from odmts.instance import InstanceFormatError, window_of
 from odmts.routegen import (
     DROPOFF,
     PICKUP,
@@ -450,6 +451,19 @@ def test_load_routes_skips_blank_lines(tmp_path, pickup_pair_instance):
     spaced.write_text("\n" + "\n  \n".join(lines) + "\n\n")
     assert len(lines) > 1
     assert load_routes(str(spaced), inst) == load_routes(str(path), inst)
+
+
+def test_load_routes_names_the_line_of_an_integer_beyond_float_range(tmp_path, pickup_pair_instance):
+    inst = pickup_pair_instance
+    hs = compute_hub_sets(inst)
+    path = tmp_path / "routes.jsonl"
+    dump_routes(enumerate_pickup_routes(inst, hs), enumerate_dropoff_routes(inst, hs), str(path))
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["passengers"] = 10**400  # json reads an int that float() cannot take
+    path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+    with pytest.raises(InstanceFormatError, match="line 2 is not a route: .*'passengers' is an integer beyond"):
+        load_routes(str(path), inst)
 
 
 def test_xi_of_rejects_a_commodity_the_route_lacks(pickup_pair_instance):
