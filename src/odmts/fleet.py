@@ -1,44 +1,55 @@
 """Fleet sizing: minimum number of shuttles to serve all selected routes.
 
-Each selected route becomes a timed task (start location, end location,
-start time, duration). Two tasks are compatible when one shuttle can serve
-them back to back, i.e. finish the first and reposition before the second
-starts. The minimum fleet is the minimum number of source-to-sink flow
+Each selected route that drives becomes a timed task (start location, end
+location, start time, duration); a route without arcs serves riders already
+at its hub and needs no shuttle. Two tasks are compatible when one shuttle
+can serve them back to back, i.e. finish the first and reposition before
+the second starts. The minimum fleet is the minimum number of source-to-sink flow
 units covering every task. There are two fleet graphs:
 
 * the dense graph puts an arc on every compatible ordered pair and lets the
   source feed and the sink drain every task;
 * the sparse graph drops transitive arcs (kept only when no one-stop relay
   exists; relays are read off a float32 product of the compatibility matrix
-  with itself, taken block by block over the tasks between each pair of
-  blocks, since the matrix is strictly upper triangular in start order), so
+  with itself, taken block by block over the relays inside the band, from a
+  float32 copy of the band alone), so
   the source feeds only tasks without predecessors and the sink drains only
   tasks without successors.
+
+Every stage sorts its tasks by (start, id), so task j can follow task i only
+if j starts strictly later: compatibility is strictly upper triangular, and
+row i is zero left of after[i], the first task that starts more than EPS
+after it. `_compatibility_blocks` computes the mask RELAY_BLOCK rows at a
+time over this band only, and the dense graph, the sparse graph and the
+oracle read their arcs off those row blocks, so none of them gathers, adds,
+compares or scans a pair that start order rules out.
 
 `solve_fleet` solves either graph as a covering minimum flow (at least one
 unit per task, uncapacitated integer arcs), found as one max flow (scipy's
 Dinic) by the lower-bound reduction in `_min_flow` and split into
-source-sink paths by `recover_schedules`; a task goes to the first path
-that reaches it. Compatibility is transitive on metric tasks, so the relay
-filter keeps the optimum. `fleet_model` writes the paper's LP for either
-graph (exact unit visits on the dense one, covering visits on the sparse
-one) for export and cross-checks.
+source-sink paths by `recover_schedules`, which walks integer-indexed
+successor lists; a task goes to the first path that reaches it.
+Compatibility is transitive on metric tasks, so the relay filter keeps the
+optimum. `fleet_model` writes the paper's LP for either graph (exact unit
+visits on the dense one, covering visits on the sparse one) for export and
+cross-checks.
 
 A `FleetGraph` keeps its arcs as arrays that the model writer and the max
 flow read directly: (tail, head) rows in lexicographic order, as
-`np.argwhere` reads them off the arc mask, and the sorted indices of the
-tasks the source feeds and of those that drain to the sink.
+`np.argwhere` would read them off the arc mask, and the sorted indices of
+the tasks the source feeds and of those that drain to the sink.
 
 A minimum path cover oracle (task count minus a maximum bipartite matching
 over the full compatibility relation, found by scipy's Hopcroft-Karp on the
-biadjacency matrix, so it shares no code with the max flow it checks) is
-provided for cross-checking.
+biadjacency CSR, built block by block from the latest task back, so it
+shares no code with the relay filter or the max flow it checks) is provided
+for cross-checking.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +66,7 @@ SINK = "t"
 DENSE = "dense"
 SPARSE = "sparse"
 
-RELAY_BLOCK = 256  # tasks per block: of the relay product in `build_sparse_graph`, of rows in `_compatibility`
+RELAY_BLOCK = 256  # tasks per block: of rows in `_compatibility_blocks`, of columns in the relay product
 
 
 class FlowError(ValueError):
@@ -87,22 +98,25 @@ class FleetResult:
 
 
 def routes_to_tasks(ds, inst: Instance) -> list[Task]:
-    """Tasks for a design solution: one per selected pickup/dropoff route and,
-    for each direct commodity, one single-rider task per passenger."""
+    """Tasks for a design solution: one per selected pickup/dropoff route
+    that drives and, for each direct commodity, one single-rider task per
+    passenger. A route without arcs serves riders already at its hub, so it
+    needs no shuttle."""
     tasks: list[Task] = []
     for w in ds.selected_routes:
+        if not w.arcs:
+            continue
         ids = "|".join(c.id for c in w.commodities)
         if w.kind == PICKUP:
             tasks.append(Task(f"p:{w.hub}:{ids}", w.commodities[0].origin, w.hub, w.start_time, w.duration))
         else:
             tasks.append(Task(f"d:{w.hub}:{ids}", w.hub, w.commodities[-1].destination, w.start_time, w.duration))
+    times, node = inst.time_view, inst.node_index
     for cid in sorted(ds.direct):
         c = inst.commodity(cid)
+        ride = times[node(c.origin), node(c.destination)]
         for k in range(c.passengers):
-            tasks.append(
-                Task(f"direct:{cid}:{k}", c.origin, c.destination, c.depart,
-                     inst.time(c.origin, c.destination))
-            )
+            tasks.append(Task(f"direct:{cid}:{k}", c.origin, c.destination, c.depart, ride))
     return tasks
 
 
@@ -117,58 +131,123 @@ def compatible(a: Task, b: Task, inst: Instance) -> bool:
     return a.start + a.duration + inst.time(a.end_loc, b.start_loc) <= b.start + EPS
 
 
-def _compatibility(tasks: tuple[Task, ...], inst: Instance) -> np.ndarray:
-    """comp[i, j] == (i != j and compatible(tasks[i], tasks[j], inst)), with
-    the scalar rule's float order so ties at EPS fall the same way. It is
-    built RELAY_BLOCK rows at a time, so no n x n float matrix is held."""
+def _compatibility_blocks(tasks: tuple[Task, ...], inst: Instance) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The compatibility mask of (start, id)-sorted tasks, RELAY_BLOCK rows at
+    a time, cut to the band that start order allows.
+
+    Task j can follow task i only if start[j] > start[i] + EPS, so row i is
+    zero before after[i], the first task that starts more than EPS later
+    (the same float comparison as `compatible`). after[] never decreases,
+    so the block of rows [i0, i1) is zero before column c0 = after[i0].
+    Yields (i0, c0, block) with block[r, k] == comp[i0 + r, c0 + k]: only
+    these columns are gathered, added and compared, and only the strip
+    [c0, after[i]) of each row is masked."""
     start = np.array([t.start for t in tasks], dtype=float)
     dur = np.array([t.duration for t in tasks], dtype=float)
     end_idx = np.array([inst.node_index(t.end_loc) for t in tasks], dtype=np.intp)
     start_idx = np.array([inst.node_index(t.start_loc) for t in tasks], dtype=np.intp)
     finish = start + dur
     latest = start + EPS
+    after = np.searchsorted(start, latest, side="right")
+    reach = inst.travel_time[:, start_idx]  # reach[v, j]: minutes from node v to task j's start
     n = len(tasks)
-    comp = np.empty((n, n), dtype=bool)
     for i0 in range(0, n, RELAY_BLOCK):
         rows = slice(i0, i0 + RELAY_BLOCK)
-        arrive = inst.travel_time[np.ix_(end_idx[rows], start_idx)]  # reposition times, a fresh copy
+        c0 = int(after[i0])
+        arrive = reach[end_idx[rows], c0:]  # reposition times, a fresh copy
         arrive += finish[rows, None]
-        np.less_equal(arrive, latest[None, :], out=comp[rows])
-        comp[rows] &= ~(start[None, :] <= latest[rows, None])
-    np.fill_diagonal(comp, False)
+        block = arrive <= latest[c0:]
+        del arrive  # not held while the caller reads the block
+        strip = int(after[rows][-1]) - c0
+        if strip:
+            block[:, :strip] &= np.arange(c0, c0 + strip) >= after[rows, None]
+        yield i0, c0, block
+
+
+def _compatibility(tasks: tuple[Task, ...], inst: Instance) -> np.ndarray:
+    """comp[i, j] == (i != j and compatible(tasks[i], tasks[j], inst)) on
+    (start, id)-sorted tasks, with the scalar rule's float order so ties at
+    EPS fall the same way. The full mask, strictly upper triangular,
+    assembled from `_compatibility_blocks`, so no n x n float matrix is held;
+    the stages read the blocks, and the tests check them through this."""
+    n = len(tasks)
+    comp = np.zeros((n, n), dtype=bool)
+    for i0, c0, block in _compatibility_blocks(tasks, inst):
+        comp[i0 : i0 + len(block), c0:] = block
     return comp
 
 
+def _row_entries(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row pointer and the column indices of the True entries of a 2-D
+    bool array, row by row, as a CSR matrix holds them. They come from the
+    flat positions: numpy's 2-D `nonzero` is several times slower."""
+    flat = np.flatnonzero(block)
+    width = block.shape[1]
+    ptr = np.searchsorted(flat, np.arange(len(block) + 1) * width)
+    flat -= np.repeat(np.arange(len(block)) * width, np.diff(ptr))
+    return ptr, flat
+
+
+def _arcs(blocks) -> np.ndarray:
+    """The (tail, head) rows of the True entries of (i0, c0, block) row
+    blocks, in lexicographic order, as `np.argwhere` of the full mask."""
+    tails, heads = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i0, c0, block in blocks:
+        ptr, cols = _row_entries(block)
+        tails.append(np.repeat(np.arange(i0, i0 + len(block)), np.diff(ptr)))
+        heads.append(cols + c0)
+    return np.stack([np.concatenate(tails), np.concatenate(heads)], axis=1)
+
+
 def build_dense_graph(tasks, inst: Instance) -> FleetGraph:
-    """Arc on every compatible ordered pair; source and sink connect to all."""
+    """Arc on every compatible ordered pair; source and sink connect to all.
+    Arcs are read block by block off the compatibility band."""
     ts = _sorted_tasks(tasks)
     every = np.arange(len(ts))
-    return FleetGraph(DENSE, ts, np.argwhere(_compatibility(ts, inst)), every, every)
+    return FleetGraph(DENSE, ts, _arcs(_compatibility_blocks(ts, inst)), every, every)
 
 
 def build_sparse_graph(tasks, inst: Instance) -> FleetGraph:
     """Keep a compatibility arc only when no one-stop relay covers it; the
     source feeds tasks without predecessors and tasks without successors
     drain to the sink. Relays come from the product of the compatibility
-    matrix with itself, computed in RELAY_BLOCK-square blocks on and above
-    the diagonal only."""
+    matrix with itself, taken over RELAY_BLOCK-square blocks in the band."""
     ts = _sorted_tasks(tasks)
-    comp = _compatibility(ts, inst)
     n = len(ts)
-    # comp is strictly upper triangular on (start, id)-sorted tasks, so a relay
-    # k of (i, j) has i < k < j and block (I, J) needs only k in [I0, J1).
-    # float32 goes through BLAS; a sum of non-negative 0/1 products is never
-    # rounded to 0, so "> 0" is exact. Only c is read, so comp is filtered in place.
-    c = comp.astype(np.float32)
-    for i0 in range(0, n, RELAY_BLOCK):
-        i1 = min(i0 + RELAY_BLOCK, n)
-        for j0 in range(i0, n, RELAY_BLOCK):
+    # Each row block as float32 from the column of its first row on, about
+    # half the n x n matrix. float32 goes through BLAS; a sum of non-negative
+    # 0/1 products is never rounded to 0, so "> 0" is exact.
+    starts, bands = [], []
+    for i0, c0, block in _compatibility_blocks(ts, inst):
+        starts.append((i0, c0))
+        bands.append(np.zeros((len(block), n - i0), dtype=np.float32))
+        bands[-1][:, c0 - i0 :] = block
+    # A relay k of (i, j) has comp[i, k] and comp[k, j], so c0 <= k < j for
+    # every row i of a block: its relays lie in its own block and the later
+    # ones, and its band is not read again once its rows are filtered.
+    has_pred = np.zeros(n, dtype=bool)
+    kept, sinks = [], [np.empty(0, dtype=np.int64)]
+    for b, (i0, c0) in enumerate(starts):
+        band = bands[b]
+        keep = band[:, c0 - i0 :] != 0
+        first = c0 - c0 % RELAY_BLOCK  # the block of column c0
+        for j0 in range(first, n, RELAY_BLOCK):
             j1 = min(j0 + RELAY_BLOCK, n)
-            comp[i0:i1, j0:j1] &= ~((c[i0:i1, i0:j1] @ c[i0:j1, j0:j1]) > 0)
-    del c  # lowers the peak under argwhere; freed at return, glibc trimmed the heap on every call
-    sources = np.flatnonzero(~comp.any(axis=0))
-    sinks = np.flatnonzero(~comp.any(axis=1))
-    return FleetGraph(SPARSE, ts, np.argwhere(comp), sources, sinks)
+            lo = max(j0, c0)
+            chunk = keep[:, lo - c0 : j1 - c0]
+            if not chunk.any():
+                continue
+            relayed = np.zeros(chunk.shape, dtype=bool)
+            for k0 in range(first, j1, RELAY_BLOCK):
+                k1, via = min(k0 + RELAY_BLOCK, j1), max(k0, c0)
+                relay = bands[k0 // RELAY_BLOCK][via - k0 : k1 - k0, lo - k0 : j1 - k0]
+                relayed |= (band[:, via - i0 : k1 - i0] @ relay) > 0
+            chunk &= ~relayed
+        bands[b] = None
+        kept.append((i0, c0, keep))
+        sinks.append(i0 + np.flatnonzero(~keep.any(axis=1)))
+        has_pred[c0:] |= keep.any(axis=0)
+    return FleetGraph(SPARSE, ts, _arcs(kept), np.flatnonzero(~has_pred), np.concatenate(sinks))
 
 
 def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
@@ -286,56 +365,71 @@ solve_fleet_sparse = solve_fleet
 
 def recover_schedules(g: FleetGraph, flows: dict[tuple, int]) -> FleetResult:
     """Decompose an integral flow into source-sink paths; each path becomes one
-    shuttle serving the not-yet-covered tasks along it, in path order."""
-    residual = {}
+    shuttle serving the not-yet-covered tasks along it, in path order. A path
+    leaves each node by the first arc, in task-id order of its head with the
+    sink last, that still carries flow."""
+    n = len(g.tasks)
+    s, t = n, n + 1  # node numbers of the source and the sink
+    number = {SOURCE: s, SINK: t}
+    tail, head, units = [], [], []
     for key, val in flows.items():
         if val != int(val) or val < 0:
             raise FlowError(f"flow on arc {key} is not a nonnegative integer: {val}")
         if val:
-            residual[key] = int(val)
+            tail.append(number.get(key[0], key[0]))
+            head.append(number.get(key[1], key[1]))
+            units.append(int(val))
 
-    inflow, outflow = Counter(), Counter()
-    for (a, b), val in residual.items():
-        inflow[b] += val
-        outflow[a] += val
-    n = len(g.tasks)
-    for i in range(n):
+    tail = np.asarray(tail, dtype=np.int64)
+    head = np.asarray(head, dtype=np.int64)
+    units = np.asarray(units, dtype=np.int64)
+    inflow = np.zeros(n + 2, dtype=np.int64)
+    outflow = np.zeros(n + 2, dtype=np.int64)
+    np.add.at(inflow, head, units)
+    np.add.at(outflow, tail, units)
+    bad = (inflow[:n] != outflow[:n]) | (inflow[:n] < 1)
+    if bad.any():
+        i = int(np.argmax(bad))
         if inflow[i] != outflow[i]:
             raise FlowError(f"flow not conserved at task {i}: in {inflow[i]} vs out {outflow[i]}")
-        if inflow[i] < 1:
-            raise FlowError(f"task {i} is not covered by the flow")
+        raise FlowError(f"task {i} is not covered by the flow")
 
-    out_arcs: dict[object, list] = {}
-    for (a, b) in residual:
-        out_arcs.setdefault(a, []).append(b)
-    for succs in out_arcs.values():
-        succs.sort(key=lambda b: (1, "") if b == SINK else (0, g.tasks[b].id))
-
-    covered: set[int] = set()
+    # Successor lists as one arc array sorted by tail, then by head rank.
+    ids = [task.id for task in g.tasks]
+    rank = np.empty(n + 2, dtype=np.int64)
+    rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    rank[s], rank[t] = n + 1, n
+    order = np.lexsort((rank[head], tail))
+    bounds = np.searchsorted(tail[order], np.arange(n + 3))
+    head, residual = head[order].tolist(), units[order].tolist()
+    # Node v's arcs are cursor[v] .. end[v] - 1. Arcs left of cursor[v] carry no
+    # flow any more, and flow only falls, so the search resumes there.
+    cursor, end = bounds[:-1].tolist(), bounds[1:].tolist()
+    covered = [False] * n
     schedules: list[tuple[str, ...]] = []
-    for _ in range(outflow[SOURCE]):
+    for _ in range(int(outflow[s])):
         path = []
-        node: object = SOURCE
-        while node != SINK:
-            nxt = None
-            for b in out_arcs.get(node, []):
-                if residual.get((node, b), 0) > 0:
-                    nxt = b
-                    break
-            if nxt is None:
-                raise FlowError(f"flow decomposition stuck at node {node}")
-            residual[(node, nxt)] -= 1
-            if nxt != SINK:
-                path.append(nxt)
-            node = nxt
-        fresh = [i for i in path if i not in covered]
+        node = s
+        while node != t:
+            k, stop = cursor[node], end[node]
+            while k < stop and not residual[k]:
+                k += 1
+            cursor[node] = k
+            if k == stop:
+                raise FlowError(f"flow decomposition stuck at node {SOURCE if node == s else node}")
+            residual[k] -= 1
+            node = head[k]
+            if node != t:
+                path.append(node)
+        fresh = [i for i in path if not covered[i]]
         if not fresh:
             raise FlowError(
                 "a flow unit covers no new task; the flow is not a minimum covering flow"
             )
-        covered.update(fresh)
-        schedules.append(tuple(g.tasks[i].id for i in fresh))
-    if len(covered) != n:
+        for i in fresh:
+            covered[i] = True
+        schedules.append(tuple(ids[i] for i in fresh))
+    if not all(covered):
         raise FlowError("flow decomposition left tasks unserved")
     result = FleetResult(len(schedules), tuple(schedules))
     _assert_partition(result, g)
@@ -367,11 +461,17 @@ def min_fleet_oracle(tasks, inst: Instance) -> int:
     ts = _sorted_tasks(tasks)
     n = len(ts)
     # Rows run from the latest task back: on 2,500-task sets scipy's search
-    # takes 0.04-0.3 s in this order and 45 s with rows in start order.
-    comp = _compatibility(ts, inst)[::-1]
+    # takes 0.04-0.3 s in this order and 45 s with rows in start order. So
+    # each block's rows are read bottom up and the blocks are joined last first.
+    counts, indices = [], []
+    for _, c0, block in _compatibility_blocks(ts, inst):
+        ptr, cols = _row_entries(block[::-1])
+        cols += c0
+        counts.append(np.diff(ptr))
+        indices.append(cols.astype(np.int32))
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(comp, axis=1), out=indptr[1:])
-    indices = np.nonzero(comp)[1].astype(np.int32)
+    np.cumsum(np.concatenate([np.empty(0, dtype=np.intp), *counts[::-1]]), out=indptr[1:])
+    indices = np.concatenate([np.empty(0, dtype=np.int32), *indices[::-1]])
     graph = sp.csr_array((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
     matched = maximum_bipartite_matching(graph, perm_type="column")
     return n - int(np.count_nonzero(matched >= 0))

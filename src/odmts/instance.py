@@ -413,12 +413,13 @@ def _check_triangle(name: str, mat: np.ndarray, nodes: Sequence[str], out: list[
     buf = np.empty_like(lhs)
     hit = np.empty(lhs.shape, dtype=bool)
     total = 0
-    for k in range(len(mat)):
+    k = 0
+    while k < len(mat) and total < _MAX_WITNESSES:
         np.add(relay_t[k, rows][:, None], relay[k], out=buf)
         np.subtract(lhs, buf, out=buf)
         np.greater(buf, EPS, out=hit)
         count = np.count_nonzero(hit)
-        if count and total < _MAX_WITNESSES:
+        if count:
             for r, j in np.argwhere(hit)[: _MAX_WITNESSES - total]:
                 i = rows[r]
                 out.append(
@@ -431,6 +432,18 @@ def _check_triangle(name: str, mat: np.ndarray, nodes: Sequence[str], out: list[
                     )
                 )
         total += count
+        k += 1
+    # The witnesses are taken: the later relays are only counted, 64 rows at
+    # a time, so a row block stays in cache across all of them.
+    for r0 in range(0, len(rows), 64):
+        part = slice(r0, r0 + 64)
+        via = relay_t[k:, rows[part]]  # via[kk - k, r] = relay[rows[r], kk]
+        sub_lhs, sub_buf, sub_hit = lhs[part], buf[part], hit[part]
+        for kk in range(k, len(mat)):
+            np.add(via[kk - k][:, None], relay[kk], out=sub_buf)
+            np.subtract(sub_lhs, sub_buf, out=sub_buf)
+            np.greater(sub_buf, EPS, out=sub_hit)
+            total += np.count_nonzero(sub_hit)
     _capped_more(name, "triangle", "triangle violations", total, out)
 
 

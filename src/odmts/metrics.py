@@ -43,10 +43,12 @@ def avg_inconvenience(ds: DesignSolution, inst: Instance) -> float:
 
 
 def avg_shuttle_usage(ds: DesignSolution, inst: Instance) -> float | None:
-    """Riders per shuttle route over all selected routes; each direct rider
-    counts as one single-rider route. None when no routes exist."""
-    riders = sum(w.passengers for w in ds.selected_routes)
-    routes = len(ds.selected_routes)
+    """Riders per shuttle route over the selected routes that drive (a route
+    without arcs serves riders already at its hub and is no shuttle); each
+    direct rider counts as one single-rider route. None when no routes exist."""
+    driven = [w for w in ds.selected_routes if w.arcs]
+    riders = sum(w.passengers for w in driven)
+    routes = len(driven)
     for cid in ds.direct:
         p = inst.commodity(cid).passengers
         riders += p
@@ -55,7 +57,7 @@ def avg_shuttle_usage(ds: DesignSolution, inst: Instance) -> float | None:
 
 
 def _leg_usage(ds: DesignSolution, kind: str) -> float | None:
-    legs = [w for w in ds.selected_routes if w.kind == kind]
+    legs = [w for w in ds.selected_routes if w.kind == kind and w.arcs]
     if not legs:
         return None
     return sum(w.passengers for w in legs) / len(legs)

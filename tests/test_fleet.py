@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from odmts import fleet, instgen
 from odmts.fleet import (
@@ -25,6 +27,7 @@ from odmts.fleet import (
     solve_fleet,
 )
 from odmts.routegen import (
+    PICKUP,
     compute_hub_sets,
     enumerate_dropoff_routes,
     enumerate_pickup_routes,
@@ -576,12 +579,9 @@ def test_routes_to_tasks_tuples(pickup_pair_instance):
     tasks = routes_to_tasks(FakeSolution(), inst)
     p_task = next(t for t in tasks if t.id.startswith("p:"))
     assert (p_task.start_loc, p_task.end_loc, p_task.start, p_task.duration) == ("a", "h", 0.0, 8.0)
-    d_task = next(t for t in tasks if t.id.startswith("d:"))
-    # Both commodities in this fixture end at the hub itself, so check the
-    # tuple fields straight against the materialized route.
-    assert d_task.start == dropoff.start_time
-    assert d_task.duration == dropoff.duration
-    assert d_task.start_loc == "h" and d_task.end_loc == r2.destination
+    # Both commodities in this fixture end at the hub itself: the dropoff
+    # route has no arcs, moves nobody and makes no task.
+    assert dropoff.arcs == () and [t.id for t in tasks] == [p_task.id]
 
 
 def test_routes_to_tasks_direct_multiplicity():
@@ -651,3 +651,110 @@ def test_both_graphs_at_scale():
         result = solve_fleet(build(tasks, inst))
         assert result.fleet_size == len(result.schedules) == oracle
         assert schedules_feasible(result, tasks, inst)
+
+
+def test_rider_at_hub_adds_no_fleet_task():
+    # r starts at hub h1 and rides the bus to h2: its pickup route at h1 has
+    # no arcs and moves nobody, so only the dropoff h2 -> d needs a shuttle.
+    points = {"h1": (4.0, 0.0), "h2": (12.0, 0.0), "d": (17.0, 0.0)}
+    r = mk_commodity("r", "h1", "d", 0.0)
+    inst = euclid_instance(points, ["h1", "h2"], (r,), capacity=1, bus_cost=0.05, bus_trips=1.0)
+    hs = compute_hub_sets(inst)
+    ds = solve_design(inst, enumerate_pickup_routes(inst, hs), enumerate_dropoff_routes(inst, hs))
+    assert ("h1", "h2") in ds.opened_lines and not ds.direct
+    assert [(w.kind, w.hub, w.arcs) for w in ds.selected_routes if not w.arcs] == [(PICKUP, "h1", ())]
+    tasks = routes_to_tasks(ds, inst)
+    assert [(t.id, t.start_loc, t.end_loc) for t in tasks] == [("d:h2:r", "h2", "d")]
+    assert solve_fleet(build_sparse_graph(tasks, inst)).fleet_size == 1
+
+
+# -- the band: stages read only the pairs start order allows ----------------
+
+
+def banded_tasks(rng, n, inst, starts):
+    """Tasks whose starts are drawn from `starts`, so many share a start."""
+    nodes = list(inst.nodes)
+    tasks = []
+    for i in range(n):
+        a, b = rng.choice(len(nodes), size=2)
+        dur = inst.time(nodes[a], nodes[b]) + float(rng.uniform(0.0, 3.0))
+        tasks.append(Task(f"t{i:03d}", nodes[a], nodes[b], float(rng.choice(starts)), dur))
+    return tasks
+
+
+def hopcroft_karp_on_full_mask(tasks, inst):
+    """Task count minus a maximum matching on the CSR of the full mask."""
+    comp = _compatibility(_sorted_tasks(tasks), inst)
+    matched = maximum_bipartite_matching(sp.csr_array(comp.astype(np.int8)), perm_type="column")
+    return len(comp) - int(np.count_nonzero(matched >= 0))
+
+
+def assert_band_stages_match_full_mask(tasks, inst):
+    """Every stage that reads the band equals its reading of the full mask
+    and the scalar rule."""
+    ts, comp = assert_compatibility_matches_scalar_rule(tasks, inst)
+    dense = build_dense_graph(tasks, inst)
+    assert dense.arcs.dtype == np.int64 and dense.arcs.shape == (int(comp.sum()), 2)
+    np.testing.assert_array_equal(dense.arcs, np.argwhere(comp))
+    c = comp.astype(np.int32)
+    keep = comp & ~((c @ c) > 0)
+    sparse = build_sparse_graph(tasks, inst)
+    np.testing.assert_array_equal(sparse.arcs, np.argwhere(keep))
+    np.testing.assert_array_equal(sparse.source_arcs, np.flatnonzero(~keep.any(axis=0)))
+    np.testing.assert_array_equal(sparse.sink_arcs, np.flatnonzero(~keep.any(axis=1)))
+    oracle = min_fleet_oracle(tasks, inst)
+    assert oracle == hopcroft_karp_on_full_mask(tasks, inst) == path_cover_by_max_flow(tasks, inst)
+    assert solve_fleet(sparse).fleet_size == solve_fleet(dense).fleet_size == oracle
+    return ts, comp
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_band_with_equal_starts_across_block_edges(monkeypatch, seed):
+    # Blocks of 7 rows; five distinct starts over 40 tasks put runs of equal
+    # starts across every block edge.
+    monkeypatch.setattr(fleet, "RELAY_BLOCK", 7)
+    rng = np.random.default_rng(900 + seed)
+    inst = metric_instance(rng)
+    ts, comp = assert_band_stages_match_full_mask(banded_tasks(rng, 40, inst, [0.0, 30.0, 60.0, 90.0, 120.0]), inst)
+    starts = [t.start for t in ts]
+    assert any(starts[e - 1] == starts[e] for e in range(7, 40, 7))
+    assert comp.any()
+
+
+def test_band_all_tasks_share_one_start(monkeypatch):
+    monkeypatch.setattr(fleet, "RELAY_BLOCK", 7)
+    inst = colocated_instance()
+    tasks = [Task(f"T{i:02d}", "x", "x", 5.0, 0.0) for i in range(17)]
+    ts, comp = assert_band_stages_match_full_mask(tasks, inst)
+    assert not comp.any()
+    blocks = list(fleet._compatibility_blocks(ts, inst))
+    assert [(i0, c0, block.shape) for i0, c0, block in blocks] == [(0, 17, (7, 0)), (7, 17, (7, 0)), (14, 17, (3, 0))]
+    sparse = build_sparse_graph(tasks, inst)
+    assert sparse.source_arcs.tolist() == sparse.sink_arcs.tolist() == list(range(17))
+    assert min_fleet_oracle(tasks, inst) == solve_fleet(sparse).fleet_size == 17
+
+
+def test_band_of_a_row_begins_inside_the_next_block(monkeypatch):
+    # Blocks of 7: rows 0-6, 7-13 and 14-15. Tasks 5-9 share one start, so
+    # rows 5 and 6 of block 0 are zero up to column 10, inside the next
+    # block, while block 0's band begins at column 3.
+    monkeypatch.setattr(fleet, "RELAY_BLOCK", 7)
+    inst = colocated_instance()
+    starts = [0.0, 0.0, 0.0, 10.0, 10.0] + [20.0] * 5 + [30.0, 30.0, 40.0, 50.0, 60.0, 70.0]
+    tasks = [Task(f"T{i:02d}", "x", "x", s, 1.0) for i, s in enumerate(starts)]
+    ts, comp = assert_band_stages_match_full_mask(tasks, inst)
+    blocks = list(fleet._compatibility_blocks(ts, inst))
+    assert [(i0, c0) for i0, c0, _ in blocks] == [(0, 3), (7, 10), (14, 15)]
+    for i0, c0, block in blocks:  # each block is the full mask from its first later task on
+        np.testing.assert_array_equal(block, comp[i0 : i0 + len(block), c0:])
+        assert not comp[i0 : i0 + len(block), :c0].any()
+    assert comp[6, 10] and not comp[6, 9] and not comp[5, :10].any()
+
+
+@pytest.mark.parametrize("block", [7, RELAY_BLOCK])
+def test_band_stages_match_full_mask_on_random_tasks(monkeypatch, block):
+    monkeypatch.setattr(fleet, "RELAY_BLOCK", block)
+    for seed in range(3):
+        rng = np.random.default_rng(950 + seed)
+        inst = metric_instance(rng)
+        assert_band_stages_match_full_mask(random_tasks(rng, int(rng.integers(30, 80)), inst), inst)

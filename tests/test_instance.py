@@ -23,6 +23,7 @@ from odmts.instance import (
     Instance,
     InstanceFormatError,
     RoutingParams,
+    _check_triangle,
     _triangle_rows,
     bucket_of,
     instance_to_dict,
@@ -405,6 +406,30 @@ def test_noisy_city_matrix_capped_with_exact_total():
         assert len(ours) == 21
         assert ours[-1][:2] == ("triangle-more", (name, total))
         assert ours[-1][2] == f"{name}: {total} triangle violations in all, first 20 listed"
+
+
+def test_triangle_count_after_witnesses_matches_brute_force():
+    # 130 nodes with up to 3 % noise: the 20 witnesses come from the first
+    # relays, and every later relay is only counted, in row blocks that do
+    # not divide the candidate rows evenly.
+    base = instgen.generate(seed=401, n_nodes=130, n_hubs=4, n_commodities=0)
+    time = base.travel_time * np.random.default_rng(11).uniform(1.0, 1.03, base.travel_time.shape)
+    nodes = list(base.nodes)
+    n = len(nodes)
+    rows = _triangle_rows(time)
+    assert 64 < len(rows) and len(rows) % 64
+    # viol[i, k, j]: time[i, j] exceeds time[i, k] + time[k, j], in the checker's float order.
+    viol = (time[:, None, :] - (time[:, :, None] + time[None, :, :])) > EPS
+    idx = np.arange(n)
+    viol[idx, idx, :] = viol[:, idx, idx] = viol[idx, :, idx] = False
+    first = np.argwhere(viol.transpose(1, 0, 2))[:20]  # (k, i, j), k-major then row-major
+    assert first[-1][0] < n // 4
+    out = []
+    _check_triangle("time", time, nodes, out)
+    assert [v.subject for v in out] == [("time", nodes[i], nodes[k], nodes[j]) for k, i, j in first] + [
+        ("time", int(viol.sum()))
+    ]
+    assert out[-1].code == "triangle-more"
 
 
 def test_negative_entries_capped():

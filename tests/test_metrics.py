@@ -125,6 +125,19 @@ def test_usage_absent_without_routes():
     assert "avg_shuttle_usage" not in report_to_dict(report)
 
 
+def test_usage_counts_only_routes_that_drive():
+    # r starts at hub h1: its pickup route has no arcs and is no shuttle, so
+    # there is no first-leg usage; the dropoff h2 -> d carries its one rider.
+    points = {"h1": (4.0, 0.0), "h2": (12.0, 0.0), "d": (17.0, 0.0)}
+    r = mk_commodity("r", "h1", "d", 0.0)
+    inst = euclid_instance(points, ["h1", "h2"], (r,), capacity=1, bus_cost=0.05, bus_trips=1.0)
+    ds, fleet = solve_all(inst)
+    assert sorted((w.kind, bool(w.arcs)) for w in ds.selected_routes) == [("dropoff", True), ("pickup", False)]
+    report = report_to_dict(build_report(ds, fleet, inst))
+    assert report["avg_shuttle_usage"] == report["usage_last_leg"] == 1.0
+    assert "usage_first_leg" not in report and report["fleet_size"] == 1
+
+
 def test_connectivity_flag():
     assert lines_connected(())
     assert lines_connected((("h1", "h2"), ("h2", "h1")))
