@@ -129,7 +129,7 @@ def _stage_fleet(
     try:
         graph = fleet_mod.build_sparse_graph(tasks, inst)
         if cfg.export_model:
-            _export(fleet_mod.fleet_model(graph)[0], cfg.export_model)
+            _export(fleet_mod.fleet_model(graph), cfg.export_model)
         result = fleet_mod.solve_fleet(graph)
         if cfg.check_oracle:
             dense = fleet_mod.solve_fleet(fleet_mod.build_dense_graph(tasks, inst)).fleet_size

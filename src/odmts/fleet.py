@@ -37,7 +37,12 @@ cross-checks.
 A `FleetGraph` keeps its arcs as arrays that the model writer and the max
 flow read directly: (tail, head) rows in lexicographic order, as
 `np.argwhere` would read them off the arc mask, and the sorted indices of
-the tasks the source feeds and of those that drain to the sink.
+the tasks the source feeds and of those that drain to the sink. A flow on
+it is one vector with an entry per column: the source arcs, the task arcs,
+then the sink arcs (`_columns`). `fleet_model`'s variables come in that
+order and `_min_flow` returns such an int64 vector, so the max flow and a
+rounded LP solution go to `recover_schedules` alike, and no flow can name
+an arc the graph lacks.
 
 A minimum path cover oracle (task count minus a maximum bipartite matching
 over the full compatibility relation, found by scipy's Hopcroft-Karp on the
@@ -56,7 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 
-from .instance import EPS, Instance, InstanceFormatError, record_dict
+from .instance import EPS, Instance, InstanceFormatError, _typed, record_dict
 from .milp import EQUAL, GREATER_EQUAL, MilpModel
 from .routegen import PICKUP
 
@@ -250,42 +255,58 @@ def build_sparse_graph(tasks, inst: Instance) -> FleetGraph:
     return FleetGraph(SPARSE, ts, _arcs(kept), np.flatnonzero(~has_pred), np.concatenate(sinks))
 
 
-def fleet_model(g: FleetGraph) -> tuple[MilpModel, dict[tuple, int]]:
+def _columns(g: FleetGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The (tail, head) of each column of a fleet flow: the source arcs, the task
+    arcs, then the sink arcs. Of n tasks, the source is node n, the sink n + 1."""
+    n = len(g.tasks)
+    tail = np.concatenate([np.full(g.source_arcs.size, n), g.arcs[:, 0], g.sink_arcs])
+    head = np.concatenate([g.source_arcs, g.arcs[:, 1], np.full(g.sink_arcs.size, n + 1)])
+    return tail, head
+
+
+def _node_names(n: int) -> list[str]:
+    return [*map(str, range(n)), SOURCE, SINK]
+
+
+def fleet_model(g: FleetGraph) -> MilpModel:
     """Flow model for a fleet graph: exact unit visits on the dense graph,
-    covering visits with uncapacitated arcs on the sparse one. Returns the
-    model and the arc -> variable index map."""
+    covering visits with uncapacitated arcs on the sparse one. Variable k is
+    column k of `_columns`, so a solution is a flow `recover_schedules` reads."""
     model = MilpModel(name=f"fleet-{g.kind}")
     binary = g.kind == DENSE
     n = len(g.tasks)
-    tail, head = g.arcs.T
-    src, snk = g.source_arcs, g.sink_arcs
-    keys = (
-        [(SOURCE, i) for i in src.tolist()]
-        + list(zip(tail.tolist(), head.tolist()))
-        + [(i, SINK) for i in snk.tolist()]
-    )
-    model.add_vars([f"v[{a},{b}]" for a, b in keys], 0, 1 if binary else np.inf)
-    var = dict(zip(keys, range(len(keys))))
+    tail, head = _columns(g)
+    name = _node_names(n)
+    var_names = [f"v[{name[a]},{name[b]}]" for a, b in zip(tail.tolist(), head.tolist())]
+    model.add_vars(var_names, 0, 1 if binary else np.inf)
 
-    # Variables in order: source arcs, task arcs, sink arcs. Row 2i is
-    # visit[i] (arcs into task i); row 2i + 1 is conserve[i] (arcs into i
-    # minus arcs out of i).
-    into = np.concatenate([src, head])
-    out_of = np.concatenate([tail, snk])
-    k_in = np.arange(into.size)
+    # Row 2i is visit[i] (arcs into task i); row 2i + 1 is conserve[i] (arcs into i minus
+    # arcs out of i). All but the sink arcs enter a task; all but the source arcs leave one.
+    k_in = np.arange(tail.size - g.sink_arcs.size)
+    k_out = np.arange(g.source_arcs.size, tail.size)
     model.add_rows(
-        np.concatenate([2 * into, 2 * into + 1, 2 * out_of + 1]),
-        np.concatenate([k_in, k_in, np.arange(src.size, len(keys))]),
-        np.concatenate([np.ones(2 * into.size), -np.ones(out_of.size)]),
+        np.concatenate([2 * head[k_in], 2 * head[k_in] + 1, 2 * tail[k_out] + 1]),
+        np.concatenate([k_in, k_in, k_out]),
+        np.concatenate([np.ones(2 * k_in.size), -np.ones(k_out.size)]),
         np.tile([EQUAL if binary else GREATER_EQUAL, EQUAL], n),
         np.tile([1.0, 0.0], n),
-        [name for i in range(n) for name in (f"visit[{i}]", f"conserve[{i}]")],
+        [row for i in range(n) for row in (f"visit[{i}]", f"conserve[{i}]")],
     )
-    model.set_objective(np.arange(src.size), 1.0)
-    return model, var
+    model.set_objective(np.arange(g.source_arcs.size), 1.0)
+    return model
 
 
-def _min_flow(g: FleetGraph) -> dict[tuple, int]:
+def _tree_sums(up: np.ndarray, weight: np.ndarray, order: range) -> np.ndarray:
+    """weight[i] plus the weight of every task whose pointer chain reaches
+    task i. up[i] is the task i points to, or -1 or n for none (both read
+    the spare entry acc[n]); `order` visits a task before the one it points to."""
+    acc, up = [*weight.tolist(), 0], up.tolist()
+    for i in order:
+        acc[up[i]] += acc[i]
+    return np.array(acc[:-1], dtype=np.int64)
+
+
+def _min_flow(g: FleetGraph) -> np.ndarray:
     """Minimum covering flow on a fleet graph, found as one max flow (the
     lower-bound reduction of Ahuja, Magnanti & Orlin, ch. 6).
 
@@ -299,13 +320,14 @@ def _min_flow(g: FleetGraph) -> dict[tuple, int]:
     The residual graph lets units enter and leave at any task. A unit that
     enters at a task with a predecessor is walked back along fixed
     predecessor arcs to a source task, and one that leaves at a task with a
-    successor is walked forward along fixed successor arcs to a sink task.
-    Arcs are uncapacitated and point forward in the sorted task order, so
-    this keeps the fleet size. The walks follow graph arcs and end at tasks
-    the source feeds or the sink drains; on the sparse graph those are the
-    tasks without predecessors or successors, and on the dense graph the
-    source and sink reach every task. So on either graph the result is a
-    flow on the graph's own arcs. Returns its positive entries."""
+    successor is walked forward along fixed successor arcs to a sink task,
+    so a pointer arc gains the tree sum of the units behind it. Arcs are
+    uncapacitated and point forward in the sorted task order, so this keeps
+    the fleet size. The walks follow graph arcs and end at tasks the source
+    feeds or the sink drains; on the sparse graph those are the tasks
+    without predecessors or successors, and on the dense graph the source
+    and sink reach every task. So on either graph the result is a flow on
+    the graph's own arcs: an int64 vector, one entry per `_columns` column."""
     n = len(g.tasks)
     tail, head = g.arcs.T
     t, s = 2 * n, 2 * n + 1
@@ -316,45 +338,35 @@ def _min_flow(g: FleetGraph) -> dict[tuple, int]:
     graph = sp.csr_array((cap, (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
     flow = maximum_flow(graph, t, s, method="dinic").flow.tocoo()
     pos = flow.data > 0
-    r, c, f = flow.row[pos], flow.col[pos], flow.data[pos]
+    r, c, f = flow.row[pos], flow.col[pos], flow.data[pos].astype(np.int64)
     # Reverse arcs carry negative flow, so the positive entries of the
     # out -> in block are exactly the graph arcs in use (there is no (j, j)).
     on_arc = (r < n) & (c >= n)
-    flows = dict(zip(zip(r[on_arc].tolist(), (c[on_arc] - n).tolist()), f[on_arc].tolist()))
     enter = np.ones(n, dtype=np.int64)  # flow on (s, i): 1 - flow(in_i -> s)
     enter[r[c == s] - n] -= f[c == s]
     leave = np.ones(n, dtype=np.int64)  # flow on (i, t): 1 - flow(t -> out_i)
     leave[c[r == t]] -= f[r == t]
 
-    # Fixed pointers: the latest predecessor and the earliest successor.
+    # Fixed pointers pred[i] < i < succ[i]: the latest predecessor, the earliest successor.
     pred = np.full(n, -1)
     np.maximum.at(pred, head, tail)
     succ = np.full(n, n)
     np.minimum.at(succ, tail, head)
-    pred, succ, enter, leave = pred.tolist(), succ.tolist(), enter.tolist(), leave.tolist()
-    # pred[i] < i < succ[i], so one sweep each way carries every displaced
-    # unit all the way to a source or sink task.
-    for i in range(n - 1, -1, -1):
-        if enter[i] and pred[i] >= 0:
-            flows[(pred[i], i)] = flows.get((pred[i], i), 0) + enter[i]
-            enter[pred[i]] += enter[i]
-            enter[i] = 0
-    for i in range(n):
-        if leave[i] and succ[i] < n:
-            flows[(i, succ[i])] = flows.get((i, succ[i]), 0) + leave[i]
-            leave[succ[i]] += leave[i]
-            leave[i] = 0
-    flows.update({(SOURCE, i): k for i, k in enumerate(enter) if k})
-    flows.update({(i, SINK): k for i, k in enumerate(leave) if k})
-    return flows
+    enter = _tree_sums(pred, enter, range(n - 1, -1, -1))
+    leave = _tree_sums(succ, leave, range(n))
+    back, on = np.flatnonzero(pred >= 0), np.flatnonzero(succ < n)
+    ends = np.concatenate([r[on_arc] * n + c[on_arc] - n, pred[back] * n + back, on * n + succ[on]])
+    units = np.concatenate([f[on_arc], enter[back], leave[on]])
+    enter[back], leave[on] = 0, 0  # these units were walked on
+    x = np.concatenate([enter[g.source_arcs], np.zeros(tail.size, dtype=np.int64), leave[g.sink_arcs]])
+    np.add.at(x, g.source_arcs.size + np.searchsorted(tail * n + head, ends), units)
+    return x
 
 
 def solve_fleet(g: FleetGraph) -> FleetResult:
     """Minimum fleet on a dense or sparse fleet graph: the covering min flow,
     decomposed into shuttle schedules. Shuttles may share arcs, so a unit
     serves only the tasks no earlier unit reached."""
-    if not g.tasks:
-        return FleetResult(0, ())
     return recover_schedules(g, _min_flow(g))
 
 
@@ -363,30 +375,25 @@ def solve_fleet(g: FleetGraph) -> FleetResult:
 solve_fleet_sparse = solve_fleet
 
 
-def recover_schedules(g: FleetGraph, flows: dict[tuple, int]) -> FleetResult:
-    """Decompose an integral flow into source-sink paths; each path becomes one
-    shuttle serving the not-yet-covered tasks along it, in path order. A path
-    leaves each node by the first arc, in task-id order of its head with the
-    sink last, that still carries flow."""
+def recover_schedules(g: FleetGraph, flow) -> FleetResult:
+    """Decompose an integral flow, one entry per column of `_columns` (the max
+    flow's vector, or a rounded LP solution of `fleet_model`), into source-sink
+    paths; each path becomes one shuttle serving the not-yet-covered tasks along
+    it, in path order. A path leaves each node by the first arc, in task-id
+    order of its head with the sink last, that still carries flow."""
     n = len(g.tasks)
     s, t = n, n + 1  # node numbers of the source and the sink
-    number = {SOURCE: s, SINK: t}
-    tail, head, units = [], [], []
-    for key, val in flows.items():
-        if val != int(val) or val < 0:
-            raise FlowError(f"flow on arc {key} is not a nonnegative integer: {val}")
-        if val:
-            tail.append(number.get(key[0], key[0]))
-            head.append(number.get(key[1], key[1]))
-            units.append(int(val))
-
-    tail = np.asarray(tail, dtype=np.int64)
-    head = np.asarray(head, dtype=np.int64)
-    units = np.asarray(units, dtype=np.int64)
-    inflow = np.zeros(n + 2, dtype=np.int64)
-    outflow = np.zeros(n + 2, dtype=np.int64)
-    np.add.at(inflow, head, units)
-    np.add.at(outflow, tail, units)
+    tail, head = _columns(g)
+    flow = np.asarray(flow, dtype=float)
+    if flow.shape != tail.shape:
+        raise FlowError(f"flow has shape {flow.shape}, not one entry for each of the {tail.size} arcs")
+    bad = ~np.isfinite(flow) | (flow < 0) | (flow != np.round(flow))
+    if bad.any():
+        k, name = int(np.argmax(bad)), _node_names(n)
+        raise FlowError(f"flow on arc ({name[tail[k]]}, {name[head[k]]}) is not a nonnegative integer: {flow[k]}")
+    tail, head, units = tail[flow > 0], head[flow > 0], flow[flow > 0].astype(np.int64)
+    inflow = np.bincount(head, units, n + 2).astype(np.int64)
+    outflow = np.bincount(tail, units, n + 2).astype(np.int64)
     bad = (inflow[:n] != outflow[:n]) | (inflow[:n] < 1)
     if bad.any():
         i = int(np.argmax(bad))
@@ -423,9 +430,7 @@ def recover_schedules(g: FleetGraph, flows: dict[tuple, int]) -> FleetResult:
                 path.append(node)
         fresh = [i for i in path if not covered[i]]
         if not fresh:
-            raise FlowError(
-                "a flow unit covers no new task; the flow is not a minimum covering flow"
-            )
+            raise FlowError("a flow unit covers no new task; the flow is not a minimum covering flow")
         for i in fresh:
             covered[i] = True
         schedules.append(tuple(ids[i] for i in fresh))
@@ -501,7 +506,11 @@ def load_result(path: str) -> FleetResult:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-            schedules = tuple(tuple(s) for s in data["schedules"])
+            raw = _typed(data["schedules"], list, "a list", "schedules")
+            for k, ids in enumerate(raw):
+                if type(ids) is not list or not all(type(tid) is str for tid in ids):
+                    raise ValueError(f"schedules[{k}] is not a list of task ids: {ids!r}")
+            schedules = tuple(map(tuple, raw))
             size = data["fleet_size"]
             if type(size) is not int or size != len(schedules):
                 raise ValueError(f"fleet_size {size!r} is not the count of its {len(schedules)} schedules")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from operator import attrgetter, mul
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -401,10 +401,17 @@ def route_to_dict(route: Route) -> dict:
     return rec
 
 
+def _arc(arc: Any, inst: Instance) -> tuple[str, str]:
+    if type(arc) is not list or len(arc) != 2 or not all(type(v) is str and v in inst._index for v in arc):
+        raise ValueError(f"field 'arcs' holds {arc!r}, not a pair of node ids of the instance")
+    return arc[0], arc[1]
+
+
 def route_from_dict(data: dict, inst: Instance) -> Route:
     """The route of `route_to_dict`, its commodities looked up in `inst`; an
-    unknown kind, a hub `inst` lacks, or a non-number in a number field (a
-    non-integer in `passengers`) raises ValueError. Numbers stay as written."""
+    unknown kind, a hub `inst` lacks, an arc that is not a pair of nodes of
+    `inst`, or a non-number in a number field (a non-integer in
+    `passengers`) raises ValueError. Numbers stay as written."""
     rec = {f.name: data[f.name] for f in fields(Route)}
     if rec["kind"] not in (PICKUP, DROPOFF) or rec["hub"] not in inst.hubs:
         raise ValueError(f"kind {rec['kind']!r} at hub {rec['hub']!r}: not a route kind at a hub of the instance")
@@ -414,7 +421,7 @@ def route_from_dict(data: dict, inst: Instance) -> Route:
         commodities=tuple(inst.commodity(cid) for cid in rec["commodities"]),
         xi=tuple(_number(xi, key, "xi") for key in xi),
         passengers=_integer(rec, "passengers", ""),
-        arcs=tuple((a, b) for a, b in rec["arcs"]),
+        arcs=tuple(_arc(arc, inst) for arc in _typed(rec["arcs"], list, "a list", "arcs")),
     )
     return Route(**rec)
 

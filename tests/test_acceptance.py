@@ -21,7 +21,9 @@ from odmts.fleet import (
     build_dense_graph,
     build_sparse_graph,
     min_fleet_oracle,
+    recover_schedules,
     routes_to_tasks,
+    schedules_feasible,
     solve_fleet,
 )
 from odmts.instance import EPS, CostParams, save_instance
@@ -74,12 +76,13 @@ def fleet_battery():
         tasks = random_tasks(rng, int(rng.integers(5, 51)), inst)
         dense_graph = build_dense_graph(tasks, inst)
         sparse_graph = build_sparse_graph(tasks, inst)
-        deviations, objectives = [], []
+        deviations, objectives, lp_schedules = [], [], []
         for graph in (dense_graph, sparse_graph):
-            model, var = fleet_model(graph)
+            model = fleet_model(graph)
             sol = solve_milp(model)
             deviations.append(float(np.abs(sol.x - np.round(sol.x)).max(initial=0.0)))
             objectives.append(sol.objective)
+            lp_schedules.append(recover_schedules(graph, np.round(sol.x)))
         records.append(
             {
                 "seed": seed,
@@ -93,7 +96,9 @@ def fleet_battery():
                 # HiGHS on the dense (exact-cover) and sparse LPs: an
                 # algorithm independent of the max flow both graphs go through.
                 "lp_objectives": objectives,
-                "sparse_lp": (model, var),
+                # The same LP solutions, rounded and split into shuttles.
+                "lp_schedules": lp_schedules,
+                "sparse_lp": model,
             }
         )
     elapsed = time.perf_counter() - t0
@@ -113,17 +118,17 @@ def test_criterion_1_fleet_equivalence(fleet_battery):
         not mismatches and elapsed < 30.0,
         f"mismatched seeds: {mismatches or 'none'}, runtime {elapsed:.1f}s",
     )
-    # The min flow is an optimal point of the sparse LP: only the LP's
-    # variables, every row of its model satisfied, the LP's objective.
+    # The min flow is an optimal point of the sparse LP: one entry per LP
+    # variable, every row of its model satisfied, the LP's objective.
     for r in records:
-        model, var = r["sparse_lp"]
-        flows = r["sparse_flow"]
-        assert set(flows) <= set(var), r["seed"]
-        x = np.zeros(len(model.var_names))
-        for key, val in flows.items():
-            x[var[key]] = val
+        model, x = r["sparse_lp"], r["sparse_flow"]
         _check_solution(model, _constraint_rows(model), x, integrality=False)
         assert model.objective_vector() @ x == r["sparse"].fleet_size, r["seed"]
+        # Both LP solutions decompose into feasible schedules, one per unit
+        # of the LP objective, as many as the oracle's minimum fleet.
+        for result, objective in zip(r["lp_schedules"], r["lp_objectives"]):
+            assert result.fleet_size == round(objective) == r["oracle"], r["seed"]
+            assert schedules_feasible(result, r["tasks"], r["inst"]), r["seed"]
     # The constructed six-task example has optimal fleet size 3.
     inst = mk_instance(["x", "y"], ["x"], [[0.0, 1.0], [1.0, 0.0]])
     tasks = [Task(t, "x", "x", s, 5.0) for t, s in zip("ABCDEF", (0, 1, 2, 10, 11, 12))]

@@ -358,6 +358,10 @@ def _edit_json(source, target, edit):
         pytest.param(lambda d: d.update(fleet_size=99), id="size-not-the-schedule-count"),
         pytest.param(lambda d: d.update(fleet_size=3.0), id="size-float"),
         pytest.param(lambda d: d.update(fleet_size=True, schedules=d["schedules"][:1]), id="size-bool"),
+        pytest.param(lambda d: d["schedules"].__setitem__(0, "ab"), id="schedule-text"),
+        pytest.param(lambda d: d["schedules"].__setitem__(0, [1, 2]), id="schedule-of-numbers"),
+        pytest.param(lambda d: d["schedules"].__setitem__(0, {"a": 1}), id="schedule-object"),
+        pytest.param(lambda d: d.update(schedules="abc"), id="schedules-text"),
     ],
 )
 def test_report_rejects_mistyped_fleet(tmp_path, tiny_instance_file, tiny_pipeline, capsys, edit):
@@ -422,6 +426,24 @@ def test_design_rejects_route_of_mistyped_number(tmp_path, tiny_instance_file, t
         "design", "--instance", tiny_instance_file, "--routes", str(routes), "--out", str(tmp_path / "d.json"),
     ])
     assert field in _one_usage_line(code, capsys, f"[design] {routes}: line 2 ")
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [["xy"], [[1, 2]], [{"a": 1, "b": 2}], [["n0", "zz"]], [["n0", "n1", "n2"]], "ab"],
+    ids=["arc-text", "arc-of-numbers", "arc-object", "arc-to-unknown-node", "arc-of-three-nodes", "arcs-text"],
+)
+def test_design_rejects_route_of_mistyped_arcs(tmp_path, tiny_instance_file, tiny_pipeline, capsys, arcs):
+    lines = (tiny_pipeline / "routes.jsonl").read_text().splitlines()
+    route = json.loads(lines[1])
+    route["arcs"] = arcs
+    routes = tmp_path / "routes.jsonl"
+    routes.write_text("\n".join([lines[0], json.dumps(route), *lines[2:]]) + "\n")
+    code = main([
+        "design", "--instance", tiny_instance_file, "--routes", str(routes), "--out", str(tmp_path / "d.json"),
+    ])
+    assert "arcs" in _one_usage_line(code, capsys, f"[design] {routes}: line 2 ")
+    assert not (tmp_path / "d.json").exists()
 
 
 @pytest.mark.parametrize("field", ["kind", "hub"])

@@ -14,6 +14,7 @@ from odmts.fleet import (
     FleetResult,
     FlowError,
     Task,
+    _columns,
     _compatibility,
     _min_flow,
     _sorted_tasks,
@@ -62,6 +63,23 @@ def arc_set(graph):
 
 def id_arcs(graph):
     return {(graph.tasks[i].id, graph.tasks[j].id) for i, j in arc_set(graph)}
+
+
+def chain_tasks():
+    return [Task("A", "x", "x", 0.0, 1.0), Task("B", "x", "x", 5.0, 1.0), Task("C", "x", "x", 10.0, 1.0)]
+
+
+def flow_vector(graph, units):
+    """The flow vector of `graph` with units[(a, b)] on arc (a, b), where a
+    is a task index or SOURCE and b a task index or SINK; 0 elsewhere."""
+    n = len(graph.tasks)
+    node = {SOURCE: n, SINK: n + 1}
+    tail, head = _columns(graph)
+    column = {arc: k for k, arc in enumerate(zip(tail.tolist(), head.tolist()))}
+    flow = np.zeros(len(column))
+    for (a, b), val in units.items():
+        flow[column[node.get(a, a), node.get(b, b)]] = val
+    return flow
 
 
 def test_dense_graph_exact_arcs():
@@ -185,7 +203,7 @@ def test_graph_arrays_are_sorted_int64():
                 assert_strictly_increasing(ends)
 
 
-def test_flow_keys_are_python_ints():
+def test_min_flow_is_a_nonnegative_int64_vector_over_the_columns():
     rng = np.random.default_rng(77)
     metric = metric_instance(rng)
     cases = [
@@ -194,17 +212,24 @@ def test_flow_keys_are_python_ints():
     ]
     for tasks, inst in cases:
         for build in (build_dense_graph, build_sparse_graph):
-            flows = _min_flow(build(tasks, inst))
-            assert flows
-            for key, val in flows.items():
-                assert all(type(end) is int or end in (SOURCE, SINK) for end in key), key
-                assert type(val) is int and val > 0, (key, val)
+            graph = build(tasks, inst)
+            flow = _min_flow(graph)
+            assert flow.dtype == np.int64
+            assert flow.shape == (len(graph.source_arcs) + len(graph.arcs) + len(graph.sink_arcs),)
+            assert flow.min() >= 0 and flow.max() > 0
+
+
+def test_columns_are_source_task_then_sink_arcs():
+    graph = build_sparse_graph(chain_tasks(), colocated_instance())
+    tail, head = _columns(graph)
+    assert tail.tolist() == [3, 0, 1, 2] and head.tolist() == [0, 1, 2, 4]
+    assert fleet.fleet_model(graph).var_names == ["v[s,0]", "v[0,1]", "v[1,2]", "v[2,t]"]
 
 
 def test_recover_single_task_flow():
     inst = colocated_instance()
     graph = build_sparse_graph([Task("A", "x", "x", 0.0, 5.0)], inst)
-    result = recover_schedules(graph, {(SOURCE, 0): 1, (0, SINK): 1})
+    result = recover_schedules(graph, flow_vector(graph, {(SOURCE, 0): 1, (0, SINK): 1}))
     assert result.schedules == (("A",),)
 
 
@@ -212,44 +237,55 @@ def test_recover_rejects_unconserved_flow():
     inst = colocated_instance()
     graph = build_sparse_graph([Task("A", "x", "x", 0.0, 5.0)], inst)
     with pytest.raises(FlowError, match="conserved"):
-        recover_schedules(graph, {(SOURCE, 0): 1})
+        recover_schedules(graph, flow_vector(graph, {(SOURCE, 0): 1}))
 
 
 def test_recover_reports_lowest_task_first():
-    # A -> B -> C. With flow s -> B -> C, task A (index 0) is uncovered and
-    # task C (index 2) breaks conservation; tasks are checked in index order.
-    inst = colocated_instance()
-    tasks = [Task("A", "x", "x", 0.0, 1.0), Task("B", "x", "x", 5.0, 1.0),
-             Task("C", "x", "x", 10.0, 1.0)]
-    graph = build_sparse_graph(tasks, inst)
+    # The dense graph of A, B, C has the arcs (0, 1), (0, 2) and (1, 2).
+    # With flow s -> B -> C, task A (index 0) is uncovered and task C
+    # (index 2) breaks conservation; tasks are checked in index order.
+    graph = build_dense_graph(chain_tasks(), colocated_instance())
     with pytest.raises(FlowError, match="task 0 is not covered"):
-        recover_schedules(graph, {(SOURCE, 1): 1, (1, 2): 1})
+        recover_schedules(graph, flow_vector(graph, {(SOURCE, 1): 1, (1, 2): 1}))
     # s -> A -> C: A is fine, B (index 1) is uncovered, C still leaks.
     with pytest.raises(FlowError, match="task 1 is not covered"):
-        recover_schedules(graph, {(SOURCE, 0): 1, (0, 2): 1})
+        recover_schedules(graph, flow_vector(graph, {(SOURCE, 0): 1, (0, 2): 1}))
     # s -> A -> B, nothing out of B: the break at index 1 comes before the
     # uncovered task C at index 2.
     with pytest.raises(FlowError, match="not conserved at task 1: in 1 vs out 0"):
-        recover_schedules(graph, {(SOURCE, 0): 1, (0, 1): 1})
+        recover_schedules(graph, flow_vector(graph, {(SOURCE, 0): 1, (0, 1): 1}))
     # Nothing enters A but a unit leaves it: conservation is checked first.
     with pytest.raises(FlowError, match="not conserved at task 0: in 0 vs out 1"):
-        recover_schedules(graph, {(0, 1): 1, (1, 2): 1, (2, SINK): 1})
+        recover_schedules(graph, flow_vector(graph, {(0, 1): 1, (1, 2): 1, (2, SINK): 1}))
 
 
 def test_recover_rejects_fractional_flow():
     inst = colocated_instance()
     graph = build_sparse_graph([Task("A", "x", "x", 0.0, 5.0)], inst)
     with pytest.raises(FlowError):
-        recover_schedules(graph, {(SOURCE, 0): 0.5, (0, SINK): 0.5})
+        recover_schedules(graph, flow_vector(graph, {(SOURCE, 0): 0.5, (0, SINK): 0.5}))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, 0.5])
+@pytest.mark.parametrize("arc, name", [((SOURCE, 0), r"\(s, 0\)"), ((1, 2), r"\(1, 2\)"), ((2, SINK), r"\(2, t\)")])
+def test_recover_names_the_arc_of_a_bad_entry(value, arc, name):
+    graph = build_sparse_graph(chain_tasks(), colocated_instance())
+    flow = flow_vector(graph, {(SOURCE, 0): 1.0, (0, 1): 1.0, (1, 2): 1.0, (2, SINK): 1.0, arc: value})
+    with pytest.raises(FlowError, match=f"flow on arc {name} is not a nonnegative integer"):
+        recover_schedules(graph, flow)
+
+
+@pytest.mark.parametrize("size", [0, 3, 5])
+def test_recover_rejects_a_flow_of_the_wrong_length(size):
+    graph = build_sparse_graph(chain_tasks(), colocated_instance())
+    with pytest.raises(FlowError, match="not one entry for each of the 4 arcs"):
+        recover_schedules(graph, np.ones(size, dtype=np.int64))
 
 
 def test_recover_rejects_redundant_unit():
     # A -> B -> C chain carrying two units: the second path covers nothing new.
-    inst = colocated_instance()
-    tasks = [Task("A", "x", "x", 0.0, 1.0), Task("B", "x", "x", 5.0, 1.0),
-             Task("C", "x", "x", 10.0, 1.0)]
-    graph = build_sparse_graph(tasks, inst)
-    flow = {(SOURCE, 0): 2, (0, 1): 2, (1, 2): 2, (2, SINK): 2}
+    graph = build_sparse_graph(chain_tasks(), colocated_instance())
+    flow = flow_vector(graph, {(SOURCE, 0): 2, (0, 1): 2, (1, 2): 2, (2, SINK): 2})
     with pytest.raises(FlowError, match="no new task"):
         recover_schedules(graph, flow)
 
@@ -499,15 +535,9 @@ def test_oracle_survives_long_augmenting_path():
 
 
 def min_flow_size(graph):
-    flows = _min_flow(graph)
-    keys = (
-        {(SOURCE, i) for i in graph.source_arcs.tolist()}
-        | arc_set(graph)
-        | {(i, SINK) for i in graph.sink_arcs.tolist()}
-    )
-    assert set(flows) <= keys
-    assert all(type(v) is int and v > 0 for v in flows.values())
-    return sum(v for (a, _), v in flows.items() if a == SOURCE), flows
+    flow = _min_flow(graph)
+    assert flow.dtype == np.int64 and flow.shape == _columns(graph)[0].shape and flow.min() >= 0
+    return int(flow[: len(graph.source_arcs)].sum()), flow.tolist()
 
 
 def test_min_flow_without_arcs():
@@ -517,13 +547,14 @@ def test_min_flow_without_arcs():
     assert arc_set(graph) == set()
     size, flows = min_flow_size(graph)
     assert size == 4
-    assert flows == {**{(SOURCE, i): 1 for i in range(4)}, **{(i, SINK): 1 for i in range(4)}}
+    one_each = {**{(SOURCE, i): 1 for i in range(4)}, **{(i, SINK): 1 for i in range(4)}}
+    assert flows == flow_vector(graph, one_each).tolist()
     assert solve_fleet(graph).fleet_size == 4
 
 
 def test_min_flow_single_task():
     graph = build_sparse_graph([Task("A", "x", "x", 0.0, 5.0)], colocated_instance())
-    assert _min_flow(graph) == {(SOURCE, 0): 1, (0, SINK): 1}
+    assert _min_flow(graph).tolist() == flow_vector(graph, {(SOURCE, 0): 1, (0, SINK): 1}).tolist() == [1, 1]
     assert solve_fleet(graph).schedules == (("A",),)
 
 
@@ -556,12 +587,12 @@ def test_min_flow_moves_entries_and_exits_onto_graph_arcs():
     assert id_arcs(fork) == {("A", "B"), ("A", "C")} and set(fork.source_arcs.tolist()) == {0}
     size, flows = min_flow_size(fork)
     assert size == 2
-    assert flows == {(SOURCE, 0): 2, (0, 1): 1, (0, 2): 1, (1, SINK): 1, (2, SINK): 1}
+    assert flows == flow_vector(fork, {(SOURCE, 0): 2, (0, 1): 1, (0, 2): 1, (1, SINK): 1, (2, SINK): 1}).tolist()
     join = build_sparse_graph(tasks[3:], inst)
     assert id_arcs(join) == {("D", "F"), ("E", "F")} and set(join.sink_arcs.tolist()) == {2}
     size, flows = min_flow_size(join)
     assert size == 2
-    assert flows == {(SOURCE, 0): 1, (SOURCE, 1): 1, (0, 2): 1, (1, 2): 1, (2, SINK): 2}
+    assert flows == flow_vector(join, {(SOURCE, 0): 1, (SOURCE, 1): 1, (0, 2): 1, (1, 2): 1, (2, SINK): 2}).tolist()
     result = solve_fleet(join)
     assert result.schedules == (("D", "F"), ("E",))
 

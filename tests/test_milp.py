@@ -401,7 +401,7 @@ def _six_task_instance():
 def test_fleet_lp_is_integral_with_objective_three():
     tasks, inst = _six_task_instance()
     graph = fleet.build_sparse_graph(tasks, inst)
-    model, _ = fleet.fleet_model(graph)
+    model = fleet.fleet_model(graph)
     sol = solve_lp(model)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-6)
@@ -424,7 +424,7 @@ def _random_fleet_model(seed):
         tasks.append(fleet.Task(f"t{i}", nodes[a], nodes[b], start, dur))
     kind = rng.choice(["dense", "sparse"])
     build = fleet.build_dense_graph if kind == "dense" else fleet.build_sparse_graph
-    model, _ = fleet.fleet_model(build(tasks, inst))
+    model = fleet.fleet_model(build(tasks, inst))
     return model
 
 
@@ -496,7 +496,7 @@ def test_export_round_trips_same_optimum(tmp_path, fmt, reader, seed):
 
 def test_fleet_model_export_cross_check(tmp_path):
     tasks, inst = _six_task_instance()
-    model, _ = fleet.fleet_model(fleet.build_dense_graph(tasks, inst))
+    model = fleet.fleet_model(fleet.build_dense_graph(tasks, inst))
     expected = solve_lp(model).objective
     for fmt, reader in (("lp", read_lp), ("mps", read_mps)):
         path = str(tmp_path / f"fleet.{fmt}")
@@ -514,8 +514,8 @@ def _golden_models():
     tasks, tinst = _six_task_instance()
     return {
         "design_seed1": design.build_design_model(inst, om, op).model,
-        "fleet_dense": fleet.fleet_model(fleet.build_dense_graph(tasks, tinst))[0],
-        "fleet_sparse": fleet.fleet_model(fleet.build_sparse_graph(tasks, tinst))[0],
+        "fleet_dense": fleet.fleet_model(fleet.build_dense_graph(tasks, tinst)),
+        "fleet_sparse": fleet.fleet_model(fleet.build_sparse_graph(tasks, tinst)),
     }
 
 
@@ -769,7 +769,7 @@ def test_solve_log_env(tmp_path, monkeypatch):
     log = tmp_path / "solve.log"
     monkeypatch.setenv("ODMTS_SOLVE_LOG", str(log))
     solve_lp(bound_model())
-    model, _ = fleet.fleet_model(fleet.build_dense_graph(*_six_task_instance()))
+    model = fleet.fleet_model(fleet.build_dense_graph(*_six_task_instance()))
     solve_lp(model)
     first, second = log.read_text().splitlines()
     assert "status=optimal" in first
