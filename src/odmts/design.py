@@ -20,18 +20,21 @@ came out fractional, until a round returns an integral solution. That
 solution is feasible for the full MIP and optimal for a relaxation of it,
 so it is a proven optimum of the full MIP, at the same 1e-9 gap. It can be
 a different cost-equal optimum from the one a single solve of the full MIP
-returns.
+returns. Each commodity's bus legs are then read as its hop path from the
+pickup hub to the dropoff hub; with alpha = 0 legs are free, and
+cost-neutral cycles off that path are dropped.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .instance import Commodity, Instance, InstanceFormatError, _number, _record, _typed, record_dict
+from .instance import Commodity, Instance, InstanceFormatError, _number, _record, _string, _typed, record_dict
 from .milp import (
     EQUAL,
     GREATER_EQUAL,
@@ -236,18 +239,25 @@ def build_design_model(
 
 
 def _extract(dm: DesignModel, sol: MilpSolution, inst: Instance) -> DesignSolution:
-    """Read the solution off the model's columns; `inst` is the instance
-    the model was built from."""
+    """Read the solution off the model's columns and check it; `inst` is the
+    instance the model was built from. A commodity with one pickup and one
+    dropoff route keeps only the bus legs on its `_leg_path`, in line order,
+    and one with no route keeps none. The cost check (DesignError) then shows
+    that the dropped legs, cost-neutral cycles at alpha = 0, cost nothing."""
     on = sol.x > 0.5
     opened = tuple(hl for hl, o in zip(dm.lines, on[dm.z].tolist()) if o)
-    bus_legs = {
-        c.id: tuple(hl for hl, o in zip(dm.lines, row) if o)
-        for c, row in zip(inst.commodities, on[dm.y].tolist())
-    }
     selected = tuple(w for w, o in zip(dm.routes, on[dm.x].tolist()) if o)
     direct = frozenset(c.id for c, o in zip(inst.commodities, on[dm.eta].tolist()) if o)
-
-    breakdown = CostBreakdown(
+    bus_legs: dict[str, tuple[tuple[str, str], ...]] = {}
+    ds = DesignSolution(opened, bus_legs, selected, direct, 0.0, CostBreakdown(0.0, 0.0, 0.0, 0.0))
+    for c, row in zip(inst.commodities, on[dm.y].tolist()):
+        legs = tuple(hl for hl, o in zip(dm.lines, row) if o)
+        pickups, dropoffs = ds.routes_of(c.id, PICKUP), ds.routes_of(c.id, DROPOFF)
+        if len(pickups) == len(dropoffs) == 1:
+            path = set(_leg_path(legs, pickups[0].hub, dropoffs[0].hub))
+            legs = tuple(leg for leg in legs if leg in path)
+        bus_legs[c.id] = legs if pickups or dropoffs else ()
+    ds.breakdown = CostBreakdown(
         bus_fixed=sum(line_open_cost(*hl, inst) for hl in opened),
         route_cost=sum(w.cost for w in selected),
         direct_cost=sum(direct_cost(c, inst) for c in inst.commodities if c.id in direct),
@@ -255,7 +265,11 @@ def _extract(dm: DesignModel, sol: MilpSolution, inst: Instance) -> DesignSoluti
             line_use_cost(c, h, l, inst) for c in inst.commodities for (h, l) in bus_legs[c.id]
         ),
     )
-    return DesignSolution(opened, bus_legs, selected, direct, breakdown.total(), breakdown)
+    ds.objective = ds.breakdown.total()
+    if abs(ds.objective - sol.objective) > 1e-6 * max(1.0, abs(sol.objective)):
+        raise DesignError(f"cost breakdown {ds.objective} does not match solver objective {sol.objective}")
+    _assert_solution(ds, inst)
+    return ds
 
 
 def solve_design(
@@ -273,27 +287,12 @@ def solve_design_model(dm: DesignModel, inst: Instance) -> DesignSolution:
     solution is feasible for the full MIP and optimal for a relaxation of
     it, so it is optimal for the MIP to the same 1e-9 gap. It may be a
     different cost-equal optimum from the one a single solve of the full
-    MIP returns.
-
-    With alpha = 0 bus legs are free and optimal y flows can contain
-    cost-neutral cycles; a second lexicographic pass over the full MIP then
-    minimizes the number of bus legs at unchanged cost so itineraries stay
-    extractable.
-    """
+    MIP returns. With alpha = 0 its bus legs may hold cost-neutral cycles,
+    which `_extract` drops."""
     sol, _ = solve_in_rounds(dm)
     if sol.status != OPTIMAL:
         raise DesignError(f"design solve ended {sol.status}, not optimal")
-    solver_objective = sol.objective
-    if inst.cost.alpha == 0.0 and inst.commodities:
-        sol = _lexicographic_min_legs(dm, sol)
-    extracted = _extract(dm, sol, inst)
-    tol = 1e-6 * max(1.0, abs(solver_objective))
-    if abs(extracted.objective - solver_objective) > tol:
-        raise DesignError(
-            f"cost breakdown {extracted.objective} does not match solver objective {solver_objective}"
-        )
-    _assert_solution(extracted, inst)
-    return extracted
+    return _extract(dm, sol, inst)
 
 
 def solve_in_rounds(dm: DesignModel) -> tuple[MilpSolution, int]:
@@ -323,17 +322,6 @@ def solve_in_rounds(dm: DesignModel) -> tuple[MilpSolution, int]:
         integer |= frac
 
 
-def _lexicographic_min_legs(dm: DesignModel, first: MilpSolution) -> MilpSolution:
-    cap = first.objective + 1e-9 * max(1.0, abs(first.objective))
-    tie = dm.model.copy("design-tiebreak")
-    tie.add_rows(np.zeros(dm.model.objective[0].size), *dm.model.objective, LESS_EQUAL, cap, ["objective-cap"])
-    tie.set_objective(dm.y.ravel(), 1.0)
-    sol = solve_milp(tie)
-    if sol.status != OPTIMAL:
-        raise DesignError(f"tie-break pass ended {sol.status}, not optimal")
-    return sol
-
-
 def _assert_solution(ds: DesignSolution, inst: Instance) -> None:
     for h in inst.hubs:
         outs = sum(1 for (a, b) in ds.opened_lines if a == h)
@@ -350,43 +338,49 @@ def _assert_solution(ds: DesignSolution, inst: Instance) -> None:
                 raise DesignError(f"commodity {c.id} uses unopened line {leg}")
 
 
+def _leg_path(legs, start: str, end: str) -> list[tuple[str, str]]:
+    """The fewest-hop path of `legs` from hub `start` to hub `end`, by a
+    breadth-first search that takes each hub's successors in `legs` order
+    (line order, in a solved or saved design); else ItineraryError."""
+    succ: dict[str, list[str]] = {}
+    for h, l in legs:
+        succ.setdefault(h, []).append(l)
+    path_to: dict[str, list[tuple[str, str]]] = {start: []}
+    queue = deque([start])
+    while queue and end not in path_to:
+        h = queue.popleft()
+        for l in succ.get(h, ()):
+            if l not in path_to:
+                path_to[l] = [*path_to[h], (h, l)]
+                queue.append(l)
+    if end not in path_to:
+        raise ItineraryError(f"bus legs {list(legs)} do not reach the dropoff hub {end} from {start}")
+    return path_to[end]
+
+
 def commodity_itinerary(ds: DesignSolution, cid: str) -> list["ItineraryLeg"]:
     """Ordered legs for one commodity: [direct] or pickup, bus..., dropoff.
 
-    Raises ItineraryError when the solution's bus legs do not form a simple
-    path between the pickup and dropoff hubs (a degenerate optimum)."""
+    Raises ItineraryError unless the commodity has one pickup and one
+    dropoff route and its bus legs are exactly a path from the pickup hub
+    to the dropoff hub."""
     if cid in ds.direct:
         return [ItineraryLeg("direct", None, None)]
-    pickups = ds.routes_of(cid, PICKUP)
-    dropoffs = ds.routes_of(cid, DROPOFF)
+    pickups, dropoffs = ds.routes_of(cid, PICKUP), ds.routes_of(cid, DROPOFF)
     if len(pickups) != 1 or len(dropoffs) != 1:
         raise ItineraryError(
             f"commodity {cid} has {len(pickups)} pickup and {len(dropoffs)} dropoff routes selected"
         )
     pickup, dropoff = pickups[0], dropoffs[0]
-    legs = list(ds.bus_legs.get(cid, ()))
-    nxt: dict[str, str] = {}
-    for h, l in legs:
-        if h in nxt:
-            raise ItineraryError(f"commodity {cid} bus legs branch at hub {h}")
-        nxt[h] = l
-    path: list[ItineraryLeg] = [ItineraryLeg("pickup", None, pickup)]
-    cur = pickup.hub
-    hops = 0
-    while cur != dropoff.hub or hops < len(legs):
-        if cur not in nxt:
-            raise ItineraryError(
-                f"commodity {cid} bus legs do not reach the dropoff hub {dropoff.hub}"
-            )
-        path.append(ItineraryLeg("bus", (cur, nxt[cur]), None))
-        cur = nxt.pop(cur)
-        hops += 1
-        if hops > len(legs):
-            raise ItineraryError(f"commodity {cid} bus legs contain a cycle")
-    if nxt:
-        raise ItineraryError(f"commodity {cid} has unused bus legs {sorted(nxt.items())}")
-    path.append(ItineraryLeg("dropoff", None, dropoff))
-    return path
+    legs = ds.bus_legs.get(cid, ())
+    try:
+        hops = _leg_path(legs, pickup.hub, dropoff.hub)
+    except ItineraryError as exc:
+        raise ItineraryError(f"commodity {cid}: {exc}") from None
+    if len(hops) != len(legs):
+        raise ItineraryError(f"commodity {cid} has bus legs off its path {hops}: {list(legs)}")
+    bus = [ItineraryLeg("bus", hop, None) for hop in hops]
+    return [ItineraryLeg("pickup", None, pickup), *bus, ItineraryLeg("dropoff", None, dropoff)]
 
 
 @dataclass(frozen=True)
@@ -426,16 +420,24 @@ def solution_to_dict(ds: DesignSolution) -> dict:
     }
 
 
+def _lines(val, inst: Instance, name: str) -> tuple[tuple[str, str], ...]:
+    """The list `val` of [hub, hub] lists as line tuples; else ValueError."""
+    for pair in _typed(val, list, "a list", name):
+        if type(pair) is not list or len(pair) != 2 or not all(type(v) is str for v in pair):
+            raise ValueError(f"field '{name}' holds {pair!r}, not a pair of hub ids")
+        _check_line(*pair, inst)
+    return tuple((a, b) for a, b in val)
+
+
 def solution_from_dict(data: dict, inst: Instance) -> DesignSolution:
     """The solution of `solution_to_dict`, checked against `inst`: lines and bus
-    legs must be pairs of distinct hubs, ids commodities of `inst` and costs
-    numbers (kept as written); else it raises KeyError, TypeError or ValueError."""
-    opened = tuple((a, b) for a, b in data["opened_lines"])
+    legs must be lists of [hub, hub] lists of distinct hubs, `direct` a list of
+    ids, ids commodities of `inst` and costs numbers (kept as written); else it
+    raises KeyError, TypeError or ValueError."""
+    opened = _lines(data["opened_lines"], inst, "opened_lines")
     legs_of = _typed(data["bus_legs"], dict, "an object", "bus_legs")
-    bus_legs = {cid: tuple((a, b) for a, b in legs) for cid, legs in legs_of.items()}
-    direct = frozenset(data["direct"])
-    for h, l in [*opened, *(leg for legs in bus_legs.values() for leg in legs)]:
-        _check_line(h, l, inst)
+    bus_legs = {cid: _lines(legs, inst, f"bus_legs.{cid}") for cid, legs in legs_of.items()}
+    direct = frozenset(_string(cid, "direct") for cid in _typed(data["direct"], list, "a list", "direct"))
     unknown = (bus_legs.keys() | direct) - {c.id for c in inst.commodities}
     if unknown:
         raise ValueError(f"commodities {', '.join(sorted(map(repr, unknown)))} are not in the instance")
@@ -451,10 +453,15 @@ def save_solution(ds: DesignSolution, path: str) -> None:
 
 
 def load_solution(path: str, inst: Instance) -> DesignSolution:
-    """Read a saved design solution; a file that is not one for `inst`
+    """Read a saved design solution and check that it is a feasible design
+    of `inst`, every commodity's itinerary included; a file that is not one
     raises InstanceFormatError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return solution_from_dict(json.load(fh), inst)
-        except (KeyError, TypeError, ValueError) as exc:
+            ds = solution_from_dict(json.load(fh), inst)
+            _assert_solution(ds, inst)
+            for c in inst.commodities:
+                commodity_itinerary(ds, c.id)
+            return ds
+        except (KeyError, TypeError, ValueError, DesignError, ItineraryError) as exc:
             raise InstanceFormatError(f"{path}: not a design solution: {exc!r}") from exc

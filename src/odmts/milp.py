@@ -246,15 +246,6 @@ class MilpModel:
             self._rows = [(indptr, *(np.concatenate(col) for col in list(zip(*parts))[1:]))]
         return self._rows[0]
 
-    def copy(self, name: str) -> MilpModel:
-        """An independent copy of the model under another name."""
-        out = MilpModel(name)
-        out.var_names, out.row_names = list(self.var_names), list(self.row_names)
-        out.objective, out._name_set = tuple(a.copy() for a in self.objective), set(self._name_set)
-        out._cols = [tuple(a.copy() for a in self._columns())]
-        out._rows = [tuple(a.copy() for a in self._merged_rows())]
-        return out
-
 
 @dataclass
 class MilpSolution:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from odmts.cli import (
 from odmts.instance import CostParams, load_instance, save_instance
 from odmts.milp import write_lp
 
+from conftest import DESK_COST, euclid_instance, mk_commodity
 from model_files import read_lp
 
 ARTIFACTS = ("routes.jsonl", "design.json", "fleet.json", "report.json", "report.csv")
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "pipeline_tiny")
+LINES = os.path.join(os.path.dirname(__file__), "data", "pipeline_lines")
 
 
 @pytest.fixture
@@ -109,20 +112,40 @@ def test_gen_rejects_impossible_arguments(tmp_path, capsys, args):
     assert not (tmp_path / "x.json").exists()
 
 
+def _assert_pipeline_golden(instance, out, golden):
+    """`pipeline --check-oracle --export-model` on `instance` writes into
+    `out` the bytes recorded in `golden`, and `instance` holds the recorded
+    bytes of its file name too."""
+    assert main([
+        "pipeline", "--instance", str(instance), "--out", str(out), "--check-oracle",
+        "--export-model", str(out / "design.lp"),
+    ]) == EXIT_OK
+    got = {os.path.basename(instance): open(instance, "rb").read()}
+    got.update({name: (out / name).read_bytes() for name in (*ARTIFACTS, "design.lp")})
+    for name, data in got.items():
+        with open(os.path.join(golden, name), "rb") as fh:
+            assert data == fh.read(), name
+
+
 def test_pipeline_matches_golden_artifacts(tmp_path, tiny_instance_file):
     """The tiny instance and everything `pipeline --check-oracle
     --export-model` writes for it stay byte for byte as recorded in
     tests/data/pipeline_tiny."""
-    out = tmp_path / "run"
-    assert main([
-        "pipeline", "--instance", tiny_instance_file, "--out", str(out), "--check-oracle",
-        "--export-model", str(out / "design.lp"),
-    ]) == EXIT_OK
-    got = {"tiny.json": open(tiny_instance_file, "rb").read()}
-    got.update({name: (out / name).read_bytes() for name in (*ARTIFACTS, "design.lp")})
-    for name, data in got.items():
-        with open(os.path.join(GOLDEN, name), "rb") as fh:
-            assert data == fh.read(), name
+    _assert_pipeline_golden(tiny_instance_file, tmp_path / "run", GOLDEN)
+
+
+def test_pipeline_with_bus_legs_matches_golden_artifacts(tmp_path):
+    """A desk-cost instance whose design opens four lines and sends riders
+    over one and two bus legs, some listed in line order against their path
+    order: the instance and every artifact stay byte for byte as recorded in
+    tests/data/pipeline_lines."""
+    path = tmp_path / "lines.json"
+    save_instance(
+        instgen.generate(seed=4, n_nodes=12, n_hubs=4, n_commodities=10, side_km=16.0, cost=DESK_COST), str(path)
+    )
+    _assert_pipeline_golden(path, tmp_path / "run", LINES)
+    design = json.load(open(os.path.join(LINES, "design.json")))
+    assert len(design["opened_lines"]) == 4 and max(map(len, design["bus_legs"].values())) == 2
 
 
 def test_validate_missing_file(tmp_path):
@@ -386,6 +409,7 @@ def test_report_rejects_mistyped_fleet(tmp_path, tiny_instance_file, tiny_pipeli
         pytest.param(lambda d: d["bus_legs"].update(zz=[]), id="bus-legs-of-unknown-commodity"),
         pytest.param(lambda d: d["direct"].append("zz"), id="direct-unknown-commodity"),
         pytest.param(lambda d: d.update(bus_legs=[]), id="bus-legs-not-an-object"),
+        pytest.param(lambda d: d["direct"].remove("c0"), id="commodity-not-served"),
     ],
 )
 def test_report_rejects_mistyped_design(tmp_path, tiny_instance_file, tiny_pipeline, capsys, edit):
@@ -407,6 +431,47 @@ def test_design_line_of_equal_hubs_rejected(tmp_path, tiny_instance_file, tiny_p
         "fleet-size", "--instance", tiny_instance_file, "--design", str(design), "--out", str(tmp_path / "f.json"),
     ])
     assert "bus line endpoints must differ" in _one_usage_line(code, capsys, f"[fleet-size] {design}: ")
+
+
+@pytest.mark.parametrize(
+    "edit,field",
+    [
+        pytest.param(
+            {"opened_lines": ["ab"], "bus_legs": {"c": ["ab"]}, "direct": "c"}, "opened_lines", id="all-strings"
+        ),
+        pytest.param({"opened_lines": [["a", "b", "a"]]}, "opened_lines", id="line-of-three"),
+        pytest.param({"bus_legs": {"c": ["ab"]}}, "bus_legs.c", id="leg-string"),
+        pytest.param({"bus_legs": {"c": "ab"}}, "bus_legs.c", id="legs-string"),
+        pytest.param({"direct": "c"}, "direct", id="direct-string"),
+        pytest.param({"direct": [["c"]]}, "direct", id="direct-entry-list"),
+    ],
+)
+def test_design_of_mistyped_lines_or_ids_rejected(tmp_path, capsys, edit, field):
+    """Strings where lists of ids belong: on an instance with hubs a and b
+    and commodity c, the string "ab" must not read as the line (a, b)."""
+    points = {"a": (0.0, 0.0), "b": (10.0, 0.0), "o": (5.0, 5.0)}
+    inst = str(tmp_path / "abc.json")
+    save_instance(euclid_instance(points, ["a", "b"], (mk_commodity("c", "o", "a", 0.0),)), inst)
+    breakdown = dict.fromkeys(("bus_fixed", "bus_inconvenience", "direct_cost", "route_cost"), 0.0)
+    data = {"opened_lines": [], "bus_legs": {"c": []}, "direct": ["c"], "selected_routes": [], "objective": 0.0,
+            "breakdown": breakdown}
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({**data, **edit}))
+    code = main(["fleet-size", "--instance", inst, "--design", str(design), "--out", str(tmp_path / "f.json")])
+    assert f"'{field}'" in _one_usage_line(code, capsys, f"[fleet-size] {design}: ")
+
+
+def test_fleet_size_rejects_legs_that_miss_the_dropoff_hub(tmp_path, capsys):
+    """c0 rides n9 -> n10 -> n4 in the recorded design; without its last
+    leg its itinerary does not reach the dropoff hub."""
+    design = tmp_path / "design.json"
+    _edit_json(Path(LINES) / "design.json", design, lambda d: d["bus_legs"]["c0"].pop())
+    code = main([
+        "fleet-size", "--instance", os.path.join(LINES, "lines.json"), "--design", str(design),
+        "--out", str(tmp_path / "f.json"),
+    ])
+    assert "do not reach the dropoff hub n4" in _one_usage_line(code, capsys, f"[fleet-size] {design}: ")
+    assert not (tmp_path / "f.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,10 @@ import pytest
 
 from odmts import instgen
 from odmts.design import (
+    DesignError,
     ItineraryError,
+    _extract,
+    _leg_path,
     build_design_model,
     bus_lines,
     commodity_itinerary,
@@ -17,9 +20,10 @@ from odmts.design import (
     solve_design,
     solve_in_rounds,
 )
-from odmts.milp import _check_solution, _constraint_rows, solve_milp
+from odmts.milp import OPTIMAL, MilpSolution, _check_solution, _constraint_rows, solve_milp
 from odmts.routegen import (
     DROPOFF,
+    PICKUP,
     compute_hub_sets,
     direct_cost,
     enumerate_dropoff_routes,
@@ -138,14 +142,18 @@ def test_single_commodity_goes_direct():
     assert ds.objective == pytest.approx(design_oracle(inst, om, op), abs=1e-6)
 
 
-def bus_corridor_instance(n_commodities=20):
+def bus_corridor_instance(n_commodities=20, side_hub=False):
+    """Riders from a to b, next to hubs h1 and h2; `side_hub` adds a third
+    hub h3 off the corridor."""
     points = {"a": (0.0, 0.0), "b": (24.0, 0.0), "h1": (2.0, 0.0), "h2": (22.0, 0.0)}
+    if side_hub:
+        points["h3"] = (12.0, 6.0)
     comms = tuple(
         mk_commodity(f"r{i:02d}", "a", "b", 0.0) for i in range(n_commodities)
     )
     return euclid_instance(
         points,
-        ["h1", "h2"],
+        list(points)[2:],
         comms,
         bus_cost=0.5,
         bus_trips=1.0,
@@ -256,8 +264,8 @@ def test_itinerary_error_on_branching_legs():
 
 
 def test_alpha_zero_itineraries_extract():
-    # Free bus legs invite cost-neutral cycles; the tie-break pass must keep
-    # itineraries simple.
+    # Free bus legs invite cost-neutral cycles; reading each commodity's
+    # leg path must keep itineraries simple.
     inst = bus_corridor_instance(6)
     inst = dataclasses.replace(inst, cost=dataclasses.replace(inst.cost, alpha=0.0))
     om, op = enumerated(inst)
@@ -265,6 +273,48 @@ def test_alpha_zero_itineraries_extract():
     for c in inst.commodities:
         legs = commodity_itinerary(ds, c.id)
         assert legs[0].kind in ("direct", "pickup")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3])
+def test_extract_drops_cost_neutral_cycles(alpha):
+    """An optimum by hand: r00 rides h1 -> h2 plus the cycle h2 -> h3 -> h2,
+    and r01 goes direct and rides the cycle h1 -> h2 -> h1. With alpha = 0
+    the cycles are free and `_extract` keeps only r00's path; with alpha > 0
+    they cost, and the cost check rejects the vector."""
+    inst = bus_corridor_instance(2, side_hub=True)
+    inst = dataclasses.replace(inst, cost=dataclasses.replace(inst.cost, alpha=alpha))
+    om, op = enumerated(inst)
+    dm = build_design_model(inst, om, op)
+    (pickup,) = [w for w in dm.routes if w.kind == PICKUP and w.hub == "h1" and w.key[2] == ("r00",)]
+    (dropoff,) = [w for w in dm.routes if w.kind == DROPOFF and w.hub == "h2" and w.key[2] == ("r00",)]
+    line = {hl: k for k, hl in enumerate(dm.lines)}
+    v = np.zeros(len(dm.model.var_names))
+    v[dm.z[[line[hl] for hl in [("h1", "h2"), ("h2", "h1"), ("h2", "h3"), ("h3", "h2")]]]] = 1
+    v[dm.y[0, [line[("h1", "h2")], line[("h2", "h3")], line[("h3", "h2")]]]] = 1
+    v[dm.y[1, [line[("h1", "h2")], line[("h2", "h1")]]]] = 1
+    v[dm.x[[dm.routes.index(pickup), dm.routes.index(dropoff)]]] = 1
+    v[dm.eta[1]] = 1
+    _check_solution(dm.model, _constraint_rows(dm.model), v, integrality=True)
+    sol = MilpSolution(OPTIMAL, float(dm.model.objective_vector() @ v), v, None)
+    if alpha > 0:
+        with pytest.raises(DesignError, match="does not match solver objective"):
+            _extract(dm, sol, inst)
+        return
+    ds = _extract(dm, sol, inst)
+    assert ds.bus_legs == {"r00": (("h1", "h2"),), "r01": ()}
+    assert [leg.line for leg in commodity_itinerary(ds, "r00")] == [None, ("h1", "h2"), None]
+    assert ds.objective == pytest.approx(sol.objective, abs=1e-9)
+
+
+def test_leg_path_takes_fewest_hops_in_leg_order():
+    longer = [("h1", "h5"), ("h5", "h6"), ("h6", "h4")]
+    via_h2, via_h3 = [("h1", "h2"), ("h2", "h4")], [("h1", "h3"), ("h3", "h4")]
+    legs = [*longer, via_h2[0], via_h3[0], via_h2[1], via_h3[1], ("h4", "h1")]
+    assert _leg_path(legs, "h1", "h4") == via_h2
+    assert _leg_path([*longer, *via_h3, *via_h2], "h1", "h4") == via_h3
+    assert _leg_path(legs, "h4", "h4") == []
+    with pytest.raises(ItineraryError, match="do not reach the dropoff hub h7"):
+        _leg_path(legs, "h1", "h7")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

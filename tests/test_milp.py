@@ -296,25 +296,6 @@ def test_set_objective_sums_repeated_columns_and_sorts():
     assert m.objective_vector().tolist() == [3.0, 3.0]
 
 
-def test_copy_shares_no_state():
-    m = _two_var_model()
-    m.add_constraint({0: 1.0}, LESS_EQUAL, 1.0, name="r")
-    m.set_objective([1], 2.0)
-    c = m.copy("copy")
-    c.lb[0] = -1.0
-    c.add_var("z", 0.0, 1.0)
-    c.add_constraint({0: 1.0, 2: 1.0}, GREATER_EQUAL, 0.5, name="s")
-    c.set_objective([2], 1.0)
-    assert (m.name, c.name) == ("model", "copy")
-    assert m.var_names == ["x", "y"] and m.row_names == ["r"] and _objective(m) == {1: 2.0}
-    assert m.lb.tolist() == [0.0, 1.0] and _constraint_rows(m)[0].shape == (1, 2)
-    assert c.var_names == ["x", "y", "z"] and c.row_names == ["r", "s"]
-    assert _constraint_rows(c)[0].toarray().tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]]
-    with pytest.raises(ModelError, match="duplicate variable name 'z'"):
-        c.add_var("z")
-    m.add_var("z")  # the copy's names are its own
-
-
 def test_integer_mask_applies_to_one_solve():
     m = MilpModel()
     m.add_vars(["x", "y"], 0.0, 10.0, integer=True)
