@@ -22,43 +22,37 @@ so it is a proven optimum of the full MIP, at the same 1e-9 gap. It can be
 a different cost-equal optimum from the one a single solve of the full MIP
 returns. Each commodity's bus legs are then read as its hop path from the
 pickup hub to the dropoff hub; with alpha = 0 legs are free, and
-cost-neutral cycles off that path are dropped.
+cost-neutral cycles off that path are dropped. A solved design and a loaded
+design.json pass one check, `_checked_design`, which builds every
+`DesignSolution` and recomputes its cost; that cost must match the solver's
+objective, or the one the file states.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .instance import Commodity, Instance, InstanceFormatError, _number, _record, _string, _typed, record_dict
-from .milp import (
-    EQUAL,
-    GREATER_EQUAL,
-    INT_TOL,
-    LESS_EQUAL,
-    OPTIMAL,
-    MilpModel,
-    MilpSolution,
-    solve_milp,
-)
+from .milp import EQUAL, GREATER_EQUAL, INT_TOL, LESS_EQUAL, OPTIMAL, MilpModel, MilpSolution, solve_milp
 from .routegen import DROPOFF, PICKUP, Route, direct_cost, route_from_dict, route_to_dict
 
 
 class DesignError(RuntimeError):
-    """Internal failure: the design model should never be infeasible."""
+    """A design that is not feasible or whose cost does not add up; for a
+    solved model, an internal failure."""
 
 
-class ItineraryError(RuntimeError):
+class ItineraryError(DesignError):
     """The solution's bus legs do not form a simple path for a commodity."""
 
 
 def _check_line(h: str, l: str, inst: Instance) -> None:
-    hubs = set(inst.hubs)
-    if h not in hubs or l not in hubs:
+    if h not in inst.hubs or l not in inst.hubs:
         raise ValueError(f"({h}, {l}) is not a pair of hubs")
     if h == l:
         raise ValueError(f"bus line endpoints must differ, got ({h}, {l})")
@@ -109,12 +103,16 @@ class DesignSolution:
 
     @cached_property
     def _routes_by_member(self) -> dict[tuple[str, str], list[Route]]:
-        """(commodity id, kind) -> the selected routes serving it, in order."""
-        index: dict[tuple[str, str], list[Route]] = {}
-        for w in self.selected_routes:
-            for cid in dict.fromkeys(c.id for c in w.commodities):
-                index.setdefault((cid, w.kind), []).append(w)
-        return index
+        return _routes_by_member(self.selected_routes)
+
+
+def _routes_by_member(routes) -> dict[tuple[str, str], list[Route]]:
+    """(commodity id, kind) -> the routes serving it, in order."""
+    index: dict[tuple[str, str], list[Route]] = {}
+    for w in routes:
+        for cid in dict.fromkeys(c.id for c in w.commodities):
+            index.setdefault((cid, w.kind), []).append(w)
+    return index
 
 
 @dataclass
@@ -239,56 +237,70 @@ def build_design_model(
 
 
 def _extract(dm: DesignModel, sol: MilpSolution, inst: Instance) -> DesignSolution:
-    """Read the solution off the model's columns and check it; `inst` is the
-    instance the model was built from. A commodity with one pickup and one
-    dropoff route keeps only the bus legs on its `_leg_path`, in line order,
-    and one with no route keeps none. The cost check (DesignError) then shows
-    that the dropped legs, cost-neutral cycles at alpha = 0, cost nothing."""
+    """Read the solution off the model's columns; `inst` is the instance the
+    model was built from. A commodity with one pickup and one dropoff route
+    keeps only the bus legs on its `_leg_path`, in line order, and any other
+    keeps none. `_checked_design` then checks the design, and its cost must
+    match the solver's objective (else DesignError): that shows the dropped
+    legs, cost-neutral cycles at alpha = 0, cost nothing."""
     on = sol.x > 0.5
     opened = tuple(hl for hl, o in zip(dm.lines, on[dm.z].tolist()) if o)
     selected = tuple(w for w, o in zip(dm.routes, on[dm.x].tolist()) if o)
     direct = frozenset(c.id for c, o in zip(inst.commodities, on[dm.eta].tolist()) if o)
+    routes_of = _routes_by_member(selected)
     bus_legs: dict[str, tuple[tuple[str, str], ...]] = {}
-    ds = DesignSolution(opened, bus_legs, selected, direct, 0.0, CostBreakdown(0.0, 0.0, 0.0, 0.0))
     for c, row in zip(inst.commodities, on[dm.y].tolist()):
-        legs = tuple(hl for hl, o in zip(dm.lines, row) if o)
-        pickups, dropoffs = ds.routes_of(c.id, PICKUP), ds.routes_of(c.id, DROPOFF)
-        if len(pickups) == len(dropoffs) == 1:
-            path = set(_leg_path(legs, pickups[0].hub, dropoffs[0].hub))
-            legs = tuple(leg for leg in legs if leg in path)
-        bus_legs[c.id] = legs if pickups or dropoffs else ()
-    ds.breakdown = CostBreakdown(
-        bus_fixed=sum(line_open_cost(*hl, inst) for hl in opened),
-        route_cost=sum(w.cost for w in selected),
-        direct_cost=sum(direct_cost(c, inst) for c in inst.commodities if c.id in direct),
-        bus_inconvenience=sum(
-            line_use_cost(c, h, l, inst) for c in inst.commodities for (h, l) in bus_legs[c.id]
-        ),
-    )
-    ds.objective = ds.breakdown.total()
-    if abs(ds.objective - sol.objective) > 1e-6 * max(1.0, abs(sol.objective)):
+        pickups, dropoffs = routes_of.get((c.id, PICKUP), ()), routes_of.get((c.id, DROPOFF), ())
+        legs = tuple(hl for hl, o in zip(dm.lines, row) if o) if len(pickups) == len(dropoffs) == 1 else ()
+        path = _leg_path(legs, pickups[0].hub, dropoffs[0].hub) if legs else ()
+        bus_legs[c.id] = tuple(leg for leg in legs if leg in path)
+    ds = _checked_design(inst, opened, bus_legs, selected, direct)
+    if not _close(ds.objective, sol.objective):
         raise DesignError(f"cost breakdown {ds.objective} does not match solver objective {sol.objective}")
-    _assert_solution(ds, inst)
     return ds
 
 
-def solve_design(
-    inst: Instance,
-    omega_minus: dict[str, list[Route]],
-    omega_plus: dict[str, list[Route]],
-) -> DesignSolution:
-    """Build the design model and solve it with `solve_design_model`."""
+def _close(value: float, reference: float) -> bool:
+    """`value` equals `reference` to 1e-6, relative when |reference| > 1."""
+    return abs(value - reference) <= 1e-6 * max(1.0, abs(reference))
+
+
+def _checked_design(inst: Instance, opened, bus_legs, selected, direct) -> DesignSolution:
+    """The design of `inst` with these opened lines, bus legs by commodity,
+    selected routes and direct riders, once the lines balance at every hub,
+    every leg is on an opened line and every `commodity_itinerary` holds;
+    else DesignError. Its cost is summed lines as given, routes in selection
+    order, commodities in instance order."""
+    outs, ins = Counter(h for h, _ in opened), Counter(l for _, l in opened)
+    for h in inst.hubs:
+        if outs[h] != ins[h]:
+            raise DesignError(f"degree balance violated at hub {h}: {outs[h]} out vs {ins[h]} in")
+    is_open = set(opened)
+    for c in inst.commodities:
+        for leg in bus_legs[c.id]:
+            if leg not in is_open:
+                raise DesignError(f"commodity {c.id} uses unopened line {leg}")
+    breakdown = CostBreakdown(
+        bus_fixed=sum(line_open_cost(*hl, inst) for hl in opened),
+        route_cost=sum(w.cost for w in selected),
+        direct_cost=sum(direct_cost(c, inst) for c in inst.commodities if c.id in direct),
+        bus_inconvenience=sum(line_use_cost(c, *hl, inst) for c in inst.commodities for hl in bus_legs[c.id]),
+    )
+    ds = DesignSolution(opened, bus_legs, selected, direct, breakdown.total(), breakdown)
+    for c in inst.commodities:
+        commodity_itinerary(ds, c.id)
+    return ds
+
+
+def solve_design(inst: Instance, omega_minus, omega_plus) -> DesignSolution:
+    """Solve the model `build_design_model` makes of these route maps."""
     return solve_design_model(build_design_model(inst, omega_minus, omega_plus), inst)
 
 
 def solve_design_model(dm: DesignModel, inst: Instance) -> DesignSolution:
-    """Solve an assembled design model to proven optimality, in the
-    integrality rounds of `solve_in_rounds`: the first integral round's
-    solution is feasible for the full MIP and optimal for a relaxation of
-    it, so it is optimal for the MIP to the same 1e-9 gap. It may be a
-    different cost-equal optimum from the one a single solve of the full
-    MIP returns. With alpha = 0 its bus legs may hold cost-neutral cycles,
-    which `_extract` drops."""
+    """Solve an assembled design model to proven optimality in the
+    integrality rounds of `solve_in_rounds` (a cost-equal optimum may differ
+    from the full MIP's) and read the design off with `_extract`."""
     sol, _ = solve_in_rounds(dm)
     if sol.status != OPTIMAL:
         raise DesignError(f"design solve ended {sol.status}, not optimal")
@@ -322,22 +334,6 @@ def solve_in_rounds(dm: DesignModel) -> tuple[MilpSolution, int]:
         integer |= frac
 
 
-def _assert_solution(ds: DesignSolution, inst: Instance) -> None:
-    for h in inst.hubs:
-        outs = sum(1 for (a, b) in ds.opened_lines if a == h)
-        ins = sum(1 for (a, b) in ds.opened_lines if b == h)
-        if outs != ins:
-            raise DesignError(f"degree balance violated at hub {h}: {outs} out vs {ins} in")
-    opened = set(ds.opened_lines)
-    for c in inst.commodities:
-        covered = ds.routes_of(c.id, PICKUP) and ds.routes_of(c.id, DROPOFF)
-        if c.id not in ds.direct and not covered:
-            raise DesignError(f"commodity {c.id} is not covered on both trip ends")
-        for leg in ds.bus_legs[c.id]:
-            if leg not in opened:
-                raise DesignError(f"commodity {c.id} uses unopened line {leg}")
-
-
 def _leg_path(legs, start: str, end: str) -> list[tuple[str, str]]:
     """The fewest-hop path of `legs` from hub `start` to hub `end`, by a
     breadth-first search that takes each hub's successors in `legs` order
@@ -368,9 +364,7 @@ def commodity_itinerary(ds: DesignSolution, cid: str) -> list["ItineraryLeg"]:
         return [ItineraryLeg("direct", None, None)]
     pickups, dropoffs = ds.routes_of(cid, PICKUP), ds.routes_of(cid, DROPOFF)
     if len(pickups) != 1 or len(dropoffs) != 1:
-        raise ItineraryError(
-            f"commodity {cid} has {len(pickups)} pickup and {len(dropoffs)} dropoff routes selected"
-        )
+        raise ItineraryError(f"commodity {cid} has {len(pickups)} pickup and {len(dropoffs)} dropoff routes selected")
     pickup, dropoff = pickups[0], dropoffs[0]
     legs = ds.bus_legs.get(cid, ())
     try:
@@ -399,8 +393,7 @@ def rider_minutes(ds: DesignSolution, cid: str, inst: Instance) -> float:
         if leg.kind == "direct":
             total += inst.time(c.origin, c.destination)
         elif leg.kind == "bus":
-            h, l = leg.line
-            total += inst.time(h, l) + inst.cost.bus_wait
+            total += inst.time(*leg.line) + inst.cost.bus_wait
         else:
             total += leg.route.xi_of(cid)
     return total
@@ -430,10 +423,12 @@ def _lines(val, inst: Instance, name: str) -> tuple[tuple[str, str], ...]:
 
 
 def solution_from_dict(data: dict, inst: Instance) -> DesignSolution:
-    """The solution of `solution_to_dict`, checked against `inst`: lines and bus
-    legs must be lists of [hub, hub] lists of distinct hubs, `direct` a list of
-    ids, ids commodities of `inst` and costs numbers (kept as written); else it
-    raises KeyError, TypeError or ValueError."""
+    """The solution of `solution_to_dict`, checked against `inst`: lines and
+    bus legs must be lists of [hub, hub] lists of distinct hubs, `direct` a
+    list of ids, ids commodities of `inst` and costs numbers, the design must
+    pass `_checked_design`, and `objective` and each `breakdown` field must
+    match the recomputed cost (`_close`), which the solution then carries;
+    else KeyError, TypeError, ValueError or DesignError."""
     opened = _lines(data["opened_lines"], inst, "opened_lines")
     legs_of = _typed(data["bus_legs"], dict, "an object", "bus_legs")
     bus_legs = {cid: _lines(legs, inst, f"bus_legs.{cid}") for cid, legs in legs_of.items()}
@@ -442,8 +437,16 @@ def solution_from_dict(data: dict, inst: Instance) -> DesignSolution:
     if unknown:
         raise ValueError(f"commodities {', '.join(sorted(map(repr, unknown)))} are not in the instance")
     selected = tuple(route_from_dict(d, inst) for d in data["selected_routes"])
+    objective = _number(data, "objective", "")
     breakdown = _record(CostBreakdown, data["breakdown"], "breakdown.", {"float": _number})
-    return DesignSolution(opened, bus_legs, selected, direct, _number(data, "objective", ""), breakdown)
+    ds = _checked_design(inst, opened, bus_legs, selected, direct)
+    for name, value, cost in [
+        ("objective", objective, ds.objective),
+        *((f"breakdown.{k}", v, getattr(ds.breakdown, k)) for k, v in record_dict(breakdown).items()),
+    ]:
+        if not _close(value, cost):
+            raise ValueError(f"field '{name}' is {value!r}, but the design costs {cost!r}")
+    return ds
 
 
 def save_solution(ds: DesignSolution, path: str) -> None:
@@ -453,15 +456,12 @@ def save_solution(ds: DesignSolution, path: str) -> None:
 
 
 def load_solution(path: str, inst: Instance) -> DesignSolution:
-    """Read a saved design solution and check that it is a feasible design
-    of `inst`, every commodity's itinerary included; a file that is not one
-    raises InstanceFormatError naming the path."""
+    """Read a saved design solution through `solution_from_dict`: a feasible
+    design of `inst`, every commodity's itinerary included, whose written
+    cost matches the recomputed one. A file that is not one raises
+    InstanceFormatError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            ds = solution_from_dict(json.load(fh), inst)
-            _assert_solution(ds, inst)
-            for c in inst.commodities:
-                commodity_itinerary(ds, c.id)
-            return ds
-        except (KeyError, TypeError, ValueError, DesignError, ItineraryError) as exc:
+            return solution_from_dict(json.load(fh), inst)
+        except (KeyError, TypeError, ValueError, DesignError) as exc:
             raise InstanceFormatError(f"{path}: not a design solution: {exc!r}") from exc

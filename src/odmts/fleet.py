@@ -169,19 +169,6 @@ def _compatibility_blocks(tasks: tuple[Task, ...], inst: Instance) -> Iterator[t
         yield i0, c0, block
 
 
-def _compatibility(tasks: tuple[Task, ...], inst: Instance) -> np.ndarray:
-    """comp[i, j] == (i != j and compatible(tasks[i], tasks[j], inst)) on
-    (start, id)-sorted tasks, with the scalar rule's float order so ties at
-    EPS fall the same way. The full mask, strictly upper triangular,
-    assembled from `_compatibility_blocks`, so no n x n float matrix is held;
-    the stages read the blocks, and the tests check them through this."""
-    n = len(tasks)
-    comp = np.zeros((n, n), dtype=bool)
-    for i0, c0, block in _compatibility_blocks(tasks, inst):
-        comp[i0 : i0 + len(block), c0:] = block
-    return comp
-
-
 def _row_entries(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The row pointer and the column indices of the True entries of a 2-D
     bool array, row by row, as a CSR matrix holds them. They come from the

@@ -411,7 +411,10 @@ def route_from_dict(data: dict, inst: Instance) -> Route:
     """The route of `route_to_dict`, its commodities looked up in `inst`; an
     unknown kind, a hub `inst` lacks, an arc that is not a pair of nodes of
     `inst`, or a non-number in a number field (a non-integer in
-    `passengers`) raises ValueError. Numbers stay as written."""
+    `passengers`) raises ValueError. Numbers stay as written. So does a
+    route that disagrees with itself: members not distinct, not one `xi`
+    entry per member, `passengers` not the members' sum, or `cost` not
+    exactly `route_cost`, the arithmetic the enumeration writes it with."""
     rec = {f.name: data[f.name] for f in fields(Route)}
     if rec["kind"] not in (PICKUP, DROPOFF) or rec["hub"] not in inst.hubs:
         raise ValueError(f"kind {rec['kind']!r} at hub {rec['hub']!r}: not a route kind at a hub of the instance")
@@ -423,7 +426,17 @@ def route_from_dict(data: dict, inst: Instance) -> Route:
         passengers=_integer(rec, "passengers", ""),
         arcs=tuple(_arc(arc, inst) for arc in _typed(rec["arcs"], list, "a list", "arcs")),
     )
-    return Route(**rec)
+    route = Route(**rec)
+    members = route.key[2]
+    if not members or len(set(members)) != len(members) or len(route.xi) != len(members):
+        raise ValueError(f"route {route.key} has {len(route.xi)} xi entries: it needs distinct members, one xi each")
+    pax = sum(c.passengers for c in route.commodities)
+    if route.passengers != pax:
+        raise ValueError(f"field 'passengers' is {route.passengers}, but the members of {route.key} are {pax}")
+    cost = route_cost(route, inst)
+    if route.cost != cost:
+        raise ValueError(f"field 'cost' is {route.cost!r}, but route {route.key} costs {cost!r}")
+    return route
 
 
 # Keys come sorted and routes hold no cycles; json.dumps would build an encoder per call.

@@ -13,6 +13,9 @@ assembly: it adds the same variables and rows one at a time through
 `matrix_findings` is the reference for the matrix checks of `validate`:
 plain loops over Python floats, every (i, k, j) triple tried.
 
+`_compatibility` is the full compatibility mask the fleet stages read in
+row blocks, assembled for the tests.
+
 `path_cover_by_max_flow` is the second reference for `min_fleet_oracle`:
 the same minimum path cover with the matching found as a unit-capacity
 max flow (Dinic) instead of Hopcroft-Karp.
@@ -28,7 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_flow
 
 from odmts.design import bus_lines, line_open_cost, line_use_cost
-from odmts.fleet import _compatibility, _sorted_tasks
+from odmts.fleet import _compatibility_blocks, _sorted_tasks
 from odmts.instance import EPS
 from odmts.milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel
 from odmts.routegen import (
@@ -381,6 +384,20 @@ def matrix_findings(name, mat, nodes, cap=20):
         + capped("triangle", triangle, "triangle violations")
     )
     return findings, len(triangle)
+
+
+def _compatibility(tasks, inst):
+    """comp[i, j] == (i != j and compatible(tasks[i], tasks[j], inst)) on
+    (start, id)-sorted tasks, with the scalar rule's float order so ties at
+    EPS fall the same way. The full mask, strictly upper triangular,
+    assembled from `fleet._compatibility_blocks`, so no n x n float matrix
+    is held; the stages read the blocks, and the tests check them through
+    this."""
+    n = len(tasks)
+    comp = np.zeros((n, n), dtype=bool)
+    for i0, c0, block in _compatibility_blocks(tasks, inst):
+        comp[i0 : i0 + len(block), c0:] = block
+    return comp
 
 
 def path_cover_by_max_flow(tasks, inst):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from odmts.cli import (
     EXIT_INVALID, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, PipelineConfig, _merge_config, build_parser, main,
     run_pipeline,
 )
-from odmts.instance import CostParams, load_instance, save_instance
+from odmts.instance import CostParams, load_instance, record_dict, save_instance, split_commodities
 from odmts.milp import write_lp
 
 from conftest import DESK_COST, euclid_instance, mk_commodity
@@ -523,6 +524,103 @@ def test_design_rejects_route_of_unknown_kind_or_hub(tmp_path, tiny_instance_fil
         "design", "--instance", tiny_instance_file, "--routes", str(routes), "--out", str(tmp_path / "d.json"),
     ])
     _one_usage_line(code, capsys, f"[design] {routes}: line 2 ")
+
+
+def _individual_route_twice(route):
+    route["commodities"] *= 2
+
+
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        (2, lambda r: r.update(cost=-50.0), "field 'cost' is -50.0, but route"),
+        (2, lambda r: r.update(passengers=99), "field 'passengers' is 99, but the members"),
+        (6, lambda r: r.update(xi=r["xi"][:1]), "has 1 xi entries"),
+        (2, _individual_route_twice, "it needs distinct members"),
+        (6, lambda r: r.update(commodities=r["commodities"][:1] * 2), "it needs distinct members"),
+    ],
+    ids=["cost", "passengers", "xi-short", "commodity-twice", "shared-commodity-twice"],
+)
+def test_design_rejects_route_of_inconsistent_fields(
+    tmp_path, tiny_instance_file, tiny_pipeline, capsys, line, edit, message
+):
+    """Line 6 of the tiny instance's routes is its shared route."""
+    lines = (tiny_pipeline / "routes.jsonl").read_text().splitlines()
+    route = json.loads(lines[line - 1])
+    assert len(route["commodities"]) == (2 if line == 6 else 1)
+    edit(route)
+    lines[line - 1] = json.dumps(route)
+    routes = tmp_path / "routes.jsonl"
+    routes.write_text("\n".join(lines) + "\n")
+    code = main([
+        "design", "--instance", tiny_instance_file, "--routes", str(routes), "--out", str(tmp_path / "d.json"),
+    ])
+    assert message in _one_usage_line(code, capsys, f"[design] {routes}: line {line} ")
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_report_rejects_design_of_route_that_disagrees_with_itself(tmp_path, capsys):
+    """`selected_routes` in design.json are read like routes.jsonl lines."""
+    design = tmp_path / "design.json"
+    _edit_json(Path(LINES) / "design.json", design, lambda d: d["selected_routes"][0].update(cost=0.0))
+    code = main([
+        "report", "--instance", os.path.join(LINES, "lines.json"), "--design", str(design),
+        "--fleet", os.path.join(LINES, "fleet.json"), "--out", str(tmp_path / "r.json"),
+    ])
+    assert "field 'cost' is 0.0" in _one_usage_line(code, capsys, f"[report] {design}: ")
+
+
+@pytest.mark.parametrize(
+    "field", ["objective", "breakdown.bus_fixed", "breakdown.route_cost", "breakdown.direct_cost",
+              "breakdown.bus_inconvenience"],
+)
+def test_report_rejects_design_whose_cost_does_not_add_up(tmp_path, capsys, field):
+    """A written cost moved by 2e-6 relative no longer matches the cost the
+    design's lines, routes, direct riders and legs add up to."""
+    def move(data):
+        record, key = (data, field) if field == "objective" else (data["breakdown"], field.split(".")[1])
+        record[key] += 2e-6 * max(1.0, abs(record[key]))
+
+    design = tmp_path / "design.json"
+    _edit_json(Path(LINES) / "design.json", design, move)
+    code = main([
+        "report", "--instance", os.path.join(LINES, "lines.json"), "--design", str(design),
+        "--fleet", os.path.join(LINES, "fleet.json"), "--out", str(tmp_path / "r.json"),
+    ])
+    assert f"field '{field}' is " in _one_usage_line(code, capsys, f"[report] {design}: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_unedited_design_loads_with_its_written_numbers():
+    inst = load_instance(os.path.join(LINES, "lines.json"))
+    inst = dataclasses.replace(inst, commodities=tuple(split_commodities(inst.commodities, inst.routing.shuttle_capacity)))
+    written = json.load(open(os.path.join(LINES, "design.json")))
+    ds = design.load_solution(os.path.join(LINES, "design.json"), inst)
+    assert ds.objective == written["objective"]
+    assert record_dict(ds.breakdown) == written["breakdown"]
+
+
+def test_design_stage_rejects_rider_on_two_pickup_and_two_dropoff_routes(tmp_path, monkeypatch, capsys):
+    """A solver vector in which the one rider rides its pickup and dropoff
+    routes at both hubs is feasible for the model, but no design: the stage
+    fails rather than write it."""
+    points = {"a": (0.0, 0.0), "b": (24.0, 0.0), "h1": (2.0, 0.0), "h2": (22.0, 0.0)}
+    inst = euclid_instance(points, ["h1", "h2"], (mk_commodity("r", "a", "b", 0.0),), capacity=1, first_hubs=2,
+                           last_hubs=2)
+    path = str(tmp_path / "inst.json")
+    save_instance(inst, path)
+
+    def every_route(dm):
+        v = np.zeros(len(dm.model.var_names))
+        v[dm.x] = 1
+        return milp.MilpSolution(milp.OPTIMAL, float(dm.model.objective_vector() @ v), v, None), 1
+
+    monkeypatch.setattr(design, "solve_in_rounds", every_route)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--instance", path, "--out", str(out)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == "[design] commodity r has 2 pickup and 2 dropoff routes selected\n", err
+    assert not (out / "design.json").exists()
 
 
 def test_routing_flags_only_on_the_stages_that_read_them(tmp_path, tiny_instance_file, tiny_pipeline, capsys):

@@ -142,9 +142,10 @@ def test_single_commodity_goes_direct():
     assert ds.objective == pytest.approx(design_oracle(inst, om, op), abs=1e-6)
 
 
-def bus_corridor_instance(n_commodities=20, side_hub=False):
+def bus_corridor_instance(n_commodities=20, side_hub=False, ends=1):
     """Riders from a to b, next to hubs h1 and h2; `side_hub` adds a third
-    hub h3 off the corridor."""
+    hub h3 off the corridor, and each rider may use its `ends` nearest hubs
+    at either end."""
     points = {"a": (0.0, 0.0), "b": (24.0, 0.0), "h1": (2.0, 0.0), "h2": (22.0, 0.0)}
     if side_hub:
         points["h3"] = (12.0, 6.0)
@@ -158,8 +159,8 @@ def bus_corridor_instance(n_commodities=20, side_hub=False):
         bus_cost=0.5,
         bus_trips=1.0,
         capacity=1,
-        first_hubs=1,
-        last_hubs=1,
+        first_hubs=ends,
+        last_hubs=ends,
     )
 
 
@@ -304,6 +305,21 @@ def test_extract_drops_cost_neutral_cycles(alpha):
     assert ds.bus_legs == {"r00": (("h1", "h2"),), "r01": ()}
     assert [leg.line for leg in commodity_itinerary(ds, "r00")] == [None, ("h1", "h2"), None]
     assert ds.objective == pytest.approx(sol.objective, abs=1e-9)
+
+
+def test_extract_rejects_rider_on_two_pickup_and_two_dropoff_routes():
+    """A feasible vector by hand: r00 rides its pickup and its dropoff route
+    at both h1 and h2, so each hub's flow balances without a bus leg. The
+    cost adds up, but r00 has no single itinerary, so it is no design."""
+    inst = bus_corridor_instance(1, ends=2)
+    dm = build_design_model(inst, *enumerated(inst))
+    assert sorted((w.kind, w.hub) for w in dm.routes) == [(k, h) for k in (DROPOFF, PICKUP) for h in ("h1", "h2")]
+    v = np.zeros(len(dm.model.var_names))
+    v[dm.x] = 1
+    _check_solution(dm.model, _constraint_rows(dm.model), v, integrality=True)
+    sol = MilpSolution(OPTIMAL, float(dm.model.objective_vector() @ v), v, None)
+    with pytest.raises(DesignError, match="commodity r00 has 2 pickup and 2 dropoff routes selected"):
+        _extract(dm, sol, inst)
 
 
 def test_leg_path_takes_fewest_hops_in_leg_order():

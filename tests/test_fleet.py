@@ -15,7 +15,6 @@ from odmts.fleet import (
     FlowError,
     Task,
     _columns,
-    _compatibility,
     _min_flow,
     _sorted_tasks,
     build_dense_graph,
@@ -39,7 +38,7 @@ from odmts.design import solve_design
 from odmts.instance import EPS
 
 from conftest import euclid_instance, mk_commodity, mk_instance
-from oracles import path_cover_by_max_flow
+from oracles import _compatibility, path_cover_by_max_flow
 
 
 def colocated_instance():
