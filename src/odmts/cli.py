@@ -122,15 +122,17 @@ def _stage_fleet(
     inst: Instance, ds, cfg: PipelineConfig, path: str, stage: str = "fleet"
 ) -> fleet_mod.FleetResult:
     """Build the sparse fleet graph, write its model to `cfg.export_model`
-    if set, solve it and save the result to `path`. With `check_oracle`,
-    also solve the dense graph and the matching oracle and require all
-    three sizes to agree."""
+    if set, solve it, require `schedules_feasible` and save the result to
+    `path`. With `check_oracle`, also solve the dense graph and the matching
+    oracle and require all three sizes to agree."""
     tasks = fleet_mod.routes_to_tasks(ds, inst)
     try:
         graph = fleet_mod.build_sparse_graph(tasks, inst)
         if cfg.export_model:
             _export(fleet_mod.fleet_model(graph), cfg.export_model)
         result = fleet_mod.solve_fleet(graph)
+        if not fleet_mod.schedules_feasible(result, tasks, inst):
+            raise StageError(stage, f"schedules do not serve the {len(tasks)} tasks once each, back to back")
         if cfg.check_oracle:
             dense = fleet_mod.solve_fleet(fleet_mod.build_dense_graph(tasks, inst)).fleet_size
             oracle = fleet_mod.min_fleet_oracle(tasks, inst)
@@ -350,7 +352,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"wrote {cfg.out} (fleet size {result.fleet_size})")
     else:  # report
         ds = design_mod.load_solution(args.design, inst)
-        _stage_report(inst, ds, fleet_mod.load_result(args.fleet), cfg.out)
+        _stage_report(inst, ds, fleet_mod.load_result(args.fleet, fleet_mod.routes_to_tasks(ds, inst), inst), cfg.out)
         print(f"wrote {cfg.out}")
     return EXIT_OK
 

@@ -268,9 +268,12 @@ def _close(value: float, reference: float) -> bool:
 def _checked_design(inst: Instance, opened, bus_legs, selected, direct) -> DesignSolution:
     """The design of `inst` with these opened lines, bus legs by commodity,
     selected routes and direct riders, once the lines balance at every hub,
-    every leg is on an opened line and every `commodity_itinerary` holds;
-    else DesignError. Its cost is summed lines as given, routes in selection
-    order, commodities in instance order."""
+    no line is opened twice, every leg is on an opened line and every
+    `commodity_itinerary` holds; else DesignError. Its cost is summed lines
+    as given, routes in selection order, commodities in instance order."""
+    for hl, k in Counter(opened).items():
+        if k > 1:
+            raise DesignError(f"line {hl} is opened {k} times")
     outs, ins = Counter(h for h, _ in opened), Counter(l for _, l in opened)
     for h in inst.hubs:
         if outs[h] != ins[h]:

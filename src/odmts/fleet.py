@@ -1,20 +1,21 @@
 """Fleet sizing: minimum number of shuttles to serve all selected routes.
 
-Each selected route that drives becomes a timed task (start location, end
-location, start time, duration); a route without arcs serves riders already
-at its hub and needs no shuttle. Two tasks are compatible when one shuttle
-can serve them back to back, i.e. finish the first and reposition before
-the second starts. The minimum fleet is the minimum number of source-to-sink flow
-units covering every task. There are two fleet graphs:
+`shuttle_rides` lists a design's rides, each a timed task (start location,
+end location, start time, duration): every selected route that drives (a
+route without arcs serves riders already at its hub and needs no shuttle),
+then one single-rider ride per direct passenger. The fleet's tasks and the
+report's usage figures both come from that list. Two tasks are compatible
+when one shuttle can serve them back to back, i.e. finish the first and
+reposition before the second starts. The minimum fleet is the minimum
+number of source-to-sink flow units covering every task. Two fleet graphs:
 
 * the dense graph puts an arc on every compatible ordered pair and lets the
   source feed and the sink drain every task;
 * the sparse graph drops transitive arcs (kept only when no one-stop relay
   exists; relays are read off a float32 product of the compatibility matrix
   with itself, taken block by block over the relays inside the band, from a
-  float32 copy of the band alone), so
-  the source feeds only tasks without predecessors and the sink drains only
-  tasks without successors.
+  float32 copy of the band alone), so the source feeds only tasks without
+  predecessors and the sink drains only tasks without successors.
 
 Every stage sorts its tasks by (start, id), so task j can follow task i only
 if j starts strictly later: compatibility is strictly upper triangular, and
@@ -44,6 +45,10 @@ order and `_min_flow` returns such an int64 vector, so the max flow and a
 rounded LP solution go to `recover_schedules` alike, and no flow can name
 an arc the graph lacks.
 
+`schedules_feasible` is the one check a fleet must pass, in the fleet stage
+and in `load_result`. `_sorted_tasks`, which every graph, the oracle and
+`result_to_dict` call, rejects a repeated task id.
+
 A minimum path cover oracle (task count minus a maximum bipartite matching
 over the full compatibility relation, found by scipy's Hopcroft-Karp on the
 biadjacency CSR, built block by block from the latest task back, so it
@@ -70,6 +75,7 @@ SINK = "t"
 
 DENSE = "dense"
 SPARSE = "sparse"
+DIRECT = "direct"  # the kind of a direct passenger's ride
 
 RELAY_BLOCK = 256  # tasks per block: of rows in `_compatibility_blocks`, of columns in the relay product
 
@@ -102,31 +108,41 @@ class FleetResult:
     schedules: tuple[tuple[str, ...], ...]
 
 
-def routes_to_tasks(ds, inst: Instance) -> list[Task]:
-    """Tasks for a design solution: one per selected pickup/dropoff route
-    that drives and, for each direct commodity, one single-rider task per
-    passenger. A route without arcs serves riders already at its hub, so it
-    needs no shuttle."""
-    tasks: list[Task] = []
+def shuttle_rides(ds, inst: Instance) -> list[tuple[str, int, Task]]:
+    """A design's shuttle rides as (kind, riders, task): each selected route
+    that drives, in selection order (a route without arcs serves riders
+    already at its hub), then one single-rider ride per passenger of each
+    direct commodity, by commodity id."""
+    rides = []
     for w in ds.selected_routes:
         if not w.arcs:
             continue
         ids = "|".join(c.id for c in w.commodities)
         if w.kind == PICKUP:
-            tasks.append(Task(f"p:{w.hub}:{ids}", w.commodities[0].origin, w.hub, w.start_time, w.duration))
+            task = Task(f"p:{w.hub}:{ids}", w.commodities[0].origin, w.hub, w.start_time, w.duration)
         else:
-            tasks.append(Task(f"d:{w.hub}:{ids}", w.hub, w.commodities[-1].destination, w.start_time, w.duration))
+            task = Task(f"d:{w.hub}:{ids}", w.hub, w.commodities[-1].destination, w.start_time, w.duration)
+        rides.append((w.kind, w.passengers, task))
     times, node = inst.time_view, inst.node_index
     for cid in sorted(ds.direct):
         c = inst.commodity(cid)
         ride = times[node(c.origin), node(c.destination)]
-        for k in range(c.passengers):
-            tasks.append(Task(f"direct:{cid}:{k}", c.origin, c.destination, c.depart, ride))
-    return tasks
+        rides += [(DIRECT, 1, Task(f"direct:{cid}:{k}", c.origin, c.destination, c.depart, ride))
+                  for k in range(c.passengers)]
+    return rides
+
+
+def routes_to_tasks(ds, inst: Instance) -> list[Task]:
+    """The tasks of a design's `shuttle_rides`, in their order."""
+    return [task for _, _, task in shuttle_rides(ds, inst)]
 
 
 def _sorted_tasks(tasks) -> tuple[Task, ...]:
-    return tuple(sorted(tasks, key=lambda t: (t.start, t.id)))
+    """The tasks by (start, id); a task id given twice raises ValueError."""
+    ts = tuple(sorted(tasks, key=lambda t: (t.start, t.id)))
+    if len({t.id for t in ts}) != len(ts):
+        raise ValueError(f"a task id repeats among the {len(ts)} tasks")
+    return ts
 
 
 def compatible(a: Task, b: Task, inst: Instance) -> bool:
@@ -409,8 +425,6 @@ def recover_schedules(g: FleetGraph, flow) -> FleetResult:
             while k < stop and not residual[k]:
                 k += 1
             cursor[node] = k
-            if k == stop:
-                raise FlowError(f"flow decomposition stuck at node {SOURCE if node == s else node}")
             residual[k] -= 1
             node = head[k]
             if node != t:
@@ -423,25 +437,20 @@ def recover_schedules(g: FleetGraph, flow) -> FleetResult:
         schedules.append(tuple(ids[i] for i in fresh))
     if not all(covered):
         raise FlowError("flow decomposition left tasks unserved")
-    result = FleetResult(len(schedules), tuple(schedules))
-    _assert_partition(result, g)
-    return result
-
-
-def _assert_partition(result: FleetResult, g: FleetGraph) -> None:
-    seen: list[str] = [tid for sched in result.schedules for tid in sched]
-    if len(seen) != len(set(seen)) or set(seen) != {t.id for t in g.tasks}:
-        raise FlowError("schedules do not partition the task set")
+    return FleetResult(len(schedules), tuple(schedules))
 
 
 def schedules_feasible(result: FleetResult, tasks, inst: Instance) -> bool:
-    """Every consecutive task pair in every schedule must be `compatible`
-    (holds even across filtered arcs, by the triangle inequality)."""
+    """True when the schedules are a fleet for `tasks`: `fleet_size` of them,
+    none empty, every task in exactly one, and each task `compatible` with the
+    one before it (which holds across arcs the relay filter drops)."""
     by_id = {t.id: t for t in tasks}
-    return all(
-        compatible(by_id[a], by_id[b], inst)
-        for sched in result.schedules
-        for a, b in zip(sched, sched[1:])
+    served = sorted(tid for sched in result.schedules for tid in sched)
+    return (
+        result.fleet_size == len(result.schedules)
+        and all(result.schedules)
+        and served == sorted(t.id for t in tasks)
+        and all(compatible(by_id[a], by_id[b], inst) for sched in result.schedules for a, b in zip(sched, sched[1:]))
     )
 
 
@@ -473,11 +482,10 @@ def min_fleet_oracle(tasks, inst: Instance) -> int:
 
 
 def result_to_dict(result: FleetResult, tasks) -> dict:
-    by_id = {t.id: t for t in tasks}
     return {
         "fleet_size": result.fleet_size,
         "schedules": [list(s) for s in result.schedules],
-        "tasks": [record_dict(t) for t in _sorted_tasks(by_id.values())],
+        "tasks": [record_dict(t) for t in _sorted_tasks(tasks)],
     }
 
 
@@ -487,9 +495,9 @@ def save_result(result: FleetResult, tasks, path: str) -> None:
         fh.write("\n")
 
 
-def load_result(path: str) -> FleetResult:
-    """Read the fleet size and schedules of a saved fleet result; a file
-    that is not one raises InstanceFormatError naming the path."""
+def load_result(path: str, tasks, inst: Instance) -> FleetResult:
+    """Read a saved fleet result for `tasks` of `inst`; a file that is not one,
+    or fails `schedules_feasible`, raises InstanceFormatError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -497,10 +505,9 @@ def load_result(path: str) -> FleetResult:
             for k, ids in enumerate(raw):
                 if type(ids) is not list or not all(type(tid) is str for tid in ids):
                     raise ValueError(f"schedules[{k}] is not a list of task ids: {ids!r}")
-            schedules = tuple(map(tuple, raw))
-            size = data["fleet_size"]
-            if type(size) is not int or size != len(schedules):
-                raise ValueError(f"fleet_size {size!r} is not the count of its {len(schedules)} schedules")
-            return FleetResult(fleet_size=size, schedules=schedules)
+            result = FleetResult(fleet_size=data["fleet_size"], schedules=tuple(map(tuple, raw)))
+            if type(result.fleet_size) is not int or not schedules_feasible(result, tasks, inst):
+                raise ValueError(f"fleet_size {result.fleet_size!r} and its schedules are no fleet for the tasks")
+            return result
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceFormatError(f"{path}: not a fleet result: {exc!r}") from exc

@@ -1,4 +1,5 @@
-"""Reporting metrics computed from a design solution and a fleet result."""
+"""Reporting metrics computed from a design solution and a fleet result. Direct
+rides and usage figures count over `fleet.shuttle_rides`, as the fleet does."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .design import DesignSolution, rider_minutes
-from .fleet import FleetResult
+from .fleet import DIRECT, FleetResult, shuttle_rides
 from .instance import Instance, record_dict
 from .routegen import DROPOFF, PICKUP
 
@@ -43,24 +44,12 @@ def avg_inconvenience(ds: DesignSolution, inst: Instance) -> float:
 
 
 def avg_shuttle_usage(ds: DesignSolution, inst: Instance) -> float | None:
-    """Riders per shuttle route over the selected routes that drive (a route
-    without arcs serves riders already at its hub and is no shuttle); each
-    direct rider counts as one single-rider route. None when no routes exist."""
-    driven = [w for w in ds.selected_routes if w.arcs]
-    riders = sum(w.passengers for w in driven)
-    routes = len(driven)
-    for cid in ds.direct:
-        p = inst.commodity(cid).passengers
-        riders += p
-        routes += p
-    return riders / routes if routes else None
+    """Riders per ride over the design's `shuttle_rides`; None with no ride."""
+    return _usage(shuttle_rides(ds, inst))
 
 
-def _leg_usage(ds: DesignSolution, kind: str) -> float | None:
-    legs = [w for w in ds.selected_routes if w.kind == kind and w.arcs]
-    if not legs:
-        return None
-    return sum(w.passengers for w in legs) / len(legs)
+def _usage(rides) -> float | None:
+    return sum(riders for _, riders, _ in rides) / len(rides) if rides else None
 
 
 def lines_connected(opened: tuple[tuple[str, str], ...]) -> bool:
@@ -73,17 +62,18 @@ def lines_connected(opened: tuple[tuple[str, str], ...]) -> bool:
 
 
 def build_report(ds: DesignSolution, fleet: FleetResult, inst: Instance) -> Report:
-    direct_riders = sum(inst.commodity(cid).passengers for cid in ds.direct)
+    rides = shuttle_rides(ds, inst)
+    of_kind = {kind: [ride for ride in rides if ride[0] == kind] for kind in (PICKUP, DROPOFF, DIRECT)}
     return Report(
         capacity=inst.routing.shuttle_capacity,
         total_cost=ds.objective,
         opened_lines=len(ds.opened_lines),
-        direct_routes=direct_riders,
+        direct_routes=len(of_kind[DIRECT]),
         fleet_size=fleet.fleet_size,
         avg_inconvenience=avg_inconvenience(ds, inst),
-        avg_shuttle_usage=avg_shuttle_usage(ds, inst),
-        usage_first_leg=_leg_usage(ds, PICKUP),
-        usage_last_leg=_leg_usage(ds, DROPOFF),
+        avg_shuttle_usage=_usage(rides),
+        usage_first_leg=_usage(of_kind[PICKUP]),
+        usage_last_leg=_usage(of_kind[DROPOFF]),
         cost_breakdown={
             "bus_fixed": ds.breakdown.bus_fixed,
             "shared_route": ds.breakdown.route_cost,

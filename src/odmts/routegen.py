@@ -29,6 +29,11 @@ search prunes partial sequences only when capacity, the detour bound, or the
 consolidation window is already violated; elapsed times only grow along a
 sequence, so pruning never removes a feasible completion. The search reads
 travel times by node index, through index maps built once per enumeration.
+
+A route read back from a file (`route_from_dict`) must equal its own
+re-materialization: a pickup route in every field, a dropoff route in its
+arcs, distance and duration, the fields the hub-arrival estimates leave
+alone.
 """
 
 from __future__ import annotations
@@ -414,7 +419,11 @@ def route_from_dict(data: dict, inst: Instance) -> Route:
     `passengers`) raises ValueError. Numbers stay as written. So does a
     route that disagrees with itself: members not distinct, not one `xi`
     entry per member, `passengers` not the members' sum, or `cost` not
-    exactly `route_cost`, the arithmetic the enumeration writes it with."""
+    exactly `route_cost`, the arithmetic the enumeration writes it with; and
+    one that differs from its re-materialization: a pickup route in any
+    field from `materialize_pickup`, a dropoff route in `arcs`, `dist` or
+    `duration` from `materialize_dropoff` (its `start_time` and `xi` depend
+    on the hub-arrival estimates, which are not checked)."""
     rec = {f.name: data[f.name] for f in fields(Route)}
     if rec["kind"] not in (PICKUP, DROPOFF) or rec["hub"] not in inst.hubs:
         raise ValueError(f"kind {rec['kind']!r} at hub {rec['hub']!r}: not a route kind at a hub of the instance")
@@ -436,6 +445,15 @@ def route_from_dict(data: dict, inst: Instance) -> Route:
     cost = route_cost(route, inst)
     if route.cost != cost:
         raise ValueError(f"field 'cost' is {route.cost!r}, but route {route.key} costs {cost!r}")
+    if route.kind == PICKUP:
+        made, checked = materialize_pickup(route.commodities, route.hub, inst), _NAMES
+    else:  # a dropoff's start_time and xi rest on hub-arrival estimates the file does not hold
+        made = materialize_dropoff(route.commodities, route.hub, dict.fromkeys(members, 0.0), inst)
+        checked = ("arcs", "dist", "duration")
+    for name in checked:
+        got, want = getattr(route, name), getattr(made, name)
+        if got != want:
+            raise ValueError(f"field '{name}' is {got!r}, but route {route.key} materializes to {want!r}")
     return route
 
 

@@ -623,6 +623,120 @@ def test_design_stage_rejects_rider_on_two_pickup_and_two_dropoff_routes(tmp_pat
     assert not (out / "design.json").exists()
 
 
+def _lines_report(tmp_path, design, fleet_path):
+    return main([
+        "report", "--instance", os.path.join(LINES, "lines.json"), "--design", str(design),
+        "--fleet", str(fleet_path), "--out", str(tmp_path / "r.json"),
+    ])
+
+
+def _merged_reversed(data):
+    data.update(fleet_size=1, schedules=[[tid for sched in data["schedules"] for tid in sched][::-1]])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_merged_reversed, id="all-tasks-in-one-reversed-schedule"),
+        pytest.param(lambda d: d.update(fleet_size=1, schedules=[d["schedules"][0] + ["p:n1:c3"]]),
+                     id="task-the-design-lacks"),
+        pytest.param(lambda d: d.update(fleet_size=3, schedules=[*d["schedules"], []]), id="empty-schedule"),
+        pytest.param(lambda d: d.update(fleet_size=3, schedules=[*d["schedules"], d["schedules"][0][:1]]),
+                     id="task-twice"),
+    ],
+)
+def test_report_rejects_fleet_that_does_not_serve_the_design(tmp_path, capsys, edit):
+    """The pipeline_lines design makes 13 tasks, which need 2 shuttles;
+    "p:n1:c3" is one of its routes without arcs, which make no task."""
+    fleet_path = tmp_path / "fleet.json"
+    _edit_json(Path(LINES) / "fleet.json", fleet_path, edit)
+    code = _lines_report(tmp_path, os.path.join(LINES, "design.json"), fleet_path)
+    assert "are no fleet for the tasks" in _one_usage_line(code, capsys, f"[report] {fleet_path}: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_fleet_stage_rejects_schedules_one_shuttle_cannot_serve(tmp_path, monkeypatch, capsys):
+    """A solver that chains every task into one schedule fails the stage,
+    in `fleet-size` and in `pipeline` alike."""
+    monkeypatch.setattr(fleet, "solve_fleet", lambda g: fleet.FleetResult(1, (tuple(t.id for t in g.tasks),)))
+    inst = os.path.join(LINES, "lines.json")
+    runs = {
+        "fleet-size": ["--design", os.path.join(LINES, "design.json"), "--out", str(tmp_path / "fleet.json")],
+        "fleet": ["--out", str(tmp_path / "run")],
+    }
+    for stage, args in runs.items():
+        command = "pipeline" if stage == "fleet" else stage
+        assert main([command, "--instance", inst, *args]) == EXIT_SOLVER, command
+        err = capsys.readouterr().err
+        assert err == f"[{stage}] schedules do not serve the 13 tasks once each, back to back\n", err
+    assert not (tmp_path / "fleet.json").exists() and not (tmp_path / "run" / "fleet.json").exists()
+
+
+def _doubled_lines(data, inst):
+    extra = sum(design.line_open_cost(h, l, inst) for h, l in data["opened_lines"])
+    data["opened_lines"] *= 2
+    data["breakdown"]["bus_fixed"] += extra
+    data["objective"] += extra
+
+
+def _line_removed(data, inst):
+    cost = design.line_open_cost(*data["opened_lines"].pop(0), inst)
+    data["breakdown"]["bus_fixed"] -= cost
+    data["objective"] -= cost
+
+
+def _leg_off_the_lines(data, inst):
+    assert data["bus_legs"]["c3"] == [["n1", "n9"]] and ["n9", "n1"] not in data["opened_lines"]
+    data["bus_legs"]["c3"] = [["n9", "n1"]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_doubled_lines, "line ('n1', 'n9') is opened 2 times"),
+        (_line_removed, "degree balance violated at hub n1: 0 out vs 1 in"),
+        (_leg_off_the_lines, "commodity c3 uses unopened line ('n9', 'n1')"),
+    ],
+    ids=["line-opened-twice", "line-removed", "leg-on-unopened-line"],
+)
+def test_report_rejects_design_of_unbalanced_or_repeated_lines(tmp_path, capsys, edit, message):
+    inst = load_instance(os.path.join(LINES, "lines.json"))
+    path = tmp_path / "design.json"
+    _edit_json(Path(LINES) / "design.json", path, lambda d: edit(d, inst))
+    code = _lines_report(tmp_path, path, os.path.join(LINES, "fleet.json"))
+    assert message in _one_usage_line(code, capsys, f"[report] {path}: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+def _moved(field, by):
+    def edit(route):
+        route[field] += by
+    return edit
+
+
+@pytest.mark.parametrize(
+    "index, edit, message",
+    [
+        (15, _moved("start_time", 500.0), "field 'start_time' is "),
+        (0, _moved("duration", 500.0), "field 'duration' is "),
+        (0, lambda r: r.update(arcs=[["n1", "n5"]]), "field 'arcs' is "),
+    ],
+    ids=["pickup-start", "dropoff-duration", "dropoff-arcs"],
+)
+def test_fleet_size_rejects_route_that_differs_from_its_materialization(tmp_path, capsys, index, edit, message):
+    """Selected route 15 of the pipeline_lines design is its pickup at n4,
+    route 0 its dropoff at n1; none of these edits changes a route's cost."""
+    path = tmp_path / "design.json"
+    _edit_json(Path(LINES) / "design.json", path, lambda d: edit(d["selected_routes"][index]))
+    code = main([
+        "fleet-size", "--instance", os.path.join(LINES, "lines.json"), "--design", str(path),
+        "--out", str(tmp_path / "f.json"),
+    ])
+    err = _one_usage_line(code, capsys, f"[fleet-size] {path}: ")
+    assert message in err and "materializes to" in err, err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_routing_flags_only_on_the_stages_that_read_them(tmp_path, tiny_instance_file, tiny_pipeline, capsys):
     argv = [
         "design", "--instance", tiny_instance_file, "--routes", str(tiny_pipeline / "routes.jsonl"),

@@ -506,6 +506,32 @@ def test_schedules_feasible_rejects_simultaneous_starts():
     assert schedules_feasible(FleetResult(2, (("a", "c"), ("b",))), tasks, inst)
 
 
+@pytest.mark.parametrize(
+    "schedules",
+    [(("A", "C"),), (("A", "C"), ("B",), ("A",)), (("A", "C"), ("B",), ("X",)), (("A", "C"), ("B",), ())],
+    ids=["misses-a-task", "repeats-a-task", "names-an-unknown-task", "empty-schedule"],
+)
+def test_schedules_feasible_requires_each_task_once(schedules):
+    inst = colocated_instance()
+    tasks = [Task("A", "x", "x", 0.0, 1.0), Task("B", "x", "x", 0.0, 1.0), Task("C", "x", "x", 5.0, 1.0)]
+    assert schedules_feasible(FleetResult(2, (("A", "C"), ("B",))), tasks, inst)
+    assert not schedules_feasible(FleetResult(len(schedules), schedules), tasks, inst)
+
+
+def test_schedules_feasible_requires_the_size_to_count_the_schedules():
+    inst = colocated_instance()
+    tasks = [Task("A", "x", "x", 0.0, 1.0), Task("B", "x", "x", 0.0, 1.0)]
+    assert not schedules_feasible(FleetResult(1, (("A",), ("B",))), tasks, inst)
+
+
+@pytest.mark.parametrize("solve", [build_sparse_graph, build_dense_graph, min_fleet_oracle])
+def test_repeated_task_id_is_rejected(solve):
+    inst = colocated_instance()
+    tasks = [Task("A", "x", "x", 0.0, 1.0), Task("B", "x", "x", 2.0, 1.0), Task("A", "x", "x", 5.0, 1.0)]
+    with pytest.raises(ValueError, match="a task id repeats among the 3 tasks"):
+        solve(tasks, inst)
+
+
 @pytest.mark.parametrize("seed", range(22))
 def test_oracle_matches_max_flow_path_cover(seed):
     # Seeds 0 and 1 draw 0 and 1 tasks; the other 20 draw 5 to 59.
@@ -629,6 +655,20 @@ def test_routes_to_tasks_direct_multiplicity():
         assert (t.start_loc, t.end_loc, t.start) == ("a", "b", 5.0)
         assert t.duration == pytest.approx(20.0)
     assert len({t.id for t in tasks}) == 2
+
+
+def test_shuttle_rides_list_the_tasks_with_their_kind_and_riders(pickup_pair_instance):
+    inst = pickup_pair_instance
+    r1, r2 = inst.commodities
+    pickup = materialize_pickup((r1, r2), "h", inst)
+
+    class FakeSolution:
+        selected_routes = (pickup, materialize_dropoff((r1, r2), "h", {"r1": 10.0, "r2": 12.0}, inst))
+        direct = frozenset({"r1"})
+
+    rides = fleet.shuttle_rides(FakeSolution(), inst)
+    assert [(kind, riders) for kind, riders, _ in rides] == [("pickup", pickup.passengers), (fleet.DIRECT, 1)]
+    assert [task for _, _, task in rides] == routes_to_tasks(FakeSolution(), inst)
 
 
 def test_dropoff_task_example_values():
