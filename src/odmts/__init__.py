@@ -24,7 +24,7 @@ from .routegen import (
     materialize_pickup,
     route_cost,
 )
-from .design import DesignSolution, build_design_model, commodity_itinerary, solve_design
+from .design import DesignSolution, build_design_model, solve_design
 from .fleet import (
     FleetGraph,
     FleetResult,
@@ -64,7 +64,6 @@ __all__ = [
     "build_design_model",
     "build_report",
     "build_sparse_graph",
-    "commodity_itinerary",
     "compute_hub_sets",
     "emit_report",
     "enumerate_dropoff_routes",

@@ -24,8 +24,8 @@ returns. Each commodity's bus legs are then read as its hop path from the
 pickup hub to the dropoff hub; with alpha = 0 legs are free, and
 cost-neutral cycles off that path are dropped. A solved design and a loaded
 design.json pass one check, `_checked_design`, which builds every
-`DesignSolution` and recomputes its cost; that cost must match the solver's
-objective, or the one the file states.
+`DesignSolution` with each rider's trip and recomputes its cost; that cost
+must match the solver's objective, or the one the file states.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -89,21 +88,19 @@ class CostBreakdown:
         return self.bus_fixed + self.route_cost + self.direct_cost + self.bus_inconvenience
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignSolution:
+    """A checked design; `trips` maps a commodity id to None if direct, else
+    (pickup route, bus hops in path order, dropoff route). Only
+    `_checked_design` builds one: a `dataclasses.replace` keeps stale trips."""
+
     opened_lines: tuple[tuple[str, str], ...]
     bus_legs: dict[str, tuple[tuple[str, str], ...]]
     selected_routes: tuple[Route, ...]
     direct: frozenset[str]
     objective: float
     breakdown: CostBreakdown
-
-    def routes_of(self, cid: str, kind: str) -> list[Route]:
-        return list(self._routes_by_member.get((cid, kind), ()))
-
-    @cached_property
-    def _routes_by_member(self) -> dict[tuple[str, str], list[Route]]:
-        return _routes_by_member(self.selected_routes)
+    trips: dict[str, tuple[Route, tuple[tuple[str, str], ...], Route] | None]
 
 
 def _routes_by_member(routes) -> dict[tuple[str, str], list[Route]]:
@@ -268,9 +265,10 @@ def _close(value: float, reference: float) -> bool:
 def _checked_design(inst: Instance, opened, bus_legs, selected, direct) -> DesignSolution:
     """The design of `inst` with these opened lines, bus legs by commodity,
     selected routes and direct riders, once the lines balance at every hub,
-    no line is opened twice, every leg is on an opened line and every
-    `commodity_itinerary` holds; else DesignError. Its cost is summed lines
-    as given, routes in selection order, commodities in instance order."""
+    no line is opened twice, every leg is on an opened line and every rider
+    not direct has one trip, one pickup route, bus legs that are exactly a
+    `_leg_path` and one dropoff route; else DesignError. Its cost is summed
+    lines as given, routes in selection order, commodities in instance order."""
     for hl, k in Counter(opened).items():
         if k > 1:
             raise DesignError(f"line {hl} is opened {k} times")
@@ -289,10 +287,22 @@ def _checked_design(inst: Instance, opened, bus_legs, selected, direct) -> Desig
         direct_cost=sum(direct_cost(c, inst) for c in inst.commodities if c.id in direct),
         bus_inconvenience=sum(line_use_cost(c, *hl, inst) for c in inst.commodities for hl in bus_legs[c.id]),
     )
-    ds = DesignSolution(opened, bus_legs, selected, direct, breakdown.total(), breakdown)
-    for c in inst.commodities:
-        commodity_itinerary(ds, c.id)
-    return ds
+    routes_of = _routes_by_member(selected)
+    trips = {c.id: None if c.id in direct else _trip(c.id, routes_of, bus_legs[c.id]) for c in inst.commodities}
+    return DesignSolution(opened, bus_legs, selected, direct, breakdown.total(), breakdown, trips)
+
+
+def _trip(cid: str, routes_of, legs) -> tuple[Route, tuple[tuple[str, str], ...], Route]:
+    pickups, dropoffs = routes_of.get((cid, PICKUP), ()), routes_of.get((cid, DROPOFF), ())
+    if len(pickups) != 1 or len(dropoffs) != 1:
+        raise ItineraryError(f"commodity {cid} has {len(pickups)} pickup and {len(dropoffs)} dropoff routes selected")
+    try:
+        hops = _leg_path(legs, pickups[0].hub, dropoffs[0].hub)
+    except ItineraryError as exc:
+        raise ItineraryError(f"commodity {cid}: {exc}") from None
+    if len(hops) != len(legs):
+        raise ItineraryError(f"commodity {cid} has bus legs off its path {hops}: {list(legs)}")
+    return pickups[0], tuple(hops), dropoffs[0]
 
 
 def solve_design(inst: Instance, omega_minus, omega_plus) -> DesignSolution:
@@ -357,49 +367,19 @@ def _leg_path(legs, start: str, end: str) -> list[tuple[str, str]]:
     return path_to[end]
 
 
-def commodity_itinerary(ds: DesignSolution, cid: str) -> list["ItineraryLeg"]:
-    """Ordered legs for one commodity: [direct] or pickup, bus..., dropoff.
-
-    Raises ItineraryError unless the commodity has one pickup and one
-    dropoff route and its bus legs are exactly a path from the pickup hub
-    to the dropoff hub."""
-    if cid in ds.direct:
-        return [ItineraryLeg("direct", None, None)]
-    pickups, dropoffs = ds.routes_of(cid, PICKUP), ds.routes_of(cid, DROPOFF)
-    if len(pickups) != 1 or len(dropoffs) != 1:
-        raise ItineraryError(f"commodity {cid} has {len(pickups)} pickup and {len(dropoffs)} dropoff routes selected")
-    pickup, dropoff = pickups[0], dropoffs[0]
-    legs = ds.bus_legs.get(cid, ())
-    try:
-        hops = _leg_path(legs, pickup.hub, dropoff.hub)
-    except ItineraryError as exc:
-        raise ItineraryError(f"commodity {cid}: {exc}") from None
-    if len(hops) != len(legs):
-        raise ItineraryError(f"commodity {cid} has bus legs off its path {hops}: {list(legs)}")
-    bus = [ItineraryLeg("bus", hop, None) for hop in hops]
-    return [ItineraryLeg("pickup", None, pickup), *bus, ItineraryLeg("dropoff", None, dropoff)]
-
-
-@dataclass(frozen=True)
-class ItineraryLeg:
-    kind: str  # "direct" | "pickup" | "bus" | "dropoff"
-    line: tuple[str, str] | None
-    route: Route | None
-
-
 def rider_minutes(ds: DesignSolution, cid: str, inst: Instance) -> float:
-    """End-to-end minutes for one rider of the commodity, summing shuttle
-    elapsed times and per-bus-leg wait + ride."""
-    c = inst.commodity(cid)
-    total = 0.0
-    for leg in commodity_itinerary(ds, cid):
-        if leg.kind == "direct":
-            total += inst.time(c.origin, c.destination)
-        elif leg.kind == "bus":
-            total += inst.time(*leg.line) + inst.cost.bus_wait
-        else:
-            total += leg.route.xi_of(cid)
-    return total
+    """End-to-end minutes for one rider of the commodity, read off its trip:
+    the direct ride time, or the pickup route's elapsed time, then wait +
+    ride per bus hop, then the dropoff route's elapsed time."""
+    trip = ds.trips[cid]
+    if trip is None:
+        c = inst.commodity(cid)
+        return inst.time(c.origin, c.destination)
+    pickup, hops, dropoff = trip
+    total = pickup.xi_of(cid)
+    for hop in hops:
+        total += inst.time(*hop) + inst.cost.bus_wait
+    return total + dropoff.xi_of(cid)
 
 
 # -- serialization -----------------------------------------------------------
@@ -460,7 +440,7 @@ def save_solution(ds: DesignSolution, path: str) -> None:
 
 def load_solution(path: str, inst: Instance) -> DesignSolution:
     """Read a saved design solution through `solution_from_dict`: a feasible
-    design of `inst`, every commodity's itinerary included, whose written
+    design of `inst`, every rider's trip included, whose written
     cost matches the recomputed one. A file that is not one raises
     InstanceFormatError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:

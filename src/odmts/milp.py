@@ -325,7 +325,10 @@ def solve_milp(model: MilpModel, time_limit: float | None = None, integer=None) 
     all; it defaults to `model.integer`, which it leaves unchanged. When the
     time limit is hit first, the status is TIME_LIMIT, with the incumbent,
     if any, and the solver's bound."""
-    if not model.var_names:
+    if not model.var_names:  # every row's activity is 0
+        _, lo, hi = _constraint_rows(model)
+        if np.any((lo > FEAS_TOL) | (hi < -FEAS_TOL)):
+            return MilpSolution(INFEASIBLE, None, np.empty(0), None)
         return MilpSolution(OPTIMAL, 0.0, np.empty(0), 0.0)
     given = model.integer if integer is None else integer
     integer = _block_column(given, len(model.var_names), bool, f"integer mask of {model.name!r}")

@@ -33,7 +33,9 @@ travel times by node index, through index maps built once per enumeration.
 A route read back from a file (`route_from_dict`) must equal its own
 re-materialization: a pickup route in every field, a dropoff route in its
 arcs, distance and duration, the fields the hub-arrival estimates leave
-alone.
+alone. It must also fit the run's shuttle capacity; the hub eligibility,
+detour bound and window rest on routing overrides that only route
+enumeration reads, so a reading stage cannot check them.
 """
 
 from __future__ import annotations
@@ -210,12 +212,10 @@ def _dropoff_t1_values(route: Route, inst: Instance) -> list[float]:
     return t1s
 
 
-def feasible(route: Route, inst: Instance, hs: HubSets | None = None) -> bool:
+def feasible(route: Route, inst: Instance, hs: HubSets) -> bool:
     """Check the practical-interest conditions: eligible hub and bounded
     detour for every commodity, capacity, and a shared consolidation window
     (departure times for pickups, hub-arrival estimates for dropoffs)."""
-    if hs is None:
-        hs = compute_hub_sets(inst)
     if route.passengers > inst.routing.shuttle_capacity:
         return False
     delta = inst.routing.duration_threshold
@@ -423,7 +423,8 @@ def route_from_dict(data: dict, inst: Instance) -> Route:
     one that differs from its re-materialization: a pickup route in any
     field from `materialize_pickup`, a dropoff route in `arcs`, `dist` or
     `duration` from `materialize_dropoff` (its `start_time` and `xi` depend
-    on the hub-arrival estimates, which are not checked)."""
+    on the hub-arrival estimates, which are not checked); and one that holds
+    more riders than `inst`'s shuttle capacity."""
     rec = {f.name: data[f.name] for f in fields(Route)}
     if rec["kind"] not in (PICKUP, DROPOFF) or rec["hub"] not in inst.hubs:
         raise ValueError(f"kind {rec['kind']!r} at hub {rec['hub']!r}: not a route kind at a hub of the instance")
@@ -454,6 +455,9 @@ def route_from_dict(data: dict, inst: Instance) -> Route:
         got, want = getattr(route, name), getattr(made, name)
         if got != want:
             raise ValueError(f"field '{name}' is {got!r}, but route {route.key} materializes to {want!r}")
+    capacity = inst.routing.shuttle_capacity
+    if route.passengers > capacity:
+        raise ValueError(f"route {route.key} holds {route.passengers} riders, over the shuttle capacity {capacity}")
     return route
 
 

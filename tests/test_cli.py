@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from odmts import design, fleet, instgen, milp
 from odmts.cli import (
     EXIT_INVALID, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, PipelineConfig, _merge_config, build_parser, main,
     run_pipeline,
 )
-from odmts.instance import CostParams, load_instance, record_dict, save_instance, split_commodities
+from odmts.instance import CostParams, instance_to_dict, load_instance, record_dict, save_instance, split_commodities
 from odmts.milp import write_lp
 
 from conftest import DESK_COST, euclid_instance, mk_commodity
@@ -735,6 +736,99 @@ def test_fleet_size_rejects_route_that_differs_from_its_materialization(tmp_path
     err = _one_usage_line(code, capsys, f"[fleet-size] {path}: ")
     assert message in err and "materializes to" in err, err
     assert not (tmp_path / "f.json").exists()
+
+
+def test_routes_and_design_must_fit_the_run_capacity(tmp_path, capsys):
+    """Routes enumerated at capacity 3 hold 2-rider routes, which a run at
+    capacity 1 must not read: neither the route dump nor a design made of it."""
+    inst, routes = str(tmp_path / "inst.json"), str(tmp_path / "routes.jsonl")
+    gen = ["gen", "--out", inst, "--seed", "400", "--nodes", "30", "--hubs", "4", "--commodities", "40"]
+    assert main(gen) == EXIT_OK
+    assert main(["enumerate-routes", "--instance", inst, "--out", routes]) == EXIT_OK
+    d1, d3 = str(tmp_path / "d1.json"), str(tmp_path / "d3.json")
+    code = main(["design", "--instance", inst, "--routes", routes, "--out", d1, "--capacity", "1"])
+    err = _one_usage_line(code, capsys, f"[design] {routes}: line ")
+    assert " is not a route: " in err and "riders, over the shuttle capacity 1" in err
+    assert not os.path.exists(d1)
+    assert main(["design", "--instance", inst, "--routes", routes, "--out", d3]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["fleet-size", "--instance", inst, "--design", d3, "--out", str(tmp_path / "f.json"),
+                 "--capacity", "1"])
+    err = _one_usage_line(code, capsys, f"[fleet-size] {d3}: not a design solution: ")
+    assert "riders, over the shuttle capacity 1" in err
+    assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    ["delta = 1.5\n", "bucket = 10\n", "first_hubs = 4\nlast_hubs = 4\n"],
+    ids=["looser-delta", "other-bucket", "more-hubs"],
+)
+def test_stagewise_run_with_routing_overrides_in_its_config(tmp_path, capsys, overrides):
+    """The routing keys of a shared config file reach enumerate-routes only:
+    design, fleet-size and report read those routes under the file's own
+    detour bound, window and hub counts, and must still take them."""
+    inst, routes = str(tmp_path / "inst.json"), str(tmp_path / "routes.jsonl")
+    gen = ["gen", "--out", inst, "--seed", "400", "--nodes", "30", "--hubs", "4", "--commodities", "40"]
+    assert main(gen) == EXIT_OK
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"instance = {inst}\n{overrides}")
+    d, f = str(tmp_path / "d.json"), str(tmp_path / "f.json")
+    cfg = ["--config", str(cfgfile)]
+    assert main(["enumerate-routes", *cfg, "--out", routes]) == EXIT_OK
+    assert main(["design", *cfg, "--routes", routes, "--out", d]) == EXIT_OK
+    assert main(["fleet-size", *cfg, "--design", d, "--out", f]) == EXIT_OK
+    assert main(["report", *cfg, "--design", d, "--fleet", f, "--out", str(tmp_path / "report")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def _generated_instance_dict():
+    return json.loads(json.dumps(instance_to_dict(instgen.generate(seed=3, n_nodes=10, n_hubs=3, n_commodities=6))))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["hubs"].append(d["hubs"][1]), "[duplicate-id] hub id '{hub}' appears more than once"),
+        (lambda d: d["commodities"][0].update(depart=math.nan), "field 'commodities[0].depart' must be a finite"),
+        (lambda d: d["routing"].update(bucket_len=math.nan), "field 'routing.bucket_len' must be a finite"),
+        (lambda d: d["cost"].update(shuttle_cost_per_km=math.inf),
+         "field 'cost.shuttle_cost_per_km' must be a finite"),
+    ],
+    ids=["repeated-hub", "nan-depart", "nan-bucket", "infinite-cost"],
+)
+def test_instance_that_validate_passed_but_the_pipeline_crashed_on_is_invalid(tmp_path, capsys, edit, message):
+    data = _generated_instance_dict()
+    edit(data)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    message = message.format(hub=data["hubs"][1])
+    assert main(["validate", "--instance", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert main(["pipeline", "--instance", str(path), "--out", str(tmp_path / "run")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("[validate] ") and message in err, err
+    assert not (tmp_path / "run" / "routes.jsonl").exists()
+
+
+def test_design_stage_reports_a_failed_solve(tmp_path, tiny_instance_file, tiny_pipeline, monkeypatch, capsys):
+    """A scipy status that maps to no solve status (4: no solution reported)
+    is a numerical failure: `solve_milp` raises and the stage exits 3."""
+    failed = OptimizeResult(status=4, message="no solution reported", x=None, fun=None, success=False)
+    monkeypatch.setattr(milp, "_scipy_milp", lambda **_: failed)
+    m = milp.MilpModel("m")
+    m.add_var("x", 0.0, 1.0, integer=True)
+    with pytest.raises(milp.SolveNumericalError, match="MILP solve failed: no solution reported"):
+        milp.solve_milp(m)
+    out = tmp_path / "d.json"
+    code = main([
+        "design", "--instance", tiny_instance_file, "--routes", str(tiny_pipeline / "routes.jsonl"),
+        "--out", str(out),
+    ])
+    assert code == EXIT_SOLVER
+    assert capsys.readouterr().err == "[design] MILP solve failed: no solution reported\n"
+    assert not out.exists()
 
 
 def test_routing_flags_only_on_the_stages_that_read_them(tmp_path, tiny_instance_file, tiny_pipeline, capsys):

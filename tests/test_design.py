@@ -7,11 +7,11 @@ from odmts import instgen
 from odmts.design import (
     DesignError,
     ItineraryError,
+    _checked_design,
     _extract,
     _leg_path,
     build_design_model,
     bus_lines,
-    commodity_itinerary,
     line_open_cost,
     line_use_cost,
     load_solution,
@@ -170,9 +170,8 @@ def test_corridor_opens_balanced_line_pair():
     ds = solve_design(inst, om, op)
     assert set(ds.opened_lines) == {("h1", "h2"), ("h2", "h1")}
     assert not ds.direct
-    legs = commodity_itinerary(ds, "r00")
-    assert [leg.kind for leg in legs] == ["pickup", "bus", "dropoff"]
-    assert legs[1].line == ("h1", "h2")
+    pickup, hops, dropoff = ds.trips["r00"]
+    assert (pickup.kind, hops, dropoff.kind) == (PICKUP, (("h1", "h2"),), DROPOFF)
     assert ds.objective == pytest.approx(design_oracle(inst, om, op), abs=1e-6)
 
 
@@ -207,10 +206,10 @@ def test_shared_routes_through_one_hub_no_bus():
     assert not ds.direct
     assert ds.opened_lines == ()
     for cid in ("r1", "r2"):
-        legs = commodity_itinerary(ds, cid)
-        assert [leg.kind for leg in legs] == ["pickup", "dropoff"]
-        assert legs[0].route.hub == "h" and legs[1].route.hub == "h"
-        assert len(legs[0].route.commodities) == 2
+        pickup, hops, dropoff = ds.trips[cid]
+        assert hops == ()
+        assert pickup.hub == "h" and dropoff.hub == "h"
+        assert len(pickup.commodities) == 2
     assert ds.objective == pytest.approx(design_oracle(inst, om, op), abs=1e-6)
 
 
@@ -232,8 +231,7 @@ def test_direct_itinerary_shape():
     inst = direct_wins_instance()
     om, op = enumerated(inst)
     ds = solve_design(inst, om, op)
-    legs = commodity_itinerary(ds, "r")
-    assert len(legs) == 1 and legs[0].kind == "direct"
+    assert ds.trips == {"r": None}
     assert rider_minutes(ds, "r", inst) == pytest.approx(20.0)
 
 
@@ -241,13 +239,12 @@ def test_rider_minutes_decomposition():
     inst = bus_corridor_instance(8)
     om, op = enumerated(inst)
     ds = solve_design(inst, om, op)
-    legs = commodity_itinerary(ds, "r00")
-    pickup, bus, dropoff = legs
+    pickup, (hop,), dropoff = ds.trips["r00"]
     expected = (
-        pickup.route.xi_of("r00")
-        + inst.time(*bus.line)
+        pickup.xi_of("r00")
+        + inst.time(*hop)
         + inst.cost.bus_wait
-        + dropoff.route.xi_of("r00")
+        + dropoff.xi_of("r00")
     )
     assert rider_minutes(ds, "r00", inst) == pytest.approx(expected, abs=1e-9)
 
@@ -256,12 +253,10 @@ def test_itinerary_error_on_branching_legs():
     inst = bus_corridor_instance(4)
     om, op = enumerated(inst)
     ds = solve_design(inst, om, op)
-    broken = dataclasses.replace(
-        ds,
-        bus_legs={**ds.bus_legs, "r00": (("h1", "h2"), ("h1", "h2"))[:1] + (("h2", "h1"),)},
-    )
-    with pytest.raises(ItineraryError):
-        commodity_itinerary(broken, "r00")
+    assert {("h1", "h2"), ("h2", "h1")} <= set(ds.opened_lines)
+    bus_legs = {**ds.bus_legs, "r00": (("h1", "h2"), ("h2", "h1"))}
+    with pytest.raises(ItineraryError, match="commodity r00 has bus legs off its path"):
+        _checked_design(inst, ds.opened_lines, bus_legs, ds.selected_routes, ds.direct)
 
 
 def test_alpha_zero_itineraries_extract():
@@ -271,9 +266,9 @@ def test_alpha_zero_itineraries_extract():
     inst = dataclasses.replace(inst, cost=dataclasses.replace(inst.cost, alpha=0.0))
     om, op = enumerated(inst)
     ds = solve_design(inst, om, op)
-    for c in inst.commodities:
-        legs = commodity_itinerary(ds, c.id)
-        assert legs[0].kind in ("direct", "pickup")
+    assert ds.trips.keys() == {c.id for c in inst.commodities}
+    for cid, trip in ds.trips.items():
+        assert trip is None or set(trip[1]) == set(ds.bus_legs[cid])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-3])
@@ -303,7 +298,7 @@ def test_extract_drops_cost_neutral_cycles(alpha):
         return
     ds = _extract(dm, sol, inst)
     assert ds.bus_legs == {"r00": (("h1", "h2"),), "r01": ()}
-    assert [leg.line for leg in commodity_itinerary(ds, "r00")] == [None, ("h1", "h2"), None]
+    assert ds.trips == {"r00": (pickup, (("h1", "h2"),), dropoff), "r01": None}
     assert ds.objective == pytest.approx(sol.objective, abs=1e-9)
 
 

@@ -256,6 +256,23 @@ def test_integer_beyond_float_range_is_named(tmp_path, path, section, name):
         load_instance(write_json(tmp_path, data))
 
 
+FLOAT_FIELDS = [
+    pytest.param(path, section, f.name, id=path + f.name) for cls, path, section in RECORDS
+    for f in dataclasses.fields(cls) if f.type == "float"
+] + [pytest.param("horizon.", lambda data: data["horizon"], key, id="horizon." + key) for key in ("t_min", "t_max")]
+
+
+@pytest.mark.parametrize("path, section, name", FLOAT_FIELDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scalar_is_named(tmp_path, path, section, name, bad):
+    # json.dumps writes NaN and Infinity, which json.load reads back as floats.
+    data = json.loads(json.dumps(MINIMAL))
+    section(data)[name] = bad
+    message = f"field '{path}{name}' must be a finite number, got {bad!r}"
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        load_instance(write_json(tmp_path, data))
+
+
 def test_largest_integer_a_float_holds_loads(tmp_path):
     data = json.loads(json.dumps(MINIMAL))
     data["commodities"][0]["depart"] = data["horizon"]["t_max"] = int(sys.float_info.max)
@@ -502,7 +519,7 @@ def test_validate_flags_oversized_commodity():
 def test_validate_flags_duplicate_ids():
     inst = mk_instance(
         ["a", "b", "a"],
-        ["b"],
+        ["b", "b"],
         [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
         commodities=(
             mk_commodity("c", "a", "b", 0.0),
@@ -511,7 +528,7 @@ def test_validate_flags_duplicate_ids():
         ),
     )
     dups = [v.subject for v in validate(inst).violations if v.code == "duplicate-id"]
-    assert dups == [("node", "a"), ("commodity", "c")]
+    assert dups == [("node", "a"), ("hub", "b"), ("commodity", "c")]
 
 
 _CODE_BASE = dict(

@@ -106,6 +106,19 @@ def test_milp_infeasible():
     assert solve_milp(m).status == INFEASIBLE
 
 
+@pytest.mark.parametrize("sense, rhs, status", [
+    (GREATER_EQUAL, 1.0, INFEASIBLE), (EQUAL, -1.0, INFEASIBLE), (LESS_EQUAL, -1e-5, INFEASIBLE),
+    (GREATER_EQUAL, -1.0, OPTIMAL), (EQUAL, 1e-7, OPTIMAL), (LESS_EQUAL, 0.0, OPTIMAL),
+])
+def test_model_without_variables_is_infeasible_when_a_row_excludes_zero(sense, rhs, status):
+    # With no variable every row's activity is 0; a row is met within FEAS_TOL or not at all.
+    m = MilpModel("m")
+    m.add_rows([], [], [], sense, rhs, ["r"])
+    sol = solve_milp(m)
+    assert (sol.status, sol.x.size) == (status, 0)
+    assert (sol.objective, sol.best_bound) == ((0.0, 0.0) if status == OPTIMAL else (None, None))
+
+
 def test_solve_log_dash_writes_to_stderr(monkeypatch, capsys):
     monkeypatch.setenv("ODMTS_SOLVE_LOG", "-")
     m = _two_var_model()
