@@ -22,7 +22,6 @@ from .routegen import (
     feasible,
     materialize_dropoff,
     materialize_pickup,
-    route_cost,
 )
 from .design import DesignSolution, build_design_model, solve_design
 from .fleet import (
@@ -78,7 +77,6 @@ __all__ = [
     "min_fleet_oracle",
     "perturb_arrival_estimates",
     "recover_schedules",
-    "route_cost",
     "routes_to_tasks",
     "save_instance",
     "solve_design",

@@ -142,7 +142,7 @@ def _stage_fleet(
                 )
     except fleet_mod.FlowError as exc:
         raise StageError(stage, str(exc))
-    fleet_mod.save_result(result, tasks, path)
+    fleet_mod.save_result(result, path)
     return result
 
 

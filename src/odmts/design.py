@@ -265,9 +265,10 @@ def _close(value: float, reference: float) -> bool:
 def _checked_design(inst: Instance, opened, bus_legs, selected, direct) -> DesignSolution:
     """The design of `inst` with these opened lines, bus legs by commodity,
     selected routes and direct riders, once the lines balance at every hub,
-    no line is opened twice, every leg is on an opened line and every rider
-    not direct has one trip, one pickup route, bus legs that are exactly a
-    `_leg_path` and one dropoff route; else DesignError. Its cost is summed
+    no line is opened twice, every leg is on an opened line, every direct
+    rider has no selected route and no bus leg, and every other rider has
+    one trip, one pickup route, bus legs that are exactly a `_leg_path` and
+    one dropoff route; else DesignError. Its cost is summed
     lines as given, routes in selection order, commodities in instance order."""
     for hl, k in Counter(opened).items():
         if k > 1:
@@ -288,6 +289,9 @@ def _checked_design(inst: Instance, opened, bus_legs, selected, direct) -> Desig
         bus_inconvenience=sum(line_use_cost(c, *hl, inst) for c in inst.commodities for hl in bus_legs[c.id]),
     )
     routes_of = _routes_by_member(selected)
+    for c in inst.commodities:
+        if c.id in direct and (bus_legs[c.id] or (c.id, PICKUP) in routes_of or (c.id, DROPOFF) in routes_of):
+            raise ItineraryError(f"commodity {c.id} is direct but has a selected route or a bus leg")
     trips = {c.id: None if c.id in direct else _trip(c.id, routes_of, bus_legs[c.id]) for c in inst.commodities}
     return DesignSolution(opened, bus_legs, selected, direct, breakdown.total(), breakdown, trips)
 

@@ -46,8 +46,8 @@ rounded LP solution go to `recover_schedules` alike, and no flow can name
 an arc the graph lacks.
 
 `schedules_feasible` is the one check a fleet must pass, in the fleet stage
-and in `load_result`. `_sorted_tasks`, which every graph, the oracle and
-`result_to_dict` call, rejects a repeated task id.
+and in `load_result`. `_sorted_tasks`, which every graph and the oracle
+call, rejects a repeated task id.
 
 A minimum path cover oracle (task count minus a maximum bipartite matching
 over the full compatibility relation, found by scipy's Hopcroft-Karp on the
@@ -66,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 
-from .instance import EPS, Instance, InstanceFormatError, _typed, record_dict
+from .instance import EPS, Instance, InstanceFormatError, _typed
 from .milp import EQUAL, GREATER_EQUAL, MilpModel
 from .routegen import PICKUP
 
@@ -479,17 +479,15 @@ def min_fleet_oracle(tasks, inst: Instance) -> int:
 # -- serialization -----------------------------------------------------------
 
 
-def result_to_dict(result: FleetResult, tasks) -> dict:
-    return {
-        "fleet_size": result.fleet_size,
-        "schedules": [list(s) for s in result.schedules],
-        "tasks": [record_dict(t) for t in _sorted_tasks(tasks)],
-    }
+def result_to_dict(result: FleetResult) -> dict:
+    """The fleet size and schedules; the tasks are the design's, which
+    `load_result` takes from it."""
+    return {"fleet_size": result.fleet_size, "schedules": [list(s) for s in result.schedules]}
 
 
-def save_result(result: FleetResult, tasks, path: str) -> None:
+def save_result(result: FleetResult, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_dict(result, tasks), fh, indent=2, sort_keys=True)
+        json.dump(result_to_dict(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

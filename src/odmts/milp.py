@@ -326,10 +326,13 @@ def solve_milp(model: MilpModel, time_limit: float | None = None, integer=None) 
     time limit is hit first, the status is TIME_LIMIT, with the incumbent,
     if any, and the solver's bound."""
     if not model.var_names:  # every row's activity is 0
-        _, lo, hi = _constraint_rows(model)
+        rows = _, lo, hi = _constraint_rows(model)
         if np.any((lo > FEAS_TOL) | (hi < -FEAS_TOL)):
-            return MilpSolution(INFEASIBLE, None, np.empty(0), None)
-        return MilpSolution(OPTIMAL, 0.0, np.empty(0), 0.0)
+            sol = MilpSolution(INFEASIBLE, None, np.empty(0), None)
+        else:
+            sol = MilpSolution(OPTIMAL, 0.0, np.empty(0), 0.0)
+        _log_solve("lp", model, rows, sol.status, sol.objective)
+        return sol
     given = model.integer if integer is None else integer
     integer = _block_column(given, len(model.var_names), bool, f"integer mask of {model.name!r}")
     bad = np.flatnonzero(integer & (np.isinf(model.lb) | np.isinf(model.ub)))

@@ -30,10 +30,11 @@ consolidation window is already violated; elapsed times only grow along a
 sequence, so pruning never removes a feasible completion. The search reads
 travel times by node index, through index maps built once per enumeration.
 
-A route read back from a file (`route_from_dict`) must equal its own
-re-materialization: a pickup route in every field, a dropoff route in its
-arcs, distance and duration, the fields the hub-arrival estimates leave
-alone. It must also fit the run's shuttle capacity; the hub eligibility,
+A route record holds what the instance cannot supply: the kind, the hub,
+the members in service order and, for a dropoff, their hub-arrival
+estimates `t1`. A route read back from a file (`route_from_dict`) is
+rebuilt from these, and every other written field must equal the rebuilt
+one. It must also fit the run's shuttle capacity; the hub eligibility,
 detour bound and window rest on routing overrides that only route
 enumeration reads, so a reading stage cannot check them.
 """
@@ -43,12 +44,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from operator import attrgetter, mul
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .instance import (
-    EPS, Commodity, Instance, InstanceFormatError, _integer, _number, _typed, bucket_of, window_of,
+    EPS, Commodity, Instance, InstanceFormatError, _finite, _typed, bucket_of, window_of,
 )
 
 PICKUP = "pickup"
@@ -61,7 +62,8 @@ class Route:
 
     commodities is the service order; xi holds the per-commodity elapsed
     minutes; arcs the traversed node pairs; cost blends distance cost and
-    rider minutes with the alpha weight.
+    rider minutes with the alpha weight; t1 holds a dropoff's members'
+    hub-arrival estimates in service order, and is empty for a pickup.
     """
 
     kind: str
@@ -74,6 +76,7 @@ class Route:
     cost: float
     start_time: float
     duration: float
+    t1: tuple[float, ...]
 
     def __post_init__(self) -> None:  # `key` is not a field: `fields(Route)` is the dump schema
         object.__setattr__(self, "key", (self.kind, self.hub, tuple([c.id for c in self.commodities])))
@@ -128,12 +131,12 @@ def _blend(inst: Instance, dist: float, rider_minutes: float) -> float:
 
 def _route(
     kind: str, seq: Sequence[Commodity], hub: str, xi: list[float], arcs: list[tuple[str, str]], dist: float,
-    start: float, duration: float, inst: Instance,
+    start: float, duration: float, t1: Sequence[float], inst: Instance,
 ) -> Route:
     """The route serving `seq` at `hub`, its passengers and cost summed over `seq`."""
     pax = [c.passengers for c in seq]
     cost = _blend(inst, dist, sum(map(mul, pax, xi)))
-    return Route(kind, tuple(seq), hub, tuple(xi), sum(pax), tuple(arcs), dist, cost, start, duration)
+    return Route(kind, tuple(seq), hub, tuple(xi), sum(pax), tuple(arcs), dist, cost, start, duration, tuple(t1))
 
 
 def materialize_pickup(seq: Sequence[Commodity], hub: str, inst: Instance) -> Route:
@@ -158,7 +161,7 @@ def materialize_pickup(seq: Sequence[Commodity], hub: str, inst: Instance) -> Ro
         arcs.append((loc, hub))
         dist += dists[i, j]
     xi = [hub_arrival - c.depart for c in seq]
-    return _route(PICKUP, seq, hub, xi, arcs, dist, seq[0].depart, xi[0], inst)
+    return _route(PICKUP, seq, hub, xi, arcs, dist, seq[0].depart, xi[0], (), inst)
 
 
 def materialize_dropoff(
@@ -183,7 +186,7 @@ def materialize_dropoff(
             dist += dists[i, j]
         loc, i = c.destination, j
         xi.append((start - t1) + drive)
-    return _route(DROPOFF, seq, hub, xi, arcs, dist, start, drive, inst)
+    return _route(DROPOFF, seq, hub, xi, arcs, dist, start, drive, t1s, inst)
 
 
 def direct_cost(r: Commodity, inst: Instance) -> float:
@@ -192,24 +195,6 @@ def direct_cost(r: Commodity, inst: Instance) -> float:
     d = inst.dist(r.origin, r.destination)
     t = inst.time(r.origin, r.destination)
     return r.passengers * ((1.0 - a) * inst.cost.shuttle_cost_per_km * d + a * t)
-
-
-def route_cost(route: Route, inst: Instance) -> float:
-    """Recompute a route's cost from its fields (independent of the cached value)."""
-    rider_minutes = sum(c.passengers * x for c, x in zip(route.commodities, route.xi))
-    return _blend(inst, route.dist, rider_minutes)
-
-
-def _dropoff_t1_values(route: Route, inst: Instance) -> list[float]:
-    """Recover the hub-arrival estimates baked into a dropoff route."""
-    drive = 0.0
-    loc = route.hub
-    t1s = []
-    for c, x in zip(route.commodities, route.xi):
-        drive += inst.time(loc, c.destination)
-        loc = c.destination
-        t1s.append(route.start_time - (x - drive))
-    return t1s
 
 
 def feasible(route: Route, inst: Instance, hs: HubSets) -> bool:
@@ -233,7 +218,7 @@ def feasible(route: Route, inst: Instance, hs: HubSets) -> bool:
                 return False
             if x > (1.0 + delta) * inst.time(route.hub, c.destination) + EPS:
                 return False
-        windows = {window_of(t1, inst) for t1 in _dropoff_t1_values(route, inst)}
+        windows = {window_of(t1, inst) for t1 in route.t1}
         return len(windows) == 1
     raise ValueError(f"unknown route kind {route.kind!r}")
 
@@ -397,6 +382,8 @@ def enumerate_dropoff_routes(
 
 _NAMES = tuple(sorted(f.name for f in fields(Route)))
 _values = attrgetter(*_NAMES)
+# Keys come sorted and routes hold no cycles; json.dumps would build an encoder per call.
+_ENCODER = json.JSONEncoder(check_circular=False)
 
 
 def route_to_dict(route: Route) -> dict:
@@ -406,63 +393,34 @@ def route_to_dict(route: Route) -> dict:
     return rec
 
 
-def _arc(arc: Any, inst: Instance) -> tuple[str, str]:
-    if type(arc) is not list or len(arc) != 2 or not all(type(v) is str and v in inst._index for v in arc):
-        raise ValueError(f"field 'arcs' holds {arc!r}, not a pair of node ids of the instance")
-    return arc[0], arc[1]
-
-
 def route_from_dict(data: dict, inst: Instance) -> Route:
-    """The route of `route_to_dict`, its commodities looked up in `inst`; an
-    unknown kind, a hub `inst` lacks, an arc that is not a pair of nodes of
-    `inst`, or a non-number in a number field (a non-integer in
-    `passengers`) raises ValueError. Numbers stay as written. So does a
-    route that disagrees with itself: members not distinct, not one `xi`
-    entry per member, `passengers` not the members' sum, or `cost` not
-    exactly `route_cost`, the arithmetic the enumeration writes it with; and
-    one that differs from its re-materialization: a pickup route in any
-    field from `materialize_pickup`, a dropoff route in `arcs`, `dist` or
-    `duration` from `materialize_dropoff` (its `start_time` and `xi` depend
-    on the hub-arrival estimates, which are not checked); and one that holds
-    more riders than `inst`'s shuttle capacity."""
-    rec = {f.name: data[f.name] for f in fields(Route)}
-    if rec["kind"] not in (PICKUP, DROPOFF) or rec["hub"] not in inst.hubs:
-        raise ValueError(f"kind {rec['kind']!r} at hub {rec['hub']!r}: not a route kind at a hub of the instance")
-    xi = {f"[{k}]": v for k, v in enumerate(_typed(rec["xi"], list, "a list", "xi"))}
-    rec.update(
-        {key: _number(rec, key, "") for key in ("dist", "cost", "start_time", "duration")},
-        commodities=tuple(inst.commodity(cid) for cid in rec["commodities"]),
-        xi=tuple(_number(xi, key, "xi") for key in xi),
-        passengers=_integer(rec, "passengers", ""),
-        arcs=tuple(_arc(arc, inst) for arc in _typed(rec["arcs"], list, "a list", "arcs")),
-    )
-    route = Route(**rec)
-    members = route.key[2]
-    if not members or len(set(members)) != len(members) or len(route.xi) != len(members):
-        raise ValueError(f"route {route.key} has {len(route.xi)} xi entries: it needs distinct members, one xi each")
-    pax = sum(c.passengers for c in route.commodities)
-    if route.passengers != pax:
-        raise ValueError(f"field 'passengers' is {route.passengers}, but the members of {route.key} are {pax}")
-    cost = route_cost(route, inst)
-    if route.cost != cost:
-        raise ValueError(f"field 'cost' is {route.cost!r}, but route {route.key} costs {cost!r}")
-    if route.kind == PICKUP:
-        made, checked = materialize_pickup(route.commodities, route.hub, inst), _NAMES
-    else:  # a dropoff's start_time and xi rest on hub-arrival estimates the file does not hold
-        made = materialize_dropoff(route.commodities, route.hub, dict.fromkeys(members, 0.0), inst)
-        checked = ("arcs", "dist", "duration")
-    for name in checked:
-        got, want = getattr(route, name), getattr(made, name)
-        if got != want:
-            raise ValueError(f"field '{name}' is {got!r}, but route {route.key} materializes to {want!r}")
+    """The route of `route_to_dict`, rebuilt from its kind, its hub of
+    `inst`, its distinct `commodities` of `inst` in service order and `t1`,
+    one finite hub-arrival estimate per member of a dropoff and none for a
+    pickup. Every written field must equal the rebuilt route's as the dump
+    encodes it (so `true`, `1` and `1.0` differ), and the route must fit
+    `inst`'s shuttle capacity; else KeyError, TypeError or ValueError."""
+    kind, hub, ids = data["kind"], data["hub"], _typed(data["commodities"], list, "a list", "commodities")
+    if kind not in (PICKUP, DROPOFF) or hub not in inst.hubs:
+        raise ValueError(f"kind {kind!r} at hub {hub!r}: not a route kind at a hub of the instance")
+    seq = [inst.commodity(cid) for cid in ids]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"route {(kind, hub, tuple(ids))} lists a commodity twice: it needs distinct members")
+    t1 = {f"[{k}]": v for k, v in enumerate(_typed(data["t1"], (list, tuple), "a list", "t1"))}
+    want = len(ids) if kind == DROPOFF else 0
+    if len(t1) != want:
+        raise ValueError(f"field 't1' has {len(t1)} entries, but a {kind} route of {len(ids)} members has {want}")
+    if kind == PICKUP:
+        route = materialize_pickup(seq, hub, inst)
+    else:
+        route = materialize_dropoff(seq, hub, dict(zip(ids, (_finite(t1, k, "t1") for k in t1))), inst)
+    for name, value in route_to_dict(route).items():
+        if _ENCODER.encode(data[name]) != _ENCODER.encode(value):
+            raise ValueError(f"field '{name}' is {data[name]!r}, but route {route.key} materializes to {value!r}")
     capacity = inst.routing.shuttle_capacity
     if route.passengers > capacity:
         raise ValueError(f"route {route.key} holds {route.passengers} riders, over the shuttle capacity {capacity}")
     return route
-
-
-# Keys come sorted and routes hold no cycles; json.dumps would build an encoder per call.
-_ENCODER = json.JSONEncoder(check_circular=False)
 
 
 def dump_routes(omega_minus: dict[str, list[Route]], omega_plus: dict[str, list[Route]], path: str) -> None:

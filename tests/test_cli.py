@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from odmts import design, fleet, instgen, milp
+from odmts import design, fleet, instgen, milp, routegen
 from odmts.cli import (
     EXIT_INVALID, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, PipelineConfig, _merge_config, build_parser, main,
     run_pipeline,
@@ -535,8 +535,8 @@ def _individual_route_twice(route):
     "line, edit, message",
     [
         (2, lambda r: r.update(cost=-50.0), "field 'cost' is -50.0, but route"),
-        (2, lambda r: r.update(passengers=99), "field 'passengers' is 99, but the members"),
-        (6, lambda r: r.update(xi=r["xi"][:1]), "has 1 xi entries"),
+        (2, lambda r: r.update(passengers=99), "field 'passengers' is 99, but route"),
+        (6, lambda r: r.update(xi=r["xi"][:1]), "field 'xi' is ["),
         (2, _individual_route_twice, "it needs distinct members"),
         (6, lambda r: r.update(commodities=r["commodities"][:1] * 2), "it needs distinct members"),
     ],
@@ -736,6 +736,52 @@ def test_fleet_size_rejects_route_that_differs_from_its_materialization(tmp_path
     err = _one_usage_line(code, capsys, f"[fleet-size] {path}: ")
     assert message in err and "materializes to" in err, err
     assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("field", ["cost", "dist", "duration", "passengers", "start_time", "xi", "t1"])
+def test_report_rejects_design_of_any_route_number_moved(tmp_path, capsys, field):
+    """Adding 1 to one number field (to every entry of a list) of any
+    selected route of the pipeline_lines design makes it no design: each
+    field is rebuilt from the route's kind, hub, members and `t1`."""
+    routes = json.loads((Path(LINES) / "design.json").read_text())["selected_routes"]
+    moved = [k for k, route in enumerate(routes) if route[field] != []]
+    assert len(moved) == (sum(route["kind"] == "dropoff" for route in routes) if field == "t1" else len(routes))
+    for k in moved:
+        def edit(data):
+            route = data["selected_routes"][k]
+            route[field] = [v + 1 for v in route[field]] if type(route[field]) is list else route[field] + 1
+
+        path = tmp_path / f"design{k}.json"
+        _edit_json(Path(LINES) / "design.json", path, edit)
+        code = _lines_report(tmp_path, path, os.path.join(LINES, "fleet.json"))
+        assert "field '" in _one_usage_line(code, capsys, f"[report] {path}: not a design solution: ")
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_direct_rider_on_a_route_or_bus_leg_is_no_design(tmp_path, capsys):
+    """c0 rides a pickup route, two bus legs and a dropoff route in the
+    pipeline_lines design; listing it as direct as well, with its direct
+    ride's cost added to the written cost, makes it no design."""
+    inst = load_instance(os.path.join(LINES, "lines.json"))
+    extra = routegen.direct_cost(inst.commodity("c0"), inst)
+
+    def also_direct(data):
+        assert data["bus_legs"]["c0"] and "c0" not in data["direct"]
+        data["direct"].append("c0")
+        data["objective"] += extra
+        data["breakdown"]["direct_cost"] += extra
+
+    path = tmp_path / "design.json"
+    _edit_json(Path(LINES) / "design.json", path, also_direct)
+    message = "commodity c0 is direct but has a selected route or a bus leg"
+    code = main([
+        "fleet-size", "--instance", os.path.join(LINES, "lines.json"), "--design", str(path),
+        "--out", str(tmp_path / "f.json"),
+    ])
+    assert message in _one_usage_line(code, capsys, f"[fleet-size] {path}: not a design solution: ")
+    code = _lines_report(tmp_path, path, os.path.join(LINES, "fleet.json"))
+    assert message in _one_usage_line(code, capsys, f"[report] {path}: not a design solution: ")
+    assert not (tmp_path / "f.json").exists() and not (tmp_path / "r.json").exists()
 
 
 def test_routes_and_design_must_fit_the_run_capacity(tmp_path, capsys):

@@ -119,6 +119,15 @@ def test_model_without_variables_is_infeasible_when_a_row_excludes_zero(sense, r
     assert (sol.objective, sol.best_bound) == ((0.0, 0.0) if status == OPTIMAL else (None, None))
 
 
+def test_model_without_variables_writes_its_solve_log_line(tmp_path, monkeypatch):
+    log = tmp_path / "solve.log"
+    monkeypatch.setenv("ODMTS_SOLVE_LOG", str(log))
+    m = MilpModel("m")
+    m.add_rows([], [], [], GREATER_EQUAL, 1.0, ["r"])
+    assert solve_milp(m).status == INFEASIBLE
+    assert log.read_text() == "[lp] model=m vars=0 rows=1 nnz=0 status=infeasible objective=None\n"
+
+
 def test_solve_log_dash_writes_to_stderr(monkeypatch, capsys):
     monkeypatch.setenv("ODMTS_SOLVE_LOG", "-")
     m = _two_var_model()

@@ -19,7 +19,6 @@ from odmts.routegen import (
     load_routes,
     materialize_dropoff,
     materialize_pickup,
-    route_cost,
     route_to_dict,
 )
 
@@ -144,13 +143,13 @@ def test_route_cost_direct_and_boundaries():
 
     zero_alpha = mk_instance(["a", "b"], ["a"], time, commodities=(r,), alpha=0.0)
     pickup = materialize_pickup((r,), "a", zero_alpha)
-    assert route_cost(pickup, zero_alpha) == pytest.approx(pickup.dist, abs=1e-12)
+    assert pickup.cost == pytest.approx(pickup.dist, abs=1e-12)
 
 
 def test_route_cost_matches_pickup_example(pickup_pair_instance):
     inst = pickup_pair_instance
     route = materialize_pickup(inst.commodities, "h", inst)
-    assert route_cost(route, inst) == pytest.approx(8.006, abs=1e-9)
+    assert route.cost == pytest.approx(8.006, abs=1e-9)
 
 
 def test_feasible_detour_bound(pickup_pair_instance):
@@ -441,6 +440,42 @@ def test_route_dump_round_trip(tmp_path, pickup_pair_instance):
             assert w.kind == PICKUP
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_perturbed_route_dump_reloads_equal(tmp_path, seed):
+    """Dropoff routes built on perturbed hub-arrival estimates, which no
+    instance field gives back, reload equal from their dump: each record
+    holds its estimates."""
+    inst = instgen.generate(seed=12, n_nodes=30, n_hubs=4, n_commodities=40, horizon=(0.0, 60.0), side_km=16.0)
+    hs = compute_hub_sets(inst)
+    offsets = instgen.perturb_arrival_estimates(inst, 1.0, seed)
+    omega_minus, omega_plus = enumerate_pickup_routes(inst, hs), enumerate_dropoff_routes(inst, hs, offsets)
+    path = str(tmp_path / "routes.jsonl")
+    dump_routes(omega_minus, omega_plus, path)
+
+    def by_key(omega):
+        return {cid: sorted(routes, key=lambda w: w.key) for cid, routes in omega.items()}
+
+    back_minus, back_plus = load_routes(path, inst)
+    assert any(len(w.commodities) > 1 for routes in omega_plus.values() for w in routes)
+    assert by_key(back_minus) == by_key(omega_minus)
+    assert by_key(back_plus) == by_key(omega_plus)
+
+
+def test_dropoff_whose_estimates_its_times_do_not_give_back_loads_exactly(tmp_path):
+    """Solving this route's start time and elapsed times for c21's estimate
+    gives 31.818240980474236, one ulp off, and a route rebuilt on that moves
+    c21's elapsed time by one ulp; the written estimates rebuild it exactly."""
+    inst = instgen.generate(seed=400, n_nodes=60, n_hubs=6, n_commodities=100, side_km=16.0)
+    ids = ("c21", "c69", "c58")
+    t1 = dict(zip(ids, (31.818240980474233, 42.08407629901777, 46.12676227393581)))
+    route = materialize_dropoff([inst.commodity(cid) for cid in ids], "n51", t1, inst)
+    path = tmp_path / "routes.jsonl"
+    path.write_text(json.dumps(route_to_dict(route)) + "\n")
+    _, omega_plus = load_routes(str(path), inst)
+    assert [w for cid in ids for w in omega_plus[cid]] == [route] * 3
+    assert route.t1 == tuple(t1.values())
+
+
 def test_load_routes_skips_blank_lines(tmp_path, pickup_pair_instance):
     inst = pickup_pair_instance
     hs = compute_hub_sets(inst)
@@ -462,7 +497,7 @@ def test_load_routes_names_the_line_of_an_integer_beyond_float_range(tmp_path, p
     rec = json.loads(lines[1])
     rec["passengers"] = 10**400  # json reads an int that float() cannot take
     path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
-    with pytest.raises(InstanceFormatError, match="line 2 is not a route: .*'passengers' is an integer beyond"):
+    with pytest.raises(InstanceFormatError, match="line 2 is not a route: .*'passengers' is 10{400}, but route"):
         load_routes(str(path), inst)
 
 
@@ -482,7 +517,7 @@ def test_route_key_and_dump_fields(pickup_pair_instance):
     assert dataclasses.replace(route, hub="a").key == (PICKUP, "a", ("r2", "r1"))
     rec = route_to_dict(route)
     assert list(rec) == [
-        "arcs", "commodities", "cost", "dist", "duration", "hub", "kind", "passengers", "start_time", "xi",
+        "arcs", "commodities", "cost", "dist", "duration", "hub", "kind", "passengers", "start_time", "t1", "xi",
     ]
     assert rec["commodities"] == ["r2", "r1"]
 
