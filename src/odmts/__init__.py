@@ -19,7 +19,6 @@ from .routegen import (
     enumerate_dropoff_routes,
     enumerate_pickup_routes,
     estimate_hub_arrival,
-    feasible,
     materialize_dropoff,
     materialize_pickup,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "enumerate_pickup_routes",
     "estimate_hub_arrival",
     "export_model",
-    "feasible",
     "generate",
     "load_instance",
     "materialize_dropoff",

@@ -123,8 +123,8 @@ def _stage_fleet(
 ) -> fleet_mod.FleetResult:
     """Build the sparse fleet graph, write its model to `cfg.export_model`
     if set, solve it, require `schedules_feasible` and save the result to
-    `path`. With `check_oracle`, also solve the dense graph and the matching
-    oracle and require all three sizes to agree."""
+    `path`. With `check_oracle`, also require the matching oracle, which
+    shares no code with the sparse graph or its flow, to give the same size."""
     tasks = fleet_mod.routes_to_tasks(ds, inst)
     try:
         graph = fleet_mod.build_sparse_graph(tasks, inst)
@@ -134,12 +134,9 @@ def _stage_fleet(
         if not fleet_mod.schedules_feasible(result, tasks, inst):
             raise StageError(stage, f"schedules do not serve the {len(tasks)} tasks once each, back to back")
         if cfg.check_oracle:
-            dense = fleet_mod.solve_fleet(fleet_mod.build_dense_graph(tasks, inst)).fleet_size
             oracle = fleet_mod.min_fleet_oracle(tasks, inst)
-            if not dense == result.fleet_size == oracle:
-                raise StageError(
-                    stage, f"formulations disagree: dense={dense} sparse={result.fleet_size} matching={oracle}"
-                )
+            if result.fleet_size != oracle:
+                raise StageError(stage, f"formulations disagree: sparse={result.fleet_size} matching={oracle}")
     except fleet_mod.FlowError as exc:
         raise StageError(stage, str(exc))
     fleet_mod.save_result(result, path)

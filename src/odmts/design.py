@@ -235,9 +235,9 @@ def build_design_model(
 
 def _extract(dm: DesignModel, sol: MilpSolution, inst: Instance) -> DesignSolution:
     """Read the solution off the model's columns; `inst` is the instance the
-    model was built from. A commodity with one pickup and one dropoff route
-    keeps only the bus legs on its `_leg_path`, in line order, and any other
-    keeps none. `_checked_design` then checks the design, and its cost must
+    model was built from. A direct rider keeps no bus legs, and any other
+    only those on its `_hop_path`, in line order. `_checked_design` then
+    checks the design, which `_trip` reads the same way, and its cost must
     match the solver's objective (else DesignError): that shows the dropped
     legs, cost-neutral cycles at alpha = 0, cost nothing."""
     on = sol.x > 0.5
@@ -247,9 +247,8 @@ def _extract(dm: DesignModel, sol: MilpSolution, inst: Instance) -> DesignSoluti
     routes_of = _routes_by_member(selected)
     bus_legs: dict[str, tuple[tuple[str, str], ...]] = {}
     for c, row in zip(inst.commodities, on[dm.y].tolist()):
-        pickups, dropoffs = routes_of.get((c.id, PICKUP), ()), routes_of.get((c.id, DROPOFF), ())
-        legs = tuple(hl for hl, o in zip(dm.lines, row) if o) if len(pickups) == len(dropoffs) == 1 else ()
-        path = _leg_path(legs, pickups[0].hub, dropoffs[0].hub) if legs else ()
+        legs = () if c.id in direct else tuple(hl for hl, o in zip(dm.lines, row) if o)
+        path = _hop_path(c.id, routes_of, legs)[1] if legs else ()
         bus_legs[c.id] = tuple(leg for leg in legs if leg in path)
     ds = _checked_design(inst, opened, bus_legs, selected, direct)
     if not _close(ds.objective, sol.objective):
@@ -296,17 +295,25 @@ def _checked_design(inst: Instance, opened, bus_legs, selected, direct) -> Desig
     return DesignSolution(opened, bus_legs, selected, direct, breakdown.total(), breakdown, trips)
 
 
-def _trip(cid: str, routes_of, legs) -> tuple[Route, tuple[tuple[str, str], ...], Route]:
+def _hop_path(cid: str, routes_of, legs) -> tuple[Route, list[tuple[str, str]], Route]:
+    """Rider `cid`'s one pickup route, the `_leg_path` of `legs` from its hub
+    to the hub of the rider's one dropoff route, and that route; else
+    ItineraryError."""
     pickups, dropoffs = routes_of.get((cid, PICKUP), ()), routes_of.get((cid, DROPOFF), ())
     if len(pickups) != 1 or len(dropoffs) != 1:
         raise ItineraryError(f"commodity {cid} has {len(pickups)} pickup and {len(dropoffs)} dropoff routes selected")
     try:
-        hops = _leg_path(legs, pickups[0].hub, dropoffs[0].hub)
+        return pickups[0], _leg_path(legs, pickups[0].hub, dropoffs[0].hub), dropoffs[0]
     except ItineraryError as exc:
         raise ItineraryError(f"commodity {cid}: {exc}") from None
+
+
+def _trip(cid: str, routes_of, legs) -> tuple[Route, tuple[tuple[str, str], ...], Route]:
+    """The `_hop_path` of rider `cid`, whose `legs` must all lie on it."""
+    pickup, hops, dropoff = _hop_path(cid, routes_of, legs)
     if len(hops) != len(legs):
         raise ItineraryError(f"commodity {cid} has bus legs off its path {hops}: {list(legs)}")
-    return pickups[0], tuple(hops), dropoffs[0]
+    return pickup, tuple(hops), dropoff
 
 
 def solve_design(inst: Instance, omega_minus, omega_plus) -> DesignSolution:

@@ -10,7 +10,9 @@ reposition before the second starts. The minimum fleet is the minimum
 number of source-to-sink flow units covering every task. Two fleet graphs:
 
 * the dense graph puts an arc on every compatible ordered pair and lets the
-  source feed and the sink drain every task;
+  source feed and the sink drain every task. It is the paper's natural
+  formulation; no stage builds it, and the tests hold the sparse graph
+  against it;
 * the sparse graph drops transitive arcs (kept only when no one-stop relay
   exists; relays are read off a float32 product of the compatibility matrix
   with itself, taken block by block over the relays inside the band, from a
@@ -52,8 +54,8 @@ call, rejects a repeated task id.
 A minimum path cover oracle (task count minus a maximum bipartite matching
 over the full compatibility relation, found by scipy's Hopcroft-Karp on the
 biadjacency CSR, built block by block from the latest task back, so it
-shares no code with the relay filter or the max flow it checks) is provided
-for cross-checking.
+shares no code with the relay filter or the max flow it checks) is the
+fleet stage's `--check-oracle` check of the sparse graph's fleet size.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ SPARSE = "sparse"
 DIRECT = "direct"  # the kind of a direct passenger's ride
 
 RELAY_BLOCK = 256  # tasks per block: of rows in `_compatibility_blocks`, of columns in the relay product
+_ID_PART = str.maketrans({"\\": "\\\\", ":": "\\:", "|": "\\|"})  # escapes a hub or commodity id in a task id
 
 
 class FlowError(ValueError):
@@ -112,22 +115,25 @@ def shuttle_rides(ds, inst: Instance) -> list[tuple[str, int, Task]]:
     """A design's shuttle rides as (kind, riders, task): each selected route
     that drives, in selection order (a route without arcs serves riders
     already at its hub), then one single-rider ride per passenger of each
-    direct commodity, by commodity id."""
+    direct commodity, by commodity id. A task id joins the kind, the hub and
+    the riders with ':' and '|', each id with '\\', ':' and '|' escaped by
+    a backslash, so distinct rides get distinct ids."""
     rides = []
     for w in ds.selected_routes:
         if not w.arcs:
             continue
-        ids = "|".join(c.id for c in w.commodities)
+        name = f"{w.hub.translate(_ID_PART)}:{'|'.join(c.id.translate(_ID_PART) for c in w.commodities)}"
         if w.kind == PICKUP:
-            task = Task(f"p:{w.hub}:{ids}", w.commodities[0].origin, w.hub, w.start_time, w.duration)
+            task = Task(f"p:{name}", w.commodities[0].origin, w.hub, w.start_time, w.duration)
         else:
-            task = Task(f"d:{w.hub}:{ids}", w.hub, w.commodities[-1].destination, w.start_time, w.duration)
+            task = Task(f"d:{name}", w.hub, w.commodities[-1].destination, w.start_time, w.duration)
         rides.append((w.kind, w.passengers, task))
     times, node = inst.time_view, inst.node_index
     for cid in sorted(ds.direct):
         c = inst.commodity(cid)
         ride = times[node(c.origin), node(c.destination)]
-        rides += [(DIRECT, 1, Task(f"direct:{cid}:{k}", c.origin, c.destination, c.depart, ride))
+        name = f"direct:{cid.translate(_ID_PART)}"
+        rides += [(DIRECT, 1, Task(f"{name}:{k}", c.origin, c.destination, c.depart, ride))
                   for k in range(c.passengers)]
     return rides
 

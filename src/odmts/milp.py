@@ -7,10 +7,10 @@ entries; the rows are kept in CSR blocks (indptr, indices, data) with one
 sense and right-hand side per row. `add_vars` appends a block of variables
 and `add_rows` a block of named rows given as COO triplets (block-local
 row, column, value); `set_objective` takes the objective as one more such
-row. All validate their input with array operations, and `add_var` and
-`add_constraint` are one-row wrappers. Every coefficient goes through one
-check and, within a row or the objective, repeated columns are summed and
-the columns sorted.
+row. All validate their input with array operations. Every coefficient
+goes through one check and, within a row or the objective, repeated columns
+are summed and the columns sorted. Names need not be unique: a variable or
+a row is known by its position.
 
 Models are always minimization. Every solve, LP or MIP, is one call of
 `solve_milp`, i.e. of `scipy.optimize.milp` (HiGHS) at a 1e-9 relative
@@ -44,7 +44,7 @@ import re
 import string
 import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,7 +67,7 @@ _SENSES = (LESS_EQUAL, EQUAL, GREATER_EQUAL)  # a row's sense is stored as its p
 
 
 class ModelError(ValueError):
-    """The model violates a structural invariant (bad bounds, dup names, ...)."""
+    """The model violates a structural invariant (bad bounds, unknown columns, ...)."""
 
 
 class SolveNumericalError(RuntimeError):
@@ -93,7 +93,6 @@ class MilpModel:
         self.var_names: list[str] = []
         self.row_names: list[str] = []
         self.objective: tuple[np.ndarray, np.ndarray] = (np.empty(0, np.int64), np.empty(0))  # (cols, vals)
-        self._name_set: set[str] = set()
         self._cols: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lb, ub, integer)
         self._rows: list[tuple[np.ndarray, ...]] = []  # (indptr, indices, data, sense, rhs)
 
@@ -116,22 +115,9 @@ class MilpModel:
         if bad.any():
             i = bad.argmax()
             raise ModelError(f"variable {names[i]!r} has lb {lb[i]} > ub {ub[i]}")
-        new = set(names)
-        if len(new) < k or not self._name_set.isdisjoint(new):
-            seen = set(self._name_set)
-            for name in names:
-                if name in seen:
-                    raise ModelError(f"duplicate variable name {name!r}")
-                seen.add(name)
-        self._name_set.update(new)
         self.var_names.extend(names)
         self._cols.append((lb, ub, integer))
         return np.arange(start, start + k)
-
-    def add_var(
-        self, name: str, lb: float = 0.0, ub: float = math.inf, integer: bool = False
-    ) -> int:
-        return int(self.add_vars([name], lb, ub, integer)[0])
 
     def _entries(self, rows, cols, vals, owner: Callable[[int], str]):
         """The checked COO entries of a row block, or of the objective, with each
@@ -193,14 +179,6 @@ class MilpModel:
         indptr = np.searchsorted(rows, np.arange(k + 1))
         self._rows.append((indptr, cols, vals, code, rhs))
         self.row_names.extend(names)
-
-    def add_constraint(
-        self, coeffs: Mapping[int, float], sense: str, rhs: float, name: str | None = None
-    ) -> int:
-        row = len(self.row_names)
-        names = [f"c{row}" if name is None else name]
-        self.add_rows(np.zeros(len(coeffs)), list(coeffs), list(coeffs.values()), sense, rhs, names)
-        return row
 
     def set_objective(self, cols, vals) -> None:
         """Replace the objective by vals[p] on the variable cols[p] (`vals` may be
@@ -574,7 +552,7 @@ def write_lp(model: MilpModel, path: str) -> dict[str, str]:
     row tail or bound pair), joined once; the file's bytes are those of the
     per-term formatting it replaced. Variables and rows get distinct written
     names by position (`_sanitize_names`). Returns the original -> written
-    variable name map."""
+    variable name map; a repeated name maps to its last position's."""
     names = np.array(_sanitize_names(model.var_names, 200, "x"), dtype=object)
     rows = np.array(_sanitize_names(model.row_names, 200, "c"), dtype=object)
     indptr, indices, data, sense, rhs = model._merged_rows()
@@ -658,7 +636,7 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
     texts as in `write_lp`; the file's bytes are those of the per-line
     formatting it replaced. Variables and rows get distinct written names
     by position (`_sanitize_names`). Returns the original -> written
-    variable name map."""
+    variable name map; a repeated name maps to its last position's."""
     names = np.array(_sanitize_names(model.var_names, 8, "X"), dtype=object)
     rows = np.array(_sanitize_names(model.row_names, 8, "R"), dtype=object)
     pads = np.array([row.ljust(9) + " " for row in rows.tolist()], dtype=object)

@@ -197,32 +197,6 @@ def direct_cost(r: Commodity, inst: Instance) -> float:
     return r.passengers * ((1.0 - a) * inst.cost.shuttle_cost_per_km * d + a * t)
 
 
-def feasible(route: Route, inst: Instance, hs: HubSets) -> bool:
-    """Check the practical-interest conditions: eligible hub and bounded
-    detour for every commodity, capacity, and a shared consolidation window
-    (departure times for pickups, hub-arrival estimates for dropoffs)."""
-    if route.passengers > inst.routing.shuttle_capacity:
-        return False
-    delta = inst.routing.duration_threshold
-    if route.kind == PICKUP:
-        for c, x in zip(route.commodities, route.xi):
-            if route.hub not in hs.first[c.id]:
-                return False
-            if x > (1.0 + delta) * inst.time(c.origin, route.hub) + EPS:
-                return False
-        buckets = {bucket_of(c.depart, inst) for c in route.commodities}
-        return len(buckets) == 1
-    if route.kind == DROPOFF:
-        for c, x in zip(route.commodities, route.xi):
-            if route.hub not in hs.last[c.id]:
-                return False
-            if x > (1.0 + delta) * inst.time(route.hub, c.destination) + EPS:
-                return False
-        windows = {window_of(t1, inst) for t1 in route.t1}
-        return len(windows) == 1
-    raise ValueError(f"unknown route kind {route.kind!r}")
-
-
 # -- enumeration -------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Readers for the LP and MPS subsets that `odmts.milp` writes, used by the
-tests to check that exported models round-trip. They build models through
-the one-row wrappers `MilpModel.add_var` and `MilpModel.add_constraint`.
+tests to check that exported models round-trip. They build models one
+variable and one row at a time through `add_var` and `add_constraint`,
+which the tests also use: one-row forms of `MilpModel.add_vars` and
+`MilpModel.add_rows`.
 
 `reference_lp` is a plain LP writer, one f-string per term and per line,
 that the tests hold `write_lp`'s bytes against."""
@@ -11,6 +13,20 @@ import math
 import re
 
 from odmts.milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel
+
+
+def add_var(model: MilpModel, name: str, lb=0.0, ub=math.inf, integer=False) -> int:
+    """Append one variable to `model`; returns its index."""
+    return int(model.add_vars([name], lb, ub, integer)[0])
+
+
+def add_constraint(model: MilpModel, coeffs: dict[int, float], sense: str, rhs: float, name=None) -> int:
+    """Append the row sum(coeffs[j] * x[j]) `sense` `rhs`, named `name` or
+    c<row index>; returns that index."""
+    row = len(model.row_names)
+    names = [f"c{row}" if name is None else name]
+    model.add_rows([0] * len(coeffs), list(coeffs), list(coeffs.values()), sense, rhs, names)
+    return row
 
 
 def read_mps(path: str) -> MilpModel:
@@ -89,7 +105,8 @@ def read_mps(path: str) -> MilpModel:
     model = MilpModel(name="mps")
     for name, idx in sorted(var_idx.items(), key=lambda kv: kv[1]):
         lo, hi = explicit_bounds.get(idx, [None, None])
-        model.add_var(
+        add_var(
+            model,
             name,
             0.0 if lo is None else lo,
             math.inf if hi is None else hi,
@@ -97,7 +114,7 @@ def read_mps(path: str) -> MilpModel:
         )
     model.set_objective(list(obj_coeffs), list(obj_coeffs.values()))
     for row in row_order:
-        model.add_constraint(row_coeffs[row], row_sense[row], row_rhs.get(row, 0.0), name=row)
+        add_constraint(model, row_coeffs[row], row_sense[row], row_rhs.get(row, 0.0), name=row)
     return model
 
 
@@ -203,11 +220,11 @@ def read_lp(path: str) -> MilpModel:
     general = set(general_names)
     for name in names:
         lb, ub = bounds.get(name, [0.0, math.inf])
-        model.add_var(name, lb, ub, integer=name in general)
+        add_var(model, name, lb, ub, integer=name in general)
     index = {name: k for k, name in enumerate(names)}
     model.set_objective([index[n] for n in obj_terms], list(obj_terms.values()))
     for name, terms, op, rhs in cons:
-        model.add_constraint({index[n]: v for n, v in terms.items()}, op, rhs, name=name)
+        add_constraint(model, {index[n]: v for n, v in terms.items()}, op, rhs, name=name)
     return model
 
 

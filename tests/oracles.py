@@ -1,5 +1,10 @@
 """Independent brute-force oracles used only by the test suite.
 
+The route oracles scan every ordered commodity sequence up to capacity and
+keep those that pass `feasible`, the practical-interest conditions written
+out one route at a time; route enumeration prunes its search by the same
+conditions instead.
+
 The design oracle enumerates every degree-balanced set of opened lines and,
 for each, every consistent way to cover the commodities (direct, or a
 pickup route + simple bus path + dropoff route, with shared routes binding
@@ -7,8 +12,8 @@ all their members), taking the global minimum cost. It never touches the
 MILP machinery.
 
 `design_model_by_rows` is the reference for the bulk design-model
-assembly: it adds the same variables and rows one at a time through
-`MilpModel.add_var` and `MilpModel.add_constraint`.
+assembly: it adds the same variables and rows one at a time through the
+one-row helpers `model_files.add_var` and `model_files.add_constraint`.
 
 `matrix_findings` is the reference for the matrix checks of `validate`:
 plain loops over Python floats, every (i, k, j) triple tried.
@@ -32,17 +37,44 @@ from scipy.sparse.csgraph import maximum_flow
 
 from odmts.design import bus_lines, line_open_cost, line_use_cost
 from odmts.fleet import _compatibility_blocks, _sorted_tasks
-from odmts.instance import EPS
+from odmts.instance import EPS, bucket_of, window_of
 from odmts.milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel
 from odmts.routegen import (
     DROPOFF,
     PICKUP,
     arrival_estimates,
     direct_cost,
-    feasible,
     materialize_dropoff,
     materialize_pickup,
 )
+
+from model_files import add_constraint, add_var
+
+
+def feasible(route, inst, hs):
+    """Check the practical-interest conditions: eligible hub and bounded
+    detour for every commodity, capacity, and a shared consolidation window
+    (departure times for pickups, hub-arrival estimates for dropoffs)."""
+    if route.passengers > inst.routing.shuttle_capacity:
+        return False
+    delta = inst.routing.duration_threshold
+    if route.kind == PICKUP:
+        for c, x in zip(route.commodities, route.xi):
+            if route.hub not in hs.first[c.id]:
+                return False
+            if x > (1.0 + delta) * inst.time(c.origin, route.hub) + EPS:
+                return False
+        buckets = {bucket_of(c.depart, inst) for c in route.commodities}
+        return len(buckets) == 1
+    if route.kind == DROPOFF:
+        for c, x in zip(route.commodities, route.xi):
+            if route.hub not in hs.last[c.id]:
+                return False
+            if x > (1.0 + delta) * inst.time(route.hub, c.destination) + EPS:
+                return False
+        windows = {window_of(t1, inst) for t1 in route.t1}
+        return len(windows) == 1
+    raise ValueError(f"unknown route kind {route.kind!r}")
 
 
 def _keep_cheapest(best, route, hub, seq):
@@ -274,17 +306,17 @@ def design_model_by_rows(inst, omega_minus, omega_plus):
     routes = {w.key: w for omega in (omega_minus, omega_plus) for ws in omega.values() for w in ws}
     model = MilpModel(name="design")
     lines = bus_lines(inst)
-    z_idx = {hl: model.add_var(f"z[{hl[0]},{hl[1]}]", 0, 1, integer=True) for hl in lines}
+    z_idx = {hl: add_var(model, f"z[{hl[0]},{hl[1]}]", 0, 1, integer=True) for hl in lines}
     y_idx = {
-        (c.id, h, l): model.add_var(f"y[{c.id},{h},{l}]", 0, 1, integer=True)
+        (c.id, h, l): add_var(model, f"y[{c.id},{h},{l}]", 0, 1, integer=True)
         for c in inst.commodities
         for (h, l) in lines
     }
     x_idx = {
-        key: model.add_var(f"x[{key[0]},{key[1]},{'|'.join(key[2])}]", 0, 1, integer=True)
+        key: add_var(model, f"x[{key[0]},{key[1]},{'|'.join(key[2])}]", 0, 1, integer=True)
         for key in sorted(routes)
     }
-    eta_idx = {c.id: model.add_var(f"eta[{c.id}]", 0, 1, integer=True) for c in inst.commodities}
+    eta_idx = {c.id: add_var(model, f"eta[{c.id}]", 0, 1, integer=True) for c in inst.commodities}
 
     objective = {z_idx[hl]: line_open_cost(*hl, inst) for hl in lines}
     for key, w in routes.items():
@@ -301,17 +333,17 @@ def design_model_by_rows(inst, omega_minus, omega_plus):
             if l != h:
                 row[z_idx[(h, l)]] = row.get(z_idx[(h, l)], 0.0) + 1.0
                 row[z_idx[(l, h)]] = row.get(z_idx[(l, h)], 0.0) - 1.0
-        model.add_constraint(row, EQUAL, 0.0, name=f"balance[{h}]")
+        add_constraint(model, row, EQUAL, 0.0, name=f"balance[{h}]")
     for c in inst.commodities:
         for tag, omega in (("p", omega_minus), ("d", omega_plus)):
             row = {eta_idx[c.id]: 1.0}
             for w in omega.get(c.id, []):
                 row[x_idx[w.key]] = 1.0
-            model.add_constraint(row, GREATER_EQUAL, 1.0, name=f"cover_{tag}[{c.id}]")
+            add_constraint(model, row, GREATER_EQUAL, 1.0, name=f"cover_{tag}[{c.id}]")
     for c in inst.commodities:
         for hl in lines:
-            model.add_constraint(
-                {y_idx[(c.id, *hl)]: 1.0, z_idx[hl]: -1.0}, LESS_EQUAL, 0.0,
+            add_constraint(
+                model, {y_idx[(c.id, *hl)]: 1.0, z_idx[hl]: -1.0}, LESS_EQUAL, 0.0,
                 name=f"open[{c.id},{hl[0]},{hl[1]}]",
             )
     for c in inst.commodities:
@@ -325,7 +357,7 @@ def design_model_by_rows(inst, omega_minus, omega_plus):
                 for w in omega.get(c.id, []):
                     if w.hub == h:
                         row[x_idx[w.key]] = row.get(x_idx[w.key], 0.0) + sign
-            model.add_constraint(row, EQUAL, 0.0, name=f"flow[{c.id},{h}]")
+            add_constraint(model, row, EQUAL, 0.0, name=f"flow[{c.id},{h}]")
     return model
 
 

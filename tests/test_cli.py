@@ -17,7 +17,7 @@ from odmts.instance import CostParams, instance_to_dict, load_instance, record_d
 from odmts.milp import write_lp
 
 from conftest import DESK_COST, euclid_instance, mk_commodity
-from model_files import read_lp
+from model_files import add_var, read_lp
 
 ARTIFACTS = ("routes.jsonl", "design.json", "fleet.json", "report.json", "report.csv")
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "pipeline_tiny")
@@ -864,7 +864,7 @@ def test_design_stage_reports_a_failed_solve(tmp_path, tiny_instance_file, tiny_
     failed = OptimizeResult(status=4, message="no solution reported", x=None, fun=None, success=False)
     monkeypatch.setattr(milp, "_scipy_milp", lambda **_: failed)
     m = milp.MilpModel("m")
-    m.add_var("x", 0.0, 1.0, integer=True)
+    add_var(m, "x", 0.0, 1.0, integer=True)
     with pytest.raises(milp.SolveNumericalError, match="MILP solve failed: no solution reported"):
         milp.solve_milp(m)
     out = tmp_path / "d.json"
@@ -1072,8 +1072,37 @@ def test_check_oracle_disagreement_fails_the_stage(tmp_path, tiny_instance_file,
         assert main(argv) == EXIT_SOLVER, argv[0]
         err = capsys.readouterr().err
         assert err.startswith(label) and err.count("\n") == 1, err
-        assert all(f" {name}=" in err for name in ("dense", "sparse")) and " matching=-1" in err, err
+        assert " sparse=" in err and " matching=-1" in err, err
     assert not (tmp_path / "fleet.json").exists()
+
+
+def test_check_oracle_builds_no_dense_graph(tmp_path, tiny_instance_file, tiny_pipeline, monkeypatch):
+    def refuse(tasks, inst):
+        raise AssertionError("the dense fleet graph was built")
+
+    monkeypatch.setattr(fleet, "build_dense_graph", refuse)
+    assert main([
+        "fleet-size", "--instance", tiny_instance_file, "--design", str(tiny_pipeline / "design.json"),
+        "--out", str(tmp_path / "fleet.json"), "--check-oracle",
+    ]) == EXIT_OK
+    again = ["pipeline", "--instance", tiny_instance_file, "--out", str(tmp_path / "again"), "--check-oracle"]
+    assert main(again) == EXIT_OK
+
+
+def test_pipeline_runs_when_joined_route_names_collide(tmp_path):
+    """Riders a and b share routes whose model names, such as
+    x[pickup,h1,a|b], are those of the routes of the rider 'a|b': the model
+    keeps the columns apart by position and the run completes."""
+    points = {"o": (0, 0), "h1": (6, 0), "h2": (12, 0), "d": (18, 1), "e": (18, -1)}
+    riders = [mk_commodity("a", "o", "d", 0.0), mk_commodity("b", "o", "e", 0.0), mk_commodity("a|b", "o", "d", 0.0)]
+    path, out = str(tmp_path / "bar.json"), tmp_path / "run"
+    save_instance(euclid_instance(points, ["h1", "h2"], riders, delta=1.0, first_hubs=2, last_hubs=2), path)
+    assert main(["validate", "--instance", path]) == EXIT_OK
+    assert main([
+        "pipeline", "--instance", path, "--out", str(out), "--check-oracle", "--export-model", str(out / "design.lp"),
+    ]) == EXIT_OK
+    names = read_lp(str(out / "design.lp")).var_names
+    assert len(set(names)) == len(names) and "\\ name-map: " in (out / "design.lp").read_text()
 
 
 def _stopped_at_time_limit(*args, **kwargs):

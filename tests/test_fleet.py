@@ -671,6 +671,23 @@ def test_shuttle_rides_list_the_tasks_with_their_kind_and_riders(pickup_pair_ins
     assert [task for _, _, task in rides] == routes_to_tasks(FakeSolution(), inst)
 
 
+def test_task_ids_escape_the_characters_that_join_them():
+    # Riders a and b share one pickup and the rider "a|b" rides alone, both
+    # from hub "h:1": joined without escapes, both ids would read p:h:1:a|b.
+    points = {"o": (0, 0), "h:1": (6, 0), "d": (18, 0), "x": (0, 8)}
+    a, b, ab = (mk_commodity(cid, "o", "d", 0.0) for cid in ("a", "b", "a|b"))
+    inst = euclid_instance(points, ["h:1"], (a, b, ab, mk_commodity("c:0\\", "x", "d", 0.0)))
+
+    class FakeSolution:
+        selected_routes = (materialize_pickup((a, b), "h:1", inst), materialize_pickup((ab,), "h:1", inst))
+        direct = frozenset({"c:0\\"})
+
+    tasks = routes_to_tasks(FakeSolution(), inst)
+    assert [t.id for t in tasks] == ["p:h\\:1:a|b", "p:h\\:1:a\\|b", "direct:c\\:0\\\\:0"]
+    result = solve_fleet(build_sparse_graph(tasks, inst))
+    assert result.fleet_size == 3 and schedules_feasible(result, tasks, inst)
+
+
 def test_dropoff_task_example_values():
     # start = max t1 = 12, last rider has no hub wait, drive = 4 + 3 = 7.
     time = [

@@ -33,7 +33,7 @@ from odmts.milp import (
 )
 
 from conftest import DESK_COST, mk_instance
-from model_files import read_lp, read_mps, reference_lp
+from model_files import add_constraint, add_var, read_lp, read_mps, reference_lp
 
 
 def solve_lp(model):
@@ -43,8 +43,8 @@ def solve_lp(model):
 
 def bound_model():
     m = MilpModel(name="bound")
-    x = m.add_var("x")
-    m.add_constraint({x: 1.0}, GREATER_EQUAL, 2.5)
+    x = add_var(m, "x")
+    add_constraint(m, {x: 1.0}, GREATER_EQUAL, 2.5)
     m.set_objective([x], 1.0)
     return m
 
@@ -58,8 +58,8 @@ def test_lp_simple_bound():
 
 def test_lp_infeasible():
     m = MilpModel()
-    x = m.add_var("x", 0, 0)
-    m.add_constraint({x: 1.0}, GREATER_EQUAL, 1.0)
+    x = add_var(m, "x", 0, 0)
+    add_constraint(m, {x: 1.0}, GREATER_EQUAL, 1.0)
     m.set_objective([x], 1.0)
     sol = solve_lp(m)
     assert sol.status == INFEASIBLE and sol.x.size == 0
@@ -67,15 +67,15 @@ def test_lp_infeasible():
 
 def test_lp_unbounded():
     m = MilpModel()
-    x = m.add_var("x")
+    x = add_var(m, "x")
     m.set_objective([x], -1.0)
     assert solve_lp(m).status == UNBOUNDED
 
 
 def test_milp_rounds_up():
     m = MilpModel(name="bound")
-    x = m.add_var("x", 0.0, 100.0, integer=True)
-    m.add_constraint({x: 1.0}, GREATER_EQUAL, 2.5)
+    x = add_var(m, "x", 0.0, 100.0, integer=True)
+    add_constraint(m, {x: 1.0}, GREATER_EQUAL, 2.5)
     m.set_objective([x], 1.0)
     sol = solve_milp(m)
     assert sol.status == OPTIMAL
@@ -84,9 +84,9 @@ def test_milp_rounds_up():
 
 def test_milp_knapsack_matches_enumeration():
     m = MilpModel()
-    x = m.add_var("x", 0, 1, integer=True)
-    y = m.add_var("y", 0, 1, integer=True)
-    m.add_constraint({x: 1.0, y: 1.0}, LESS_EQUAL, 1.5)
+    x = add_var(m, "x", 0, 1, integer=True)
+    y = add_var(m, "y", 0, 1, integer=True)
+    add_constraint(m, {x: 1.0, y: 1.0}, LESS_EQUAL, 1.5)
     m.set_objective([x, y], [-1.0, -1.0])
     # Enumerate the four 0/1 points to fix the expected optimum.
     best = min(
@@ -100,8 +100,8 @@ def test_milp_knapsack_matches_enumeration():
 
 def test_milp_infeasible():
     m = MilpModel()
-    x = m.add_var("x", 0, 1, integer=True)
-    m.add_constraint({x: 1.0}, GREATER_EQUAL, 2.0)
+    x = add_var(m, "x", 0, 1, integer=True)
+    add_constraint(m, {x: 1.0}, GREATER_EQUAL, 2.0)
     m.set_objective([x], 1.0)
     assert solve_milp(m).status == INFEASIBLE
 
@@ -144,9 +144,9 @@ def test_milp_time_limit_returns_incumbent_and_bound(tmp_path, monkeypatch):
     m = MilpModel()
     n = 30
     for i in range(n):
-        m.add_var(f"x{i}", 0, 1, integer=True)
+        add_var(m, f"x{i}", 0, 1, integer=True)
     weights = rng.uniform(1.0, 10.0, size=n)
-    m.add_constraint({i: float(weights[i]) for i in range(n)}, LESS_EQUAL, float(weights.sum() / 2))
+    add_constraint(m, {i: float(weights[i]) for i in range(n)}, LESS_EQUAL, float(weights.sum() / 2))
     m.set_objective(np.arange(n), [-float(rng.uniform(1.0, 10.0)) for _ in range(n)])
     sol = solve_milp(m, time_limit=1e-4)
     assert sol.status == TIME_LIMIT
@@ -162,7 +162,7 @@ def test_milp_time_limit_returns_incumbent_and_bound(tmp_path, monkeypatch):
 
 def test_milp_requires_bounded_integers():
     m = MilpModel()
-    m.add_var("x", 0, math.inf, integer=True)
+    add_var(m, "x", 0, math.inf, integer=True)
     m.set_objective([0], 1.0)
     with pytest.raises(ModelError):
         solve_milp(m)
@@ -170,24 +170,17 @@ def test_milp_requires_bounded_integers():
     assert relaxed.status == OPTIMAL and relaxed.objective == pytest.approx(0.0)
 
 
-def test_duplicate_names_rejected():
-    m = MilpModel()
-    m.add_var("x")
-    with pytest.raises(ModelError):
-        m.add_var("x")
-
-
 def test_bad_bounds_rejected():
     m = MilpModel()
     with pytest.raises(ModelError):
-        m.add_var("x", 2.0, 1.0)
+        add_var(m, "x", 2.0, 1.0)
 
 
 @pytest.mark.parametrize("lb, ub", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
 def test_nan_bound_rejected(lb, ub):
     m = MilpModel()
     with pytest.raises(ModelError, match="variable 'x' has invalid bounds"):
-        m.add_var("x", lb, ub)
+        add_var(m, "x", lb, ub)
     assert m.var_names == []
 
 
@@ -195,7 +188,7 @@ def test_lower_bound_of_plus_infinity_rejected():
     m = MilpModel()
     for ub in (math.inf, 1.0):
         with pytest.raises(ModelError, match="variable 'x' has invalid bounds lb inf"):
-            m.add_var("x", math.inf, ub)
+            add_var(m, "x", math.inf, ub)
     assert m.var_names == []
 
 
@@ -203,15 +196,15 @@ def test_upper_bound_of_minus_infinity_rejected():
     m = MilpModel()
     for lb in (-math.inf, 0.0):
         with pytest.raises(ModelError, match="variable 'x' has invalid bounds .* ub -inf"):
-            m.add_var("x", lb, -math.inf)
+            add_var(m, "x", lb, -math.inf)
     assert m.var_names == []
 
 
 def test_nonfinite_coefficient_rejected():
     m = MilpModel()
-    x = m.add_var("x")
+    x = add_var(m, "x")
     with pytest.raises(ModelError):
-        m.add_constraint({x: math.inf}, LESS_EQUAL, 1.0)
+        add_constraint(m, {x: math.inf}, LESS_EQUAL, 1.0)
 
 
 def _objective(m):
@@ -243,7 +236,7 @@ def _two_var_model():
 )
 def test_add_rows_rejects_bad_block(block, message):
     m = _two_var_model()
-    m.add_constraint({0: 1.0}, LESS_EQUAL, 1.0, name="first")
+    add_constraint(m, {0: 1.0}, LESS_EQUAL, 1.0, name="first")
     args = dict(rows=[0, 1], cols=[0, 1], vals=[1.0, 1.0], sense=EQUAL, rhs=1.0, names=["a", "b"])
     with pytest.raises(ModelError, match=message):
         m.add_rows(**{**args, **block})
@@ -254,8 +247,8 @@ def test_add_rows_rejects_bad_block(block, message):
 @pytest.mark.parametrize(
     "blocks,message",
     [
-        ([dict(names=["a", "b", "a"])], "duplicate variable name 'a'"),
-        ([dict(names=["a"]), dict(names=["c", "a"])], "duplicate variable name 'a'"),
+        ([dict(names=["a", "b", "a"], integer=[True, False])], r"integer of the variable block from index 0 has shape"),
+        ([dict(names=["a"]), dict(names=["c", "a"], lb=[0.0, math.nan])], "variable 'a' has invalid bounds lb nan"),
         ([dict(names=["a", "b"], lb=[0.0, 2.0], ub=1.0)], "variable 'b' has lb 2.0 > ub 1.0"),
         ([dict(names=["a", "b"], ub=[1.0, 2.0, 3.0])], r"ub of the variable block from index 0 has shape"),
     ],
@@ -277,7 +270,7 @@ def test_add_rows_sums_repeated_columns_and_sorts():
         [0, 1, 0, 1, 0], [1, 0, 1, 0, 0], [2.0, 1.0, 1.5, -1.0, 0.5],
         [LESS_EQUAL, GREATER_EQUAL, EQUAL], [4.0, 1.0, 0.0], ["c0", "c1", "c2"],
     )
-    m.add_constraint({1: -1.0, 0: 3.0}, EQUAL, 2.0, name="last")
+    add_constraint(m, {1: -1.0, 0: 3.0}, EQUAL, 2.0, name="last")
     a, lo, hi = _constraint_rows(m)
     assert a.indptr.tolist() == [0, 2, 3, 3, 5]
     assert a.indices.tolist() == [0, 1, 0, 0, 1]
@@ -321,7 +314,7 @@ def test_set_objective_sums_repeated_columns_and_sorts():
 def test_integer_mask_applies_to_one_solve():
     m = MilpModel()
     m.add_vars(["x", "y"], 0.0, 10.0, integer=True)
-    m.add_constraint({0: 2.0, 1: 2.0}, LESS_EQUAL, 3.0, name="cap")
+    add_constraint(m, {0: 2.0, 1: 2.0}, LESS_EQUAL, 3.0, name="cap")
     m.set_objective([0, 1], [-1.0, -1.0])
     assert solve_milp(m, integer=False).objective == pytest.approx(-1.5)
     assert solve_milp(m, integer=[True, False]).objective == pytest.approx(-1.5)
@@ -334,11 +327,11 @@ def test_integer_mask_applies_to_one_solve():
 
 def _checked_model():
     m = MilpModel()
-    x = m.add_var("x", 0, 10, integer=True)
-    y = m.add_var("y", 0, 10)
-    m.add_constraint({x: 1.0, y: 1.0}, LESS_EQUAL, 4.0, name="cap")
-    m.add_constraint({x: 1.0, y: -1.0}, GREATER_EQUAL, 0.0, name="floor")
-    m.add_constraint({y: 1.0}, EQUAL, 1.0, name="fix")
+    x = add_var(m, "x", 0, 10, integer=True)
+    y = add_var(m, "y", 0, 10)
+    add_constraint(m, {x: 1.0, y: 1.0}, LESS_EQUAL, 4.0, name="cap")
+    add_constraint(m, {x: 1.0, y: -1.0}, GREATER_EQUAL, 0.0, name="floor")
+    add_constraint(m, {y: 1.0}, EQUAL, 1.0, name="fix")
     return m
 
 
@@ -377,10 +370,10 @@ def test_check_solution_names_violation(x, integrality, message):
 @pytest.mark.parametrize("solve", [solve_lp, solve_milp])
 def test_row_kinds_solve_alone(solve, senses, objective, expected):
     m = MilpModel()
-    x = m.add_var("x", 0, 4)
-    y = m.add_var("y", 0, 4)
+    x = add_var(m, "x", 0, 4)
+    y = add_var(m, "y", 0, 4)
     for sense, (row, rhs) in zip(senses, [({x: 1.0, y: 2.0}, 4.0), ({x: 3.0, y: 1.0}, 6.0)]):
-        m.add_constraint(row, sense, rhs)
+        add_constraint(m, row, sense, rhs)
     m.set_objective([x, y], [objective, objective])
     sol = solve(m)
     assert sol.status == OPTIMAL
@@ -443,12 +436,12 @@ def _random_bounded_milp(seed):
     n = int(rng.integers(2, 6))
     m = MilpModel(name=f"rand{seed}")
     for i in range(n):
-        m.add_var(f"x{i}", 0.0, 5.0, integer=bool(rng.integers(0, 2)))
+        add_var(m, f"x{i}", 0.0, 5.0, integer=bool(rng.integers(0, 2)))
     for _ in range(int(rng.integers(1, 5))):
         row = {i: float(rng.normal()) for i in range(n) if rng.random() < 0.7}
         if not row:
             row = {0: 1.0}
-        m.add_constraint(row, LESS_EQUAL, float(rng.uniform(0.5, 8.0)))
+        add_constraint(m, row, LESS_EQUAL, float(rng.uniform(0.5, 8.0)))
     m.set_objective(np.arange(n), [float(rng.normal()) for _ in range(n)])
     return m
 
@@ -475,7 +468,7 @@ def test_solve_is_deterministic():
 
 def test_lp_text_contains_bound_row(tmp_path):
     m = MilpModel(name="one")
-    x = m.add_var("x", 1.5, 4.0)
+    x = add_var(m, "x", 1.5, 4.0)
     m.set_objective([x], 1.0)
     path = str(tmp_path / "one.lp")
     write_lp(m, path)
@@ -535,7 +528,7 @@ def test_exports_match_golden_files(tmp_path, fmt):
 def test_exports_keep_signed_zero_coefficients_apart(tmp_path):
     m = MilpModel(name="zeros")
     m.add_vars(["a", "b", "c"])
-    m.add_constraint({0: 0.0, 1: -0.0, 2: -2.0}, LESS_EQUAL, -0.0, name="r")
+    add_constraint(m, {0: 0.0, 1: -0.0, 2: -2.0}, LESS_EQUAL, -0.0, name="r")
     m.set_objective([0, 1], [-0.0, 0.0])
     export_model(m, str(tmp_path / "z.mps"), "mps")
     export_model(m, str(tmp_path / "z.lp"), "lp")
@@ -586,8 +579,8 @@ def test_sanitize_chunks_match_per_name_regex(names):
 
 def test_name_sanitization_emits_mapping(tmp_path):
     m = MilpModel(name="messy")
-    x = m.add_var("flow rate [a,b]", 0, 3)
-    m.add_constraint({x: 2.0}, GREATER_EQUAL, 1.0)
+    x = add_var(m, "flow rate [a,b]", 0, 3)
+    add_constraint(m, {x: 2.0}, GREATER_EQUAL, 1.0)
     m.set_objective([x], 1.0)
     for fmt in ("lp", "mps"):
         path = str(tmp_path / f"messy.{fmt}")
@@ -619,7 +612,7 @@ def test_fallback_names_never_collide(tmp_path, fmt, reader, names):
     m = MilpModel(name="clash")
     m.add_vars(names, 0.0, 1.0)
     m.set_objective([0, 1, 2], [1.0, 2.0, 3.0])
-    m.add_constraint({0: 1.0, 1: 1.0, 2: 1.0}, GREATER_EQUAL, 1.0, name="cover")
+    add_constraint(m, {0: 1.0, 1: 1.0, 2: 1.0}, GREATER_EQUAL, 1.0, name="cover")
     path = str(tmp_path / f"clash.{fmt}")
     mapping = export_model(m, path, fmt)
     assert list(mapping) == names
@@ -633,11 +626,27 @@ def test_fallback_names_never_collide(tmp_path, fmt, reader, names):
         assert " obj: 1 x2 + 2 a_ + 3 x3" in (tmp_path / "clash.lp").read_text()
 
 
+def test_same_named_variables_are_kept_apart_by_position(tmp_path):
+    m = MilpModel(name="twins")
+    a, b = m.add_vars(["v[a|b]", "v[a|b]"], 0, 5)
+    add_constraint(m, {a: 1.0}, GREATER_EQUAL, 1.0)
+    add_constraint(m, {b: 1.0}, GREATER_EQUAL, 2.0)
+    m.set_objective([a, b], [1.0, 3.0])
+    assert m.var_names == ["v[a|b]", "v[a|b]"]
+    assert solve_lp(m).x.tolist() == pytest.approx([1.0, 2.0])
+    for fmt, reader in (("lp", read_lp), ("mps", read_mps)):
+        path = str(tmp_path / f"twins.{fmt}")
+        export_model(m, path, fmt)
+        back = reader(path)
+        assert len(set(back.var_names)) == 2
+        assert solve_lp(back).objective == pytest.approx(7.0)
+
+
 def test_same_named_rows_get_distinct_written_names(tmp_path):
     m = MilpModel(name="twins")
-    a, b = m.add_var("a", 0, 5), m.add_var("b", 0, 5)
-    m.add_constraint({a: 1.0}, GREATER_EQUAL, 1.0, name="r")
-    m.add_constraint({b: 1.0}, GREATER_EQUAL, 2.0, name="r")
+    a, b = add_var(m, "a", 0, 5), add_var(m, "b", 0, 5)
+    add_constraint(m, {a: 1.0}, GREATER_EQUAL, 1.0, name="r")
+    add_constraint(m, {b: 1.0}, GREATER_EQUAL, 2.0, name="r")
     m.set_objective([a, b], [1.0, 1.0])
     for fmt, reader in (("lp", read_lp), ("mps", read_mps)):
         path = str(tmp_path / f"twins.{fmt}")

@@ -15,7 +15,6 @@ from odmts.routegen import (
     enumerate_dropoff_routes,
     enumerate_pickup_routes,
     estimate_hub_arrival,
-    feasible,
     load_routes,
     materialize_dropoff,
     materialize_pickup,
@@ -23,7 +22,7 @@ from odmts.routegen import (
 )
 
 from conftest import mk_commodity, mk_instance
-from oracles import brute_force_dropoff, brute_force_pickup
+from oracles import brute_force_dropoff, brute_force_pickup, feasible
 
 
 def test_estimate_hub_arrival_mean_formula():
