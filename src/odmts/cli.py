@@ -69,14 +69,29 @@ def _apply_overrides(inst: Instance, cfg: PipelineConfig) -> Instance:
 
 def _load(cfg: PipelineConfig, stage: str) -> Instance:
     """The overridden instance with its commodities split to the capacity:
-    the one the stages run on. A capacity below 1 is left to `validate`."""
+    the one the stages run on. A capacity below 1 is left to `validate`, and
+    so is an id the file repeats; a split id that another commodity has is
+    an error."""
     try:
         inst = load_instance(cfg.instance)
     except (OSError, InstanceFormatError) as exc:
         raise StageError(stage, str(exc), EXIT_INVALID)
     inst = _apply_overrides(inst, cfg)
     capacity = inst.routing.shuttle_capacity
-    parts = split_commodities(inst.commodities, capacity) if capacity >= 1 else inst.commodities
+    if capacity < 1:
+        return inst
+    kept = {c.id for c in inst.commodities if c.passengers <= capacity}  # a split id can clash only with these
+    for c in inst.commodities:
+        made = split_commodities([c], capacity) if c.passengers > capacity else []
+        clash = next((p.id for p in made if p.id in kept), None)
+        if clash is not None:
+            raise StageError(
+                stage,
+                f"splitting commodity '{c.id}' to the shuttle capacity {capacity} makes the id"
+                f" '{clash}', which another commodity has",
+                EXIT_INVALID,
+            )
+    parts = split_commodities(inst.commodities, capacity)
     return dataclasses.replace(inst, commodities=tuple(parts))
 
 

@@ -37,8 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Commodity, Instance, InstanceFormatError, _number, _record, _string, _typed, record_dict
-from .milp import EQUAL, GREATER_EQUAL, INT_TOL, LESS_EQUAL, OPTIMAL, MilpModel, MilpSolution, solve_milp
+from .milp import EQUAL, GREATER_EQUAL, INT_TOL, LESS_EQUAL, OPTIMAL, MilpModel, MilpSolution, Names, solve_milp
 from .routegen import DROPOFF, PICKUP, Route, direct_cost, route_from_dict, route_to_dict
+
+
+_MEMBER = str.maketrans({"\\": "\\\\", "|": "\\|"})  # escapes a commodity id in an x name
 
 
 class DesignError(RuntimeError):
@@ -137,6 +140,11 @@ def build_design_model(
     Identical route objects appearing in several commodities' lists share a
     single x variable. Raises if a route references an unknown commodity or
     a hub outside the hub set.
+
+    Names are `Names` blocks over the commodity, hub and kind ids, such as
+    y[<commodity>,<hub>,<hub>]. An x name x[<kind>,<hub>,<members>] joins
+    the route's commodity ids with '|', each with '\\' and '|' escaped by
+    a '\\', so that distinct routes have distinct names.
     """
     known = {c.id for c in inst.commodities}
     hubs = set(inst.hubs)
@@ -161,23 +169,39 @@ def build_design_model(
     keys = sorted(routes)
     n_h, n_l, n_c = len(inst.hubs), len(lines), len(comms)
 
-    z = model.add_vars([f"z[{h},{l}]" for h, l in lines], 0, 1, integer=True)
-    line_ids = [f",{h},{l}]" for h, l in lines]  # the name tail of each (commodity, line) pair
-    y = model.add_vars(
-        [pre + t for pre in [f"y[{c.id}" for c in comms] for t in line_ids], 0, 1, integer=True
-    ).reshape(n_c, n_l)
-    x = model.add_vars([f"x[{k[0]},{k[1]},{'|'.join(k[2])}]" for k in keys], 0, 1, integer=True)
-    eta = model.add_vars([f"eta[{c.id}]" for c in comms], 0, 1, integer=True)
-    x_of = dict(zip(keys, x.tolist()))
-
-    # line_use_cost for every (commodity, line) pair, in the same float order.
     hub_pos = {h: k for k, h in enumerate(inst.hubs)}
     tail = np.array([hub_pos[h] for h, _ in lines], dtype=np.int64)
     head = np.array([hub_pos[l] for _, l in lines], dtype=np.int64)
+    cids = tuple(c.id for c in comms)
+    pairs = Names(  # one name per (commodity, line) pair
+        "y[{},{},{}]",
+        (cids, np.repeat(np.arange(n_c), n_l)), (inst.hubs, np.tile(tail, n_c)), (inst.hubs, np.tile(head, n_c)),
+    )
+    c_pos = {cid: k for k, cid in enumerate(cids)}
+    members = np.full((len(keys), max((len(k[2]) for k in keys), default=0)), -1)
+    for r, key in enumerate(keys):
+        members[r, :len(key[2])] = [c_pos[cid] for cid in key[2]]
+    escaped = tuple(cid.translate(_MEMBER) if "\\" in cid or "|" in cid else cid for cid in cids)
+
+    z = model.add_vars(Names("z[{},{}]", (inst.hubs, tail), (inst.hubs, head)), 0, 1, integer=True)
+    y = model.add_vars(pairs, 0, 1, integer=True).reshape(n_c, n_l)
+    x = model.add_vars(
+        Names(
+            "x[{},{},{}]",
+            ((PICKUP, DROPOFF), [(PICKUP, DROPOFF).index(k[0]) for k in keys]),
+            (inst.hubs, [hub_pos[k[1]] for k in keys]),
+            (escaped, members),
+        ),
+        0, 1, integer=True,
+    )
+    eta = model.add_vars(Names("eta[{}]", (cids, np.arange(n_c))), 0, 1, integer=True)
+    x_of = dict(zip(keys, x.tolist()))
+
+    # line_use_cost for every (commodity, line) pair, in the same float order.
     node = np.array([inst.node_index(h) for h in inst.hubs], dtype=np.int64)
     ride = np.asarray(inst.travel_time, dtype=float)[node[tail], node[head]]
     passengers = np.array([c.passengers for c in comms], dtype=float)
-    cost = np.empty(len(model.var_names))
+    cost = np.empty(model.n_vars)
     cost[z] = [line_open_cost(*hl, inst) for hl in lines]
     cost[y] = (passengers * inst.cost.alpha)[:, None] * (ride + inst.cost.bus_wait)[None, :]
     cost[x] = [routes[key].cost for key in keys]
@@ -188,7 +212,7 @@ def build_design_model(
     ones = np.ones(n_l)
     model.add_rows(
         np.concatenate([tail, head]), np.concatenate([z, z]), np.concatenate([ones, -ones]),
-        EQUAL, 0.0, [f"balance[{h}]" for h in inst.hubs],
+        EQUAL, 0.0, Names("balance[{}]", (inst.hubs, np.arange(n_h))),
     )
 
     # Cover rows (pickup, dropoff per commodity) and the route terms of the
@@ -207,7 +231,7 @@ def build_design_model(
             flow_vals += [sign] * len(members)
     model.add_rows(
         cover_rows, cover_cols, np.ones(len(cover_cols)), GREATER_EQUAL, 1.0,
-        [f"cover_{side}[{c.id}]" for c in comms for side in "pd"],
+        Names("cover_{}[{}]", ("pd", np.tile([0, 1], n_c)), (cids, np.repeat(np.arange(n_c), 2))),
     )
 
     # Bus legs only on opened lines: y[c, h, l] - z[h, l] <= 0.
@@ -217,7 +241,7 @@ def build_design_model(
         np.tile([-1.0, 1.0], y.size),
         LESS_EQUAL,
         0.0,
-        [pre + t for pre in [f"open[{c.id}" for c in comms] for t in line_ids],
+        Names("open[{},{},{}]", *pairs.fields),
     )
 
     # Hub flow conservation per commodity: bus arrivals plus pickup-route
@@ -227,7 +251,8 @@ def build_design_model(
         np.concatenate([(base + head).ravel(), (base + tail).ravel(), flow_rows]),
         np.concatenate([y.ravel(), y.ravel(), flow_cols]),
         np.concatenate([np.ones(y.size), -np.ones(y.size), flow_vals]),
-        EQUAL, 0.0, [f"flow[{c.id},{h}]" for c in comms for h in inst.hubs],
+        EQUAL, 0.0,
+        Names("flow[{},{}]", (cids, np.repeat(np.arange(n_c), n_h)), (inst.hubs, np.tile(np.arange(n_h), n_c))),
     )
 
     return DesignModel(model, lines, [routes[key] for key in keys], z, y, x, eta)

@@ -69,7 +69,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 
 from .instance import EPS, Instance, InstanceFormatError, _typed
-from .milp import EQUAL, GREATER_EQUAL, MilpModel
+from .milp import EQUAL, GREATER_EQUAL, MilpModel, Names
 from .routegen import PICKUP
 
 SOURCE = "s"
@@ -286,8 +286,7 @@ def fleet_model(g: FleetGraph) -> MilpModel:
     n = len(g.tasks)
     tail, head = _columns(g)
     name = _node_names(n)
-    var_names = [f"v[{name[a]},{name[b]}]" for a, b in zip(tail.tolist(), head.tolist())]
-    model.add_vars(var_names, 0, 1 if binary else np.inf)
+    model.add_vars(Names("v[{},{}]", (name, tail), (name, head)), 0, 1 if binary else np.inf)
 
     # Row 2i is visit[i] (arcs into task i); row 2i + 1 is conserve[i] (arcs into i minus
     # arcs out of i). All but the sink arcs enter a task; all but the source arcs leave one.
@@ -299,7 +298,7 @@ def fleet_model(g: FleetGraph) -> MilpModel:
         np.concatenate([np.ones(2 * k_in.size), -np.ones(k_out.size)]),
         np.tile([EQUAL if binary else GREATER_EQUAL, EQUAL], n),
         np.tile([1.0, 0.0], n),
-        [row for i in range(n) for row in (f"visit[{i}]", f"conserve[{i}]")],
+        Names("{}[{}]", (("visit", "conserve"), np.tile([0, 1], n)), (name, np.repeat(np.arange(n), 2))),
     )
     model.set_objective(np.arange(g.source_arcs.size), 1.0)
     return model

@@ -2,15 +2,22 @@
 export.
 
 A model is stored as arrays. Each variable is one entry of the parallel
-name, lb, ub and integer columns; the objective is its sorted (cols, vals)
+lb, ub and integer columns; the objective is its sorted (cols, vals)
 entries; the rows are kept in CSR blocks (indptr, indices, data) with one
 sense and right-hand side per row. `add_vars` appends a block of variables
-and `add_rows` a block of named rows given as COO triplets (block-local
-row, column, value); `set_objective` takes the objective as one more such
-row. All validate their input with array operations. Every coefficient
-goes through one check and, within a row or the objective, repeated columns
-are summed and the columns sorted. Names need not be unique: a variable or
-a row is known by its position.
+and `add_rows` a block of rows given as COO triplets (block-local row,
+column, value); `set_objective` takes the objective as one more such row.
+All validate their input with array operations. Every coefficient goes
+through one check and, within a row or the objective, repeated columns are
+summed and the columns sorted. Names need not be unique: a variable or a
+row is known by its position.
+
+A block's names are a `Names` block: a template over arrays of keys into
+id tuples, such as `Names("y[{},{}]", (riders, r), (lines, l))`; a list of
+names is kept as the block '{}' over it. The model keeps the block as it
+is and makes a name only on request
+(`var_name`, `row_name`, `var_names`, `row_names`) or at export; its sizes
+(`n_vars`, `n_rows`) come from the arrays, so no solve or check makes one.
 
 Models are always minimization. Every solve, LP or MIP, is one call of
 `solve_milp`, i.e. of `scipy.optimize.milp` (HiGHS) at a 1e-9 relative
@@ -29,7 +36,9 @@ already exist (names, and one text per distinct coefficient, row tail or
 bound pair), filled by fancy indexing and joined once, so no string is made
 per entry; the bytes are those of the earlier per-term writers. Written
 names are chosen per position, so same-named rows and colliding sanitised
-names still get distinct names in the file.
+names still get distinct names in the file. A `Names` block is cleaned id
+by id, and each written name is made once, from the cleaned ids; the
+writers return nothing.
 
 Set the ODMTS_SOLVE_LOG environment variable to a file path ('-' for stderr)
 to log one line per solve, whatever its status; a MIP's line counts its
@@ -43,6 +52,7 @@ import os
 import re
 import string
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -85,24 +95,232 @@ def _block_column(values, k: int, dtype, what: str) -> np.ndarray:
     return arr
 
 
+def _key_type(size: int):
+    """The smallest signed integer type that holds -1 ... size."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= size)
+
+
+def _joined_rows(columns: list, m: int) -> list[str]:
+    """Row i of the columns joined, for i < m; a column is an object array
+    of m texts or one text for all. One join, cut at '\n' unless a text
+    holds one."""
+    slots = np.empty((m, len(columns) + 1), dtype=object)
+    for k, column in enumerate(columns):
+        slots[:, k] = column
+    slots[:, -1] = "\n"
+    text = "".join(slots.ravel().tolist())
+    if text.count("\n") == m:
+        return text.split("\n")[:-1]
+    return list(map("".join, slots[:, :-1].tolist()))
+
+
+class Names:
+    """A block of names made from a template over key arrays.
+
+    `Names("y[{},{}]", (riders, r), (lines, l))` is the block of the names
+    f"y[{riders[r[i]]},{lines[l[i]]}]". Each '{}' of the template takes one
+    field (ids, keys): with 1-D keys, name i takes ids[keys[i]]; with 2-D
+    keys, it takes ids[keys[i, 0]], ids[keys[i, 1]], ... up to the first
+    -1, joined by '|'. The keys are kept in the smallest integer type that
+    holds them, and a name is made only on request (`names`, `block[i]`)."""
+
+    __slots__ = ("parts", "fields", "size")
+
+    def __init__(self, template: str, *fields) -> None:
+        self.parts = template.split("{}")
+        if not fields or len(self.parts) != len(fields) + 1:
+            raise ModelError(f"name template {template!r} has {len(self.parts) - 1} fields, given {len(fields)}")
+        checked = []
+        for ids, keys in fields:
+            ids, keys = tuple(ids), np.asarray(keys)
+            if keys.size == 0:
+                keys = keys.astype(np.int64)
+            if not np.issubdtype(keys.dtype, np.integer) or keys.ndim not in (1, 2):
+                raise ModelError(
+                    f"keys of {template!r} must be a 1-D or 2-D integer array, not {keys.dtype} {keys.shape}"
+                )
+            low = -1 if keys.ndim == 2 else 0
+            if keys.size and not low <= keys.min() <= keys.max() < len(ids):
+                raise ModelError(f"keys of {template!r} must lie in {low}..{len(ids) - 1}")
+            if keys.ndim == 2 and keys.shape[1] > 1 and np.any((keys[:, :-1] < 0) & (keys[:, 1:] >= 0)):
+                raise ModelError(f"joined keys of {template!r} may hold -1 only after their last key")
+            checked.append((ids, keys.astype(_key_type(len(ids)), copy=False)))
+        self.fields = tuple(checked)
+        self.size = len(self.fields[0][1])
+        if any(len(keys) != self.size for _, keys in self.fields):
+            raise ModelError(f"keys of {template!r} differ in length: {[len(keys) for _, keys in self.fields]}")
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> str:
+        return self.names(np.array([i]))[0]
+
+    def _build(self, texts: list[np.ndarray], parts: list[str], sep: str, at=None) -> list[str]:
+        """The names (those at positions `at`, if given) from one object array
+        of texts per field, with a trailing '' that key -1 reads, the
+        template's parts and the join separator; joined per piece of
+        WRITE_CHUNK names."""
+        out: list[str] = []
+        seps = np.array(["", sep], dtype=object)
+        m = self.size if at is None else len(at)
+        for r0 in range(0, m, WRITE_CHUNK):
+            piece = slice(r0, r0 + WRITE_CHUNK) if at is None else at[r0:r0 + WRITE_CHUNK]
+            columns = [parts[0]]
+            for (_, keys), text, part in zip(self.fields, texts, parts[1:]):
+                keys = keys[piece]
+                if keys.ndim == 1:
+                    columns.append(text[keys])
+                for j in range(keys.shape[1] if keys.ndim == 2 else 0):
+                    if j:
+                        columns.append(seps[(keys[:, j] >= 0).view(np.int8)])
+                    columns.append(text[keys[:, j]])
+                columns.append(part)
+            out += _joined_rows(columns, min(m - r0, WRITE_CHUNK))
+        return out
+
+    def names(self, at=None) -> list[str]:
+        """The names, or those at positions `at`."""
+        texts = [np.array([*ids, ""], dtype=object) for ids, _ in self.fields]
+        return self._build(texts, self.parts, "|", at)
+
+    def cleaned(self, max_len: int) -> tuple[list[str], np.ndarray, str | None]:
+        """The names with every character outside [A-Za-z0-9_] made '_',
+        built from the ids, each cleaned once; which of them that changes;
+        and the cleaned first part of the template (the stem) when the ids
+        alone show that the cleaned names are distinct, at most max_len
+        long, start with a letter or '_' and end in no digit (so no fallback
+        name prefix + digits equals one), else None."""
+        texts = [np.array([*_clean_texts(ids), ""], dtype=object) for ids, _ in self.fields]
+        parts = [_clean(part) for part in self.parts]
+        changed = np.full(self.size, parts != self.parts)
+        for (ids, keys), text in zip(self.fields, texts):
+            moved = np.array([c != o for c, o in zip(text.tolist(), ids)] + [False])
+            changed |= moved[keys] if keys.ndim == 1 else moved[keys].any(1) | ((keys >= 0).sum(1) > 1)
+        return self._build(texts, parts, "_"), changed, self._stem(texts, parts, max_len)
+
+    def _stem(self, texts: list[np.ndarray], parts: list[str], max_len: int) -> str | None:
+        """See `cleaned`. The cleaned names are distinct when the key tuples
+        are, the cleaning keeps each field's ids apart, and every field but
+        one can be read off a name from the left or the right: its texts
+        lack the first character of the part after it, or the last one of
+        the part before it. Joined ids must be non-empty and hold no '_'."""
+        code, radix = np.zeros(self.size, np.int64), 1
+        for ids, keys in self.fields:
+            for column in (keys[:, None] if keys.ndim == 1 else keys).T:
+                radix *= len(ids) + 1
+                if radix >= 2**62:
+                    return None
+                code = code * (len(ids) + 1) + column + 1
+        code.sort()
+        if np.any(code[1:] == code[:-1]):
+            return None
+        chars, longest = [], sum(map(len, parts))
+        for (ids, keys), text in zip(self.fields, texts):
+            words = text[:-1].tolist()
+            if len(set(words)) < len(words) or (keys.ndim == 2 and any(not w or "_" in w for w in words)):
+                return None
+            chars.append(set("".join(words)) | ({"_"} if keys.ndim == 2 else set()))
+            lengths = np.array([len(w) + (keys.ndim == 2) for w in words] + [0])[keys]  # a joined id and its '_'
+            longest += int((lengths.sum(1) - 1 if keys.ndim == 2 else lengths).max(initial=0))
+        n = len(self.fields)
+        left = 0
+        while left < n and parts[left + 1] and parts[left + 1][0] not in chars[left]:
+            left += 1
+        right = 0
+        while left + right < n and parts[n - 1 - right] and parts[n - 1 - right][-1] not in chars[n - 1 - right]:
+            right += 1
+        first = texts[0][:-1].tolist() if not parts[0] and self.fields[0][1].ndim == 1 else [parts[0]]
+        if (
+            left + right < n - 1
+            or longest > max_len
+            or any(not w or w[0].isdigit() for w in first)
+            or not parts[-1]
+            or parts[-1][-1].isdigit()
+        ):
+            return None
+        return parts[0]
+
+
+def _name_block(names: Sequence[str] | Names) -> Names:
+    """`names` as a `Names` block: a list is the block '{}' over itself."""
+    if isinstance(names, Names):
+        return names
+    names = tuple(names)
+    return Names("{}", (names, np.arange(len(names))))
+
+
+class _NameColumn:
+    """The names of a model's variables or rows: `Names` blocks in position
+    order."""
+
+    def __init__(self) -> None:
+        self.blocks: list[Names] = []
+        self.starts = [0]
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def add(self, block: Names) -> None:
+        self.blocks.append(block)
+        self.starts.append(self.starts[-1] + len(block))
+
+    def __getitem__(self, i: int) -> str:
+        b = bisect_right(self.starts, i) - 1
+        return self.blocks[b][i - self.starts[b]]
+
+    def names(self, at: np.ndarray | None = None) -> list[str]:
+        """All names, or those at the ascending positions `at`."""
+        out: list[str] = []
+        for block, start, end in zip(self.blocks, self.starts, self.starts[1:]):
+            local = None if at is None else at[np.searchsorted(at, start):np.searchsorted(at, end)] - start
+            out += block.names(local)
+        return out
+
+
 class MilpModel:
     """A minimization model: variable columns, an objective and row blocks."""
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self.var_names: list[str] = []
-        self.row_names: list[str] = []
+        self._var_names = _NameColumn()
+        self._row_names = _NameColumn()
         self.objective: tuple[np.ndarray, np.ndarray] = (np.empty(0, np.int64), np.empty(0))  # (cols, vals)
         self._cols: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lb, ub, integer)
         self._rows: list[tuple[np.ndarray, ...]] = []  # (indptr, indices, data, sense, rhs)
 
+    @property
+    def n_vars(self) -> int:
+        return len(self._var_names)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self._row_names)
+
+    def var_name(self, j: int) -> str:
+        return self._var_names[j]
+
+    def row_name(self, r: int) -> str:
+        return self._row_names[r]
+
+    @property
+    def var_names(self) -> list[str]:
+        """Every variable's name, made on request."""
+        return self._var_names.names()
+
+    @property
+    def row_names(self) -> list[str]:
+        """Every row's name, made on request."""
+        return self._row_names.names()
+
     def add_vars(
-        self, names: Sequence[str], lb=0.0, ub=math.inf, integer=False
+        self, names: Sequence[str] | Names, lb=0.0, ub=math.inf, integer=False
     ) -> np.ndarray:
-        """Append one variable per name; `lb`, `ub` and `integer` are one
-        value for the block or one per variable. Returns the new indices."""
-        names = list(names)
-        k, start = len(names), len(self.var_names)
+        """Append one variable per name of `names`, a list or a `Names`
+        block; `lb`, `ub` and `integer` are one value for the block or one
+        per variable. Returns the new indices."""
+        names = _name_block(names)
+        k, start = len(names), self.n_vars
         block = f"the variable block from index {start}"
         lb = _block_column(lb, k, float, f"lb of {block}")
         ub = _block_column(ub, k, float, f"ub of {block}")
@@ -115,14 +333,14 @@ class MilpModel:
         if bad.any():
             i = bad.argmax()
             raise ModelError(f"variable {names[i]!r} has lb {lb[i]} > ub {ub[i]}")
-        self.var_names.extend(names)
+        self._var_names.add(names)
         self._cols.append((lb, ub, integer))
         return np.arange(start, start + k)
 
     def _entries(self, rows, cols, vals, owner: Callable[[int], str]):
         """The checked COO entries of a row block, or of the objective, with each
         row's columns sorted (stably) and repeated ones summed; `owner(r)` names row r."""
-        bad = (cols < 0) | (cols >= len(self.var_names))
+        bad = (cols < 0) | (cols >= self.n_vars)
         if bad.any():
             p = bad.argmax()
             raise ModelError(f"{owner(rows[p])} references unknown variable index {cols[p]}")
@@ -139,8 +357,9 @@ class MilpModel:
             rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
         return rows, cols, vals
 
-    def add_rows(self, rows, cols, vals, sense, rhs, names: Sequence[str]) -> None:
-        """Append a block of rows, one per name, given as COO triplets:
+    def add_rows(self, rows, cols, vals, sense, rhs, names: Sequence[str] | Names) -> None:
+        """Append a block of rows, one per name of `names` (a list or a
+        `Names` block), given as COO triplets:
         entry p puts vals[p] on the variable cols[p] in row rows[p] of the
         block, counted from 0. `sense` and `rhs` are one value for the
         block or one per row. Repeated columns in a row are summed and the
@@ -148,8 +367,8 @@ class MilpModel:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
-        names = list(names)
-        start, k = len(self.row_names), len(names)
+        names = _name_block(names)
+        start, k = self.n_rows, len(names)
         if (
             rows.ndim != 1
             or cols.shape != rows.shape
@@ -178,7 +397,7 @@ class MilpModel:
             raise ModelError(f"row {names[r]!r} has non-finite right-hand side {rhs[r]}")
         indptr = np.searchsorted(rows, np.arange(k + 1))
         self._rows.append((indptr, cols, vals, code, rhs))
-        self.row_names.extend(names)
+        self._row_names.add(names)
 
     def set_objective(self, cols, vals) -> None:
         """Replace the objective by vals[p] on the variable cols[p] (`vals` may be
@@ -190,7 +409,7 @@ class MilpModel:
         self.objective = self._entries(rows, cols, vals, lambda r: "objective")[1:]
 
     def objective_vector(self) -> np.ndarray:
-        c = np.zeros(len(self.var_names))
+        c = np.zeros(self.n_vars)
         c[self.objective[0]] = self.objective[1]
         return c
 
@@ -238,7 +457,7 @@ def _log_solve(kind: str, model: MilpModel, rows, status: str, objective, extra:
     if not target:
         return
     line = (
-        f"[{kind}] model={model.name} vars={len(model.var_names)} rows={len(model.row_names)} "
+        f"[{kind}] model={model.name} vars={model.n_vars} rows={model.n_rows} "
         f"nnz={rows[0].nnz} status={status} objective={objective}{extra}\n"
     )
     if target == "-":
@@ -252,7 +471,7 @@ def _constraint_rows(model: MilpModel) -> tuple[sp.csr_matrix, np.ndarray, np.nd
     """All rows as one CSR matrix A with row bounds, lo <= A x <= hi:
     -inf/rhs for '<=', rhs/inf for '>=' and rhs/rhs for '='."""
     indptr, indices, data, sense, rhs = model._merged_rows()
-    a = sp.csr_matrix((data, indices, indptr), shape=(sense.size, len(model.var_names)))
+    a = sp.csr_matrix((data, indices, indptr), shape=(sense.size, model.n_vars))
     lo = np.where(sense == _SENSES.index(LESS_EQUAL), -np.inf, rhs)
     hi = np.where(sense == _SENSES.index(GREATER_EQUAL), np.inf, rhs)
     return a, lo, hi
@@ -269,13 +488,13 @@ def _check_solution(model: MilpModel, rows, x: np.ndarray, integrality: bool | n
         r = bad[0]
         rhs = hi[r] if np.isfinite(hi[r]) else lo[r]
         raise SolveNumericalError(
-            f"solution violates constraint {model.row_names[r]}: lhs={lhs[r]} rhs={rhs}"
+            f"solution violates constraint {model.row_name(r)}: lhs={lhs[r]} rhs={rhs}"
         )
     mask = model.integer if integrality is True else np.asarray(integrality, dtype=bool)
     frac = np.flatnonzero(mask & (np.abs(x - np.round(x)) > INT_TOL))
     if frac.size:
         raise SolveNumericalError(
-            f"integer variable {model.var_names[frac[0]]} has fractional value {x[frac[0]]}"
+            f"integer variable {model.var_name(frac[0])} has fractional value {x[frac[0]]}"
         )
 
 
@@ -303,7 +522,7 @@ def solve_milp(model: MilpModel, time_limit: float | None = None, integer=None) 
     all; it defaults to `model.integer`, which it leaves unchanged. When the
     time limit is hit first, the status is TIME_LIMIT, with the incumbent,
     if any, and the solver's bound."""
-    if not model.var_names:  # every row's activity is 0
+    if not model.n_vars:  # every row's activity is 0
         rows = _, lo, hi = _constraint_rows(model)
         if np.any((lo > FEAS_TOL) | (hi < -FEAS_TOL)):
             sol = MilpSolution(INFEASIBLE, None, np.empty(0), None)
@@ -312,10 +531,10 @@ def solve_milp(model: MilpModel, time_limit: float | None = None, integer=None) 
         _log_solve("lp", model, rows, sol.status, sol.objective)
         return sol
     given = model.integer if integer is None else integer
-    integer = _block_column(given, len(model.var_names), bool, f"integer mask of {model.name!r}")
+    integer = _block_column(given, model.n_vars, bool, f"integer mask of {model.name!r}")
     bad = np.flatnonzero(integer & (np.isinf(model.lb) | np.isinf(model.ub)))
     if bad.size:
-        raise ModelError(f"integer variable {model.var_names[bad[0]]} must have finite bounds")
+        raise ModelError(f"integer variable {model.var_name(bad[0])} must have finite bounds")
     rows = a, lo, hi = _constraint_rows(model)
     options: dict = {"mip_rel_gap": 1e-9, "presolve": True}
     if time_limit is not None:
@@ -354,18 +573,30 @@ def _clean(text: str) -> str:
     return _clean_lines(text).replace("\n", "_")
 
 
-def _sanitize_names(names: list[str], max_len: int, prefix: str) -> list[str]:
+def _clean_texts(texts: Sequence[str]) -> list[str]:
+    """`_clean` of each text, in one pass unless a text holds a '\n'."""
+    text = "\n".join(texts)
+    if text.count("\n") == len(texts) - 1:
+        return _clean_lines(text).split("\n")
+    return [_clean(t) for t in texts]
+
+
+def _sanitize_names(
+    names: list[str], max_len: int, prefix: str, used: set[str] | None = None, start: int = 0
+) -> list[str]:
     """Deterministically map arbitrary names, position by position, to
     distinct format-safe ones. Unsafe characters become '_' and an empty
     name or one with a leading digit gets a '_' in front; a name that is
     then too long or already taken at position i becomes the first free
-    one of prefix + i, prefix + (i + 1), ...
+    one of prefix + i, prefix + (i + 1), ... Given `used` and `start`, the
+    names are those at positions start, start + 1, ..., after names that
+    took the set `used`, to which these are added.
 
     Each chunk of WRITE_CHUNK names is cleaned in one pass over its text.
     The per-name loop below is the rule; it runs only on a chunk where some
     name needs the '_' or a fallback, or holds a '\n'."""
+    used = set() if used is None else used
     out: list[str] = []
-    used: set[str] = set()
     for k in range(0, len(names), WRITE_CHUNK):
         part = names[k:k + WRITE_CHUNK]
         text = "\n".join(part)
@@ -384,7 +615,7 @@ def _sanitize_names(names: list[str], max_len: int, prefix: str) -> list[str]:
                 continue
         else:
             cleaned = [_clean(name) for name in part]
-        for i, (name, clean) in enumerate(zip(part, cleaned), k):
+        for i, (name, clean) in enumerate(zip(part, cleaned), start + k):
             if not clean or clean[0].isdigit():
                 clean = "_" + clean
             if len(clean) > max_len or clean in used:
@@ -397,6 +628,41 @@ def _sanitize_names(names: list[str], max_len: int, prefix: str) -> list[str]:
             out.append(clean)
             used.add(clean)
     return out
+
+
+def _written_names(column: _NameColumn, max_len: int, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """The written name of each position of `column` under the rule of
+    `_sanitize_names`, and whether it differs from the name.
+
+    Each block's names are made once, from its cleaned ids. When
+    `Names.cleaned` gives a stem, the block's cleaned names are its written
+    names, as long as no earlier name can equal one: no earlier such block
+    has a stem that is a prefix of this one's or the other way round, and
+    no name of the set `used` is one. Such blocks skip the rule and add
+    nothing to `used`; they join it only before a block that takes the
+    rule. On the city design model, this skips a set of the 100k variable
+    names and one of the 102k row names per export."""
+    written = np.empty(len(column), dtype=object)
+    renamed = np.zeros(len(column), dtype=bool)
+    used: set[str] = set()
+    proven: list[tuple[str, list[str]]] = []  # (stem, written names) of blocks not in `used`
+    for block, start, end in zip(column.blocks, column.starts, column.starts[1:]):
+        names, changed, stem = block.cleaned(max_len)
+        if (
+            stem is not None
+            and not any(s.startswith(stem) or stem.startswith(s) for s, _ in proven)
+            and (not used or used.isdisjoint(names))
+        ):
+            proven.append((stem, names))
+            written[start:end] = names
+        else:
+            for _, taken in proven:
+                used.update(taken)
+            proven.clear()
+            written[start:end] = _sanitize_names(names, max_len, prefix, used, start)
+            changed |= written[start:end] != np.array(names, dtype=object)
+        renamed[start:end] = changed
+    return written, renamed
 
 
 def _fmt(value: float) -> str:
@@ -476,13 +742,18 @@ def _write_joined(fh, *columns) -> None:
     fh.write("".join(slots.ravel().tolist()))
 
 
-def _write_name_map(fh, marker: str, originals: list[str], written: np.ndarray) -> None:
-    """One comment line per renamed variable, in order of original name."""
-    renamed = np.flatnonzero(np.array(originals, dtype=object) != written).tolist()
-    renamed.sort(key=originals.__getitem__)
-    for k in range(0, len(renamed), WRITE_CHUNK):
-        part = renamed[k:k + WRITE_CHUNK]
-        _write_joined(fh, f"{marker} name-map: ", written[part], " <- ", [originals[i] for i in part], "\n")
+def _written_var_names(fh, marker: str, model: MilpModel, max_len: int, prefix: str) -> np.ndarray:
+    """The variables' written names (`_written_names`), after one comment
+    line per renamed variable, in order of its name; only the renamed
+    variables' names are made."""
+    written, renamed = _written_names(model._var_names, max_len, prefix)
+    at = np.flatnonzero(renamed)
+    originals = model._var_names.names(at)
+    order = sorted(range(at.size), key=originals.__getitem__)
+    for k in range(0, len(order), WRITE_CHUNK):
+        part = order[k:k + WRITE_CHUNK]
+        _write_joined(fh, f"{marker} name-map: ", written[at[part]], " <- ", [originals[i] for i in part], "\n")
+    return written
 
 
 def _write_bounds(fh, names: np.ndarray, lb: np.ndarray, ub: np.ndarray, lines) -> None:
@@ -545,20 +816,19 @@ def _lp_bound_lines(lo: float, hi: float) -> list[tuple[str, bool, str]]:
     return [(f" {_fmt(lo)} <= ", False, f" <= {_fmt(hi)}\n")]
 
 
-def write_lp(model: MilpModel, path: str) -> dict[str, str]:
+def write_lp(model: MilpModel, path: str) -> None:
     """CPLEX-style LP text file, written in pieces of at most WRITE_CHUNK
     coefficient entries, rows or variables. A piece is one object array of
     texts that already exist (names, and one text per distinct coefficient,
     row tail or bound pair), joined once; the file's bytes are those of the
     per-term formatting it replaced. Variables and rows get distinct written
-    names by position (`_sanitize_names`). Returns the original -> written
-    variable name map; a repeated name maps to its last position's."""
-    names = np.array(_sanitize_names(model.var_names, 200, "x"), dtype=object)
-    rows = np.array(_sanitize_names(model.row_names, 200, "c"), dtype=object)
+    names by position (`_written_names`, the rule of `_sanitize_names`); a
+    '\\ name-map: <written> <- <name>' comment names each renamed variable."""
     indptr, indices, data, sense, rhs = model._merged_rows()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"\\ {model.name}\n")
-        _write_name_map(fh, "\\", model.var_names, names)
+        names = _written_var_names(fh, "\\", model, 200, "x")
+        rows = _written_names(model._row_names, 200, "c")[0]
         fh.write("Minimize\n")
         _write_lp_rows(
             fh, names, np.array([0, model.objective[0].size]), *model.objective,
@@ -577,7 +847,6 @@ def write_lp(model: MilpModel, path: str) -> dict[str, str]:
             for k in range(0, generals.size, WRITE_CHUNK):
                 _write_joined(fh, " ", names[generals[k:k + WRITE_CHUNK]], "\n")
         fh.write("End\n")
-    return dict(zip(model.var_names, names))
 
 
 def _mps_bound_lines(lo: float, hi: float) -> list[tuple[str, bool, str]]:
@@ -630,22 +899,20 @@ def _write_mps_columns(fh, names: np.ndarray, pads: np.ndarray, cols, obj_idx, o
         fh.write(marker.format(changes.size, "'INTEND'"))
 
 
-def write_mps(model: MilpModel, path: str) -> dict[str, str]:
+def write_mps(model: MilpModel, path: str) -> None:
     """Fixed-format MPS file, written in pieces of at most WRITE_CHUNK
     coefficient entries, rows or variables, each joined once from shared
     texts as in `write_lp`; the file's bytes are those of the per-line
     formatting it replaced. Variables and rows get distinct written names
-    by position (`_sanitize_names`). Returns the original -> written
-    variable name map; a repeated name maps to its last position's."""
-    names = np.array(_sanitize_names(model.var_names, 8, "X"), dtype=object)
-    rows = np.array(_sanitize_names(model.row_names, 8, "R"), dtype=object)
-    pads = np.array([row.ljust(9) + " " for row in rows.tolist()], dtype=object)
-
+    by position, as in `write_lp`, at most 8 characters long; a
+    '* name-map: <written> <- <name>' comment names each renamed variable."""
     _, _, _, sense, rhs = model._merged_rows()
     cols = _constraint_rows(model)[0].tocsc()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"NAME          {_clean(model.name)[:8].upper() or 'MODEL'}\n")
-        _write_name_map(fh, "*", model.var_names, names)
+        names = _written_var_names(fh, "*", model, 8, "X")
+        rows = _written_names(model._row_names, 8, "R")[0]
+        pads = np.array([row.ljust(9) + " " for row in rows.tolist()], dtype=object)
         fh.write("ROWS\n N  COST\n")
         kinds = np.array([" L  ", " E  ", " G  "], dtype=object)
         for k in range(0, rows.size, WRITE_CHUNK):
@@ -664,13 +931,13 @@ def write_mps(model: MilpModel, path: str) -> dict[str, str]:
         fh.write("BOUNDS\n")
         _write_bounds(fh, names, model.lb, model.ub, _mps_bound_lines)
         fh.write("ENDATA\n")
-    return dict(zip(model.var_names, names))
 
 
-def export_model(model: MilpModel, path: str, fmt: str) -> dict[str, str]:
-    """Write the model as 'lp' or 'mps'; returns the name mapping used."""
+def export_model(model: MilpModel, path: str, fmt: str) -> None:
+    """Write the model as 'lp' (`write_lp`) or 'mps' (`write_mps`)."""
     if fmt == "lp":
-        return write_lp(model, path)
-    if fmt == "mps":
-        return write_mps(model, path)
-    raise ValueError(f"unknown model format {fmt!r} (expected 'lp' or 'mps')")
+        write_lp(model, path)
+    elif fmt == "mps":
+        write_mps(model, path)
+    else:
+        raise ValueError(f"unknown model format {fmt!r} (expected 'lp' or 'mps')")

@@ -23,7 +23,7 @@ def add_var(model: MilpModel, name: str, lb=0.0, ub=math.inf, integer=False) -> 
 def add_constraint(model: MilpModel, coeffs: dict[int, float], sense: str, rhs: float, name=None) -> int:
     """Append the row sum(coeffs[j] * x[j]) `sense` `rhs`, named `name` or
     c<row index>; returns that index."""
-    row = len(model.row_names)
+    row = model.n_rows
     names = [f"c{row}" if name is None else name]
     model.add_rows([0] * len(coeffs), list(coeffs), list(coeffs.values()), sense, rhs, names)
     return row
@@ -247,7 +247,8 @@ def reference_lp(model: MilpModel, names: list[str], rows: list[str]) -> str:
             return f"0 {names[0]}" if names else "0"
         return text[2:] if text.startswith("+ ") else text
 
-    renamed = sorted((old, new) for old, new in zip(model.var_names, names) if old != new)
+    renamed = [(old, new) for old, new in zip(model.var_names, names) if old != new]
+    renamed.sort(key=lambda pair: pair[0])  # same-named variables stay in position order
     lines = [f"\\ {model.name}", *(f"\\ name-map: {new} <- {old}" for old, new in renamed)]
     lines += ["Minimize", f" obj: {terms(zip(*(a.tolist() for a in model.objective)))}", "Subject To"]
     indptr, indices, data, sense, rhs = model._merged_rows()

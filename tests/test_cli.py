@@ -1146,3 +1146,24 @@ def test_perturbed_pipeline_runs(tmp_path, tiny_instance_file):
     )
     assert run_pipeline(cfg) == EXIT_OK
     assert os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_split_id_that_clashes_names_the_split(tmp_path, capsys):
+    data = _generated_instance_dict()
+    data["commodities"][0].update(id="a", passengers=4)
+    data["commodities"][1].update(id="a#1", passengers=1)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    line = "splitting commodity 'a' to the shuttle capacity 3 makes the id 'a#1', which another commodity has"
+    assert main(["validate", "--instance", str(path), "--capacity", "3"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == f"[validate] {line}\n" and "duplicate-id" not in captured.out, captured
+    assert main(["pipeline", "--instance", str(path), "--capacity", "3", "--out", str(tmp_path / "run")]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"[validate] {line}\n"
+    assert not (tmp_path / "run" / "routes.jsonl").exists()
+    data["commodities"][1].update(id="a#2")  # 4 riders at capacity 3 make a#0 and a#1 only
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--instance", str(path), "--capacity", "3"]) == EXIT_OK
+    data["commodities"][1].update(id="a#1", passengers=4)  # split too: a#1#0 and a#1#1
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--instance", str(path), "--capacity", "3"]) == EXIT_OK

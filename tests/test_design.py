@@ -20,7 +20,7 @@ from odmts.design import (
     solve_design,
     solve_in_rounds,
 )
-from odmts.milp import OPTIMAL, MilpSolution, _check_solution, _constraint_rows, solve_milp
+from odmts.milp import OPTIMAL, MilpSolution, _check_solution, _constraint_rows, solve_milp, write_lp
 from odmts.routegen import (
     DROPOFF,
     PICKUP,
@@ -494,3 +494,19 @@ def test_assembly_checks_each_route_per_map_wherever_it_is_listed():
 def test_line_endpoints_must_differ():
     with pytest.raises(ValueError, match=r"bus line endpoints must differ, got \(h, h\)"):
         line_open_cost("h", "h", line_cost_instance())
+
+
+def test_x_names_escape_the_member_separator(tmp_path):
+    # Routes [a, b] and [a|b] must not share a name: '\' and '|' in a member id are escaped.
+    points = {"o": (0.0, 0.0), "h": (10.0, 0.0), "d": (20.0, 0.0)}
+    comms = tuple(mk_commodity(cid, "o", "d", 0.0) for cid in ("a", "b", "a|b", "c\\"))
+    inst = euclid_instance(points, ["h"], comms, capacity=2, first_hubs=1, last_hubs=1)
+    dm = build_design_model(inst, *enumerated(inst))
+    names = [dm.model.var_name(int(j)) for j in dm.x]
+    assert "x[pickup,h,a|b]" in names and "x[pickup,h,a\\|b]" in names and "x[pickup,h,c\\\\]" in names
+    assert len(set(names)) == len(names)
+    path = tmp_path / "design.lp"
+    write_lp(dm.model, str(path))
+    originals = [line.rstrip("\n").split(" <- ", 1)[1] for line in open(path) if line.startswith("\\ name-map: ")]
+    assert {"x[pickup,h,a|b]", "x[pickup,h,a\\|b]"} <= set(originals)
+    assert len(set(originals)) == len(originals) == dm.model.n_vars

@@ -577,6 +577,12 @@ def test_sanitize_chunks_match_per_name_regex(names):
                 assert _sanitize_names(names, max_len, prefix) == _sanitize_by_regex(names, max_len, prefix), chunk
 
 
+def _name_map(path) -> dict[str, str]:
+    """original -> written, from the name-map comments of an exported file."""
+    pairs = [line.split(" name-map: ", 1)[1].rstrip("\n").split(" <- ", 1) for line in open(path) if " name-map: " in line]
+    return {old: new for new, old in pairs}
+
+
 def test_name_sanitization_emits_mapping(tmp_path):
     m = MilpModel(name="messy")
     x = add_var(m, "flow rate [a,b]", 0, 3)
@@ -584,8 +590,9 @@ def test_name_sanitization_emits_mapping(tmp_path):
     m.set_objective([x], 1.0)
     for fmt in ("lp", "mps"):
         path = str(tmp_path / f"messy.{fmt}")
-        mapping = export_model(m, path, fmt)
-        assert "flow rate [a,b]" in mapping
+        assert export_model(m, path, fmt) is None
+        mapping = _name_map(path)
+        assert list(mapping) == ["flow rate [a,b]"]
         written = mapping["flow rate [a,b]"]
         assert " " not in written
         assert written in open(path).read()
@@ -594,8 +601,9 @@ def test_name_sanitization_emits_mapping(tmp_path):
             line.startswith(marker) and "name-map" in line for line in open(path)
         )
     # Same sanitization applied twice stays identical.
-    again = export_model(m, str(tmp_path / "b.lp"), "lp")
-    assert again == export_model(m, str(tmp_path / "c.lp"), "lp")
+    export_model(m, str(tmp_path / "b.lp"), "lp")
+    export_model(m, str(tmp_path / "c.lp"), "lp")
+    assert (tmp_path / "b.lp").read_bytes() == (tmp_path / "c.lp").read_bytes()
 
 
 def test_export_model_rejects_unknown_format(tmp_path):
@@ -614,10 +622,10 @@ def test_fallback_names_never_collide(tmp_path, fmt, reader, names):
     m.set_objective([0, 1, 2], [1.0, 2.0, 3.0])
     add_constraint(m, {0: 1.0, 1: 1.0, 2: 1.0}, GREATER_EQUAL, 1.0, name="cover")
     path = str(tmp_path / f"clash.{fmt}")
-    mapping = export_model(m, path, fmt)
-    assert list(mapping) == names
-    assert len(set(mapping.values())) == 3
-    assert mapping[names[0]] == names[0]  # the clean name keeps its spelling
+    export_model(m, path, fmt)
+    mapping = _name_map(path)
+    assert list(mapping) == names[1:]  # the clean name keeps its spelling and has no line
+    assert len({names[0], *mapping.values()}) == 3
     back = reader(path)
     assert len(back.var_names) == 3
     assert sorted(back.objective[1].tolist()) == [1.0, 2.0, 3.0]
@@ -811,3 +819,89 @@ def test_solve_log_env(tmp_path, monkeypatch):
     assert all(re.match(r"\[milp\] model=design ", line) for line in lines)
     counts = [int(re.search(r" integer=(\d+) ", line)[1]) for line in lines]
     assert counts[0] == len(dm.z) and all(a < b for a, b in zip(counts, counts[1:]))
+
+
+# Ids that the cleaning, the '_' prefix, the length limit or a fallback name acts on.
+_ODD_IDS = ["_", "[", "\n", "é", "", "7", "a" * 201, "x3", "X1", "c0", "R2", "x", "a|b", "a_b", "ab"]
+_IDS = st.lists(st.one_of(st.sampled_from(_ODD_IDS), st.text(max_size=3)), min_size=1, max_size=4)
+_TEMPLATES = ["{}", "x{}", "X{}", "c{}", "y[{},{}]", "{}[{}]", "{}_{}", "{}{}", "z[{}]"]
+
+
+@st.composite
+def _name_block(draw):
+    """A `Names` block of 0-5 names whose last field is joined or not, or a list of odd names."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.one_of(st.sampled_from(_ODD_IDS), st.text(max_size=3)), max_size=5))
+    template, n = draw(st.sampled_from(_TEMPLATES)), draw(st.integers(0, 5))
+    fields = []
+    for f in range(template.count("{}")):
+        ids = draw(_IDS)
+        key = st.integers(0, len(ids) - 1)
+        if f == template.count("{}") - 1 and draw(st.booleans()):
+            width = draw(st.integers(1, 3))
+            rows = draw(st.lists(st.lists(key, max_size=width), min_size=n, max_size=n))
+            keys = np.array([r + [-1] * (width - len(r)) for r in rows], dtype=np.int64).reshape(n, width)
+        else:
+            keys = np.array(draw(st.lists(key, min_size=n, max_size=n)), dtype=np.int64)
+        fields.append((ids, keys))
+    return milp.Names(template, *fields)
+
+
+def _as_list(block):
+    return block.names() if isinstance(block, milp.Names) else list(block)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_name_block(), min_size=1, max_size=4), st.lists(_name_block(), max_size=3))
+@example([milp.Names("x{}", (("3", "4"), [0, 1])), ["x3", "x_1_"]], [milp.Names("c{}", (("0",), [0]))])
+def test_name_blocks_write_the_bytes_of_their_name_lists(var_blocks, row_blocks):
+    models = []
+    for names_of in (lambda b: b, _as_list):
+        m = MilpModel(name="blocks")
+        for block in var_blocks:
+            m.add_vars(names_of(block), 0, 1)
+        for block in row_blocks:
+            k = len(block)
+            cols = np.zeros(k if m.n_vars else 0, dtype=np.int64)
+            m.add_rows(np.arange(cols.size), cols, np.ones(cols.size), EQUAL, 0.0, names_of(block))
+        m.set_objective(np.arange(m.n_vars), 1.0)
+        models.append(m)
+    blocks, lists = models
+    assert blocks.var_names == lists.var_names and blocks.row_names == lists.row_names
+    assert [blocks.var_name(j) for j in range(blocks.n_vars)] == lists.var_names
+    reference = reference_lp(
+        lists, _sanitize_names(lists.var_names, 200, "x"), _sanitize_names(lists.row_names, 200, "c")
+    ).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        for chunk in (1, 3, 4096):
+            with mock.patch.object(milp, "WRITE_CHUNK", chunk):
+                for fmt in ("lp", "mps"):
+                    got, want = (os.path.join(tmp, f"{side}.{fmt}") for side in ("blocks", "lists"))
+                    export_model(blocks, got, fmt)
+                    export_model(lists, want, fmt)
+                    assert Path(got).read_bytes() == Path(want).read_bytes(), (chunk, fmt)
+                    assert fmt == "mps" or Path(got).read_bytes() == reference, chunk
+
+
+def test_design_model_holds_no_names():
+    # A name string costs at least 49 bytes and its list slot 8 more. The
+    # model may hold, beyond its arrays (columns, rows, objective, name keys
+    # and the index arrays of DesignModel), less than 8 bytes per variable
+    # and row: so not one string per name.
+    inst = instgen.generate(seed=400, n_nodes=60, n_hubs=6, n_commodities=100, side_km=16.0)
+    hs = routegen.compute_hub_sets(inst)
+    routes = routegen.enumerate_pickup_routes(inst, hs), routegen.enumerate_dropoff_routes(inst, hs)
+    design.build_design_model(inst, *routes)  # warm up caches outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dm = design.build_design_model(inst, *routes)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    m = dm.model
+    keys = [keys for col in (m._var_names, m._row_names) for b in col.blocks for _, keys in b.fields]
+    arrays = [*m.objective, *(a for c in m._cols for a in c), *(a for r in m._rows for a in r), *keys]
+    array_bytes = sum(a.nbytes for a in [*arrays, dm.z, dm.y, dm.x, dm.eta])
+    assert m.n_vars == 3787
+    assert held <= array_bytes + 8 * (m.n_vars + m.n_rows), (held, array_bytes, m.n_vars + m.n_rows)
