@@ -34,11 +34,14 @@ file: each write holds at most WRITE_CHUNK coefficient entries, rows or
 variables, never the whole text. A piece is one object array of texts that
 already exist (names, and one text per distinct coefficient, row tail or
 bound pair), filled by fancy indexing and joined once, so no string is made
-per entry; the bytes are those of the earlier per-term writers. Written
-names are chosen per position, so same-named rows and colliding sanitised
-names still get distinct names in the file. A `Names` block is cleaned id
-by id, and each written name is made once, from the cleaned ids; the
-writers return nothing.
+per entry; the bytes are those of the earlier per-term writers. A variable
+or row is written under a name made from its position (x<j> and c<r> in
+LP, X<j> and R<r> in MPS), safe and distinct whatever the model's names,
+so the writers make no original name. The file's header comments record
+each `Names` block once (`_write_name_blocks`): a variable block's
+position range, template, ids and keys, from which a reader rebuilds
+every original name, and a row block's range and template. The writers
+return nothing.
 
 Set the ODMTS_SOLVE_LOG environment variable to a file path ('-' for stderr)
 to log one line per solve, whatever its status; a MIP's line counts its
@@ -47,10 +50,10 @@ integer columns and branch-and-bound nodes.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
-import string
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -156,18 +159,17 @@ class Names:
     def __getitem__(self, i: int) -> str:
         return self.names(np.array([i]))[0]
 
-    def _build(self, texts: list[np.ndarray], parts: list[str], sep: str, at=None) -> list[str]:
-        """The names (those at positions `at`, if given) from one object array
-        of texts per field, with a trailing '' that key -1 reads, the
-        template's parts and the join separator; joined per piece of
+    def names(self, at=None) -> list[str]:
+        """The names, or those at positions `at`; joined per piece of
         WRITE_CHUNK names."""
+        texts = [np.array([*ids, ""], dtype=object) for ids, _ in self.fields]  # key -1 reads the ''
+        seps = np.array(["", "|"], dtype=object)
         out: list[str] = []
-        seps = np.array(["", sep], dtype=object)
         m = self.size if at is None else len(at)
         for r0 in range(0, m, WRITE_CHUNK):
             piece = slice(r0, r0 + WRITE_CHUNK) if at is None else at[r0:r0 + WRITE_CHUNK]
-            columns = [parts[0]]
-            for (_, keys), text, part in zip(self.fields, texts, parts[1:]):
+            columns = [self.parts[0]]
+            for (_, keys), text, part in zip(self.fields, texts, self.parts[1:]):
                 keys = keys[piece]
                 if keys.ndim == 1:
                     columns.append(text[keys])
@@ -178,68 +180,6 @@ class Names:
                 columns.append(part)
             out += _joined_rows(columns, min(m - r0, WRITE_CHUNK))
         return out
-
-    def names(self, at=None) -> list[str]:
-        """The names, or those at positions `at`."""
-        texts = [np.array([*ids, ""], dtype=object) for ids, _ in self.fields]
-        return self._build(texts, self.parts, "|", at)
-
-    def cleaned(self, max_len: int) -> tuple[list[str], np.ndarray, str | None]:
-        """The names with every character outside [A-Za-z0-9_] made '_',
-        built from the ids, each cleaned once; which of them that changes;
-        and the cleaned first part of the template (the stem) when the ids
-        alone show that the cleaned names are distinct, at most max_len
-        long, start with a letter or '_' and end in no digit (so no fallback
-        name prefix + digits equals one), else None."""
-        texts = [np.array([*_clean_texts(ids), ""], dtype=object) for ids, _ in self.fields]
-        parts = [_clean(part) for part in self.parts]
-        changed = np.full(self.size, parts != self.parts)
-        for (ids, keys), text in zip(self.fields, texts):
-            moved = np.array([c != o for c, o in zip(text.tolist(), ids)] + [False])
-            changed |= moved[keys] if keys.ndim == 1 else moved[keys].any(1) | ((keys >= 0).sum(1) > 1)
-        return self._build(texts, parts, "_"), changed, self._stem(texts, parts, max_len)
-
-    def _stem(self, texts: list[np.ndarray], parts: list[str], max_len: int) -> str | None:
-        """See `cleaned`. The cleaned names are distinct when the key tuples
-        are, the cleaning keeps each field's ids apart, and every field but
-        one can be read off a name from the left or the right: its texts
-        lack the first character of the part after it, or the last one of
-        the part before it. Joined ids must be non-empty and hold no '_'."""
-        code, radix = np.zeros(self.size, np.int64), 1
-        for ids, keys in self.fields:
-            for column in (keys[:, None] if keys.ndim == 1 else keys).T:
-                radix *= len(ids) + 1
-                if radix >= 2**62:
-                    return None
-                code = code * (len(ids) + 1) + column + 1
-        code.sort()
-        if np.any(code[1:] == code[:-1]):
-            return None
-        chars, longest = [], sum(map(len, parts))
-        for (ids, keys), text in zip(self.fields, texts):
-            words = text[:-1].tolist()
-            if len(set(words)) < len(words) or (keys.ndim == 2 and any(not w or "_" in w for w in words)):
-                return None
-            chars.append(set("".join(words)) | ({"_"} if keys.ndim == 2 else set()))
-            lengths = np.array([len(w) + (keys.ndim == 2) for w in words] + [0])[keys]  # a joined id and its '_'
-            longest += int((lengths.sum(1) - 1 if keys.ndim == 2 else lengths).max(initial=0))
-        n = len(self.fields)
-        left = 0
-        while left < n and parts[left + 1] and parts[left + 1][0] not in chars[left]:
-            left += 1
-        right = 0
-        while left + right < n and parts[n - 1 - right] and parts[n - 1 - right][-1] not in chars[n - 1 - right]:
-            right += 1
-        first = texts[0][:-1].tolist() if not parts[0] and self.fields[0][1].ndim == 1 else [parts[0]]
-        if (
-            left + right < n - 1
-            or longest > max_len
-            or any(not w or w[0].isdigit() for w in first)
-            or not parts[-1]
-            or parts[-1][-1].isdigit()
-        ):
-            return None
-        return parts[0]
 
 
 def _name_block(names: Sequence[str] | Names) -> Names:
@@ -269,13 +209,8 @@ class _NameColumn:
         b = bisect_right(self.starts, i) - 1
         return self.blocks[b][i - self.starts[b]]
 
-    def names(self, at: np.ndarray | None = None) -> list[str]:
-        """All names, or those at the ascending positions `at`."""
-        out: list[str] = []
-        for block, start, end in zip(self.blocks, self.starts, self.starts[1:]):
-            local = None if at is None else at[np.searchsorted(at, start):np.searchsorted(at, end)] - start
-            out += block.names(local)
-        return out
+    def names(self) -> list[str]:
+        return [name for block in self.blocks for name in block.names()]
 
 
 class MilpModel:
@@ -553,116 +488,36 @@ def solve_milp(model: MilpModel, time_limit: float | None = None, integer=None) 
 
 WRITE_CHUNK = 4096  # coefficient entries, rows or variables written per piece by `write_lp` and `write_mps`
 
-# Every character outside [A-Za-z0-9_] becomes '_', one for one, except the
-# '\n' that separates the names of a chunk: ASCII text goes through a byte
-# table, other text through a dict and a regex that finds nothing in ASCII.
-_KEPT = frozenset((string.ascii_letters + string.digits + "_\n").encode())
-_ASCII_LINES = bytes(c if c in _KEPT else ord("_") for c in range(256))
-_UNSAFE_LINES = {c: "_" for c in range(128) if c not in _KEPT}
-_NON_ASCII = re.compile(r"[^\x00-\x7f]")
-_NEEDS_PREFIX = re.compile(r"\n[0-9\n]")  # in '\n' + lines + '\n': a line that is empty or starts with a digit
+
+def _positions(prefix: str, start: int, stop: int) -> np.ndarray:
+    """The written names prefix + str(i) of positions start..stop-1."""
+    return np.array([f"{prefix}{i}" for i in range(start, stop)], dtype=object)
 
 
-def _clean_lines(text: str) -> str:
-    if text.isascii():
-        return text.encode("ascii").translate(_ASCII_LINES).decode("ascii")
-    return _NON_ASCII.sub("_", text.translate(_UNSAFE_LINES))
+def _write_name_blocks(fh, marker: str, model: MilpModel) -> None:
+    """The record of the model's `Names` blocks, as comment lines. A
+    variable block of positions first..end-1 writes
 
+        <marker> vars <first> <end> <template>
 
-def _clean(text: str) -> str:
-    return _clean_lines(text).replace("\n", "_")
-
-
-def _clean_texts(texts: Sequence[str]) -> list[str]:
-    """`_clean` of each text, in one pass unless a text holds a '\n'."""
-    text = "\n".join(texts)
-    if text.count("\n") == len(texts) - 1:
-        return _clean_lines(text).split("\n")
-    return [_clean(t) for t in texts]
-
-
-def _sanitize_names(
-    names: list[str], max_len: int, prefix: str, used: set[str] | None = None, start: int = 0
-) -> list[str]:
-    """Deterministically map arbitrary names, position by position, to
-    distinct format-safe ones. Unsafe characters become '_' and an empty
-    name or one with a leading digit gets a '_' in front; a name that is
-    then too long or already taken at position i becomes the first free
-    one of prefix + i, prefix + (i + 1), ... Given `used` and `start`, the
-    names are those at positions start, start + 1, ..., after names that
-    took the set `used`, to which these are added.
-
-    Each chunk of WRITE_CHUNK names is cleaned in one pass over its text.
-    The per-name loop below is the rule; it runs only on a chunk where some
-    name needs the '_' or a fallback, or holds a '\n'."""
-    used = set() if used is None else used
-    out: list[str] = []
-    for k in range(0, len(names), WRITE_CHUNK):
-        part = names[k:k + WRITE_CHUNK]
-        text = "\n".join(part)
-        if text.count("\n") == len(part) - 1:  # no name holds a '\n'
-            cleaned_text = _clean_lines(text)
-            cleaned = part if cleaned_text == text else cleaned_text.split("\n")
-            fresh = set(cleaned)
-            if (
-                len(fresh) == len(part)
-                and used.isdisjoint(fresh)
-                and max(map(len, cleaned)) <= max_len
-                and not _NEEDS_PREFIX.search(f"\n{cleaned_text}\n")
-            ):
-                out.extend(cleaned)
-                used |= fresh
+    and then, per field, '<marker> field <width> <ids>' and one line
+    '<marker> keys <k> <k> ...' of its keys in position order, `width` per
+    name (1 for a 1-D field, -1 pads a joined one). A row block writes only
+    '<marker> rows <first> <end> <template>'. The template and the ids are
+    JSON (ASCII), so no text breaks a line; the keys are joined per piece
+    of WRITE_CHUNK names from one text per id. Empty blocks name nothing and
+    write nothing."""
+    for kind, column in (("vars", model._var_names), ("rows", model._row_names)):
+        for block, start, end in zip(column.blocks, column.starts, column.starts[1:]):
+            if start == end:
                 continue
-        else:
-            cleaned = [_clean(name) for name in part]
-        for i, (name, clean) in enumerate(zip(part, cleaned), start + k):
-            if not clean or clean[0].isdigit():
-                clean = "_" + clean
-            if len(clean) > max_len or clean in used:
-                clean = f"{prefix}{i}"
-                while clean in used:
-                    i += 1
-                    clean = f"{prefix}{i}"
-            elif clean == name:
-                clean = name  # the caller's string, not a copy
-            out.append(clean)
-            used.add(clean)
-    return out
-
-
-def _written_names(column: _NameColumn, max_len: int, prefix: str) -> tuple[np.ndarray, np.ndarray]:
-    """The written name of each position of `column` under the rule of
-    `_sanitize_names`, and whether it differs from the name.
-
-    Each block's names are made once, from its cleaned ids. When
-    `Names.cleaned` gives a stem, the block's cleaned names are its written
-    names, as long as no earlier name can equal one: no earlier such block
-    has a stem that is a prefix of this one's or the other way round, and
-    no name of the set `used` is one. Such blocks skip the rule and add
-    nothing to `used`; they join it only before a block that takes the
-    rule. On the city design model, this skips a set of the 100k variable
-    names and one of the 102k row names per export."""
-    written = np.empty(len(column), dtype=object)
-    renamed = np.zeros(len(column), dtype=bool)
-    used: set[str] = set()
-    proven: list[tuple[str, list[str]]] = []  # (stem, written names) of blocks not in `used`
-    for block, start, end in zip(column.blocks, column.starts, column.starts[1:]):
-        names, changed, stem = block.cleaned(max_len)
-        if (
-            stem is not None
-            and not any(s.startswith(stem) or stem.startswith(s) for s, _ in proven)
-            and (not used or used.isdisjoint(names))
-        ):
-            proven.append((stem, names))
-            written[start:end] = names
-        else:
-            for _, taken in proven:
-                used.update(taken)
-            proven.clear()
-            written[start:end] = _sanitize_names(names, max_len, prefix, used, start)
-            changed |= written[start:end] != np.array(names, dtype=object)
-        renamed[start:end] = changed
-    return written, renamed
+            fh.write(f"{marker} {kind} {start} {end} {json.dumps('{}'.join(block.parts))}\n")
+            for ids, keys in block.fields if kind == "vars" else ():
+                fh.write(f"{marker} field {keys.shape[1] if keys.ndim == 2 else 1} {json.dumps(ids)}\n{marker} keys")
+                table = np.array([f" {k}" for k in range(len(ids))] + [" -1"], dtype=object)  # key -1 reads the last
+                for k in range(0, len(keys), WRITE_CHUNK):
+                    fh.write("".join(table[keys[k:k + WRITE_CHUNK].ravel()].tolist()))
+                fh.write("\n")
 
 
 def _fmt(value: float) -> str:
@@ -742,26 +597,13 @@ def _write_joined(fh, *columns) -> None:
     fh.write("".join(slots.ravel().tolist()))
 
 
-def _written_var_names(fh, marker: str, model: MilpModel, max_len: int, prefix: str) -> np.ndarray:
-    """The variables' written names (`_written_names`), after one comment
-    line per renamed variable, in order of its name; only the renamed
-    variables' names are made."""
-    written, renamed = _written_names(model._var_names, max_len, prefix)
-    at = np.flatnonzero(renamed)
-    originals = model._var_names.names(at)
-    order = sorted(range(at.size), key=originals.__getitem__)
-    for k in range(0, len(order), WRITE_CHUNK):
-        part = order[k:k + WRITE_CHUNK]
-        _write_joined(fh, f"{marker} name-map: ", written[at[part]], " <- ", [originals[i] for i in part], "\n")
-    return written
-
-
-def _write_bounds(fh, names: np.ndarray, lb: np.ndarray, ub: np.ndarray, lines) -> None:
+def _write_bounds(fh, names: Callable[[int, int], np.ndarray], lb: np.ndarray, ub: np.ndarray, lines) -> None:
     """Per piece of WRITE_CHUNK variables, write each variable's bound
     lines: `lines(lo, hi)` gives, once per distinct (lb, ub), up to two
     (before, padded, after) texts, and a line is before + the name (padded
-    by ljust(9) if `padded`) + after."""
-    for k in range(0, names.size, WRITE_CHUNK):
+    by ljust(9) if `padded`) + after; `names(k0, k1)` gives the written
+    names of variables k0..k1-1."""
+    for k in range(0, lb.size, WRITE_CHUNK):
         part = slice(k, k + WRITE_CHUNK)
         first, inverse = _distinct(lb[part], ub[part])
         table = np.full((first.size, 2, 3), "", dtype=object)
@@ -772,18 +614,18 @@ def _write_bounds(fh, names: np.ndarray, lb: np.ndarray, ub: np.ndarray, lines) 
         slots, keep = table[inverse], real[inverse]
         middle = slots[:, :, 1]  # a view: the padded flags, then the names
         padded = middle.astype(bool)
-        middle[:] = names[part, None]
+        middle[:] = names(k, min(k + WRITE_CHUNK, lb.size))[:, None]
         if padded.any():
             middle[padded] = [name.ljust(9) for name in middle[padded].tolist()]
         fh.write("".join(slots[keep].ravel().tolist()))
 
 
-def _write_lp_rows(fh, names: np.ndarray, indptr, indices, data, heads: np.ndarray, tails) -> None:
-    """Write each row r of a CSR block as ' <heads[r]>: ', its terms and its
-    tail; `tails(r0, r1)` gives the tails of rows r0..r1-1 as an object
-    array. A row without entries reads '0 <first variable>'. Each distinct
-    coefficient has two shared texts: a row's first term without '+ ' and a
-    later term after ' '."""
+def _write_lp_rows(fh, names: np.ndarray, indptr, indices, data, heads, tails) -> None:
+    """Write each row r of a CSR block as ' <head>: ', its terms and its
+    tail; `heads(r0, r1)` and `tails(r0, r1)` give the heads and the tails
+    of rows r0..r1-1 as object arrays. A row without entries reads
+    '0 <first variable>'. Each distinct coefficient has two shared texts: a
+    row's first term without '+ ' and a later term after ' '."""
     empty = "0 " + names[0] if names.size else "0"  # a model without variables has only constants
     for r0, r1, p0, p1 in _pieces(indptr):
         starts, ends = indptr[r0:r1], indptr[r0 + 1:r1 + 1]
@@ -799,7 +641,7 @@ def _write_lp_rows(fh, names: np.ndarray, indptr, indices, data, heads: np.ndarr
         slots[entry] = table[code]
         slots[entry + 1] = names[indices[p0:p1]]
         slots[start[head]] = " "
-        slots[start[head] + 1] = heads[r0:r1][head]
+        slots[start[head] + 1] = heads(r0, r1)[head]
         slots[start[head] + 2] = ": "
         slots[start[blank] + 3] = empty  # after the head
         slots[stop[tail] - 1] = tails(r0, r1)[tail]
@@ -821,26 +663,28 @@ def write_lp(model: MilpModel, path: str) -> None:
     coefficient entries, rows or variables. A piece is one object array of
     texts that already exist (names, and one text per distinct coefficient,
     row tail or bound pair), joined once; the file's bytes are those of the
-    per-term formatting it replaced. Variables and rows get distinct written
-    names by position (`_written_names`, the rule of `_sanitize_names`); a
-    '\\ name-map: <written> <- <name>' comment names each renamed variable."""
+    per-term formatting it replaced. Variable j is written x<j> and row r
+    c<r>, so the written names are safe and distinct whatever the model's
+    names. After a first comment line with the model's name (escaped as in
+    a JSON string), the comments of `_write_name_blocks` record how to make
+    the model's names."""
     indptr, indices, data, sense, rhs = model._merged_rows()
+    names = _positions("x", 0, model.n_vars)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"\\ {model.name}\n")
-        names = _written_var_names(fh, "\\", model, 200, "x")
-        rows = _written_names(model._row_names, 200, "c")[0]
+        fh.write(f"\\ {json.dumps(model.name)[1:-1]}\n")
+        _write_name_blocks(fh, "\\", model)
         fh.write("Minimize\n")
         _write_lp_rows(
             fh, names, np.array([0, model.objective[0].size]), *model.objective,
-            np.array(["obj"], dtype=object), lambda r0, r1: np.full(r1 - r0, "\n", dtype=object),
+            lambda r0, r1: np.array(["obj"], dtype=object), lambda r0, r1: np.full(r1 - r0, "\n", dtype=object),
         )
         fh.write("Subject To\n")
         _write_lp_rows(
-            fh, names, indptr, indices, data, rows,
+            fh, names, indptr, indices, data, lambda r0, r1: _positions("c", r0, r1),
             lambda r0, r1: _per_value(lambda s, r: f" {_SENSES[s]} {_fmt(r)}\n", sense[r0:r1], rhs[r0:r1]),
         )
         fh.write("Bounds\n")
-        _write_bounds(fh, names, model.lb, model.ub, _lp_bound_lines)
+        _write_bounds(fh, lambda k0, k1: names[k0:k1], model.lb, model.ub, _lp_bound_lines)
         generals = np.flatnonzero(model.integer)
         if generals.size:
             fh.write("General\n")
@@ -862,10 +706,11 @@ def _fmt_line(value: float) -> str:
     return _fmt(value) + "\n"
 
 
-def _write_mps_columns(fh, names: np.ndarray, pads: np.ndarray, cols, obj_idx, obj_val, integer) -> None:
+def _write_mps_columns(fh, pads: np.ndarray, cols, obj_idx, obj_val, integer) -> None:
     """The COLUMNS section from the CSC matrix `cols`: per column j an
     integrality marker where integrality changes, its objective entry, then
-    its rows in order, every line but a marker starting with j's head.
+    its rows in order, every line but a marker starting with the head of
+    its name X<j>.
     `pads[r]` is row r's name padded for its field."""
     marker = "    M{:<8} 'MARKER'" + " " * 17 + "{}\n"
     changes = np.flatnonzero(np.diff(integer, prepend=False))  # marker n sits before column changes[n]
@@ -881,7 +726,7 @@ def _write_mps_columns(fh, names: np.ndarray, pads: np.ndarray, cols, obj_idx, o
         lead[changes[marked] - j0] += 1
         lead[obj_idx[costed] - j0] += 3
         slots, start, entry, _ = _layout(lead, count, 3, 0)
-        heads = np.array([f"    {name:<9} " for name in names[j0:j1].tolist()], dtype=object)
+        heads = np.array([f"    X{j:<8} " for j in range(j0, j1)], dtype=object)
         slots[start[changes[marked] - j0]] = [
             marker.format(n, "'INTORG'" if integer[j] else "'INTEND'")
             for n, j in zip(marked.tolist(), changes[marked].tolist())
@@ -903,24 +748,23 @@ def write_mps(model: MilpModel, path: str) -> None:
     """Fixed-format MPS file, written in pieces of at most WRITE_CHUNK
     coefficient entries, rows or variables, each joined once from shared
     texts as in `write_lp`; the file's bytes are those of the per-line
-    formatting it replaced. Variables and rows get distinct written names
-    by position, as in `write_lp`, at most 8 characters long; a
-    '* name-map: <written> <- <name>' comment names each renamed variable."""
+    formatting it replaced. Variable j is written X<j> and row r R<r>,
+    names of at most 8 characters below 10^7 positions; after the NAME
+    line, '*' comments record the name blocks as in `write_lp`."""
     _, _, _, sense, rhs = model._merged_rows()
     cols = _constraint_rows(model)[0].tocsc()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"NAME          {_clean(model.name)[:8].upper() or 'MODEL'}\n")
-        names = _written_var_names(fh, "*", model, 8, "X")
-        rows = _written_names(model._row_names, 8, "R")[0]
-        pads = np.array([row.ljust(9) + " " for row in rows.tolist()], dtype=object)
+        fh.write(f"NAME          {re.sub('[^A-Za-z0-9_]', '_', model.name)[:8].upper() or 'MODEL'}\n")
+        _write_name_blocks(fh, "*", model)
+        pads = np.array([f"R{r:<8} " for r in range(sense.size)], dtype=object)
         fh.write("ROWS\n N  COST\n")
         kinds = np.array([" L  ", " E  ", " G  "], dtype=object)
-        for k in range(0, rows.size, WRITE_CHUNK):
-            part = slice(k, k + WRITE_CHUNK)
-            _write_joined(fh, kinds[sense[part]], rows[part], "\n")
+        for r0 in range(0, sense.size, WRITE_CHUNK):
+            r1 = min(r0 + WRITE_CHUNK, sense.size)
+            _write_joined(fh, kinds[sense[r0:r1]], _positions("R", r0, r1), "\n")
 
         fh.write("COLUMNS\n")
-        _write_mps_columns(fh, names, pads, cols, *model.objective, model.integer)
+        _write_mps_columns(fh, pads, cols, *model.objective, model.integer)
 
         fh.write("RHS\n")
         nonzero = np.flatnonzero(rhs != 0.0)
@@ -929,7 +773,7 @@ def write_mps(model: MilpModel, path: str) -> None:
             _write_joined(fh, "    RHS       ", pads[part], _per_value(_fmt_line, rhs[part]))
 
         fh.write("BOUNDS\n")
-        _write_bounds(fh, names, model.lb, model.ub, _mps_bound_lines)
+        _write_bounds(fh, lambda k0, k1: _positions("X", k0, k1), model.lb, model.ub, _mps_bound_lines)
         fh.write("ENDATA\n")
 
 

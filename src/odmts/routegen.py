@@ -388,9 +388,11 @@ def route_from_dict(data: dict, inst: Instance) -> Route:
         route = materialize_pickup(seq, hub, inst)
     else:
         route = materialize_dropoff(seq, hub, dict(zip(ids, (_finite(t1, k, "t1") for k in t1))), inst)
-    for name, value in route_to_dict(route).items():
-        if _ENCODER.encode(data[name]) != _ENCODER.encode(value):
-            raise ValueError(f"field '{name}' is {data[name]!r}, but route {route.key} materializes to {value!r}")
+    rebuilt = route_to_dict(route)
+    if _ENCODER.encode(data) != _ENCODER.encode(rebuilt):  # one encoding each; the loop names a difference
+        for name, value in rebuilt.items():
+            if _ENCODER.encode(data[name]) != _ENCODER.encode(value):
+                raise ValueError(f"field '{name}' is {data[name]!r}, but route {route.key} materializes to {value!r}")
     capacity = inst.routing.shuttle_capacity
     if route.passengers > capacity:
         raise ValueError(f"route {route.key} holds {route.passengers} riders, over the shuttle capacity {capacity}")

@@ -2,15 +2,20 @@
 tests to check that exported models round-trip. They build models one
 variable and one row at a time through `add_var` and `add_constraint`,
 which the tests also use: one-row forms of `MilpModel.add_vars` and
-`MilpModel.add_rows`.
+`MilpModel.add_rows`. `read_names` rebuilds the original variable names
+from a file's name-block comments, and `read_model` reads a file back with
+its variables in position order under those names.
 
 `reference_lp` is a plain LP writer, one f-string per term and per line,
 that the tests hold `write_lp`'s bytes against."""
 
 from __future__ import annotations
 
+import json
 import math
 import re
+
+import numpy as np
 
 from odmts.milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, MilpModel
 
@@ -228,7 +233,68 @@ def read_lp(path: str) -> MilpModel:
     return model
 
 
-def _number(value: float) -> str:
+def read_names(path: str) -> tuple[list[str], list[tuple[int, int, str]]]:
+    """The original name of every variable, in position order, rebuilt from
+    the name-block comments of a file that `write_lp` or `write_mps` wrote,
+    and each row block as (first, end, template). Raises ValueError unless
+    the blocks cover the positions in order and every field has `width`
+    keys per name."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    marker = "* " if lines[0].startswith("NAME") else "\\ "
+    records = iter([line[2:] for line in lines[1:] if line.startswith(marker)])
+    names: list[str] = []
+    rows: list[tuple[int, int, str]] = []
+    for record in records:
+        kind, first, end, template = record.split(" ", 3)
+        first, end, template = int(first), int(end), json.loads(template)
+        if kind == "rows":
+            if first != (rows[-1][1] if rows else 0) or end <= first:
+                raise ValueError(f"row block {first}..{end} out of order")
+            rows.append((first, end, template))
+            continue
+        if kind != "vars" or rows or first != len(names) or end <= first:
+            raise ValueError(f"unexpected record {record!r}")
+        parts = template.split("{}")
+        fields = []
+        for _ in parts[1:]:
+            tag, width, ids = next(records).split(" ", 2)
+            tag_keys, *keys = next(records).split(" ")
+            width, ids, keys = int(width), json.loads(ids), [int(k) for k in keys]
+            if (tag, tag_keys) != ("field", "keys") or len(keys) != (end - first) * width:
+                raise ValueError(f"field of block {first}..{end} has {len(keys)} keys, width {width}")
+            per_name = (keys[i * width:(i + 1) * width] for i in range(end - first))
+            fields.append(["|".join(ids[k] for k in mine if k >= 0) for mine in per_name])
+        names += ["".join(p + t for p, t in zip(parts, [*texts, ""])) for texts in zip(*fields)]
+    return names, rows
+
+
+def read_model(path: str) -> MilpModel:
+    """The model of a file that `write_lp` or `write_mps` wrote: variable j
+    (written x<j> or X<j>) at position j under its original name from
+    `read_names`, with the default bounds if the file omits it, and the rows
+    in file order under their written names."""
+    back = (read_mps if path.endswith(".mps") else read_lp)(path)
+    names, _ = read_names(path)
+    n = len(names)
+    pos = np.array([int(name[1:]) for name in back.var_names], dtype=np.int64)
+    prefix = "X" if path.endswith(".mps") else "x"
+    if [f"{prefix}{j}" for j in pos.tolist()] != back.var_names or len(set(pos.tolist())) != pos.size:
+        raise ValueError(f"written names are not distinct position names: {back.var_names[:5]}")
+    lb, ub, integer = np.zeros(n), np.full(n, math.inf), np.zeros(n, dtype=bool)
+    lb[pos], ub[pos], integer[pos] = back.lb, back.ub, back.integer
+    model = MilpModel(name=back.name)
+    model.add_vars(names, lb, ub, integer)
+    model.set_objective(pos[back.objective[0]], back.objective[1])
+    indptr, indices, data, sense, rhs = back._merged_rows()
+    model.add_rows(
+        np.repeat(np.arange(sense.size), np.diff(indptr)), pos[indices], data,
+        np.array([LESS_EQUAL, EQUAL, GREATER_EQUAL], dtype=object)[sense], rhs, back.row_names,
+    )
+    return model
+
+
+def number_text(value: float) -> str:
     """A number as the model files write it: the first of %.11g, %.9g and
     %.6g that fits in 12 characters, else %.5g."""
     for spec in ("%.11g", "%.9g", "%.6g"):
@@ -237,25 +303,33 @@ def _number(value: float) -> str:
     return "%.5g" % value
 
 
-def reference_lp(model: MilpModel, names: list[str], rows: list[str]) -> str:
-    """The LP text of `model` with written variable names `names` and row
-    names `rows`, in the layout of `odmts.milp.write_lp`."""
+def reference_lp(model: MilpModel) -> str:
+    """The LP text of `model` in the layout of `odmts.milp.write_lp`:
+    variable j written x<j>, row r c<r>, after the name-block comments."""
+    names = [f"x{j}" for j in range(model.n_vars)]
+    rows = [f"c{r}" for r in range(model.n_rows)]
 
     def terms(entries) -> str:
-        text = " ".join(f"{'-' if v < 0 else '+'} {_number(abs(v))} {names[j]}" for j, v in entries)
+        text = " ".join(f"{'-' if v < 0 else '+'} {number_text(abs(v))} {names[j]}" for j, v in entries)
         if not text:
             return f"0 {names[0]}" if names else "0"
         return text[2:] if text.startswith("+ ") else text
 
-    renamed = [(old, new) for old, new in zip(model.var_names, names) if old != new]
-    renamed.sort(key=lambda pair: pair[0])  # same-named variables stay in position order
-    lines = [f"\\ {model.name}", *(f"\\ name-map: {new} <- {old}" for old, new in renamed)]
+    lines = [f"\\ {json.dumps(model.name)[1:-1]}"]
+    for kind, column in (("vars", model._var_names), ("rows", model._row_names)):
+        for block, first, end in zip(column.blocks, column.starts, column.starts[1:]):
+            if first == end:
+                continue
+            lines.append(f"\\ {kind} {first} {end} {json.dumps('{}'.join(block.parts))}")
+            for ids, keys in block.fields if kind == "vars" else ():
+                lines.append(f"\\ field {keys.shape[1] if keys.ndim == 2 else 1} {json.dumps(list(ids))}")
+                lines.append(" ".join(["\\ keys", *(str(k) for k in keys.ravel().tolist())]))
     lines += ["Minimize", f" obj: {terms(zip(*(a.tolist() for a in model.objective)))}", "Subject To"]
     indptr, indices, data, sense, rhs = model._merged_rows()
     for r, row in enumerate(rows):
         entries = zip(indices[indptr[r]:indptr[r + 1]].tolist(), data[indptr[r]:indptr[r + 1]].tolist())
         op = (LESS_EQUAL, EQUAL, GREATER_EQUAL)[sense[r]]
-        lines.append(f" {row}: {terms(entries)} {op} {_number(rhs[r])}")
+        lines.append(f" {row}: {terms(entries)} {op} {number_text(rhs[r])}")
     lines.append("Bounds")
     for name, lo, hi in zip(names, model.lb.tolist(), model.ub.tolist()):
         if math.isinf(hi) and lo == 0:
@@ -263,9 +337,9 @@ def reference_lp(model: MilpModel, names: list[str], rows: list[str]) -> str:
         if lo == -math.inf and math.isinf(hi):
             lines.append(f" {name} free")
         elif math.isinf(hi):
-            lines.append(f" {name} >= {_number(lo)}")
+            lines.append(f" {name} >= {number_text(lo)}")
         else:
-            lines.append(f" {_number(lo)} <= {name} <= {_number(hi)}")
+            lines.append(f" {number_text(lo)} <= {name} <= {number_text(hi)}")
     generals = [name for name, integer in zip(names, model.integer.tolist()) if integer]
     if generals:
         lines += ["General", *(f" {name}" for name in generals)]

@@ -17,7 +17,7 @@ from odmts.instance import CostParams, instance_to_dict, load_instance, record_d
 from odmts.milp import write_lp
 
 from conftest import DESK_COST, euclid_instance, mk_commodity
-from model_files import add_var, read_lp
+from model_files import add_var, read_lp, read_names
 
 ARTIFACTS = ("routes.jsonl", "design.json", "fleet.json", "report.json", "report.csv")
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "pipeline_tiny")
@@ -1101,8 +1101,20 @@ def test_pipeline_runs_when_joined_route_names_collide(tmp_path):
     assert main([
         "pipeline", "--instance", path, "--out", str(out), "--check-oracle", "--export-model", str(out / "design.lp"),
     ]) == EXIT_OK
-    names = read_lp(str(out / "design.lp")).var_names
-    assert len(set(names)) == len(names) and "\\ name-map: " in (out / "design.lp").read_text()
+    names = read_names(str(out / "design.lp"))[0]
+    assert len(set(names)) == len(names) and {"x[pickup,h1,a|b]", "x[pickup,h1,a\\|b]"} <= set(names)
+
+
+@pytest.mark.parametrize("fmt,first", [("lp", "Minimize"), ("mps", "ROWS")])
+def test_export_keeps_ids_with_line_breaks_in_comments(tmp_path, tiny_instance_file, fmt, first):
+    data = json.load(open(tiny_instance_file))
+    data["commodities"][0]["id"], data["commodities"][1]["id"] = "c\nq", "c\rr"
+    path, model = tmp_path / "breaks.json", tmp_path / f"design.{fmt}"
+    path.write_text(json.dumps(data))
+    assert main(["pipeline", "--instance", str(path), "--out", str(tmp_path / "run"), "--export-model", str(model)]) == EXIT_OK
+    lines = open(model, newline="").read().split("\n")
+    assert all(line.startswith("\\ " if fmt == "lp" else "* ") for line in lines[1:lines.index(first)])
+    assert {"eta[c\nq]", "eta[c\rr]"} <= set(read_names(str(model))[0])
 
 
 def _stopped_at_time_limit(*args, **kwargs):

@@ -20,20 +20,20 @@ from odmts.milp import (
     LESS_EQUAL,
     MilpModel,
     ModelError,
+    Names,
     OPTIMAL,
     SolveNumericalError,
     TIME_LIMIT,
     UNBOUNDED,
     _check_solution,
     _constraint_rows,
-    _sanitize_names,
     export_model,
     solve_milp,
     write_lp,
 )
 
 from conftest import DESK_COST, mk_instance
-from model_files import add_constraint, add_var, read_lp, read_mps, reference_lp
+from model_files import add_constraint, add_var, number_text, read_lp, read_model, read_mps, read_names, reference_lp
 
 
 def solve_lp(model):
@@ -473,7 +473,7 @@ def test_lp_text_contains_bound_row(tmp_path):
     path = str(tmp_path / "one.lp")
     write_lp(m, path)
     text = open(path).read()
-    assert "1.5 <= x <= 4" in text
+    assert "1.5 <= x0 <= 4" in text
     assert "Minimize" in text
 
 
@@ -534,53 +534,7 @@ def test_exports_keep_signed_zero_coefficients_apart(tmp_path):
     export_model(m, str(tmp_path / "z.lp"), "lp")
     mps = (tmp_path / "z.mps").read_text().splitlines()
     assert [line.split()[-1] for line in mps if line.startswith("    ")] == ["-0", "0", "0", "-0", "-2"]
-    assert " r: 0 a + 0 b - 2 c <= -0" in (tmp_path / "z.lp").read_text()
-
-
-def _sanitize_by_regex(names, max_len, prefix):
-    written, used = [], set()
-    for i, name in enumerate(names):
-        clean = re.sub(r"[^A-Za-z0-9_]", "_", name)
-        if not clean or clean[0].isdigit():
-            clean = "_" + clean
-        if len(clean) > max_len or clean in used:
-            clean = next(f"{prefix}{j}" for j in itertools.count(i) if f"{prefix}{j}" not in used)
-        written.append(clean)
-        used.add(clean)
-    return written
-
-
-def test_sanitized_names_match_per_name_regex():
-    names = ["x", "", "9lives", "a b", "a_b", "x1", "flow[\u00e9,\u0394]", "line\nbreak", "\U0001f68c bus",
-             "tab\there", "longer_than_eight", "X4", "c-1", "ok_name", "\u00e9", "a.b", "x17", "a;b"]
-    for max_len, prefix in ((8, "X"), (200, "x")):
-        assert _sanitize_names(names, max_len, prefix) == _sanitize_by_regex(names, max_len, prefix)
-
-
-_NAMES = st.one_of(
-    st.sampled_from(
-        ["", "a[", "a]", "a_", "9lives", "\u00e9", "\U0001f68c", "line\nbreak", "\n", "longer_than_eight", "y" * 201]
-    ),
-    st.integers(0, 12).map("x{}".format),
-    st.integers(0, 12).map("X{}".format),
-    st.text(max_size=4),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_NAMES, max_size=14))
-@example(["a[", "a]", "b", "x1", "X1"])  # at chunk 3, 'x1' is clean but an earlier chunk's fallback took it
-def test_sanitize_chunks_match_per_name_regex(names):
-    for chunk in (1, 3, 4096):
-        with mock.patch.object(milp, "WRITE_CHUNK", chunk):
-            for max_len, prefix in ((8, "X"), (200, "x")):
-                assert _sanitize_names(names, max_len, prefix) == _sanitize_by_regex(names, max_len, prefix), chunk
-
-
-def _name_map(path) -> dict[str, str]:
-    """original -> written, from the name-map comments of an exported file."""
-    pairs = [line.split(" name-map: ", 1)[1].rstrip("\n").split(" <- ", 1) for line in open(path) if " name-map: " in line]
-    return {old: new for new, old in pairs}
+    assert " c0: 0 x0 + 0 x1 - 2 x2 <= -0" in (tmp_path / "z.lp").read_text()
 
 
 def test_name_sanitization_emits_mapping(tmp_path):
@@ -588,22 +542,75 @@ def test_name_sanitization_emits_mapping(tmp_path):
     x = add_var(m, "flow rate [a,b]", 0, 3)
     add_constraint(m, {x: 2.0}, GREATER_EQUAL, 1.0)
     m.set_objective([x], 1.0)
-    for fmt in ("lp", "mps"):
+    for fmt, marker in (("lp", "\\"), ("mps", "*")):
         path = str(tmp_path / f"messy.{fmt}")
         assert export_model(m, path, fmt) is None
-        mapping = _name_map(path)
-        assert list(mapping) == ["flow rate [a,b]"]
-        written = mapping["flow rate [a,b]"]
-        assert " " not in written
-        assert written in open(path).read()
-        marker = "\\" if fmt == "lp" else "*"
-        assert any(
-            line.startswith(marker) and "name-map" in line for line in open(path)
-        )
-    # Same sanitization applied twice stays identical.
+        assert read_names(path) == (["flow rate [a,b]"], [(0, 1, "{}")])
+        lines = open(path).read().splitlines()
+        # The name's one record: the block, its ids as JSON and its keys.
+        assert lines[1:4] == [f'{marker} vars 0 1 "{{}}"', f'{marker} field 1 ["flow rate [a,b]"]', f"{marker} keys 0"]
+        assert not any("flow" in line for line in lines[4:])
+    # The same model writes the same bytes.
     export_model(m, str(tmp_path / "b.lp"), "lp")
     export_model(m, str(tmp_path / "c.lp"), "lp")
     assert (tmp_path / "b.lp").read_bytes() == (tmp_path / "c.lp").read_bytes()
+
+
+@pytest.mark.parametrize("fmt,first", [("lp", "Minimize"), ("mps", "ROWS")])
+def test_ids_with_line_breaks_stay_in_comments(tmp_path, fmt, first):
+    ids = ("a\nb", "c\rd", "e\r\nf", "g\u2028h", "\n")
+    m = MilpModel(name="breaks\n")
+    m.add_vars(Names("y[{},{}]", (ids, [0, 1, 2, 3, 4]), (ids, [[4, 0], [1, -1], [2, 3], [-1, -1], [0, 1]])), 0, 1)
+    m.add_rows([0, 1], [0, 4], [1.0, 1.0], GREATER_EQUAL, 1.0, Names("r[{}]", (ids, [0, 1])))
+    m.set_objective(np.arange(5), 1.0)
+    path = str(tmp_path / f"breaks.{fmt}")
+    export_model(m, path, fmt)
+    lines = open(path, newline="").read().split("\n")
+    header = lines[1:lines.index(first)]
+    assert len(header) == 1 + 2 * 2 + 1 and all(line.startswith("\\ " if fmt == "lp" else "* ") for line in header)
+    assert "\r" not in open(path, newline="").read()
+    assert read_names(path) == (m.var_names, [(0, 2, "r[{}]")])
+    assert read_model(path).var_names == m.var_names
+
+
+@pytest.mark.parametrize("fmt", ["lp", "mps"])
+def test_s1_design_export_reads_back_to_the_model(tmp_path, fmt):
+    """The S1 export reads back (`read_model`) to the model's names and
+    arrays, each number as the file writes it."""
+    inst = instgen.generate(seed=400, n_nodes=60, n_hubs=6, n_commodities=100, side_km=16.0, cost=DESK_COST)
+    hs = routegen.compute_hub_sets(inst)
+    model = design.build_design_model(
+        inst, routegen.enumerate_pickup_routes(inst, hs), routegen.enumerate_dropoff_routes(inst, hs)
+    ).model
+    path = str(tmp_path / f"s1.{fmt}")
+    export_model(model, path, fmt)
+    back, written = read_model(path), np.vectorize(lambda v: float(number_text(v)), otypes=[float])
+    assert back.var_names == model.var_names and back.n_rows == model.n_rows
+    column = model._row_names
+    assert read_names(path)[1] == [
+        (start, end, "{}".join(block.parts)) for block, start, end in zip(column.blocks, column.starts, column.starts[1:])
+    ]
+    for got, want in ((back.lb, model.lb), (back.ub, model.ub), (back.objective_vector(), model.objective_vector())):
+        assert got.tolist() == written(want).tolist()
+    assert back.integer.tolist() == model.integer.tolist()
+    a, b = back._merged_rows(), model._merged_rows()
+    assert [x.tolist() for x in (*a[:2], a[3])] == [x.tolist() for x in (*b[:2], b[3])]
+    assert a[2].tolist() == written(b[2]).tolist() and a[4].tolist() == written(b[4]).tolist()
+
+
+def test_city_design_export_rebuilds_every_name(tmp_path):
+    # The city_prep instance of the benchmark: 100,877 columns, 90,000 of them y.
+    inst = instgen.generate(seed=400, n_nodes=400, n_hubs=10, n_commodities=1000, side_km=16.0, cost=DESK_COST)
+    hs = routegen.compute_hub_sets(inst)
+    model = design.build_design_model(
+        inst, routegen.enumerate_pickup_routes(inst, hs), routegen.enumerate_dropoff_routes(inst, hs)
+    ).model
+    assert (model.n_vars, model.n_rows) == (100_877, 102_010)
+    names = model.var_names
+    for fmt in ("lp", "mps"):
+        path = str(tmp_path / f"city.{fmt}")
+        export_model(model, path, fmt)
+        assert read_names(path)[0] == names, fmt
 
 
 def test_export_model_rejects_unknown_format(tmp_path):
@@ -613,7 +620,7 @@ def test_export_model_rejects_unknown_format(tmp_path):
 
 
 @pytest.mark.parametrize("fmt,reader,names", [
-    ("lp", read_lp, ["x2", "a[", "a]"]),  # the fallback for "a]" at position 2 would be x2
+    ("lp", read_lp, ["x2", "a[", "a]"]),  # the name "x2" is what position 2 is written as
     ("mps", read_mps, ["X2", "a[", "a]"]),
 ])
 def test_fallback_names_never_collide(tmp_path, fmt, reader, names):
@@ -623,15 +630,13 @@ def test_fallback_names_never_collide(tmp_path, fmt, reader, names):
     add_constraint(m, {0: 1.0, 1: 1.0, 2: 1.0}, GREATER_EQUAL, 1.0, name="cover")
     path = str(tmp_path / f"clash.{fmt}")
     export_model(m, path, fmt)
-    mapping = _name_map(path)
-    assert list(mapping) == names[1:]  # the clean name keeps its spelling and has no line
-    assert len({names[0], *mapping.values()}) == 3
+    assert read_names(path) == (names, [(0, 1, "{}")])
     back = reader(path)
-    assert len(back.var_names) == 3
-    assert sorted(back.objective[1].tolist()) == [1.0, 2.0, 3.0]
+    assert back.var_names == [("x" if fmt == "lp" else "X") + str(j) for j in range(3)]
+    assert back.objective[1].tolist() == [1.0, 2.0, 3.0]
     assert solve_lp(back).objective == pytest.approx(1.0)
     if fmt == "lp":
-        assert " obj: 1 x2 + 2 a_ + 3 x3" in (tmp_path / "clash.lp").read_text()
+        assert " obj: 1 x0 + 2 x1 + 3 x2" in (tmp_path / "clash.lp").read_text()
 
 
 def test_same_named_variables_are_kept_apart_by_position(tmp_path):
@@ -685,7 +690,7 @@ def _edge_models():
 @pytest.mark.parametrize("fmt", ["lp", "mps"])
 def test_exports_do_not_depend_on_chunk_size(tmp_path, monkeypatch, fmt, chunk):
     """Pieces of 1 and 3 entries cut rows, columns, the objective, the
-    name map and the bounds mid-way; the bytes must not change."""
+    name-block keys and the bounds mid-way; the bytes must not change."""
     edge = _edge_models()
     whole = {}
     for name, model in edge.items():
@@ -693,7 +698,7 @@ def test_exports_do_not_depend_on_chunk_size(tmp_path, monkeypatch, fmt, chunk):
         export_model(model, str(path), fmt)
         whole[name] = path.read_bytes()
     if fmt == "lp":
-        assert b" c1: 0 a = 0\n" in whole["empty_row"]
+        assert b" c1: 0 x0 = 0\n" in whole["empty_row"]
         assert whole["no_vars"].endswith(b" obj: 0\nSubject To\n c0: 0 <= 1\n c1: 0 <= 0\nBounds\nEnd\n")
     monkeypatch.setattr(milp, "WRITE_CHUNK", chunk)
     for name, model in _golden_models().items():
@@ -745,9 +750,7 @@ def small_models(draw):
 @settings(max_examples=100, deadline=None)
 @given(small_models())
 def test_write_lp_matches_reference_writer(model):
-    expected = reference_lp(
-        model, _sanitize_names(model.var_names, 200, "x"), _sanitize_names(model.row_names, 200, "c")
-    ).encode()
+    expected = reference_lp(model).encode()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "small.lp")
         for chunk in (1, 3, milp.WRITE_CHUNK):
@@ -821,8 +824,8 @@ def test_solve_log_env(tmp_path, monkeypatch):
     assert counts[0] == len(dm.z) and all(a < b for a, b in zip(counts, counts[1:]))
 
 
-# Ids that the cleaning, the '_' prefix, the length limit or a fallback name acts on.
-_ODD_IDS = ["_", "[", "\n", "é", "", "7", "a" * 201, "x3", "X1", "c0", "R2", "x", "a|b", "a_b", "ab"]
+# Ids that break a line, are no LP or MPS name, are long, or spell a written name.
+_ODD_IDS = ["_", "[", "\n", "\r", "é", "", "7", "a" * 201, "x3", "X1", "c0", "R2", "x", "a|b", "a_b", "ab", '"']
 _IDS = st.lists(st.one_of(st.sampled_from(_ODD_IDS), st.text(max_size=3)), min_size=1, max_size=4)
 _TEMPLATES = ["{}", "x{}", "X{}", "c{}", "y[{},{}]", "{}[{}]", "{}_{}", "{}{}", "z[{}]"]
 
@@ -869,9 +872,8 @@ def test_name_blocks_write_the_bytes_of_their_name_lists(var_blocks, row_blocks)
     blocks, lists = models
     assert blocks.var_names == lists.var_names and blocks.row_names == lists.row_names
     assert [blocks.var_name(j) for j in range(blocks.n_vars)] == lists.var_names
-    reference = reference_lp(
-        lists, _sanitize_names(lists.var_names, 200, "x"), _sanitize_names(lists.row_names, 200, "c")
-    ).encode()
+    # The two models differ only in their name-block comments: the model
+    # text is the same, and both records rebuild the same names.
     with tempfile.TemporaryDirectory() as tmp:
         for chunk in (1, 3, 4096):
             with mock.patch.object(milp, "WRITE_CHUNK", chunk):
@@ -879,8 +881,16 @@ def test_name_blocks_write_the_bytes_of_their_name_lists(var_blocks, row_blocks)
                     got, want = (os.path.join(tmp, f"{side}.{fmt}") for side in ("blocks", "lists"))
                     export_model(blocks, got, fmt)
                     export_model(lists, want, fmt)
-                    assert Path(got).read_bytes() == Path(want).read_bytes(), (chunk, fmt)
-                    assert fmt == "mps" or Path(got).read_bytes() == reference, chunk
+                    assert _model_text(got) == _model_text(want), (chunk, fmt)
+                    assert read_names(got)[0] == read_names(want)[0] == lists.var_names, (chunk, fmt)
+                    if fmt == "lp":
+                        assert Path(got).read_text() == reference_lp(blocks), chunk
+                        assert Path(want).read_text() == reference_lp(lists), chunk
+
+
+def _model_text(path) -> list[str]:
+    """The lines of an exported file after its first line, comments left out."""
+    return [line for line in open(path).read().split("\n")[1:] if not line.startswith(("\\", "*"))]
 
 
 def test_design_model_holds_no_names():
